@@ -2,8 +2,8 @@
 
 ``header.json`` holds {format_version, config, arch_hash, config_hash,
 tensors: [{name, shape, byte_offset}]}; ``weights.bin`` is the tensors'
-float64 data, little-endian, concatenated in index order.  Writes are
-byte-deterministic.
+float64 data, little-endian, concatenated in index order; on load its size
+must equal the sum of the tensor sizes.  Writes are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -59,10 +59,16 @@ def load_checkpoint(directory: str | Path) -> tuple[RunConfig, dict[str, np.ndar
         raise CheckpointError(f"unsupported format_version {header.get('format_version')}")
     config = RunConfig.from_json(json.dumps(header["config"]))
     raw = weights_path.read_bytes()
+    counts = [int(np.prod(entry["shape"])) if entry["shape"] else 1
+              for entry in header["tensors"]]
+    expected = 8 * sum(counts)
+    if len(raw) != expected:
+        kind = "truncated" if len(raw) < expected else "trailing bytes in"
+        raise CheckpointError(f"{kind} {weights_path}: {len(raw)} bytes, "
+                              f"header describes {expected}")
     tensors = {}
-    for entry in header["tensors"]:
+    for entry, count in zip(header["tensors"], counts):
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
         off = entry["byte_offset"]
         try:
             arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
@@ -71,3 +77,14 @@ def load_checkpoint(directory: str | Path) -> tuple[RunConfig, dict[str, np.ndar
                 f"truncated weights for tensor {entry['name']!r}") from None
         tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
     return config, tensors
+
+
+def model_tensor(values: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """A copy of ``values[name]``, which must exist and have ``shape``."""
+    if name not in values:
+        raise CheckpointError(f"checkpoint has no tensor {name!r}")
+    arr = values[name]
+    if arr.shape != tuple(shape):
+        raise CheckpointError(f"tensor {name!r} has shape {list(arr.shape)}, "
+                              f"model expects {list(shape)}")
+    return arr.copy()

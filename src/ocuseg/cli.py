@@ -27,9 +27,9 @@ from .config import RunConfig
 from .datasetio import DatasetError, read_dataset, read_pgm, write_dataset, write_pgm
 from .detect import crop_resize
 from .evaluate import rank_and_filter
-from .metrics import confusion_matrix, metrics, metrics_from_confusion
+from .metrics import confusion_matrix, metrics_from_confusion
 from .pipeline import DETECTOR_MODES, build_crops, infer_samples
-from .segnet import SegModel, count_flops, evaluate_miou, train_seg
+from .segnet import TRAIN_MIOU_SUBSET, SegModel, count_flops, evaluate_miou, train_seg
 from .synth import CORRUPTION_KINDS, generate_dataset
 from .uncertainty import UncHead, head_flops, landscape_grid, train_unc
 
@@ -99,7 +99,10 @@ def cmd_train_seg(args) -> int:
     save_checkpoint(args.out, config, model.params())
     _write_csv(Path(args.out) / "train_log.csv",
                ["epoch", "loss", "miou"], [list(r) for r in log])
-    final_miou = evaluate_miou(model, images, labels)
+    if log and len(images) <= TRAIN_MIOU_SUBSET:
+        final_miou = log[-1][2]     # the last epoch already scored every crop
+    else:
+        final_miou = evaluate_miou(model, images, labels)
     print(f"saved segmentation checkpoint to {args.out}")
     print(f"train miou {final_miou:.4f}")
     return 0
@@ -195,7 +198,7 @@ def cmd_eval(args) -> int:
         y_hat = read_pgm(pred_dir / "pred" / f"{sid}.pgm").astype(np.int64)
         gt = crop_resize(samples[sid], box, y_hat.shape[0], y_hat.shape[1]).labels
         conf = confusion_matrix(y_hat, gt)
-        m = metrics(y_hat, gt)
+        m = metrics_from_confusion(conf)
         ids.append(sid)
         score_list.append(float(row["s_unc"]))
         confs.append(conf)

@@ -8,6 +8,13 @@ buffers across batches.
 
 Convolutions are cross-correlations with zero padding and mandatory
 "same" geometry: the kernel side must be odd and ``pad == (k - 1) // 2``.
+Both conv passes are GEMMs over an im2col slab (Chellapilla et al. 2006):
+the kernel gradient reuses the slab the forward pass kept, and the input
+gradient is itself a same-size convolution of the output gradient (the
+transposed convolution: spatially flipped kernel, in/out channels
+swapped).  A caller can ask for only the leading input channels of that
+gradient, or for none, when the rest feeds frozen or absent inputs.
+
 Spatial size changes happen only through ``pool2x`` / ``upsample2x``,
 which are adjoint up to a factor of 4 (pool averages a 2x2 block,
 upsample duplicates; pool_backward spreads grad/4, upsample_backward
@@ -17,6 +24,8 @@ sums the block).
 from __future__ import annotations
 
 import numpy as np
+
+from .checkpoint import model_tensor
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -53,26 +62,29 @@ def conv2d_batch(x: np.ndarray, kernel: np.ndarray, pad: int,
 
 
 def conv2d_batch_backward(grad_out: np.ndarray, x_shape: tuple, kernel: np.ndarray,
-                          cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``conv2d_batch``: returns (grad_input, grad_kernel)."""
-    c_in, n, h, w = x_shape
+                          cols: np.ndarray, input_channels: int | None = None
+                          ) -> tuple[np.ndarray | None, np.ndarray]:
+    """Gradients of ``conv2d_batch``: returns (grad_input, grad_kernel).
+
+    ``grad_kernel`` is one GEMM of ``grad_out`` against the forward im2col
+    slab ``cols``.  ``grad_input`` is the same-size convolution of
+    ``grad_out`` with the kernel flipped in both spatial axes and with its
+    in/out channel axes swapped (the transposed convolution), so it needs
+    no gradient slab and no scatter.  Only the first ``input_channels``
+    input channels are computed (default: all); ``0`` skips the input
+    gradient and returns ``None`` in its place.
+    """
+    c_in = x_shape[0]
     c_out, _, kh, kw = kernel.shape
-    pad = (kh - 1) // 2
-    g = grad_out.reshape(c_out, -1)
+    m = c_in if input_channels is None else input_channels
+    _require(0 <= m <= c_in, f"input_channels must be in 0..{c_in}, got {m}")
 
-    grad_kernel = (g @ cols.reshape(c_in * kh * kw, -1).T).reshape(kernel.shape)
-
-    # grad wrt the im2col slab, scattered back through the padding
-    gcols = (kernel.reshape(c_out, -1).T @ g).reshape(c_in, kh, kw, n, h, w)
-    gxp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad))
-    for di in range(kh):
-        for dj in range(kw):
-            gxp[:, :, di:di + h, dj:dj + w] += gcols[:, di, dj]
-    if pad:
-        grad_input = gxp[:, :, pad:-pad, pad:-pad].copy()
-    else:
-        grad_input = gxp
-    return grad_input, grad_kernel
+    grad_kernel = (grad_out.reshape(c_out, -1)
+                   @ cols.reshape(c_in * kh * kw, -1).T).reshape(kernel.shape)
+    if m == 0:
+        return None, grad_kernel
+    flipped = kernel[:, :m, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return conv2d_batch(grad_out, flipped, (kh - 1) // 2), grad_kernel
 
 
 def relu_batch(x: np.ndarray) -> np.ndarray:
@@ -220,8 +232,8 @@ class Conv2d:
         return {f"{self.name}.kernel": self.kernel, f"{self.name}.bias": self.bias}
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
-        self.kernel = values[f"{self.name}.kernel"].reshape(self.kernel.shape).copy()
-        self.bias = values[f"{self.name}.bias"].reshape(self.bias.shape).copy()
+        self.kernel = model_tensor(values, f"{self.name}.kernel", self.kernel.shape)
+        self.bias = model_tensor(values, f"{self.name}.bias", self.bias.shape)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         shape = (self.c_in, self.k, self.k) + (x.shape[1],) + x.shape[2:]
@@ -232,7 +244,11 @@ class Conv2d:
         out += self.bias[:, None, None, None]
         return out
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        gi, gk = conv2d_batch_backward(grad_out, self._x_shape, self.kernel, self._cols)
+    def backward(self, grad_out: np.ndarray, *, input_channels: int | None = None
+                 ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+        """(grad_input, param grads); see ``conv2d_batch_backward`` for
+        ``input_channels``."""
+        gi, gk = conv2d_batch_backward(grad_out, self._x_shape, self.kernel, self._cols,
+                                       input_channels)
         gb = grad_out.sum(axis=(1, 2, 3))
         return gi, {f"{self.name}.kernel": gk, f"{self.name}.bias": gb}

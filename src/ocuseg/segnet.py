@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import model_tensor
 from .config import RunConfig
 from .layers import (Conv2d, pool2x_batch, pool2x_batch_backward, relu_batch,
                      relu_batch_backward, softmax_rows, upsample2x_batch,
@@ -73,7 +74,7 @@ class SegModel:
         self.conv1.set_params(values)
         self.conv2.set_params(values)
         self.conv3.set_params(values)
-        self.head = values["head"].reshape(self.head.shape).copy()
+        self.head = model_tensor(values, "head", self.head.shape)
 
     # -- forward / backward -------------------------------------------
 
@@ -110,7 +111,7 @@ class SegModel:
         gp1, g2 = self.conv2.backward(gpre2)
         gs1 = gs1_skip + pool2x_batch_backward(gp1)
         gpre1 = relu_batch_backward(gs1, self._cache["pre1"])
-        _, g1 = self.conv1.backward(gpre1)
+        _, g1 = self.conv1.backward(gpre1, input_channels=0)   # images need none
         grads = {}
         grads.update(g1)
         grads.update(g2)
@@ -207,8 +208,12 @@ SEG_LR_SCALES = {
 SEG_CLIP_NORM = 2000.0
 
 
+# leading crops scored by train_seg's per-epoch MIoU log row
+TRAIN_MIOU_SUBSET = 256
+
+
 def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig,
-              log: list | None = None, miou_subset: int = 256) -> SegModel:
+              log: list | None = None, miou_subset: int = TRAIN_MIOU_SUBSET) -> SegModel:
     """Mini-batch SGD with momentum and a warmup/decay schedule on
     pre-computed crops.
 

@@ -101,8 +101,9 @@ class UncHead:
         u = self.config.head_width
         cache = self._cache
         dg_pre = grad_cov * sigmoid(cache["g_pre"])
-        dg_in, g4 = self.h4.backward(dg_pre)
-        de = upsample2x_batch_backward(dg_in[:u])    # stage1/z inputs are frozen
+        # only the upsampled-e channels of h4's input: stage1 and z are frozen
+        dg_in, g4 = self.h4.backward(dg_pre, input_channels=u)
+        de = upsample2x_batch_backward(dg_in)
         de_pre = relu_batch_backward(de, cache["e_pre"])
         de_in, g3 = self.h3.backward(de_pre)
         dc = upsample2x_batch_backward(de_in[:u])
@@ -110,7 +111,7 @@ class UncHead:
         db, g2 = self.h2.backward(dc_pre)
         da = de_in[u:] + pool2x_batch_backward(db)
         da_pre = relu_batch_backward(da, cache["a_pre"])
-        _, g1 = self.h1.backward(da_pre)
+        _, g1 = self.h1.backward(da_pre, input_channels=0)   # stage2 is frozen
         grads = {}
         for g in (g1, g2, g3, g4):
             grads.update(g)

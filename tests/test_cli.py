@@ -1,10 +1,14 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ocuseg
 from ocuseg.cli import main
 from ocuseg.config import RunConfig
 
@@ -103,6 +107,25 @@ class TestTraining:
                      "--config", str(bad), "--out", str(tmp_path / "s")]) == 2
 
 
+class TestThreadDeterminism:
+    def test_weights_identical_for_1_and_2_blas_threads(self, trained, tmp_path):
+        root, cfg_path = trained
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(ocuseg.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env["OCUSEG_THREADS"] = threads
+            out = tmp_path / f"t{threads}"
+            for argv in (["train-seg", "--out", str(out / "seg")],
+                         ["train-unc", "--seg", str(out / "seg"), "--out", str(out / "unc")]):
+                subprocess.run([sys.executable, "-m", "ocuseg.cli", *argv,
+                                "--data", str(root / "data"), "--config", str(cfg_path)],
+                               env=env, check=True, capture_output=True, timeout=300)
+        for stage in ("seg", "unc"):
+            assert (tmp_path / "t1" / stage / "weights.bin").read_bytes() \
+                == (tmp_path / "t2" / stage / "weights.bin").read_bytes()
+
+
 class TestInferEval:
     def test_infer_deterministic_and_scored(self, trained, tmp_path):
         root, _ = trained
@@ -126,6 +149,13 @@ class TestInferEval:
         assert main(["infer", "--data", str(root / "data"),
                      "--seg", str(tmp_path / "seg8"), "--unc", str(root / "unc"),
                      "--out", str(tmp_path / "p")]) == 2
+
+    def test_seg_checkpoint_as_unc_exit_2(self, trained, tmp_path, capsys):
+        root, _ = trained
+        assert main(["infer", "--data", str(root / "data"),
+                     "--seg", str(root / "seg"), "--unc", str(root / "seg"),
+                     "--out", str(tmp_path / "p")]) == 2
+        assert "no tensor 'h1.kernel'" in capsys.readouterr().err
 
     def test_eval_report(self, trained, tmp_path):
         root, _ = trained

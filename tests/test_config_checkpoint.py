@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ocuseg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from ocuseg.checkpoint import (CheckpointError, load_checkpoint, model_tensor,
+                               save_checkpoint)
 from ocuseg.config import RunConfig
 from ocuseg.rng import Rng
 
@@ -70,3 +71,19 @@ class TestCheckpoint:
         (tmp_path / "c" / "weights.bin").write_bytes(blob[:40])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(tmp_path / "c")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cfg = RunConfig()
+        save_checkpoint(tmp_path / "c", cfg, {"w": np.ones(10), "b": np.ones(2)})
+        weights = tmp_path / "c" / "weights.bin"
+        weights.write_bytes(weights.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(CheckpointError, match="trailing bytes"):
+            load_checkpoint(tmp_path / "c")
+
+    def test_model_tensor_checks_name_and_shape(self):
+        values = {"a.kernel": np.ones((2, 3))}
+        assert np.array_equal(model_tensor(values, "a.kernel", (2, 3)), np.ones((2, 3)))
+        with pytest.raises(CheckpointError, match="no tensor 'h1.kernel'"):
+            model_tensor(values, "h1.kernel", (2, 3))
+        with pytest.raises(CheckpointError, match=r"shape \[2, 3\], model expects \[3, 2\]"):
+            model_tensor(values, "a.kernel", (3, 2))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from ocuseg.gradcheck import grad_check
 from ocuseg.layers import (activation, activation_backward, conv2d,
-                           conv2d_backward, pool2x, pool2x_backward,
+                           conv2d_backward, conv2d_batch,
+                           conv2d_batch_backward, pool2x, pool2x_backward,
                            softmax_vec, softplus, upsample2x,
                            upsample2x_backward)
 from ocuseg.rng import Rng
@@ -69,6 +70,64 @@ class TestConv2d:
             conv2d(x, np.zeros((1, 2, 3, 3)), 0)
         with pytest.raises(ValueError, match="odd"):
             conv2d(x, np.zeros((1, 2, 2, 2)), 0)
+
+
+def scatter_grad_input(grad_out, x_shape, kernel):
+    """Reference input gradient: im2col-slab gradient scattered back through
+    the zero padding, one tap at a time."""
+    c_in, n, h, w = x_shape
+    c_out, _, k, _ = kernel.shape
+    pad = (k - 1) // 2
+    gcols = (kernel.reshape(c_out, -1).T @ grad_out.reshape(c_out, -1))\
+        .reshape(c_in, k, k, n, h, w)
+    gxp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad))
+    for di in range(k):
+        for dj in range(k):
+            gxp[:, :, di:di + h, dj:dj + w] += gcols[:, di, dj]
+    return gxp[:, :, pad:pad + h, pad:pad + w]
+
+
+class TestConv2dBatchBackward:
+    def _case(self, rng, c_in, c_out, k, n=3, h=6, w=5):
+        x = rng.normal_array(c_in * n * h * w).reshape(c_in, n, h, w)
+        kernel = rng.normal_array(c_out * c_in * k * k).reshape(c_out, c_in, k, k)
+        g = rng.normal_array(c_out * n * h * w).reshape(c_out, n, h, w)
+        cols = np.empty((c_in, k, k, n, h, w))
+        conv2d_batch(x, kernel, (k - 1) // 2, cols_out=cols)
+        return x, kernel, g, cols
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("c_in,c_out", [(1, 4), (3, 2), (5, 7)])
+    def test_grad_input_matches_scatter(self, rng, k, c_in, c_out):
+        x, kernel, g, cols = self._case(rng, c_in, c_out, k)
+        gi, _ = conv2d_batch_backward(g, x.shape, kernel, cols)
+        ref = scatter_grad_input(g, x.shape, kernel)
+        assert gi.shape == x.shape
+        np.testing.assert_allclose(gi, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_leading_channels_only(self, rng, k):
+        x, kernel, g, cols = self._case(rng, 6, 4, k)
+        full, gk_full = conv2d_batch_backward(g, x.shape, kernel, cols)
+        for m in (1, 2, 5, 6):
+            part, gk = conv2d_batch_backward(g, x.shape, kernel, cols, input_channels=m)
+            assert part.shape == (m,) + x.shape[1:]
+            # a GEMM with fewer rows may run other BLAS tail kernels: equal to rounding
+            np.testing.assert_allclose(part, full[:m], rtol=1e-12,
+                                       atol=1e-12 * np.abs(full).max())
+            assert np.array_equal(gk, gk_full)
+
+    def test_zero_channels_skips_input_grad(self, rng):
+        x, kernel, g, cols = self._case(rng, 3, 2, 3)
+        _, gk_full = conv2d_batch_backward(g, x.shape, kernel, cols)
+        gi, gk = conv2d_batch_backward(g, x.shape, kernel, cols, input_channels=0)
+        assert gi is None
+        assert np.array_equal(gk, gk_full)
+
+    def test_channel_count_out_of_range(self, rng):
+        x, kernel, g, cols = self._case(rng, 3, 2, 3)
+        with pytest.raises(ValueError, match="input_channels"):
+            conv2d_batch_backward(g, x.shape, kernel, cols, input_channels=4)
 
 
 class TestActivations:
