@@ -2,7 +2,8 @@
 
 ``header.json`` holds {format_version, config, arch_hash, config_hash,
 tensors: [{name, shape, byte_offset}]}; ``weights.bin`` is the tensors'
-float64 data, little-endian, concatenated in index order; on load its size
+float64 data, little-endian, concatenated in index order.  On load the stored
+arch_hash must match the stored config, and the size of ``weights.bin``
 must equal the sum of the tensor sizes.  Writes are byte-deterministic.
 """
 
@@ -58,6 +59,9 @@ def load_checkpoint(directory: str | Path) -> tuple[RunConfig, dict[str, np.ndar
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format_version {header.get('format_version')}")
     config = RunConfig.from_json(json.dumps(header["config"]))
+    if header.get("arch_hash") != config.arch_hash():
+        raise CheckpointError(f"{header_path}: stored arch_hash {header.get('arch_hash')!r} "
+                              f"does not match its config ({config.arch_hash()!r})")
     raw = weights_path.read_bytes()
     counts = [int(np.prod(entry["shape"])) if entry["shape"] else 1
               for entry in header["tensors"]]

@@ -18,6 +18,7 @@ if _threads:
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,18 @@ def _read_csv(path: Path) -> list[dict[str, str]]:
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
+def _check_score_ids(score_ids: list[str], dataset_ids) -> None:
+    """scores.csv must list each dataset id exactly once and nothing else."""
+    counts = Counter(score_ids)
+    bad = {"unknown ids": [sid for sid in counts if sid not in dataset_ids],
+           "dataset ids without a row": [sid for sid in dataset_ids if sid not in counts],
+           "duplicated ids": [sid for sid, c in counts.items() if c > 1]}
+    problems = [f"{len(ids)} {what} ({', '.join(sorted(ids)[:20])})"
+                for what, ids in bad.items() if ids]
+    if problems:
+        raise UsageError("scores.csv does not match the dataset: " + "; ".join(problems))
+
+
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     for required in ("scores.csv", "crops.csv", "meta.json"):
@@ -180,6 +193,7 @@ def cmd_eval(args) -> int:
     scores_rows = _read_csv(pred_dir / "scores.csv")
     crops_rows = {r["sample_id"]: r for r in _read_csv(pred_dir / "crops.csv")}
     samples = {s.sample_id: s for s in read_dataset(args.data)}
+    _check_score_ids([r["sample_id"] for r in scores_rows], samples)
 
     missing = [sid for sid in samples if sid not in crops_rows
                or not (pred_dir / "pred" / f"{sid}.pgm").exists()]
@@ -191,8 +205,6 @@ def cmd_eval(args) -> int:
     agg = np.zeros((4, 4), dtype=np.int64)
     for row in scores_rows:
         sid = row["sample_id"]
-        if sid not in samples:
-            continue
         crop = crops_rows[sid]
         box = (int(crop["l"]), int(crop["t"]), int(crop["h"]), int(crop["w"]))
         y_hat = read_pgm(pred_dir / "pred" / f"{sid}.pgm").astype(np.int64)

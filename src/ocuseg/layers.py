@@ -2,18 +2,19 @@
 
 Tensors are float64 numpy arrays.  The public single-image ops take
 ``[C, H, W]`` (or flat) arrays; the batched layer classes used by the
-networks keep activations in ``[C, N, H, W]`` layout (channels outermost)
-so that im2col slabs feed BLAS directly, and reuse preallocated scratch
-buffers across batches.
+networks keep activations in ``[C, N, H, W]`` layout (channels outermost).
 
 Convolutions are cross-correlations with zero padding and mandatory
 "same" geometry: the kernel side must be odd and ``pad == (k - 1) // 2``.
-Both conv passes are GEMMs over an im2col slab (Chellapilla et al. 2006):
-the kernel gradient reuses the slab the forward pass kept, and the input
-gradient is itself a same-size convolution of the output gradient (the
-transposed convolution: spatially flipped kernel, in/out channels
-swapped).  A caller can ask for only the leading input channels of that
-gradient, or for none, when the rest feeds frozen or absent inputs.
+Both conv passes are GEMMs over im2col slabs (Chellapilla et al. 2006),
+built for one image and one band of output rows at a time so that each
+slab (about ``_BAND_BYTES``) stays in cache and no batch-sized slab ever
+exists.  The forward pass runs one GEMM per band; the kernel gradient
+rebuilds the same bands from the kept input and sums one GEMM per band.
+The input gradient is itself a same-size convolution of the output
+gradient (the transposed convolution: spatially flipped kernel, in/out
+channels swapped).  A caller can ask for only the leading input channels
+of that gradient, or for none, when the rest feeds frozen or absent inputs.
 
 Spatial size changes happen only through ``pool2x`` / ``upsample2x``,
 which are adjoint up to a factor of 4 (pool averages a 2x2 block,
@@ -24,6 +25,7 @@ sums the block).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import model_tensor
 
@@ -37,50 +39,84 @@ def _require(cond: bool, msg: str) -> None:
 # batched primitives on [C, N, H, W]
 # ---------------------------------------------------------------------------
 
-def conv2d_batch(x: np.ndarray, kernel: np.ndarray, pad: int,
-                 cols_out: np.ndarray | None = None) -> np.ndarray:
-    """Cross-correlate ``x [C_in,N,H,W]`` with ``kernel [C_out,C_in,k,k]``.
+# Byte budget of one band's im2col slab: small enough to stay in L2 between
+# the copy that fills it and the GEMM that reads it.
+_BAND_BYTES = 1 << 20
 
-    Returns ``[C_out, N, H, W]``.  If ``cols_out`` is given it receives the
-    im2col slab ``[C_in, k, k, N, H, W]`` for reuse in the backward pass.
-    """
-    c_in, n, h, w = x.shape
-    c_out, kc_in, kh, kw = kernel.shape
+
+def _check_conv(x: np.ndarray, kernel: np.ndarray, pad: int) -> None:
+    c_in = x.shape[0]
+    _, kc_in, kh, kw = kernel.shape
     _require(kc_in == c_in,
              f"kernel expects {kc_in} input channels, input has {c_in}")
     _require(kh == kw and kh % 2 == 1, f"kernel must be odd square, got {kh}x{kw}")
     _require(pad == (kh - 1) // 2, f"same-size conv needs pad={(kh - 1) // 2}, got {pad}")
 
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    if cols_out is None:
-        cols_out = np.empty((c_in, kh, kw, n, h, w))
-    for di in range(kh):
-        for dj in range(kw):
-            cols_out[:, di, dj] = xp[:, :, di:di + h, dj:dj + w]
-    out = kernel.reshape(c_out, -1) @ cols_out.reshape(c_in * kh * kw, -1)
+
+def _bands(x: np.ndarray, k: int):
+    """Yield ``(i, r0, r1, cols)`` for each image ``i`` of ``x [C_in,N,H,W]``
+    and each band of output rows ``r0:r1``.
+
+    ``cols`` is the band's ``[C_in*k*k, (r1-r0)*W]`` im2col slab for a k x k
+    same-size conv, filled by one copy from a sliding-window view of the
+    zero-padded image.  One buffer of at most ``_BAND_BYTES`` (but at least
+    one row) is reused for every band, so it is overwritten on the next step.
+    """
+    c_in, n, h, w = x.shape
+    pad = (k - 1) // 2
+    rows = max(1, min(h, _BAND_BYTES // (8 * c_in * k * k * w)))
+    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
+    buf = np.empty(c_in * k * k * rows * w)
+    for i in range(n):
+        xp[:, pad:pad + h, pad:pad + w] = x[:, i]
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            cols = buf[:c_in * k * k * (r1 - r0) * w].reshape(c_in, k, k, r1 - r0, w)
+            np.copyto(cols, windows[:, :, :, r0:r1])
+            yield i, r0, r1, cols.reshape(c_in * k * k, -1)
+
+
+def conv2d_batch(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
+    """Cross-correlate ``x [C_in,N,H,W]`` with ``kernel [C_out,C_in,k,k]``.
+
+    Returns ``[C_out, N, H, W]``, one GEMM per band of ``_bands``.  Every
+    output element is the same length-``C_in*k*k`` dot product as in a
+    whole-batch im2col GEMM.
+    """
+    _check_conv(x, kernel, pad)
+    c_out = kernel.shape[0]
+    _, n, h, w = x.shape
+    k2 = kernel.reshape(c_out, -1)
+    out = np.empty((c_out, n, h * w))
+    for i, r0, r1, cols in _bands(x, kernel.shape[2]):
+        np.matmul(k2, cols, out=out[:, i, r0 * w:r1 * w])
     return out.reshape(c_out, n, h, w)
 
 
-def conv2d_batch_backward(grad_out: np.ndarray, x_shape: tuple, kernel: np.ndarray,
-                          cols: np.ndarray, input_channels: int | None = None
+def conv2d_batch_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
+                          input_channels: int | None = None
                           ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Gradients of ``conv2d_batch``: returns (grad_input, grad_kernel).
+    """Gradients of ``conv2d_batch`` at input ``x``: (grad_input, grad_kernel).
 
-    ``grad_kernel`` is one GEMM of ``grad_out`` against the forward im2col
-    slab ``cols``.  ``grad_input`` is the same-size convolution of
+    ``grad_kernel`` sums one GEMM of ``grad_out`` against each band's im2col
+    slab of ``x``.  ``grad_input`` is the same-size convolution of
     ``grad_out`` with the kernel flipped in both spatial axes and with its
     in/out channel axes swapped (the transposed convolution), so it needs
     no gradient slab and no scatter.  Only the first ``input_channels``
     input channels are computed (default: all); ``0`` skips the input
     gradient and returns ``None`` in its place.
     """
-    c_in = x_shape[0]
+    c_in, n, _, w = x.shape
     c_out, _, kh, kw = kernel.shape
     m = c_in if input_channels is None else input_channels
     _require(0 <= m <= c_in, f"input_channels must be in 0..{c_in}, got {m}")
 
-    grad_kernel = (grad_out.reshape(c_out, -1)
-                   @ cols.reshape(c_in * kh * kw, -1).T).reshape(kernel.shape)
+    g = grad_out.reshape(c_out, n, -1)
+    grad_kernel = np.zeros((c_out, c_in * kh * kw))
+    for i, r0, r1, cols in _bands(x, kh):
+        grad_kernel += g[:, i, r0 * w:r1 * w] @ cols.T
+    grad_kernel = grad_kernel.reshape(kernel.shape)
     if m == 0:
         return None, grad_kernel
     flipped = kernel[:, :m, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -145,11 +181,8 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
                     pad: int) -> tuple[np.ndarray, np.ndarray]:
     """(grad_input, grad_kernel) for the single-image conv."""
-    xb = x[:, None]
-    cols = np.empty((x.shape[0], kernel.shape[2], kernel.shape[3],
-                     1, x.shape[1], x.shape[2]))
-    conv2d_batch(xb, kernel, pad, cols_out=cols)
-    gi, gk = conv2d_batch_backward(grad_out[:, None], xb.shape, kernel, cols)
+    _check_conv(x, kernel, pad)
+    gi, gk = conv2d_batch_backward(grad_out[:, None], x[:, None], kernel)
     return gi[:, 0], gk
 
 
@@ -207,10 +240,10 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Conv2d:
-    """3x3 same-padding conv layer with bias, on [C,N,H,W] activations.
+    """k x k same-padding conv layer with bias, on [C,N,H,W] activations.
 
-    The im2col scratch buffer is kept between calls and regrown only when
-    the batch geometry changes.
+    ``forward`` keeps a reference to its input, from which ``backward``
+    rebuilds the im2col bands for the kernel gradient.
     """
 
     def __init__(self, name: str, c_in: int, c_out: int, k: int = 3):
@@ -219,8 +252,7 @@ class Conv2d:
         self.pad = (k - 1) // 2
         self.kernel = np.zeros((c_out, c_in, k, k))
         self.bias = np.zeros(c_out)
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple | None = None
+        self._x: np.ndarray | None = None
 
     def init_he(self, rng) -> None:
         fan_in = self.c_in * self.k * self.k
@@ -236,11 +268,8 @@ class Conv2d:
         self.bias = model_tensor(values, f"{self.name}.bias", self.bias.shape)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        shape = (self.c_in, self.k, self.k) + (x.shape[1],) + x.shape[2:]
-        if self._cols is None or self._cols.shape != shape:
-            self._cols = np.empty(shape)
-        self._x_shape = x.shape
-        out = conv2d_batch(x, self.kernel, self.pad, cols_out=self._cols)
+        self._x = x
+        out = conv2d_batch(x, self.kernel, self.pad)
         out += self.bias[:, None, None, None]
         return out
 
@@ -248,7 +277,6 @@ class Conv2d:
                  ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         """(grad_input, param grads); see ``conv2d_batch_backward`` for
         ``input_channels``."""
-        gi, gk = conv2d_batch_backward(grad_out, self._x_shape, self.kernel, self._cols,
-                                       input_channels)
+        gi, gk = conv2d_batch_backward(grad_out, self._x, self.kernel, input_channels)
         gb = grad_out.sum(axis=(1, 2, 3))
         return gi, {f"{self.name}.kernel": gk, f"{self.name}.bias": gb}

@@ -56,7 +56,3 @@ def metrics_from_confusion(conf: np.ndarray) -> dict:
 def metrics(y_hat: np.ndarray, y: np.ndarray) -> dict:
     """{miou, e1, f1, acc, per_class} for one predicted/true label map pair."""
     return metrics_from_confusion(confusion_matrix(y_hat, y))
-
-
-def miou_from_confusion(conf: np.ndarray) -> float:
-    return metrics_from_confusion(conf)["miou"]

@@ -105,11 +105,6 @@ def per_image_confusions(samples: list[Sample], preds: list[Prediction],
     return [confusion_matrix(p.y_hat, gt[p.sample_id]) for p in preds]
 
 
-def score_threshold_from_clean(scores: list[float], pct: float = 95.0) -> float:
-    """Empirical percentile of clean-set scores, used as the accept bound."""
-    return float(np.percentile(np.asarray(scores, dtype=np.float64), pct))
-
-
 def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample],
                           config: RunConfig) -> dict:
     """Train and score two equal-FLOPs pipelines: eye-box crops vs whole
@@ -139,8 +134,3 @@ def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample
                           "retained_miou": f.retained_miou} for f in filtered],
         }
     return report
-
-
-def interquartile_range(values: list[float]) -> float:
-    v = np.asarray(values, dtype=np.float64)
-    return float(np.percentile(v, 75) - np.percentile(v, 25))

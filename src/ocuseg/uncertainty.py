@@ -200,11 +200,6 @@ def optimal_cov_oracle(v: np.ndarray) -> np.ndarray:
     return v * v
 
 
-def ce_summand_1d(sigma2: np.ndarray, v_d: float) -> np.ndarray:
-    """One dimension's contribution to the CE summand (2pi constant dropped)."""
-    return 0.5 * v_d * v_d / sigma2 + 0.5 * np.log(sigma2)
-
-
 def brute_force_optimal_cov(v: np.ndarray, iters: int = 100) -> np.ndarray:
     """Numerically minimize the CE summand per dimension by golden-section
     search on sigma^2 in [1e-8, 1e4 * v_d^2 + 1]; independent of the closed

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,42 @@ class TestInferEval:
         assert main(["eval", "--pred", str(pred), "--data", str(root / "data"),
                      "--out", str(tmp_path / "r.json")]) == 2
 
+
+    @pytest.mark.parametrize("edit,expected", [
+        (lambda rows: rows + [f"x{i:02d},0.5,0" for i in range(25)],
+         "25 unknown ids (" + ", ".join(f"x{i:02d}" for i in range(20)) + ")"),
+        (lambda rows: rows[:3] + rows[4:], "1 dataset ids without a row (s000002)"),
+        (lambda rows: rows + rows[1:3], "2 duplicated ids (s000000, s000001)"),
+    ], ids=["unknown", "missing", "duplicated"])
+    def test_eval_score_rows_must_match_dataset(self, trained, tmp_path, capsys,
+                                                edit, expected):
+        root, _ = trained
+        pred = tmp_path / "pred"
+        assert main(["infer", "--data", str(root / "data"),
+                     "--seg", str(root / "seg"), "--unc", str(root / "unc"),
+                     "--out", str(pred)]) == 0
+        scores = pred / "scores.csv"
+        rows = scores.read_text().strip().split("\n")
+        assert rows[1].startswith("s000000,") and rows[3].startswith("s000002,")
+        scores.write_text("\n".join(edit(rows)) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--pred", str(pred), "--data", str(root / "data"),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert expected in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_edited_checkpoint_config_exit_2(self, trained, tmp_path, capsys):
+        root, _ = trained
+        seg = tmp_path / "seg"
+        shutil.copytree(root / "seg", seg)
+        header = json.loads((seg / "header.json").read_text())
+        header["config"]["head_width"] += 1
+        (seg / "header.json").write_text(json.dumps(header))
+        assert main(["infer", "--data", str(root / "data"),
+                     "--seg", str(seg), "--unc", str(root / "unc"),
+                     "--out", str(tmp_path / "p")]) == 2
+        assert "does not match its config" in capsys.readouterr().err
 
 class TestLandscape:
     def test_grid_csv_minima(self, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,18 @@ class TestCheckpoint:
         weights = tmp_path / "c" / "weights.bin"
         weights.write_bytes(weights.read_bytes() + b"\0\0\0\0")
         with pytest.raises(CheckpointError, match="trailing bytes"):
+            load_checkpoint(tmp_path / "c")
+
+    @pytest.mark.parametrize("edit", [lambda h: h["config"].update(d=16),
+                                      lambda h: h.update(arch_hash="0123456789abcdef")],
+                             ids=["config", "hash"])
+    def test_arch_hash_rechecked(self, tmp_path, edit):
+        save_checkpoint(tmp_path / "c", RunConfig(), {"w": np.ones(3)})
+        path = tmp_path / "c" / "header.json"
+        header = json.loads(path.read_text())
+        edit(header)
+        path.write_text(json.dumps(header))
+        with pytest.raises(CheckpointError, match="arch_hash .* does not match its config"):
             load_checkpoint(tmp_path / "c")
 
     def test_model_tensor_checks_name_and_shape(self):

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocuseg import layers
 from ocuseg.gradcheck import grad_check
-from ocuseg.layers import (activation, activation_backward, conv2d,
+from ocuseg.layers import (Conv2d, activation, activation_backward, conv2d,
                            conv2d_backward, conv2d_batch,
                            conv2d_batch_backward, pool2x, pool2x_backward,
                            softmax_vec, softplus, upsample2x,
@@ -92,25 +94,23 @@ class TestConv2dBatchBackward:
         x = rng.normal_array(c_in * n * h * w).reshape(c_in, n, h, w)
         kernel = rng.normal_array(c_out * c_in * k * k).reshape(c_out, c_in, k, k)
         g = rng.normal_array(c_out * n * h * w).reshape(c_out, n, h, w)
-        cols = np.empty((c_in, k, k, n, h, w))
-        conv2d_batch(x, kernel, (k - 1) // 2, cols_out=cols)
-        return x, kernel, g, cols
+        return x, kernel, g
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("c_in,c_out", [(1, 4), (3, 2), (5, 7)])
     def test_grad_input_matches_scatter(self, rng, k, c_in, c_out):
-        x, kernel, g, cols = self._case(rng, c_in, c_out, k)
-        gi, _ = conv2d_batch_backward(g, x.shape, kernel, cols)
+        x, kernel, g = self._case(rng, c_in, c_out, k)
+        gi, _ = conv2d_batch_backward(g, x, kernel)
         ref = scatter_grad_input(g, x.shape, kernel)
         assert gi.shape == x.shape
         np.testing.assert_allclose(gi, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_leading_channels_only(self, rng, k):
-        x, kernel, g, cols = self._case(rng, 6, 4, k)
-        full, gk_full = conv2d_batch_backward(g, x.shape, kernel, cols)
+        x, kernel, g = self._case(rng, 6, 4, k)
+        full, gk_full = conv2d_batch_backward(g, x, kernel)
         for m in (1, 2, 5, 6):
-            part, gk = conv2d_batch_backward(g, x.shape, kernel, cols, input_channels=m)
+            part, gk = conv2d_batch_backward(g, x, kernel, input_channels=m)
             assert part.shape == (m,) + x.shape[1:]
             # a GEMM with fewer rows may run other BLAS tail kernels: equal to rounding
             np.testing.assert_allclose(part, full[:m], rtol=1e-12,
@@ -118,16 +118,77 @@ class TestConv2dBatchBackward:
             assert np.array_equal(gk, gk_full)
 
     def test_zero_channels_skips_input_grad(self, rng):
-        x, kernel, g, cols = self._case(rng, 3, 2, 3)
-        _, gk_full = conv2d_batch_backward(g, x.shape, kernel, cols)
-        gi, gk = conv2d_batch_backward(g, x.shape, kernel, cols, input_channels=0)
+        x, kernel, g = self._case(rng, 3, 2, 3)
+        _, gk_full = conv2d_batch_backward(g, x, kernel)
+        gi, gk = conv2d_batch_backward(g, x, kernel, input_channels=0)
         assert gi is None
         assert np.array_equal(gk, gk_full)
 
     def test_channel_count_out_of_range(self, rng):
-        x, kernel, g, cols = self._case(rng, 3, 2, 3)
+        x, kernel, g = self._case(rng, 3, 2, 3)
         with pytest.raises(ValueError, match="input_channels"):
-            conv2d_batch_backward(g, x.shape, kernel, cols, input_channels=4)
+            conv2d_batch_backward(g, x, kernel, input_channels=4)
+
+
+def whole_slab(x, k):
+    """Reference im2col: the whole batch's ``[C_in*k*k, N*H*W]`` slab."""
+    c_in, n, h, w = x.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((c_in, k, k, n, h, w))
+    for di in range(k):
+        for dj in range(k):
+            cols[:, di, dj] = xp[:, :, di:di + h, dj:dj + w]
+    return cols.reshape(c_in * k * k, -1)
+
+
+class TestBandedConv:
+    def _case(self, rng, monkeypatch, c_in, k, c_out=4, n=2, h=11, w=16, rows=3):
+        # a budget of `rows` output rows: 11 rows split 3 + 3 + 3 + 2
+        monkeypatch.setattr(layers, "_BAND_BYTES", 8 * c_in * k * k * w * rows)
+        x = rng.normal_array(c_in * n * h * w).reshape(c_in, n, h, w)
+        kernel = rng.normal_array(c_out * c_in * k * k).reshape(c_out, c_in, k, k)
+        g = rng.normal_array(c_out * n * h * w).reshape(c_out, n, h, w)
+        return x, kernel, g
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 15])
+    @pytest.mark.parametrize("c_in", [1, 24])
+    def test_forward_matches_whole_slab(self, rng, monkeypatch, k, c_in):
+        x, kernel, _ = self._case(rng, monkeypatch, c_in, k)
+        bands = [(r0, r1) for i, r0, r1, _ in layers._bands(x, k) if i == 0]
+        assert bands == [(0, 3), (3, 6), (6, 9), (9, 11)]
+        out = conv2d_batch(x, kernel, (k - 1) // 2)
+        ref = (kernel.reshape(kernel.shape[0], -1) @ whole_slab(x, k)).reshape(out.shape)
+        if c_in * k * k < 512:
+            # the same dot product per output element, which OpenBLAS also
+            # rounds the same way in a GEMM narrowed to a multiple of 8 columns
+            assert np.array_equal(out, ref)
+        else:
+            # OpenBLAS blocks a reduction of 512+ terms in a way that depends
+            # on the GEMM's width: equal to rounding
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 15])
+    @pytest.mark.parametrize("c_in", [1, 24])
+    def test_grad_kernel_matches_whole_slab(self, rng, monkeypatch, k, c_in):
+        x, kernel, g = self._case(rng, monkeypatch, c_in, k)
+        _, gk = conv2d_batch_backward(g, x, kernel, input_channels=0)
+        ref = (g.reshape(g.shape[0], -1) @ whole_slab(x, k).T).reshape(kernel.shape)
+        np.testing.assert_allclose(gk, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_peak_memory_below_twice_the_input(self, rng):
+        # conv3 of the default config at batch 8
+        conv = Conv2d("conv3", 24, 8)
+        conv.init_he(rng)
+        x = rng.normal_array(24 * 8 * 96 * 96).reshape(24, 8, 96, 96)
+        g = rng.normal_array(8 * 8 * 96 * 96).reshape(8, 8, 96, 96)
+        peaks = []
+        for step in (lambda: conv.forward(x), lambda: conv.backward(g)):
+            tracemalloc.start()
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] < 2 * x.nbytes and peaks[1] < 2 * x.nbytes, (peaks, x.nbytes)
 
 
 class TestActivations:
