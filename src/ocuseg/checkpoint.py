@@ -58,7 +58,10 @@ def load_checkpoint(directory: str | Path) -> tuple[RunConfig, dict[str, np.ndar
     header = json.loads(header_path.read_text(encoding="utf-8"))
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format_version {header.get('format_version')}")
-    config = RunConfig.from_json(json.dumps(header["config"]))
+    try:
+        config = RunConfig.from_json(json.dumps(header["config"]))
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{header_path}: invalid config: {e}") from None
     if header.get("arch_hash") != config.arch_hash():
         raise CheckpointError(f"{header_path}: stored arch_hash {header.get('arch_hash')!r} "
                               f"does not match its config ({config.arch_hash()!r})")

@@ -28,7 +28,7 @@ from .config import RunConfig
 from .datasetio import DatasetError, read_dataset, read_pgm, write_dataset, write_pgm
 from .detect import crop_resize
 from .evaluate import rank_and_filter
-from .metrics import confusion_matrix, metrics_from_confusion
+from .metrics import N_CLASSES, confusion_matrix, metrics_from_confusion
 from .pipeline import DETECTOR_MODES, build_crops, infer_samples
 from .segnet import TRAIN_MIOU_SUBSET, SegModel, count_flops, evaluate_miou, train_seg
 from .synth import CORRUPTION_KINDS, generate_dataset
@@ -189,7 +189,12 @@ def cmd_eval(args) -> int:
     for required in ("scores.csv", "crops.csv", "meta.json"):
         if not (pred_dir / required).exists():
             raise UsageError(f"prediction dir missing {required}: {pred_dir}")
-    meta = json.loads((pred_dir / "meta.json").read_text(encoding="utf-8"))
+    try:
+        meta = json.loads((pred_dir / "meta.json").read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise UsageError(f"malformed {pred_dir / 'meta.json'}: {e}") from None
+    if not isinstance(meta, dict):
+        raise UsageError(f"malformed {pred_dir / 'meta.json'}: not a JSON object")
     scores_rows = _read_csv(pred_dir / "scores.csv")
     crops_rows = {r["sample_id"]: r for r in _read_csv(pred_dir / "crops.csv")}
     samples = {s.sample_id: s for s in read_dataset(args.data)}
@@ -200,26 +205,40 @@ def cmd_eval(args) -> int:
     if missing:
         raise UsageError("predictions missing for: " + ", ".join(sorted(missing)[:20]))
 
-    pcts = [float(x) for x in args.pcts.split(",")]
+    try:
+        pcts = [float(x) for x in args.pcts.split(",")]
+    except ValueError:
+        raise UsageError(f"--pcts expects comma-separated numbers, got {args.pcts!r}") from None
     ids, score_list, confs, per_image = [], [], [], []
-    agg = np.zeros((4, 4), dtype=np.int64)
+    agg = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for row in scores_rows:
         sid = row["sample_id"]
         crop = crops_rows[sid]
-        box = (int(crop["l"]), int(crop["t"]), int(crop["h"]), int(crop["w"]))
-        y_hat = read_pgm(pred_dir / "pred" / f"{sid}.pgm").astype(np.int64)
+        try:
+            s_unc = float(row["s_unc"])
+            box = (int(crop["l"]), int(crop["t"]), int(crop["h"]), int(crop["w"]))
+        except (KeyError, ValueError):
+            raise UsageError(f"bad scores.csv or crops.csv row for {sid} in {pred_dir}: "
+                             f"s_unc {row.get('s_unc')!r}, crop {crop}") from None
+        pgm = pred_dir / "pred" / f"{sid}.pgm"
+        y_hat = read_pgm(pgm).astype(np.int64)
         gt = crop_resize(samples[sid], box, y_hat.shape[0], y_hat.shape[1]).labels
-        conf = confusion_matrix(y_hat, gt)
+        try:
+            conf = confusion_matrix(y_hat, gt)
+        except ValueError as e:
+            raise UsageError(f"{pgm}: {e}") from None
         m = metrics_from_confusion(conf)
         ids.append(sid)
-        score_list.append(float(row["s_unc"]))
+        score_list.append(s_unc)
         confs.append(conf)
         agg += conf
-        per_image.append({"id": sid, "s_unc": float(row["s_unc"]),
-                          "miou": m["miou"], "acc": m["acc"]})
+        per_image.append({"id": sid, "s_unc": s_unc, "miou": m["miou"], "acc": m["acc"]})
 
     overall = metrics_from_confusion(agg)
-    filtered = rank_and_filter(ids, score_list, confs, pcts)
+    try:
+        filtered = rank_and_filter(ids, score_list, confs, pcts)
+    except ValueError as e:
+        raise UsageError(f"--pcts {args.pcts}: {e}") from None
     report = {
         "config_hash": meta.get("config_hash", ""),
         "detector": meta.get("detector", ""),
@@ -252,9 +271,10 @@ def cmd_landscape(args) -> int:
         lo, hi = (float(x) for x in args.range.split(","))
     except ValueError:
         raise UsageError("--v expects F,F and --range expects LO,HI") from None
-    if lo <= 0 or hi <= lo:
-        raise UsageError(f"bad range ({lo}, {hi}): need 0 < lo < hi")
-    rows = landscape_grid(v, (lo, hi), args.n)
+    try:
+        rows = landscape_grid(v, (lo, hi), args.n)
+    except ValueError as e:
+        raise UsageError(f"--v {args.v} --range {args.range} --n {args.n}: {e}") from None
     header = ["w1", "w2", "orig_loss", "orig_gnorm", "surr_loss", "surr_gnorm"]
     _write_csv(Path(args.out), header, [[r[k] for k in header] for r in rows])
     print(f"wrote {len(rows)} grid points to {args.out}")

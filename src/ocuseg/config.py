@@ -50,6 +50,11 @@ class RunConfig:
                              f"{self.crop_h}x{self.crop_w}")
         if len(self.widths) != 2:
             raise ValueError(f"widths must list two stage widths, got {self.widths}")
+        if not self.eps_floor > 0.0:
+            raise ValueError(f"eps_floor must be > 0, got {self.eps_floor}")
+        for name in ("seg_epochs", "seg_batch", "unc_epochs", "unc_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1) + "\n"

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .metrics import check_labels
 from .synth import Sample
 
 
@@ -65,6 +66,13 @@ def image_to_u8(image: np.ndarray) -> np.ndarray:
     return np.floor(np.clip(image, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
 
 
+def _check_sample_labels(sample_id: str, labels: np.ndarray) -> None:
+    try:
+        check_labels(labels)
+    except ValueError as e:
+        raise DatasetError(f"sample {sample_id}: {e}") from None
+
+
 def write_dataset(samples: list[Sample], directory: str | Path) -> None:
     """Persist samples; raises DatasetError on invalid labels (names sample)."""
     directory = Path(directory)
@@ -72,9 +80,7 @@ def write_dataset(samples: list[Sample], directory: str | Path) -> None:
     (directory / "lbl").mkdir(parents=True, exist_ok=True)
     records = []
     for s in samples:
-        if not np.isin(s.labels, (0, 1, 2, 3)).all():
-            bad = sorted(set(np.unique(s.labels)) - {0, 1, 2, 3})
-            raise DatasetError(f"sample {s.sample_id}: label values outside 0..3: {bad}")
+        _check_sample_labels(s.sample_id, s.labels)
         write_pgm(directory / "img" / f"{s.sample_id}.pgm", image_to_u8(s.image))
         write_pgm(directory / "lbl" / f"{s.sample_id}.pgm", s.labels.astype(np.uint8))
         records.append({
@@ -112,9 +118,7 @@ def read_dataset(directory: str | Path) -> list[Sample]:
                 raise DatasetError(f"sample {sid}: missing file {p}")
         image = read_pgm(img_path).astype(np.float64) / 255.0
         labels = read_pgm(lbl_path).astype(np.int64)
-        if not np.isin(labels, (0, 1, 2, 3)).all():
-            bad = sorted(set(np.unique(labels)) - {0, 1, 2, 3})
-            raise DatasetError(f"sample {sid}: label values outside 0..3: {bad}")
+        _check_sample_labels(sid, labels)
         samples.append(Sample(
             image=image, labels=labels, gt_bbox=tuple(rec["bbox"]),
             severity=float(rec.get("severity", 0.0)),

@@ -33,6 +33,9 @@ def rank_and_filter(sample_ids: list[str], scores: list[float],
     order = sorted(range(n), key=lambda i: (-scores[i], sample_ids[i]))
     results = []
     for pct in pcts:
+        if not 0.0 <= pct < 100.0:
+            raise ValueError(f"filter percentage must be in [0, 100) "
+                             f"(100% retains no images), got {pct}")
         keep = math.ceil((1.0 - pct / 100.0) * n)
         if keep <= 0:
             raise ValueError(f"filtering at {pct}% retains no images")

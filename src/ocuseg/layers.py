@@ -1,8 +1,8 @@
 """Dense-tensor layers with hand-derived backward passes.
 
-Tensors are float64 numpy arrays.  The public single-image ops take
-``[C, H, W]`` (or flat) arrays; the batched layer classes used by the
-networks keep activations in ``[C, N, H, W]`` layout (channels outermost).
+Tensors are float64 numpy arrays.  Activations use the ``[C, N, H, W]``
+layout (channels outermost); ``conv2d`` wraps the batched convolution for
+one ``[C, H, W]`` image.
 
 Convolutions are cross-correlations with zero padding and mandatory
 "same" geometry: the kernel side must be odd and ``pad == (k - 1) // 2``.
@@ -16,10 +16,10 @@ gradient (the transposed convolution: spatially flipped kernel, in/out
 channels swapped).  A caller can ask for only the leading input channels
 of that gradient, or for none, when the rest feeds frozen or absent inputs.
 
-Spatial size changes happen only through ``pool2x`` / ``upsample2x``,
-which are adjoint up to a factor of 4 (pool averages a 2x2 block,
-upsample duplicates; pool_backward spreads grad/4, upsample_backward
-sums the block).
+Spatial size changes happen only through ``pool2x_batch`` /
+``upsample2x_batch``, which are adjoint up to a factor of 4 (pool averages
+a 2x2 block, upsample duplicates; the pool backward spreads grad/4, the
+upsample backward sums the block).
 """
 
 from __future__ import annotations
@@ -168,71 +168,21 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-stable softmax over axis 0 of ``[K, M]`` (per-pixel class probs)."""
+    z = logits - logits.max(axis=0, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=0, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
-# public single-image ops
+# single-image convolution
 # ---------------------------------------------------------------------------
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
     """Same-size conv of one image ``[C_in,H,W] -> [C_out,H,W]``."""
     _require(x.ndim == 3, f"input must be [C,H,W], got shape {x.shape}")
     return conv2d_batch(x[:, None], kernel, pad)[:, 0]
-
-
-def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
-                    pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """(grad_input, grad_kernel) for the single-image conv."""
-    _check_conv(x, kernel, pad)
-    gi, gk = conv2d_batch_backward(grad_out[:, None], x[:, None], kernel)
-    return gi[:, 0], gk
-
-
-def activation(x: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise nonlinearity, ``kind`` in {"relu", "softplus"}."""
-    if kind == "relu":
-        return relu_batch(x)
-    if kind == "softplus":
-        return softplus(x)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def activation_backward(grad_out: np.ndarray, x: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return relu_batch_backward(grad_out, x)
-    if kind == "softplus":
-        return grad_out * sigmoid(x)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def pool2x(x: np.ndarray) -> np.ndarray:
-    return pool2x_batch(x)
-
-
-def pool2x_backward(grad_out: np.ndarray) -> np.ndarray:
-    return pool2x_batch_backward(grad_out)
-
-
-def upsample2x(x: np.ndarray) -> np.ndarray:
-    return upsample2x_batch(x)
-
-
-def upsample2x_backward(grad_out: np.ndarray) -> np.ndarray:
-    return upsample2x_batch_backward(grad_out)
-
-
-def softmax_vec(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax of a length-K vector (K >= 2)."""
-    _require(logits.ndim == 1 and logits.shape[0] >= 2,
-             f"softmax_vec needs a vector of length >= 2, got shape {logits.shape}")
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-stable softmax over axis 0 of ``[K, M]`` (per-pixel class probs)."""
-    z = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,24 @@ import numpy as np
 N_CLASSES = 4
 
 
+def check_labels(labels: np.ndarray) -> None:
+    """Raise ValueError listing the values of ``labels`` that are not class
+    indices 0..N_CLASSES-1."""
+    # min/max first: the masks are built only on failure, since mask
+    # temporaries on every call fragment the heap (raised training peak RSS)
+    if labels.min() < 0 or labels.max() >= N_CLASSES:
+        bad = (labels < 0) | (labels >= N_CLASSES)
+        raise ValueError(f"labels outside 0..{N_CLASSES - 1}: "
+                         f"{np.unique(labels[bad]).tolist()}")
+
+
 def confusion_matrix(y_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
     """4x4 counts; entry (g, p) = pixels of ground truth g predicted p."""
     if y_hat.shape != y.shape:
         raise ValueError(f"shape mismatch: prediction {y_hat.shape} vs labels {y.shape}")
+    check_labels(y_hat)
+    check_labels(y)
     joint = (y.reshape(-1) * N_CLASSES + y_hat.reshape(-1)).astype(np.int64)
-    if joint.min() < 0 or joint.max() >= N_CLASSES * N_CLASSES:
-        raise ValueError("label values outside 0..3")
     return np.bincount(joint, minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
 
 
@@ -52,7 +63,3 @@ def metrics_from_confusion(conf: np.ndarray) -> dict:
         "per_class": per_class,
     }
 
-
-def metrics(y_hat: np.ndarray, y: np.ndarray) -> dict:
-    """{miou, e1, f1, acc, per_class} for one predicted/true label map pair."""
-    return metrics_from_confusion(confusion_matrix(y_hat, y))

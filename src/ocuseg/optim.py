@@ -1,6 +1,10 @@
-"""Classical SGD with momentum on named parameter dicts."""
+"""The training loop shared by both stages: SGD with momentum on named
+parameter dicts, a warmup/decay learning-rate schedule, global-norm
+gradient clipping and the non-finite-loss abort."""
 
 from __future__ import annotations
+
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -47,15 +51,47 @@ class SgdMomentum:
             p -= self.lr * scale * v
 
 
-def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float,
-             momentum: float = 0.0, velocity: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """One array-level momentum step; returns (new_params, new_velocity)."""
-    if lr < 0.0:
-        raise ValueError(f"lr must be >= 0, got {lr}")
-    if not np.all(np.isfinite(grads)):
-        raise FloatingPointError("non-finite gradients")
-    if velocity is None:
-        velocity = np.zeros_like(params)
-    velocity = momentum * velocity + grads
-    return params - lr * velocity, velocity
+def lr_schedule(base_lr: float, step: int, total_steps: int,
+                warmup_steps: int = 100) -> float:
+    """Linear warmup from 0.1x over ``warmup_steps``, then linear decay to
+    0.1x at the end of training (deterministic in the step index)."""
+    warm = min(1.0, 0.1 + 0.9 * step / max(1, warmup_steps))
+    frac = step / max(1, total_steps)
+    return base_lr * warm * (1.0 - 0.9 * frac)
+
+
+def fit(step_batch: Callable[[list[int]], tuple], params: dict[str, np.ndarray],
+        n: int, *, epochs: int, batch: int, lr: float, momentum: float, shuffler,
+        clip: Callable[[dict[str, np.ndarray]], float],
+        lr_scales: dict[str, float] | None = None
+        ) -> Iterator[tuple[int, list[float]]]:
+    """Mini-batch SGD with momentum over ``n`` examples, updating ``params``
+    in place; yields ``(epoch, means)`` after each epoch.
+
+    Each epoch shuffles the example order with ``shuffler`` and cuts it into
+    batches of ``batch``.  ``step_batch(indices)`` returns ``(loss, grads,
+    *stats)``; the grads are clipped by ``clip``, then one step is taken at
+    the ``lr_schedule`` rate.  ``means`` holds the epoch's batch means of the
+    loss and of each stat.  A non-finite loss raises FloatingPointError
+    naming the epoch, before that batch's step.
+    """
+    opt = SgdMomentum(lr, momentum)
+    order = list(range(n))
+    total_steps = epochs * ((n + batch - 1) // batch)
+    step = 0
+    for epoch in range(epochs):
+        shuffler.shuffle(order)
+        sums: list[float] = []
+        batches = 0
+        for i in range(0, n, batch):
+            loss, grads, *stats = step_batch(order[i:i + batch])
+            if not np.isfinite(loss):
+                raise FloatingPointError(f"training diverged at epoch {epoch}")
+            clip(grads)
+            opt.lr = lr_schedule(lr, step, total_steps)
+            opt.step(params, grads, lr_scales=lr_scales)
+            values = (loss, *stats)
+            sums = [s + v for s, v in zip(sums or [0.0] * len(values), values)]
+            batches += 1
+            step += 1
+        yield epoch, [s / batches for s in sums]

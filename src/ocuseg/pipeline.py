@@ -18,11 +18,11 @@ import numpy as np
 
 from .config import RunConfig
 from .detect import BBox, crop_resize, detect_eye_heuristic, jitter_gt_bbox
-from .metrics import confusion_matrix
+from .metrics import N_CLASSES, confusion_matrix
 from .rng import Rng
 from .segnet import SegModel, predict_batch
 from .synth import Sample
-from .uncertainty import UncHead
+from .uncertainty import UncHead, unc_score
 from .evaluate import threshold_decision
 
 DETECTOR_MODES = ("gt-jitter", "heuristic", "full")
@@ -73,13 +73,9 @@ def infer_samples(samples: list[Sample], seg: SegModel, head: UncHead,
     images, _, boxes, ids = build_crops(samples, config, detector)
     preds: list[Prediction] = []
     for i in range(0, len(samples), batch):
-        chunk = images[i:i + batch]
-        stages = seg.forward_batch(chunk)
-        logits = seg.head @ stages.z.reshape(config.d, -1)
-        y_hat = np.argmax(logits, axis=0).reshape(chunk.shape)
-        cov = head.forward(stages)                  # [D, n, H, W]
-        scores = np.log(cov).sum(axis=(0, 2, 3))
-        for j in range(len(chunk)):
+        y_hat, stages = predict_batch(seg, images[i:i + batch])
+        scores = unc_score(head.forward(stages), config.eps_floor)
+        for j in range(len(y_hat)):
             s = float(scores[j])
             preds.append(Prediction(
                 sample_id=ids[i + j], y_hat=y_hat[j], s_unc=s,
@@ -122,7 +118,7 @@ def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample
         head = train_unc(images, labels, seg, "surrogate", config)
         preds = infer_samples(test_samples, seg, head, config, detector=mode)
         confs = per_image_confusions(test_samples, preds, config)
-        agg = np.zeros((4, 4), dtype=np.int64)
+        agg = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
         for c in confs:
             agg += c
         filtered = rank_and_filter([p.sample_id for p in preds],

@@ -94,9 +94,6 @@ class Rng:
         u = (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
         return lo + (hi - lo) * u
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        return mu + sigma * float(self.normal_array(1)[0])
-
     def normal_array(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         m = (n + 1) // 2
         u1 = self.uniform_array(m)

@@ -1,10 +1,11 @@
-"""Deterministic segmentation network and its training loop.
+"""Deterministic segmentation network: forward/backward, loss, labels and
+the first training stage.
 
 Architecture (all convs 3x3, same padding, biased):
 
-    stage1 = relu(conv1(x))            [w1, H, W]
-    stage2 = relu(conv2(pool2x(stage1)))   [w2, H/2, W/2]
-    z      = conv3(concat(upsample2x(stage2), stage1))   [D, H, W]
+    stage1 = relu(conv1(x))                                   [w1, H, W]
+    stage2 = relu(conv2(pool2x_batch(stage1)))                [w2, H/2, W/2]
+    z      = conv3(concat(upsample2x_batch(stage2), stage1))  [D, H, W]
 
 Per-pixel class probabilities are softmax(W @ z) with a bias-free 4xD
 head matrix whose rows double as class template vectors.  Activations use
@@ -23,11 +24,9 @@ from .config import RunConfig
 from .layers import (Conv2d, pool2x_batch, pool2x_batch_backward, relu_batch,
                      relu_batch_backward, softmax_rows, upsample2x_batch,
                      upsample2x_batch_backward)
-from .metrics import confusion_matrix, metrics_from_confusion
-from .optim import SgdMomentum, clip_grad_norm
+from .metrics import N_CLASSES, check_labels, confusion_matrix, metrics_from_confusion
+from .optim import clip_grad_norm, fit
 from .rng import Rng
-
-N_CLASSES = 4
 
 
 @dataclass
@@ -119,35 +118,20 @@ class SegModel:
         return grads
 
 
-def forward_features(model: SegModel, image: np.ndarray) -> StageFeatures:
-    """Single-crop forward pass (batch of one)."""
-    return model.forward_batch(image[None])
-
-
-def predict(model: SegModel, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel probs [H, W, 4] and argmax label map (ties -> lowest class)."""
-    feats = model.forward_batch(image[None])
-    h, w = image.shape
-    logits = model.head @ feats.z.reshape(model.config.d, -1)
-    probs = softmax_rows(logits)
-    y_hat = np.argmax(probs, axis=0).reshape(h, w)
-    return probs.reshape(N_CLASSES, h, w).transpose(1, 2, 0), y_hat
-
-
-def predict_batch(model: SegModel, images: np.ndarray) -> np.ndarray:
-    """Label maps [N, H, W] for a batch of crops (argmax ties -> lowest class)."""
-    n, h, w = images.shape
+def predict_batch(model: SegModel, images: np.ndarray
+                  ) -> tuple[np.ndarray, StageFeatures]:
+    """Label maps [N, H, W] (argmax ties -> lowest class) and the backbone
+    features of a batch of crops."""
     feats = model.forward_batch(images)
     logits = model.head @ feats.z.reshape(model.config.d, -1)
-    return np.argmax(logits, axis=0).reshape(n, h, w)
+    return np.argmax(logits, axis=0).reshape(images.shape), feats
 
 
 def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray,
              with_grads: bool = True) -> tuple[float, dict[str, np.ndarray] | None]:
     """Cross-entropy: mean over the batch of per-image sums over pixels of
     -log p at the true class (probabilities clamped at 1e-12)."""
-    if labels.min() < 0 or labels.max() >= N_CLASSES:
-        raise ValueError(f"labels outside 0..3: range [{labels.min()}, {labels.max()}]")
+    check_labels(labels)
     n, h, w = images.shape
     feats = model.forward_batch(images, keep_cache=with_grads)
     d = model.config.d
@@ -178,18 +162,11 @@ def evaluate_miou(model: SegModel, images: np.ndarray, labels: np.ndarray,
     """Aggregate-confusion MIoU of the model over a crop set."""
     conf = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for i in range(0, len(images), batch):
-        y_hat = predict_batch(model, images[i:i + batch])
+        # [0] alone: binding the features too keeps them alive through the
+        # next batch's forward
+        y_hat = predict_batch(model, images[i:i + batch])[0]
         conf += confusion_matrix(y_hat, labels[i:i + batch])
     return metrics_from_confusion(conf)["miou"]
-
-
-def lr_schedule(base_lr: float, step: int, total_steps: int,
-                warmup_steps: int = 100) -> float:
-    """Linear warmup from 0.1x over ``warmup_steps``, then linear decay to
-    0.1x at the end of training (deterministic in the step index)."""
-    warm = min(1.0, 0.1 + 0.9 * step / max(1, warmup_steps))
-    frac = step / max(1, total_steps)
-    return base_lr * warm * (1.0 - 0.9 * frac)
 
 
 # The summed-over-pixels loss gives different parameter groups gradient
@@ -214,8 +191,7 @@ TRAIN_MIOU_SUBSET = 256
 
 def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig,
               log: list | None = None, miou_subset: int = TRAIN_MIOU_SUBSET) -> SegModel:
-    """Mini-batch SGD with momentum and a warmup/decay schedule on
-    pre-computed crops.
+    """``optim.fit`` of a fresh model on pre-computed crops.
 
     ``log`` (if given) receives (epoch, mean_loss, train_miou) rows, with
     MIoU measured on a fixed leading subset to bound the logging cost.
@@ -223,32 +199,17 @@ def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig,
     """
     model = SegModel(config)
     model.init_params(Rng(config.seed).derive("seg-init"))
-    opt = SgdMomentum(config.seg_lr, config.seg_momentum)
-    shuffler = Rng(config.seed).derive("seg-shuffle")
-    n = len(images)
-    order = list(range(n))
-    batches_per_epoch = (n + config.seg_batch - 1) // config.seg_batch
-    total_steps = config.seg_epochs * batches_per_epoch
-    step = 0
-    for epoch in range(config.seg_epochs):
-        shuffler.shuffle(order)
-        total = 0.0
-        batches = 0
-        for i in range(0, n, config.seg_batch):
-            idx = order[i:i + config.seg_batch]
-            loss, grads = seg_loss(model, images[idx], labels[idx])
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"training diverged at epoch {epoch}")
-            clip_grad_norm(grads, SEG_CLIP_NORM)
-            opt.lr = lr_schedule(config.seg_lr, step, total_steps)
-            opt.step(model.params(), grads, lr_scales=SEG_LR_SCALES)
-            total += loss
-            batches += 1
-            step += 1
+    epochs = fit(lambda idx: seg_loss(model, images[idx], labels[idx]),
+                 model.params(), len(images), epochs=config.seg_epochs,
+                 batch=config.seg_batch, lr=config.seg_lr,
+                 momentum=config.seg_momentum,
+                 shuffler=Rng(config.seed).derive("seg-shuffle"),
+                 clip=lambda grads: clip_grad_norm(grads, SEG_CLIP_NORM),
+                 lr_scales=SEG_LR_SCALES)
+    for epoch, (mean_loss,) in epochs:
         if log is not None:
-            k = min(miou_subset, n)
-            miou = evaluate_miou(model, images[:k], labels[:k])
-            log.append((epoch, total / batches, miou))
+            k = min(miou_subset, len(images))
+            log.append((epoch, mean_loss, evaluate_miou(model, images[:k], labels[:k])))
     return model
 
 

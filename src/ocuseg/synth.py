@@ -1,4 +1,4 @@
-"""Procedural eye-image rendering, corruptions, and augmentation.
+"""Procedural eye-image rendering, corruptions, and dataset generation.
 
 A frame is a grayscale float64 image in [0, 1] with a 4-class label map:
 0 background/skin, 1 eye (sclera), 2 iris, 3 pupil.  Regions are nested
@@ -21,9 +21,6 @@ import numpy as np
 
 from .layers import conv2d
 from .rng import Rng
-from .warp import make_affine, transform_points, warp_affine
-
-CLASS_NAMES = ("background", "eye", "iris", "pupil")
 CORRUPTION_KINDS = ("blur", "occlusion", "domain_shift")
 
 
@@ -238,12 +235,17 @@ def _occlude(sample: Sample, severity: float) -> Sample:
     return replace(sample, image=quantize8(img), labels=labels)
 
 
+def gamma_correct(image: np.ndarray, gamma: float) -> np.ndarray:
+    """Pixelwise v ** gamma on [0, 1]."""
+    if gamma <= 0.0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    return np.clip(image, 0.0, 1.0) ** gamma
+
+
 def _domain_shift(sample: Sample, severity: float, rng: Rng) -> Sample:
-    img = sample.image.copy()
     gamma = rng.uniform(max(0.05, 1.0 - 0.6 * severity), 1.0 + 0.6 * severity)
     contrast = rng.uniform(1.0 - 0.35 * severity, 1.0 + 0.35 * severity)
-    img = np.clip(img, 0.0, 1.0) ** gamma
-    img = 0.5 + contrast * (img - 0.5)
+    img = 0.5 + contrast * (gamma_correct(sample.image, gamma) - 0.5)
     h, wd = img.shape
     rr, cc = np.meshgrid((np.arange(h) - h / 2) / (h / 2),
                          (np.arange(wd) - wd / 2) / (wd / 2), indexing="ij")
@@ -267,48 +269,6 @@ def apply_corruption(sample: Sample, c: Corruption, rng: Rng) -> Sample:
     else:
         out = _domain_shift(sample, c.severity, rng)
     return replace(out, corruption=c.kind, severity=c.severity, domain_id=c.kind)
-
-
-# ---------------------------------------------------------------------------
-# augmentation and preprocessing
-# ---------------------------------------------------------------------------
-
-def augment_with_params(sample: Sample, rot_deg: float, t_frac_r: float,
-                        t_frac_c: float, scale: float, hflip: bool) -> Sample:
-    """Apply one affine draw: image bilinear, labels nearest, bbox via corners."""
-    h, w = sample.image.shape
-    fwd = make_affine(h, w, math.radians(rot_deg),
-                      t_frac_r * h, t_frac_c * w, scale, hflip)
-    img = warp_affine(sample.image, fwd, mode="bilinear")
-    labels = warp_affine(sample.labels.astype(np.float64), fwd, mode="nearest")
-    l, t, bh, bw = sample.gt_bbox
-    corners = np.array([[t, l], [t, l + bw - 1], [t + bh - 1, l], [t + bh - 1, l + bw - 1]],
-                       dtype=np.float64)
-    moved = transform_points(fwd, corners)
-    t2 = int(np.clip(math.floor(moved[:, 0].min()), 0, h - 1))
-    b2 = int(np.clip(math.ceil(moved[:, 0].max()), 0, h - 1))
-    l2 = int(np.clip(math.floor(moved[:, 1].min()), 0, w - 1))
-    r2 = int(np.clip(math.ceil(moved[:, 1].max()), 0, w - 1))
-    bbox = (l2, t2, b2 - t2 + 1, r2 - l2 + 1)
-    return replace(sample, image=quantize8(img),
-                   labels=labels.astype(np.int64), gt_bbox=bbox)
-
-
-def augment(sample: Sample, rng: Rng) -> Sample:
-    """Random rotation +-15 deg, translation +-8%, scale 0.9-1.1, flip p=0.5."""
-    rot = rng.uniform(-15.0, 15.0)
-    tr = rng.uniform(-0.08, 0.08)
-    tc = rng.uniform(-0.08, 0.08)
-    sc = rng.uniform(0.9, 1.1)
-    flip = rng.uniform() < 0.5
-    return augment_with_params(sample, rot, tr, tc, sc, flip)
-
-
-def gamma_correct(image: np.ndarray, gamma: float) -> np.ndarray:
-    """Pixelwise v ** gamma on [0, 1]."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    return np.clip(image, 0.0, 1.0) ** gamma
 
 
 # ---------------------------------------------------------------------------

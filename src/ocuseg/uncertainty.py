@@ -30,9 +30,9 @@ from .config import RunConfig
 from .layers import (Conv2d, pool2x_batch, pool2x_batch_backward, relu_batch,
                      relu_batch_backward, sigmoid, softplus, upsample2x_batch,
                      upsample2x_batch_backward)
-from .optim import SgdMomentum, clip_grad_norm
+from .optim import clip_grad_norm, fit
 from .rng import Rng
-from .segnet import SegModel, StageFeatures, class_centers, lr_schedule
+from .segnet import SegModel, StageFeatures, class_centers
 
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -40,10 +40,10 @@ LN_2PI = math.log(2.0 * math.pi)
 class UncHead:
     """Bottleneck head: one downsampling and two upsampling steps with skips.
 
-        a = relu(h1(stage2))                  [u, H/2]
-        c = relu(h2(pool2x(a)))               [u, H/4]
-        e = relu(h3(concat(upsample2x(c), a)))    [u, H/2]
-        pre = h4(concat(upsample2x(e), stage1, z))   [D, H]
+        a = relu(h1(stage2))                               [u, H/2]
+        c = relu(h2(pool2x_batch(a)))                      [u, H/4]
+        e = relu(h3(concat(upsample2x_batch(c), a)))       [u, H/2]
+        pre = h4(concat(upsample2x_batch(e), stage1, z))   [D, H]
         cov = softplus(pre) + eps_floor
 
     Stage features and z are treated as constants (no gradient reaches the
@@ -118,12 +118,6 @@ class UncHead:
         return grads
 
 
-def head_forward(head: UncHead, stages: StageFeatures) -> np.ndarray:
-    """Single-crop covariance map [H, W, D]."""
-    cov = head.forward(stages)
-    return cov[:, 0].transpose(1, 2, 0)
-
-
 # ---------------------------------------------------------------------------
 # losses on per-pixel residuals
 # ---------------------------------------------------------------------------
@@ -163,30 +157,6 @@ def surrogate_loss_batch(cov: np.ndarray, v: np.ndarray,
     if not with_grad:
         return loss, None
     return loss, 2.0 * diff / npix
-
-
-def _to_batch(cov_map: np.ndarray, z_map: np.ndarray, labels: np.ndarray,
-              centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cov = cov_map.transpose(2, 0, 1)[:, None]
-    z = z_map.transpose(2, 0, 1)[:, None]
-    v = residual_targets(z, labels[None], centers)
-    return cov, v
-
-
-def original_loss(cov_map: np.ndarray, z_map: np.ndarray, labels: np.ndarray,
-                  centers: np.ndarray) -> float:
-    """CE between the class-template prior and the diagonal Gaussian
-    posterior, averaged over pixels of one crop ([H, W, D] maps)."""
-    cov, v = _to_batch(cov_map, z_map, labels, centers)
-    return original_loss_batch(cov, v)[0]
-
-
-def surrogate_loss(cov_map: np.ndarray, z_map: np.ndarray, labels: np.ndarray,
-                   centers: np.ndarray) -> float:
-    """Squared error between predicted variances and squared residuals,
-    averaged over pixels of one crop."""
-    cov, v = _to_batch(cov_map, z_map, labels, centers)
-    return surrogate_loss_batch(cov, v)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +218,21 @@ def quad_form_trace_check(v: np.ndarray) -> float:
     return float((v2 / v2).sum())
 
 
-def unc_score(cov_map: np.ndarray, eps_floor: float = 0.0) -> float:
-    """Sum over pixels of ln det(diag covariance) = sum of log variances."""
-    if cov_map.min() < eps_floor or cov_map.min() <= 0.0:
-        raise ValueError(f"variance below floor: min {cov_map.min()}")
-    return float(np.log(cov_map).sum())
+def unc_score(cov: np.ndarray, eps_floor: float = 0.0) -> np.ndarray:
+    """Per-crop sum over pixels of ln det(diag covariance), i.e. of the log
+    variances: ``[D, N, H, W] -> [N]``."""
+    lowest = cov.min()
+    if lowest < eps_floor or lowest <= 0.0:
+        raise ValueError(f"variance below floor: min {lowest}")
+    return np.log(cov).sum(axis=(0, 2, 3))
 
 
 def landscape_grid(v: np.ndarray, w_range: tuple[float, float], n: int) -> list[dict]:
     """Evaluate both losses and gradient norms of a single 2-D pixel on an
     n x n grid over the two diagonal variances (w1, w2)."""
     lo, hi = w_range
-    if lo <= 0.0:
-        raise ValueError(f"grid range must start above 0, got {lo}")
+    if not 0.0 < lo < hi:
+        raise ValueError(f"grid range must start above 0 and below its end, got {lo},{hi}")
     if n < 10:
         raise ValueError(f"grid needs n >= 10, got {n}")
     v = np.asarray(v, dtype=np.float64)
@@ -299,8 +271,8 @@ def _softplus_inverse(y: np.ndarray) -> np.ndarray:
 def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
               loss_kind: str, config: RunConfig,
               log: list | None = None) -> UncHead:
-    """SGD on head parameters only; the segmentation model is frozen and
-    supplies stage features, latent codes, and class centers.
+    """``optim.fit`` of the head parameters only; the segmentation model is
+    frozen and supplies stage features, latent codes, and class centers.
 
     The output bias is warm-started so initial variances match the mean
     squared residual of the first batch per dimension (the residual scale
@@ -312,8 +284,6 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
         raise ValueError(f"loss_kind must be original|surrogate, got {loss_kind!r}")
     head = UncHead(config)
     head.init_params(Rng(config.seed).derive("unc-init"))
-    opt = SgdMomentum(config.unc_lr, config.unc_momentum)
-    shuffler = Rng(config.seed).derive("unc-shuffle")
     centers = class_centers(seg_model)
     loss_fn = original_loss_batch if loss_kind == "original" else surrogate_loss_batch
     n = len(images)
@@ -322,33 +292,21 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
     v0 = residual_targets(first.z, labels[:min(config.unc_batch, n)], centers)
     head.h4.bias = _softplus_inverse((v0 * v0).mean(axis=(1, 2, 3)))
 
-    order = list(range(n))
-    batches_per_epoch = (n + config.unc_batch - 1) // config.unc_batch
-    total_steps = config.unc_epochs * batches_per_epoch
-    step = 0
-    for epoch in range(config.unc_epochs):
-        shuffler.shuffle(order)
-        total = 0.0
-        target_err = 0.0
-        batches = 0
-        for i in range(0, n, config.unc_batch):
-            idx = order[i:i + config.unc_batch]
-            stages = seg_model.forward_batch(images[idx])
-            v = residual_targets(stages.z, labels[idx], centers)
-            cov = head.forward(stages, keep_cache=True)
-            loss, dcov = loss_fn(cov, v, with_grad=True)
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"head training diverged at epoch {epoch}")
-            grads = head.backward(dcov)
-            clip_grad_norm(grads, UNC_CLIP_NORM)
-            opt.lr = lr_schedule(config.unc_lr, step, total_steps)
-            opt.step(head.params(), grads)
-            total += loss
-            target_err += float(np.abs(cov - v * v).mean())
-            batches += 1
-            step += 1
+    def step_batch(idx: list[int]) -> tuple:
+        stages = seg_model.forward_batch(images[idx])
+        v = residual_targets(stages.z, labels[idx], centers)
+        cov = head.forward(stages, keep_cache=True)
+        loss, dcov = loss_fn(cov, v, with_grad=True)
+        return loss, head.backward(dcov), float(np.abs(cov - v * v).mean())
+
+    epochs = fit(step_batch, head.params(), n, epochs=config.unc_epochs,
+                 batch=config.unc_batch, lr=config.unc_lr,
+                 momentum=config.unc_momentum,
+                 shuffler=Rng(config.seed).derive("unc-shuffle"),
+                 clip=lambda grads: clip_grad_norm(grads, UNC_CLIP_NORM))
+    for epoch, means in epochs:
         if log is not None:
-            log.append((epoch, total / batches, target_err / batches))
+            log.append((epoch, *means))
     return head
 
 

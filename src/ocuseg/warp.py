@@ -1,8 +1,7 @@
-"""Geometric resampling helpers: resizing and affine warps.
+"""Geometric resampling helpers: bilinear and nearest-neighbor resizing.
 
 All mappings use half-pixel centers, ``src = (dst + 0.5) * scale - 0.5``,
-so a resize to the same size (and an identity affine) reproduces the input
-exactly.  Bilinear sampling clamps to the frame edge; nearest-neighbor
+so a resize to the same size reproduces the input exactly.  Bilinear sampling clamps to the frame edge; nearest-neighbor
 sampling preserves the input's value set.
 """
 
@@ -52,55 +51,3 @@ def resize_nearest(img: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
     src_c = (cc + 0.5) * (w / w_out) - 0.5
     return _sample_nearest(img, src_r, src_c)
 
-
-# ---------------------------------------------------------------------------
-# affine transforms in (row, col) coordinates
-# ---------------------------------------------------------------------------
-
-def make_affine(h: int, w: int, rot_rad: float, t_row: float, t_col: float,
-                scale: float, hflip: bool) -> np.ndarray:
-    """2x3 forward transform mapping source (row, col) to destination.
-
-    Flip, scale, and rotation act about the frame center; translation is
-    applied last.
-    """
-    cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
-    co, si = np.cos(rot_rad), np.sin(rot_rad)
-    f = -1.0 if hflip else 1.0
-    # dest = R * S * F * (src - ctr) + ctr + t
-    a = np.empty((2, 3))
-    a[0, 0] = scale * co
-    a[0, 1] = -scale * si * f
-    a[1, 0] = scale * si
-    a[1, 1] = scale * co * f
-    a[0, 2] = cr + t_row - (a[0, 0] * cr + a[0, 1] * cc)
-    a[1, 2] = cc + t_col - (a[1, 0] * cr + a[1, 1] * cc)
-    return a
-
-
-def invert_affine(a: np.ndarray) -> np.ndarray:
-    m = a[:, :2]
-    inv = np.linalg.inv(m)
-    out = np.empty((2, 3))
-    out[:, :2] = inv
-    out[:, 2] = -inv @ a[:, 2]
-    return out
-
-
-def warp_affine(img: np.ndarray, forward: np.ndarray, mode: str = "bilinear") -> np.ndarray:
-    """Warp a 2D array by a forward affine (output sampled via the inverse)."""
-    h, w = img.shape
-    inv = invert_affine(forward)
-    rr, cc = _grid(h, w)
-    src_r = inv[0, 0] * rr + inv[0, 1] * cc + inv[0, 2]
-    src_c = inv[1, 0] * rr + inv[1, 1] * cc + inv[1, 2]
-    if mode == "bilinear":
-        return _sample_bilinear(img, src_r, src_c)
-    if mode == "nearest":
-        return _sample_nearest(img, src_r, src_c)
-    raise ValueError(f"unknown warp mode {mode!r}")
-
-
-def transform_points(forward: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Apply a 2x3 forward affine to ``[N, 2]`` (row, col) points."""
-    return pts @ forward[:, :2].T + forward[:, 2]

@@ -12,6 +12,7 @@ import pytest
 import ocuseg
 from ocuseg.cli import main
 from ocuseg.config import RunConfig
+from ocuseg.datasetio import read_pgm, write_pgm
 
 
 def tiny_cfg(tmp_path, **overrides) -> Path:
@@ -225,6 +226,94 @@ class TestInferEval:
                      "--seg", str(seg), "--unc", str(root / "unc"),
                      "--out", str(tmp_path / "p")]) == 2
         assert "does not match its config" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def predicted(trained):
+    root, _ = trained
+    pred = root / "pred"
+    assert main(["infer", "--data", str(root / "data"), "--seg", str(root / "seg"),
+                 "--unc", str(root / "unc"), "--out", str(pred)]) == 0
+    return pred
+
+
+def config_with(tmp_path, field, value) -> Path:
+    """A tiny config file with one field set past RunConfig's validation."""
+    data = json.loads(tiny_cfg(tmp_path).read_text())
+    data[field] = value
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(data))
+    return p
+
+
+def train_with(field, value=0):
+    def argv(tmp_path, root, pred):
+        stage = ["train-seg"] if field.startswith("seg") else \
+            ["train-unc", "--seg", str(root / "seg")]
+        return [*stage, "--data", str(root / "data"),
+                "--config", str(config_with(tmp_path, field, value)),
+                "--out", str(tmp_path / "out")]
+    return argv
+
+
+def eval_with(edit, pcts="1,2"):
+    def argv(tmp_path, root, pred):
+        copy = tmp_path / "pred"
+        shutil.copytree(pred, copy)
+        edit(copy)
+        return ["eval", "--pred", str(copy), "--data", str(root / "data"),
+                "--pcts", pcts, "--out", str(tmp_path / "r.json")]
+    return argv
+
+
+def replace_score(pred, value):
+    rows = (pred / "scores.csv").read_text().split("\n")
+    rows[1] = ",".join([rows[1].split(",")[0], value, "1"])
+    (pred / "scores.csv").write_text("\n".join(rows))
+
+
+def write_label(pred, value):
+    y_hat = read_pgm(pred / "pred" / "s000000.pgm")
+    y_hat[3, 4] = value
+    write_pgm(pred / "pred" / "s000000.pgm", y_hat)
+
+
+def landscape(*extra):
+    def argv(tmp_path, root, pred):
+        return ["landscape", "--v", "1,2", "--range", "0.5,5.0", *extra,
+                "--out", str(tmp_path / "g.csv")]
+    return argv
+
+
+BAD_INPUTS = {
+    "seg_epochs": (train_with("seg_epochs"), "seg_epochs must be >= 1, got 0"),
+    "seg_batch": (train_with("seg_batch"), "seg_batch must be >= 1, got 0"),
+    "unc_epochs": (train_with("unc_epochs"), "unc_epochs must be >= 1, got 0"),
+    "unc_batch": (train_with("unc_batch"), "unc_batch must be >= 1, got 0"),
+    "eps_floor": (train_with("eps_floor", -5.0), "eps_floor must be > 0, got -5.0"),
+    "landscape-n": (landscape("--n", "5"), "--n 5"),
+    "landscape-v": (landscape("--v", "1,2,3"), "--v 1,2,3"),
+    "s_unc": (eval_with(lambda p: replace_score(p, "abc")), "s_unc 'abc'"),
+    "meta": (eval_with(lambda p: (p / "meta.json").write_text("{broken")), "meta.json"),
+    "pcts-negative": (eval_with(lambda p: None, "-5"), "got -5.0"),
+    "pcts-100": (eval_with(lambda p: None, "1,100"), "got 100.0"),
+    "pcts-150": (eval_with(lambda p: None, "150"), "got 150.0"),
+    "pcts-text": (eval_with(lambda p: None, "a,b"), "'a,b'"),
+    "pred-label-7": (eval_with(lambda p: write_label(p, 7)), "s000000.pgm: labels outside"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exit_2_naming_it(predicted, tmp_path, capsys, case):
+    root = predicted.parent
+    make_argv, expected = BAD_INPUTS[case]
+    argv = make_argv(tmp_path, root, predicted)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert expected in err and "Traceback" not in err, err
+    assert not (tmp_path / "r.json").exists()
+
 
 class TestLandscape:
     def test_grid_csv_minima(self, tmp_path):

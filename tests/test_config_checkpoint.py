@@ -94,6 +94,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="arch_hash .* does not match its config"):
             load_checkpoint(tmp_path / "c")
 
+    def test_invalid_stored_config_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "c", RunConfig(), {"w": np.ones(3)})
+        path = tmp_path / "c" / "header.json"
+        header = json.loads(path.read_text())
+        header["config"]["seg_epochs"] = 0
+        path.write_text(json.dumps(header))
+        with pytest.raises(CheckpointError, match="invalid config: seg_epochs must be >= 1"):
+            load_checkpoint(tmp_path / "c")
+
     def test_model_tensor_checks_name_and_shape(self):
         values = {"a.kernel": np.ones((2, 3))}
         assert np.array_equal(model_tensor(values, "a.kernel", (2, 3)), np.ones((2, 3)))

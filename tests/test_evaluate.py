@@ -54,6 +54,12 @@ class TestRankAndFilter:
         with pytest.raises(ValueError, match="retains no images"):
             rank_and_filter(["a"], [1.0], [_conf(5, 5)], [100.0])
 
+    @pytest.mark.parametrize("pct", [-5.0, 150.0, float("nan")])
+    def test_pct_outside_0_100_rejected(self, pct):
+        ids = [f"s{i}" for i in range(8)]
+        with pytest.raises(ValueError, match=r"\[0, 100\)"):
+            rank_and_filter(ids, [0.0] * 8, [_conf(5, 5)] * 8, [1.0, pct])
+
 
 class TestThresholdDecision:
     def test_boundary_inclusive(self):

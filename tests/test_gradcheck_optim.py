@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ocuseg.gradcheck import grad_check, pack_params, unpack_params
-from ocuseg.optim import SgdMomentum, sgd_step
+from ocuseg.optim import SgdMomentum, fit
 from ocuseg.rng import Rng
 
 
@@ -44,29 +44,31 @@ class TestGradCheck:
 
 class TestSgd:
     def test_lr_zero_keeps_params(self):
-        p, _ = sgd_step(np.array([1.0, 2.0]), np.array([5.0, -3.0]), lr=0.0)
-        assert np.array_equal(p, [1.0, 2.0])
+        p = {"w": np.array([1.0, 2.0])}
+        SgdMomentum(0.0, 0.9).step(p, {"w": np.array([5.0, -3.0])})
+        assert np.array_equal(p["w"], [1.0, 2.0])
 
     def test_plain_step(self):
-        p, _ = sgd_step(np.array([1.0, 2.0]), np.array([0.5, -0.5]),
-                        lr=1.0, momentum=0.0)
-        assert np.array_equal(p, [0.5, 2.5])
+        p = {"w": np.array([1.0, 2.0])}
+        SgdMomentum(1.0, 0.0).step(p, {"w": np.array([0.5, -0.5])})
+        assert np.array_equal(p["w"], [0.5, 2.5])
 
     def test_quadratic_contraction(self):
         # 100 steps on (w-3)^2 at lr 0.1 contract to the minimum
-        w = np.array([0.0])
-        v = None
+        opt = SgdMomentum(0.1, 0.0)
+        p = {"w": np.array([0.0])}
         for _ in range(100):
-            g = 2.0 * (w - 3.0)
-            w, v = sgd_step(w, g, lr=0.1, momentum=0.0, velocity=v)
-        assert abs(w[0] - 3.0) < 1e-6
+            opt.step(p, {"w": 2.0 * (p["w"] - 3.0)})
+        assert abs(p["w"][0] - 3.0) < 1e-6
 
     def test_nonfinite_grads_abort(self):
-        with pytest.raises(FloatingPointError):
-            sgd_step(np.ones(2), np.array([np.nan, 1.0]), lr=0.1)
         opt = SgdMomentum(0.1, 0.9)
+        p = {"w": np.ones(2)}
         with pytest.raises(FloatingPointError, match="w"):
-            opt.step({"w": np.ones(2)}, {"w": np.array([np.inf, 0.0])})
+            opt.step(p, {"w": np.array([np.nan, 1.0])})
+        with pytest.raises(FloatingPointError, match="w"):
+            opt.step(p, {"w": np.array([np.inf, 0.0])})
+        assert np.array_equal(p["w"], [1.0, 1.0])
 
     def test_momentum_accumulates(self):
         opt = SgdMomentum(1.0, 0.5)
@@ -84,3 +86,35 @@ class TestSgd:
             return p["w"].copy()
 
         assert np.array_equal(run(), run())
+
+
+class TestFit:
+    """``fit`` driven by a stub batch callable: 5 examples in batches of 2."""
+
+    @staticmethod
+    def start(losses, params, calls):
+        def step_batch(idx):
+            calls.append(list(idx))
+            loss = losses[len(calls) - 1]
+            return loss, {"w": np.ones(1)}, 10.0 * loss
+
+        return fit(step_batch, params, 5, epochs=2, batch=2, lr=0.1, momentum=0.0,
+                   shuffler=Rng(4), clip=lambda grads: 0.0)
+
+    def test_means_are_batch_means(self):
+        calls = []
+        rows = list(self.start([1.0, 2.0, 4.0, 8.0, 16.0, 32.0], {"w": np.zeros(1)}, calls))
+        assert [len(c) for c in calls] == [2, 2, 1] * 2
+        assert sorted(sum(calls[:3], [])) == sorted(sum(calls[3:], [])) == [0, 1, 2, 3, 4]
+        assert rows == [(0, [7.0 / 3, 70.0 / 3]), (1, [56.0 / 3, 560.0 / 3])]
+
+    def test_nan_loss_aborts_before_its_step(self):
+        calls, params = [], {"w": np.zeros(1)}
+        run = self.start([1.0, 1.0, 1.0, float("nan"), 1.0, 1.0], params, calls)
+        assert next(run)[0] == 0
+        after_epoch_0 = params["w"].copy()
+        assert after_epoch_0[0] < 0.0
+        with pytest.raises(FloatingPointError, match="training diverged at epoch 1"):
+            next(run)
+        assert len(calls) == 4
+        assert np.array_equal(params["w"], after_epoch_0)

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from ocuseg import layers
 from ocuseg.gradcheck import grad_check
-from ocuseg.layers import (Conv2d, activation, activation_backward, conv2d,
-                           conv2d_backward, conv2d_batch,
-                           conv2d_batch_backward, pool2x, pool2x_backward,
-                           softmax_vec, softplus, upsample2x,
-                           upsample2x_backward)
+from ocuseg.layers import (Conv2d, conv2d, conv2d_batch, conv2d_batch_backward,
+                           pool2x_batch, pool2x_batch_backward, relu_batch,
+                           relu_batch_backward, sigmoid, softmax_rows, softplus,
+                           upsample2x_batch, upsample2x_batch_backward)
 from ocuseg.rng import Rng
 
 
@@ -31,7 +30,7 @@ class TestConv2d:
         assert np.array_equal(out, np.zeros((1, 6, 6)))
         # grad_kernel at zero kernel is the correlation of input with grad_out
         g = rng.uniform_array(1 * 6 * 6).reshape(1, 6, 6)
-        _, gk = conv2d_backward(g, x, k, 1)
+        _, gk = conv2d_batch_backward(g[:, None], x[:, None], k)
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
         expected = np.zeros_like(k)
         for ci in range(2):
@@ -50,7 +49,7 @@ class TestConv2d:
             k = kf.reshape(2, 2, 3, 3)
             out = conv2d(x, k, 1)
             loss = 0.5 * ((out - target) ** 2).sum()
-            _, gk = conv2d_backward(out - target, x, k, 1)
+            _, gk = conv2d_batch_backward((out - target)[:, None], x[:, None], k)
             return loss, gk.reshape(-1)
 
         assert grad_check(f_kernel, k0.reshape(-1), 1e-5) < 1e-6
@@ -59,8 +58,9 @@ class TestConv2d:
             xi = xf.reshape(2, 5, 5)
             out = conv2d(xi, k0.reshape(2, 2, 3, 3), 1)
             loss = 0.5 * ((out - target) ** 2).sum()
-            gi, _ = conv2d_backward(out - target, xi, k0.reshape(2, 2, 3, 3), 1)
-            return loss, gi.reshape(-1)
+            gi, _ = conv2d_batch_backward((out - target)[:, None], xi[:, None],
+                                          k0.reshape(2, 2, 3, 3))
+            return loss, gi[:, 0].reshape(-1)
 
         assert grad_check(f_input, x.reshape(-1), 1e-5) < 1e-6
 
@@ -191,9 +191,13 @@ class TestBandedConv:
         assert peaks[0] < 2 * x.nbytes and peaks[1] < 2 * x.nbytes, (peaks, x.nbytes)
 
 
+ACTIVATIONS = {"relu": (relu_batch, relu_batch_backward),
+               "softplus": (softplus, lambda g, x: g * sigmoid(x))}
+
+
 class TestActivations:
     def test_relu_values(self):
-        out = activation(np.array([-1.0, 0.0, 2.0]), "relu")
+        out = relu_batch(np.array([-1.0, 0.0, 2.0]))
         assert np.array_equal(out, [0.0, 0.0, 2.0])
 
     def test_softplus_at_zero(self):
@@ -203,17 +207,14 @@ class TestActivations:
         assert softplus(np.array([50.0]))[0] == pytest.approx(50.0, abs=1e-9)
         assert softplus(np.array([700.0]))[0] == pytest.approx(700.0, abs=1e-9)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown activation"):
-            activation(np.zeros(2), "tanh")
-
     @pytest.mark.parametrize("kind", ["relu", "softplus"])
     def test_backward_matches_fd(self, kind, rng):
+        forward, backward = ACTIVATIONS[kind]
         x0 = rng.normal_array(40)
 
         def f(x):
-            y = activation(x, kind)
-            return 0.5 * (y ** 2).sum(), activation_backward(y, x, kind)
+            y = forward(x)
+            return 0.5 * (y ** 2).sum(), backward(y, x)
 
         assert grad_check(f, x0, 1e-5) < 1e-6
 
@@ -221,21 +222,21 @@ class TestActivations:
 class TestPoolUpsample:
     def test_constant_invariance(self):
         c = np.full((1, 8, 8), 3.25)
-        assert np.array_equal(pool2x(c), np.full((1, 4, 4), 3.25))
-        assert np.array_equal(upsample2x(c), np.full((1, 16, 16), 3.25))
+        assert np.array_equal(pool2x_batch(c), np.full((1, 4, 4), 3.25))
+        assert np.array_equal(upsample2x_batch(c), np.full((1, 16, 16), 3.25))
 
     def test_pool_arithmetic_mean(self):
-        assert pool2x(np.array([[1.0, 3.0], [5.0, 7.0]]))[0, 0] == 4.0
+        assert pool2x_batch(np.array([[1.0, 3.0], [5.0, 7.0]]))[0, 0] == 4.0
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            pool2x(np.zeros((1, 5, 4)))
+            pool2x_batch(np.zeros((1, 5, 4)))
 
     def test_adjoint_up_to_factor_4(self, rng):
         x = rng.normal_array(16).reshape(4, 4)
         y = rng.normal_array(64).reshape(8, 8)
-        lhs = (upsample2x(x) * y).sum()
-        rhs = (x * pool2x(y)).sum() * 4.0
+        lhs = (upsample2x_batch(x) * y).sum()
+        rhs = (x * pool2x_batch(y)).sum() * 4.0
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_backward_matches_fd(self, rng):
@@ -243,9 +244,9 @@ class TestPoolUpsample:
         target = rng.normal_array(64).reshape(8, 8)
 
         def f(x):
-            up = upsample2x(pool2x(x.reshape(8, 8)))
+            up = upsample2x_batch(pool2x_batch(x.reshape(8, 8)))
             loss = 0.5 * ((up - target) ** 2).sum()
-            grad = pool2x_backward(upsample2x_backward(up - target))
+            grad = pool2x_batch_backward(upsample2x_batch_backward(up - target))
             return loss, grad.reshape(-1)
 
         assert grad_check(f, x0, 1e-5) < 1e-6
@@ -253,23 +254,19 @@ class TestPoolUpsample:
 
 class TestSoftmax:
     def test_uniform(self):
-        np.testing.assert_allclose(softmax_vec(np.zeros(4)), 0.25, atol=1e-15)
+        np.testing.assert_allclose(softmax_rows(np.zeros((4, 3))), 0.25, atol=1e-15)
 
     def test_analytic(self):
-        out = softmax_vec(np.array([math.log(3), 0.0]))
-        np.testing.assert_allclose(out, [0.75, 0.25], atol=1e-12)
+        out = softmax_rows(np.array([[math.log(3)], [0.0]]))
+        np.testing.assert_allclose(out[:, 0], [0.75, 0.25], atol=1e-12)
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8),
            st.floats(-100, 100))
     @settings(max_examples=50, deadline=None)
     def test_shift_invariance_and_normalization(self, logits, c):
-        logits = np.array(logits)
-        p = softmax_vec(logits)
-        q = softmax_vec(logits + c)
+        logits = np.array(logits)[:, None]
+        p = softmax_rows(logits)
+        q = softmax_rows(logits + c)
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p > 0)
         np.testing.assert_allclose(p, q, atol=1e-12)
-
-    def test_rejects_scalarish_input(self):
-        with pytest.raises(ValueError):
-            softmax_vec(np.array([1.0]))

@@ -1,7 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from ocuseg.metrics import confusion_matrix, metrics, metrics_from_confusion
+from ocuseg.metrics import check_labels, confusion_matrix, metrics_from_confusion
+
+
+def metrics(y_hat, y):
+    return metrics_from_confusion(confusion_matrix(y_hat, y))
 
 
 def test_perfect_prediction():
@@ -68,3 +74,20 @@ def test_aggregate_permutation_invariance():
     a = metrics_from_confusion(sum(confs[i] for i in range(10)))
     b = metrics_from_confusion(sum(confs[i] for i in reversed(range(10))))
     assert a["miou"] == b["miou"]
+
+
+@pytest.mark.parametrize("y_hat,y,bad", [
+    ([7], [0], "[7]"),
+    ([1], [-1], "[-1]"),
+    ([4, 4], [1, 2], "[4]"),
+], ids=["pred-above", "gt-below", "pred-repeated"])
+def test_out_of_range_labels_rejected(y_hat, y, bad):
+    # every joint index 4*y + y_hat here is inside 0..15
+    with pytest.raises(ValueError, match=re.escape(f"outside 0..3: {bad}")):
+        confusion_matrix(np.array(y_hat), np.array(y))
+
+
+def test_check_labels_lists_bad_values():
+    check_labels(np.array([[0, 1], [2, 3]]))
+    with pytest.raises(ValueError, match=r"\[-2, 9\]"):
+        check_labels(np.array([9, 0, -2, 9]))

@@ -5,9 +5,10 @@ import pytest
 
 from ocuseg.config import RunConfig
 from ocuseg.gradcheck import grad_check, pack_params, unpack_params
+from ocuseg.layers import softmax_rows
 from ocuseg.rng import Rng
-from ocuseg.segnet import (SegModel, class_centers, count_flops,
-                           forward_features, predict, seg_loss, train_seg)
+from ocuseg.segnet import (SegModel, class_centers, count_flops, predict_batch,
+                           seg_loss, train_seg)
 
 
 def make_model(cfg: RunConfig, seed: int = 3) -> SegModel:
@@ -20,13 +21,13 @@ class TestForward:
     def test_zero_params_give_zero_latents(self, tiny_config):
         model = SegModel(tiny_config)     # all params start at zero
         img = Rng(1).uniform_array(16 * 16).reshape(16, 16)
-        feats = forward_features(model, img)
+        feats = model.forward_batch(img[None])
         assert np.array_equal(feats.z, np.zeros_like(feats.z))
 
     def test_shapes(self, tiny_config):
         model = make_model(tiny_config)
         img = Rng(1).uniform_array(16 * 16).reshape(16, 16)
-        feats = forward_features(model, img)
+        feats = model.forward_batch(img[None])
         w1, w2 = tiny_config.widths
         assert feats.stage1.shape == (w1, 1, 16, 16)
         assert feats.stage2.shape == (w2, 1, 8, 8)
@@ -38,28 +39,36 @@ class TestForward:
             model.forward_batch(np.zeros((1, 8, 8)))
 
 
+def predict_one(model, img):
+    """Labels [H, W] and per-pixel class probs [4, H*W] of one crop."""
+    y_hat, feats = predict_batch(model, img[None])
+    probs = softmax_rows(model.head @ feats.z.reshape(model.config.d, -1))
+    return probs, y_hat[0]
+
+
 class TestPredict:
     def test_zero_head_uniform_probs_and_tie_rule(self, tiny_config):
         model = make_model(tiny_config)
         model.head = np.zeros_like(model.head)
         img = Rng(1).uniform_array(16 * 16).reshape(16, 16)
-        probs, y_hat = predict(model, img)
+        probs, y_hat = predict_one(model, img)
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
-        assert np.all(y_hat == 0)
+        assert y_hat.shape == (16, 16) and np.all(y_hat == 0)
 
     def test_head_scaling_keeps_argmax(self, tiny_config):
         model = make_model(tiny_config)
         img = Rng(1).uniform_array(16 * 16).reshape(16, 16)
-        _, y1 = predict(model, img)
+        _, y1 = predict_one(model, img)
         model.head = model.head * 7.5
-        _, y2 = predict(model, img)
+        _, y2 = predict_one(model, img)
         assert np.array_equal(y1, y2)
 
     def test_probs_sum_to_one(self, tiny_config):
         model = make_model(tiny_config)
         img = Rng(1).uniform_array(16 * 16).reshape(16, 16)
-        probs, _ = predict(model, img)
-        np.testing.assert_allclose(probs.sum(axis=2), 1.0, atol=1e-12)
+        probs, y_hat = predict_one(model, img)
+        np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-12)
+        assert np.array_equal(y_hat.reshape(-1), np.argmax(probs, axis=0))
 
 
 class TestSegLoss:
@@ -129,7 +138,7 @@ class TestClassCenters:
         raw = rngl.normal_array(4 * tiny_config.d).reshape(4, tiny_config.d)
         model.head = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         img = rngl.uniform_array(16 * 16).reshape(16, 16)
-        feats = forward_features(model, img)
+        feats = model.forward_batch(img[None])
         z = feats.z[:, 0].reshape(tiny_config.d, -1)
         by_logit = np.argmax(model.head @ z, axis=0)
         dists = ((z[None, :, :] - model.head[:, :, None]) ** 2).sum(axis=1)

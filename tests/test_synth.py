@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ocuseg.rng import Rng
-from ocuseg.synth import (Corruption, SceneParams, apply_corruption, augment,
-                          augment_with_params, gamma_correct, generate_dataset,
+from ocuseg.synth import (Corruption, SceneParams, apply_corruption, gamma_correct,
+                          generate_dataset,
                           motion_blur_kernel, render_eye, sample_scene_params)
 
 
@@ -123,30 +123,6 @@ class TestCorruptions:
         assert np.array_equal(out.labels, s.labels)
         assert not np.array_equal(out.image, s.image)
         assert out.image.min() >= 0.0 and out.image.max() <= 1.0
-
-
-class TestAugment:
-    def test_identity_draw_is_exact(self):
-        s = render_eye(make_params(), 120, 160, Rng(6))
-        out = augment_with_params(s, 0.0, 0.0, 0.0, 1.0, False)
-        assert np.array_equal(out.image, s.image)
-        assert np.array_equal(out.labels, s.labels)
-        assert out.gt_bbox == s.gt_bbox
-
-    def test_double_flip_restores_labels(self):
-        s = render_eye(make_params(), 120, 160, Rng(6))
-        once = augment_with_params(s, 0.0, 0.0, 0.0, 1.0, True)
-        twice = augment_with_params(once, 0.0, 0.0, 0.0, 1.0, True)
-        assert np.array_equal(twice.labels, s.labels)
-        assert np.array_equal(twice.image, s.image)
-
-    def test_labels_stay_in_closed_set(self):
-        s = render_eye(make_params(), 120, 160, Rng(6))
-        for seed in range(5):
-            out = augment(s, Rng(seed))
-            assert set(np.unique(out.labels)) <= {0, 1, 2, 3}
-            l, t, h, w = out.gt_bbox
-            assert 0 <= l and 0 <= t and t + h <= 120 and l + w <= 160
 
 
 class TestGammaCorrect:

@@ -8,12 +8,10 @@ from ocuseg.gradcheck import grad_check, pack_params, unpack_params
 from ocuseg.rng import Rng
 from ocuseg.segnet import SegModel, class_centers
 from ocuseg.uncertainty import (UncHead, brute_force_optimal_cov,
-                                grad_vanishing_probe, head_flops, head_forward,
-                                landscape_grid, optimal_cov_oracle,
-                                original_loss, original_loss_batch,
+                                grad_vanishing_probe, head_flops, landscape_grid,
+                                optimal_cov_oracle, original_loss_batch,
                                 quad_form_trace_check, residual_targets,
-                                surrogate_loss, surrogate_loss_batch,
-                                train_unc, unc_score)
+                                surrogate_loss_batch, train_unc, unc_score)
 
 LN_2PI = math.log(2 * math.pi)
 
@@ -53,15 +51,6 @@ class TestHeadForward:
                               z=stages.z)
         with pytest.raises(ValueError, match="stage shapes"):
             head.forward(broken)
-
-    def test_single_crop_map_layout(self, tiny_config, tiny_batch):
-        model, _, _, _, images, _ = seg_and_batch(tiny_config, tiny_batch)
-        head = UncHead(tiny_config)
-        head.init_params(Rng(4).derive("unc-init"))
-        stages1 = model.forward_batch(images[:1])
-        cov_map = head_forward(head, stages1)
-        assert cov_map.shape == (16, 16, tiny_config.d)
-        assert cov_map.min() >= tiny_config.eps_floor
 
 
 class TestLossValues:
@@ -103,20 +92,6 @@ class TestLossValues:
             loss, _ = surrogate_loss_batch(cov, v)
             assert loss >= 0.0
             assert (loss == 0.0) == bool(np.allclose(cov, v * v))
-
-    def test_map_level_wrappers_match_batch(self, tiny_config, tiny_batch):
-        model, stages, centers, v, images, labels = seg_and_batch(tiny_config, tiny_batch)
-        head = UncHead(tiny_config)
-        head.init_params(Rng(4).derive("unc-init"))
-        stages1 = model.forward_batch(images[:1])
-        cov_map = head_forward(head, stages1)
-        z_map = stages1.z[:, 0].transpose(1, 2, 0)
-        a = original_loss(cov_map, z_map, labels[0], centers)
-        b = surrogate_loss(cov_map, z_map, labels[0], centers)
-        v1 = residual_targets(stages1.z, labels[:1], centers)
-        cov1 = head.forward(stages1)
-        assert a == pytest.approx(original_loss_batch(cov1, v1)[0], rel=1e-12)
-        assert b == pytest.approx(surrogate_loss_batch(cov1, v1)[0], rel=1e-12)
 
 
 class TestOptimalCov:
@@ -174,16 +149,20 @@ class TestProbesAndScore:
             quad_form_trace_check(np.array([1.0, 0.0]))
 
     def test_unc_score_values(self):
-        assert unc_score(np.ones((4, 4, 2))) == 0.0
-        single = np.array([[[math.e, math.e ** 2]]])
-        assert unc_score(single) == pytest.approx(3.0, rel=1e-12)
+        # [D, N, H, W] in, one score per crop out
+        assert np.array_equal(unc_score(np.ones((2, 3, 4, 4))), np.zeros(3))
+        single = np.array([math.e, math.e ** 2]).reshape(2, 1, 1, 1)
+        assert unc_score(single) == pytest.approx([3.0], rel=1e-12)
+        with pytest.raises(ValueError, match="floor"):
+            unc_score(np.full((1, 1, 2, 2), 1e-7), eps_floor=1e-6)
 
     def test_unc_score_strictly_monotone(self):
-        cov = np.full((3, 3, 2), 2.0)
+        cov = np.full((2, 2, 3, 3), 2.0)
         base = unc_score(cov)
         cov2 = cov.copy()
-        cov2[1, 1, 0] *= 1.01
-        assert unc_score(cov2) > base
+        cov2[1, 1, 1, 0] *= 1.01
+        scores = unc_score(cov2)
+        assert scores[1] > base[1] and scores[0] == base[0]
 
 
 class TestLandscapeGrid:
