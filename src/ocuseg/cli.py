@@ -76,7 +76,14 @@ def cmd_gen(args) -> int:
         raise UsageError(f"--severities expects LO,HI, got {args.severities!r}") from None
     if not (0.0 <= lo <= hi <= 1.0):
         raise UsageError(f"severity range must satisfy 0 <= lo <= hi <= 1, got {lo},{hi}")
-    h_full, w_full = args.size
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    try:
+        h_full, w_full = (int(x) for x in args.size.split("x"))
+    except ValueError:
+        raise UsageError(f"--size expects HxW, got {args.size!r}") from None
+    if h_full < 64 or w_full < 64:
+        raise UsageError(f"--size must be at least 64x64, got {args.size}")
     samples = generate_dataset(args.n, args.seed, kinds, (lo, hi), h_full, w_full)
     write_dataset(samples, args.out)
     by_kind: dict[str, int] = {}
@@ -222,7 +229,10 @@ def cmd_eval(args) -> int:
                              f"s_unc {row.get('s_unc')!r}, crop {crop}") from None
         pgm = pred_dir / "pred" / f"{sid}.pgm"
         y_hat = read_pgm(pgm).astype(np.int64)
-        gt = crop_resize(samples[sid], box, y_hat.shape[0], y_hat.shape[1]).labels
+        try:
+            gt = crop_resize(samples[sid], box, y_hat.shape[0], y_hat.shape[1]).labels
+        except ValueError as e:
+            raise UsageError(f"crops.csv row for {sid} in {pred_dir}: {e}") from None
         try:
             conf = confusion_matrix(y_hat, gt)
         except ValueError as e:
@@ -306,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corruptions", default="none",
                    help="comma list of none|blur|occlusion|domain_shift")
     p.add_argument("--severities", default="0,0", help="LO,HI severity range")
-    p.add_argument("--size", type=lambda s: tuple(int(x) for x in s.split("x")),
-                   default=(120, 160), help="frame size HxW")
+    p.add_argument("--size", default="120x160", help="frame size HxW, at least 64x64")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train-seg", help="train the segmentation network")

@@ -1,7 +1,7 @@
 """Run configuration: one JSON-serializable dataclass for every stage.
 
-The JSON round-trip is exact (all fields are ints, floats, strings, lists,
-or dicts), and ``content_hash`` gives a stable fingerprint embedded in
+The JSON round-trip is exact (all fields are ints, floats or lists of
+ints), and ``content_hash`` gives a stable fingerprint embedded in
 checkpoints and reports so artifacts are traceable to their config.
 """
 
@@ -35,12 +35,8 @@ class RunConfig:
     unc_batch: int = 8
     # data handling
     bbox_jitter: float = 0.10
-    corruption_mix: dict[str, float] = field(default_factory=lambda: {
-        "none": 0.25, "blur": 0.25, "occlusion": 0.25, "domain_shift": 0.25})
     # evaluation
-    pcts: list[float] = field(default_factory=lambda: [1.0, 2.0, 3.0, 4.0, 5.0])
     tau: float = 0.0
-    temperature: float = 1.0
 
     def __post_init__(self):
         if self.d < 4:

@@ -98,12 +98,12 @@ def detect_eye_heuristic(image: np.ndarray) -> BBox:
                       side, side, fh, fw)
 
 
-def jitter_gt_bbox(gt: tuple[int, int, int, int] | BBox, rng: Rng,
+def jitter_gt_bbox(gt: tuple[int, int, int, int], rng: Rng,
                    max_shift: float, frame_h: int, frame_w: int) -> BBox:
-    """Perturb a ground-truth box by up to ``max_shift`` of its size."""
+    """Perturb a ground-truth (l, t, h, w) box by up to ``max_shift`` of its size."""
     if not (0.0 <= max_shift <= 0.25):
         raise ValueError(f"max_shift must be in [0, 0.25], got {max_shift}")
-    l, t, h, w = gt.as_tuple() if isinstance(gt, BBox) else gt
+    l, t, h, w = gt
     if max_shift == 0.0:
         return _clamp_box(l, t, h, w, frame_h, frame_w)
     scale = 1.0 + rng.uniform(-max_shift, max_shift)

@@ -190,17 +190,17 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Conv2d:
-    """k x k same-padding conv layer with bias, on [C,N,H,W] activations.
+    """3x3 same-padding conv layer with bias, on [C,N,H,W] activations.
 
     ``forward`` keeps a reference to its input, from which ``backward``
     rebuilds the im2col bands for the kernel gradient.
     """
 
-    def __init__(self, name: str, c_in: int, c_out: int, k: int = 3):
+    def __init__(self, name: str, c_in: int, c_out: int):
         self.name = name
-        self.c_in, self.c_out, self.k = c_in, c_out, k
-        self.pad = (k - 1) // 2
-        self.kernel = np.zeros((c_out, c_in, k, k))
+        self.c_in, self.c_out, self.k = c_in, c_out, 3
+        self.pad = 1
+        self.kernel = np.zeros((c_out, c_in, self.k, self.k))
         self.bias = np.zeros(c_out)
         self._x: np.ndarray | None = None
 

@@ -51,11 +51,10 @@ class SgdMomentum:
             p -= self.lr * scale * v
 
 
-def lr_schedule(base_lr: float, step: int, total_steps: int,
-                warmup_steps: int = 100) -> float:
-    """Linear warmup from 0.1x over ``warmup_steps``, then linear decay to
-    0.1x at the end of training (deterministic in the step index)."""
-    warm = min(1.0, 0.1 + 0.9 * step / max(1, warmup_steps))
+def lr_schedule(base_lr: float, step: int, total_steps: int) -> float:
+    """Linear warmup from 0.1x over the first 100 steps, then linear decay
+    to 0.1x at the end of training (deterministic in the step index)."""
+    warm = min(1.0, 0.1 + 0.9 * step / 100)
     frac = step / max(1, total_steps)
     return base_lr * warm * (1.0 - 0.9 * frac)
 

@@ -18,12 +18,12 @@ import numpy as np
 
 from .config import RunConfig
 from .detect import BBox, crop_resize, detect_eye_heuristic, jitter_gt_bbox
-from .metrics import N_CLASSES, confusion_matrix
+from .metrics import N_CLASSES, confusion_matrix, metrics_from_confusion
 from .rng import Rng
-from .segnet import SegModel, predict_batch
+from .segnet import INFER_BATCH, SegModel, predict_batch, train_seg
 from .synth import Sample
-from .uncertainty import UncHead, unc_score
-from .evaluate import threshold_decision
+from .uncertainty import UncHead, train_unc, unc_score
+from .evaluate import rank_and_filter, threshold_decision
 
 DETECTOR_MODES = ("gt-jitter", "heuristic", "full")
 
@@ -67,13 +67,12 @@ class Prediction:
 
 
 def infer_samples(samples: list[Sample], seg: SegModel, head: UncHead,
-                  config: RunConfig, detector: str = "gt-jitter",
-                  batch: int = 16) -> list[Prediction]:
+                  config: RunConfig, detector: str = "gt-jitter") -> list[Prediction]:
     """Detect, crop, segment, and score every sample."""
     images, _, boxes, ids = build_crops(samples, config, detector)
     preds: list[Prediction] = []
-    for i in range(0, len(samples), batch):
-        y_hat, stages = predict_batch(seg, images[i:i + batch])
+    for i in range(0, len(samples), INFER_BATCH):
+        y_hat, stages = predict_batch(seg, images[i:i + INFER_BATCH])
         scores = unc_score(head.forward(stages), config.eps_floor)
         for j in range(len(y_hat)):
             s = float(scores[j])
@@ -102,15 +101,10 @@ def per_image_confusions(samples: list[Sample], preds: list[Prediction],
 
 
 def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample],
-                          config: RunConfig) -> dict:
+                          config: RunConfig, pcts: list[float]) -> dict:
     """Train and score two equal-FLOPs pipelines: eye-box crops vs whole
     frames resized to the crop size.  Returns unfiltered MIoU and the
-    filtered-MIoU curve for each."""
-    from .evaluate import rank_and_filter
-    from .metrics import metrics_from_confusion
-    from .segnet import train_seg
-    from .uncertainty import train_unc
-
+    filtered-MIoU curve at each of ``pcts`` for each."""
     report: dict = {}
     for name, mode in (("crop", "gt-jitter"), ("full", "full")):
         images, labels, _, _ = build_crops(train_samples, config, mode)
@@ -122,7 +116,7 @@ def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample
         for c in confs:
             agg += c
         filtered = rank_and_filter([p.sample_id for p in preds],
-                                   [p.s_unc for p in preds], confs, config.pcts)
+                                   [p.s_unc for p in preds], confs, pcts)
         report[name] = {
             "miou": metrics_from_confusion(agg)["miou"],
             "filtered": [{"pct": f.threshold_pct,

@@ -55,9 +55,9 @@ class Rng:
     integer, without consuming draws from the parent.
     """
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         self.seed = seed & _MASK
-        self.counter = counter
+        self.counter = 0
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed:#x}, counter={self.counter})"

@@ -127,13 +127,14 @@ def predict_batch(model: SegModel, images: np.ndarray
     return np.argmax(logits, axis=0).reshape(images.shape), feats
 
 
-def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray,
-             with_grads: bool = True) -> tuple[float, dict[str, np.ndarray] | None]:
-    """Cross-entropy: mean over the batch of per-image sums over pixels of
-    -log p at the true class (probabilities clamped at 1e-12)."""
+def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray
+             ) -> tuple[float, dict[str, np.ndarray]]:
+    """Cross-entropy and its parameter gradients: mean over the batch of
+    per-image sums over pixels of -log p at the true class (probabilities
+    clamped at 1e-12)."""
     check_labels(labels)
     n, h, w = images.shape
-    feats = model.forward_batch(images, keep_cache=with_grads)
+    feats = model.forward_batch(images, keep_cache=True)
     d = model.config.d
     zmat = feats.z.reshape(d, -1)
     logits = model.head @ zmat                      # [4, N*H*W]
@@ -141,8 +142,6 @@ def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray,
     flat_labels = labels.reshape(-1)
     p_true = probs[flat_labels, np.arange(flat_labels.size)]
     loss = float(-np.log(np.maximum(p_true, 1e-12)).sum() / n)
-    if not with_grads:
-        return loss, None
     glogit = probs.copy()
     glogit[flat_labels, np.arange(flat_labels.size)] -= 1.0
     glogit /= n
@@ -157,15 +156,18 @@ def class_centers(model: SegModel) -> np.ndarray:
     return model.head.copy()
 
 
-def evaluate_miou(model: SegModel, images: np.ndarray, labels: np.ndarray,
-                  batch: int = 16) -> float:
+# crops per forward pass when predicting (MIoU logging and inference)
+INFER_BATCH = 16
+
+
+def evaluate_miou(model: SegModel, images: np.ndarray, labels: np.ndarray) -> float:
     """Aggregate-confusion MIoU of the model over a crop set."""
     conf = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for i in range(0, len(images), batch):
+    for i in range(0, len(images), INFER_BATCH):
         # [0] alone: binding the features too keeps them alive through the
         # next batch's forward
-        y_hat = predict_batch(model, images[i:i + batch])[0]
-        conf += confusion_matrix(y_hat, labels[i:i + batch])
+        y_hat = predict_batch(model, images[i:i + INFER_BATCH])[0]
+        conf += confusion_matrix(y_hat, labels[i:i + INFER_BATCH])
     return metrics_from_confusion(conf)["miou"]
 
 
@@ -190,7 +192,7 @@ TRAIN_MIOU_SUBSET = 256
 
 
 def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig,
-              log: list | None = None, miou_subset: int = TRAIN_MIOU_SUBSET) -> SegModel:
+              log: list | None = None) -> SegModel:
     """``optim.fit`` of a fresh model on pre-computed crops.
 
     ``log`` (if given) receives (epoch, mean_loss, train_miou) rows, with
@@ -208,7 +210,7 @@ def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig,
                  lr_scales=SEG_LR_SCALES)
     for epoch, (mean_loss,) in epochs:
         if log is not None:
-            k = min(miou_subset, len(images))
+            k = min(TRAIN_MIOU_SUBSET, len(images))
             log.append((epoch, mean_loss, evaluate_miou(model, images[:k], labels[:k])))
     return model
 

@@ -133,29 +133,24 @@ def _check_cov(cov: np.ndarray) -> None:
         raise ValueError(f"non-positive variance: min {cov.min()}")
 
 
-def original_loss_batch(cov: np.ndarray, v: np.ndarray,
-                        with_grad: bool = False) -> tuple[float, np.ndarray | None]:
-    """Prior/posterior CE, mean over pixels; optional gradient wrt cov."""
+def original_loss_batch(cov: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """Prior/posterior CE, mean over pixels, and its gradient wrt cov."""
     _check_cov(cov)
     d = cov.shape[0]
     npix = cov[0].size
     v2 = v * v
     loss = float((0.5 * (v2 / cov) + 0.5 * np.log(cov)).sum() / npix
                  + 0.5 * d * LN_2PI)
-    if not with_grad:
-        return loss, None
     grad = (0.5 / cov - 0.5 * v2 / (cov * cov)) / npix
     return loss, grad
 
 
-def surrogate_loss_batch(cov: np.ndarray, v: np.ndarray,
-                         with_grad: bool = False) -> tuple[float, np.ndarray | None]:
-    """Least squares on the variance target v*v, mean over pixels."""
+def surrogate_loss_batch(cov: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least squares on the variance target v*v, mean over pixels, and its
+    gradient wrt cov."""
     npix = cov[0].size
     diff = cov - v * v
     loss = float((diff * diff).sum() / npix)
-    if not with_grad:
-        return loss, None
     return loss, 2.0 * diff / npix
 
 
@@ -197,13 +192,14 @@ def brute_force_optimal_cov(v: np.ndarray, iters: int = 100) -> np.ndarray:
 
 
 def grad_vanishing_probe(v: np.ndarray, scale: float) -> tuple[float, float]:
-    """Gradient norms of both losses wrt the diagonal at cov = scale * I."""
+    """Gradient norms of both losses wrt the diagonal at cov = scale * I,
+    for the residual ``v`` of a single pixel."""
     if scale <= 0.0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    v = np.asarray(v, dtype=np.float64)
-    v2 = v * v
-    g_orig = 0.5 / scale - 0.5 * v2 / (scale * scale)
-    g_surr = 2.0 * (scale - v2)
+    v = np.asarray(v, dtype=np.float64).reshape(-1, 1, 1, 1)
+    cov = np.full_like(v, scale)
+    g_orig = original_loss_batch(cov, v)[1]
+    g_surr = surrogate_loss_batch(cov, v)[1]
     return float(np.linalg.norm(g_orig)), float(np.linalg.norm(g_surr))
 
 
@@ -228,8 +224,8 @@ def unc_score(cov: np.ndarray, eps_floor: float = 0.0) -> np.ndarray:
 
 
 def landscape_grid(v: np.ndarray, w_range: tuple[float, float], n: int) -> list[dict]:
-    """Evaluate both losses and gradient norms of a single 2-D pixel on an
-    n x n grid over the two diagonal variances (w1, w2)."""
+    """Evaluate both training losses and their gradient norms for a single
+    2-D pixel on an n x n grid over the two diagonal variances (w1, w2)."""
     lo, hi = w_range
     if not 0.0 < lo < hi:
         raise ValueError(f"grid range must start above 0 and below its end, got {lo},{hi}")
@@ -238,16 +234,14 @@ def landscape_grid(v: np.ndarray, w_range: tuple[float, float], n: int) -> list[
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (2,):
         raise ValueError(f"landscape is over 2 free variables, got v shape {v.shape}")
-    v2 = v * v
+    v = v.reshape(2, 1, 1, 1)
     ws = np.linspace(lo, hi, n)
     rows = []
     for w1 in ws:
         for w2 in ws:
-            w = np.array([w1, w2])
-            orig = float((0.5 * v2 / w + 0.5 * np.log(w)).sum() + LN_2PI)
-            og = 0.5 / w - 0.5 * v2 / (w * w)
-            surr = float(((w - v2) ** 2).sum())
-            sg = 2.0 * (w - v2)
+            w = np.array([w1, w2]).reshape(2, 1, 1, 1)
+            orig, og = original_loss_batch(w, v)
+            surr, sg = surrogate_loss_batch(w, v)
             rows.append({"w1": float(w1), "w2": float(w2),
                          "orig_loss": orig,
                          "orig_gnorm": float(np.linalg.norm(og)),
@@ -296,7 +290,7 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
         stages = seg_model.forward_batch(images[idx])
         v = residual_targets(stages.z, labels[idx], centers)
         cov = head.forward(stages, keep_cache=True)
-        loss, dcov = loss_fn(cov, v, with_grad=True)
+        loss, dcov = loss_fn(cov, v)
         return loss, head.backward(dcov), float(np.abs(cov - v * v).mean())
 
     epochs = fit(step_batch, head.params(), n, epochs=config.unc_epochs,

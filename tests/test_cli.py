@@ -278,6 +278,32 @@ def write_label(pred, value):
     write_pgm(pred / "pred" / "s000000.pgm", y_hat)
 
 
+def replace_crop(pred, box):
+    rows = (pred / "crops.csv").read_text().split("\n")
+    assert rows[1].startswith("s000000,")
+    rows[1] = ",".join(["s000000", *map(str, box)])
+    (pred / "crops.csv").write_text("\n".join(rows))
+
+
+def gen(*extra):
+    def argv(tmp_path, root, pred):
+        return ["gen", "--out", str(tmp_path / "g"), "--seed", "1", *extra]
+    return argv
+
+
+def infer_with_config_field(field, value):
+    """infer with a seg checkpoint whose stored config carries ``field``."""
+    def argv(tmp_path, root, pred):
+        seg = tmp_path / "seg"
+        shutil.copytree(root / "seg", seg)
+        header = json.loads((seg / "header.json").read_text())
+        header["config"][field] = value
+        (seg / "header.json").write_text(json.dumps(header))
+        return ["infer", "--data", str(root / "data"), "--seg", str(seg),
+                "--unc", str(root / "unc"), "--out", str(tmp_path / "p")]
+    return argv
+
+
 def landscape(*extra):
     def argv(tmp_path, root, pred):
         return ["landscape", "--v", "1,2", "--range", "0.5,5.0", *extra,
@@ -300,6 +326,17 @@ BAD_INPUTS = {
     "pcts-150": (eval_with(lambda p: None, "150"), "got 150.0"),
     "pcts-text": (eval_with(lambda p: None, "a,b"), "'a,b'"),
     "pred-label-7": (eval_with(lambda p: write_label(p, 7)), "s000000.pgm: labels outside"),
+    "crop-outside-frame": (eval_with(lambda p: replace_crop(p, (150, 10, 60, 60))),
+                           "crops.csv row for s000000"),
+    "crop-zero-size": (eval_with(lambda p: replace_crop(p, (10, 10, 0, 40))),
+                       "crops.csv row for s000000"),
+    "gen-size-10x10": (gen("--n", "1", "--size", "10x10"), "--size must be at least 64x64"),
+    "gen-size-0x0": (gen("--n", "1", "--size", "0x0"), "--size must be at least 64x64"),
+    "gen-size-100": (gen("--n", "1", "--size", "100"), "--size expects HxW, got '100'"),
+    "gen-n-0": (gen("--n", "0"), "--n must be >= 1, got 0"),
+    "gen-n-negative": (gen("--n", "-1"), "--n must be >= 1, got -1"),
+    "checkpoint-temperature": (infer_with_config_field("temperature", 1.0),
+                               "unknown config fields: ['temperature']"),
 }
 
 
@@ -313,6 +350,7 @@ def test_bad_input_exit_2_naming_it(predicted, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert expected in err and "Traceback" not in err, err
     assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "g").exists()
 
 
 class TestLandscape:

@@ -11,8 +11,7 @@ from ocuseg.rng import Rng
 
 class TestRunConfig:
     def test_json_roundtrip_equality(self):
-        cfg = RunConfig(seed=11, crop_h=48, crop_w=48, tau=12.5,
-                        pcts=[1.0, 3.0], corruption_mix={"blur": 1.0})
+        cfg = RunConfig(seed=11, crop_h=48, crop_w=48, tau=12.5, widths=[6, 12])
         back = RunConfig.from_json(cfg.to_json())
         assert back == cfg
 
@@ -37,6 +36,11 @@ class TestRunConfig:
             RunConfig(crop_h=50)
         with pytest.raises(ValueError, match="unknown config fields"):
             RunConfig.from_json('{"seed": 1, "bogus": 2}')
+        # fields that older configs carried and nothing read
+        for field, value in (("corruption_mix", {"blur": 1.0}), ("temperature", 1.0),
+                             ("pcts", [1.0, 2.0])):
+            with pytest.raises(ValueError, match=rf"unknown config fields: \['{field}'\]"):
+                RunConfig.from_json(json.dumps({"seed": 1, field: value}))
 
 
 class TestCheckpoint:

@@ -1,8 +1,8 @@
 import numpy as np
 
 from ocuseg.config import RunConfig
-from ocuseg.pipeline import (build_crops, choose_bbox, crops_ground_truth,
-                             infer_samples, per_image_confusions)
+from ocuseg.pipeline import (ablation_crop_vs_full, build_crops, choose_bbox,
+                             crops_ground_truth, infer_samples, per_image_confusions)
 from ocuseg.rng import Rng
 from ocuseg.segnet import SegModel
 from ocuseg.synth import generate_dataset
@@ -67,3 +67,18 @@ def test_confusions_align_with_ground_truth():
     assert len(confs) == len(samples)
     for p, c in zip(preds, confs):
         assert c.sum() == gt[p.sample_id].size
+
+
+def test_ablation_crop_vs_full_reports_both_arms():
+    cfg = RunConfig(seed=3, crop_h=32, crop_w=32, d=4, widths=[4, 8], head_width=4,
+                    seg_epochs=1, unc_epochs=1)
+    train = generate_dataset(6, seed=21)
+    test = generate_dataset(6, seed=22, kinds=["none", "blur"], sev_range=(0.3, 0.9))
+    report = ablation_crop_vs_full(train, test, cfg, [20.0, 50.0])
+    assert set(report) == {"crop", "full"}
+    for arm in report.values():
+        assert 0.0 <= arm["miou"] <= 1.0
+        assert [row["pct"] for row in arm["filtered"]] == [20.0, 50.0]
+        assert [row["retained_count"] for row in arm["filtered"]] == [5, 3]
+        assert all(0.0 <= row["retained_miou"] <= 1.0 for row in arm["filtered"])
+    assert ablation_crop_vs_full(train, test, cfg, [20.0, 50.0]) == report

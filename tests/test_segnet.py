@@ -75,7 +75,7 @@ class TestSegLoss:
     def test_uniform_probs_loss_is_ln4_per_pixel(self, tiny_config, tiny_batch):
         model = SegModel(tiny_config)     # zero params -> uniform probs
         images, labels = tiny_batch
-        loss, _ = seg_loss(model, images, labels, with_grads=False)
+        loss, _ = seg_loss(model, images, labels)
         assert loss == pytest.approx(16 * 16 * math.log(4), rel=1e-12)
 
     def test_perfect_probs_loss_near_zero(self, tiny_config, tiny_batch):
@@ -86,7 +86,7 @@ class TestSegLoss:
         model.head = np.eye(4, tiny_config.d)
         images, _ = tiny_batch
         labels = np.ones_like(images, dtype=np.int64)
-        loss, _ = seg_loss(model, images, labels, with_grads=False)
+        loss, _ = seg_loss(model, images, labels)
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_invalid_labels_rejected(self, tiny_config, tiny_batch):

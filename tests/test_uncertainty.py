@@ -215,7 +215,7 @@ class TestHeadTraining:
             def f(wv):
                 head.set_params(unpack_params(wv, layout))
                 cov = head.forward(stages, keep_cache=True)
-                loss, dcov = loss_fn(cov, v, with_grad=True)
+                loss, dcov = loss_fn(cov, v)
                 grads = head.backward(dcov)
                 gvec, _ = pack_params({k: grads[k] for k, _ in layout})
                 return loss, gvec
