@@ -179,16 +179,16 @@ def _read_csv(path: Path) -> list[dict[str, str]]:
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
-def _check_score_ids(score_ids: list[str], dataset_ids) -> None:
-    """scores.csv must list each dataset id exactly once and nothing else."""
-    counts = Counter(score_ids)
+def _check_row_ids(name: str, row_ids: list[str], dataset_ids) -> None:
+    """The CSV ``name`` must list each dataset id exactly once and nothing else."""
+    counts = Counter(row_ids)
     bad = {"unknown ids": [sid for sid in counts if sid not in dataset_ids],
            "dataset ids without a row": [sid for sid in dataset_ids if sid not in counts],
            "duplicated ids": [sid for sid, c in counts.items() if c > 1]}
     problems = [f"{len(ids)} {what} ({', '.join(sorted(ids)[:20])})"
                 for what, ids in bad.items() if ids]
     if problems:
-        raise UsageError("scores.csv does not match the dataset: " + "; ".join(problems))
+        raise UsageError(f"{name} does not match the dataset: " + "; ".join(problems))
 
 
 def cmd_eval(args) -> int:
@@ -202,13 +202,14 @@ def cmd_eval(args) -> int:
         raise UsageError(f"malformed {pred_dir / 'meta.json'}: {e}") from None
     if not isinstance(meta, dict):
         raise UsageError(f"malformed {pred_dir / 'meta.json'}: not a JSON object")
-    scores_rows = _read_csv(pred_dir / "scores.csv")
-    crops_rows = {r["sample_id"]: r for r in _read_csv(pred_dir / "crops.csv")}
     samples = {s.sample_id: s for s in read_dataset(args.data)}
-    _check_score_ids([r["sample_id"] for r in scores_rows], samples)
+    scores_rows = _read_csv(pred_dir / "scores.csv")
+    crops_list = _read_csv(pred_dir / "crops.csv")
+    _check_row_ids("scores.csv", [r["sample_id"] for r in scores_rows], samples)
+    _check_row_ids("crops.csv", [r["sample_id"] for r in crops_list], samples)
+    crops_rows = {r["sample_id"]: r for r in crops_list}
 
-    missing = [sid for sid in samples if sid not in crops_rows
-               or not (pred_dir / "pred" / f"{sid}.pgm").exists()]
+    missing = [sid for sid in samples if not (pred_dir / "pred" / f"{sid}.pgm").exists()]
     if missing:
         raise UsageError("predictions missing for: " + ", ".join(sorted(missing)[:20]))
 

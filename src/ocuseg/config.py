@@ -39,8 +39,9 @@ class RunConfig:
     tau: float = 0.0
 
     def __post_init__(self):
-        if self.d < 4:
-            raise ValueError(f"d must be >= 4, got {self.d}")
+        for name in ("d", "crop_h", "crop_w"):
+            if getattr(self, name) < 4:
+                raise ValueError(f"{name} must be >= 4, got {getattr(self, name)}")
         if self.crop_h % 4 or self.crop_w % 4:
             raise ValueError(f"crop size must be divisible by 4, got "
                              f"{self.crop_h}x{self.crop_w}")
@@ -48,6 +49,11 @@ class RunConfig:
             raise ValueError(f"widths must list two stage widths, got {self.widths}")
         if not self.eps_floor > 0.0:
             raise ValueError(f"eps_floor must be > 0, got {self.eps_floor}")
+        if not 0.0 <= self.bbox_jitter <= 0.25:
+            raise ValueError(f"bbox_jitter must be in [0, 0.25], got {self.bbox_jitter}")
+        for name in ("seg_lr", "unc_lr"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("seg_epochs", "seg_batch", "unc_epochs", "unc_batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,32 +33,44 @@ def iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
 
 
 def _largest_component(mask: np.ndarray) -> np.ndarray | None:
-    """Largest 4-connected True component, as a boolean mask (BFS flood fill)."""
-    h, w = mask.shape
-    seen = np.zeros_like(mask)
-    best: np.ndarray | None = None
-    best_size = 0
-    idx_r, idx_c = np.nonzero(mask)
-    for r0, c0 in zip(idx_r, idx_c):
-        if seen[r0, c0]:
-            continue
-        stack = [(r0, c0)]
-        seen[r0, c0] = True
-        comp = []
-        while stack:
-            r, c = stack.pop()
-            comp.append((r, c))
-            for rn, cn in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if 0 <= rn < h and 0 <= cn < w and mask[rn, cn] and not seen[rn, cn]:
-                    seen[rn, cn] = True
-                    stack.append((rn, cn))
-        if len(comp) > best_size:
-            best_size = len(comp)
-            best = np.array(comp)
-    if best is None:
+    """Largest 4-connected True component as a boolean mask, or None when
+    ``mask`` has no True pixel.
+
+    4-connected union-find labeling of the True pixels, numbered in
+    row-major order: every edge hooks its larger root onto its smaller one
+    and pointer jumping flattens the trees, until each edge joins equal
+    roots.  Each label is then its component's first pixel, so ``argmax``
+    (first maximum) keeps the earliest of equal-size components.
+    """
+    pos = np.flatnonzero(mask)
+    n = pos.size
+    if n == 0:
         return None
+    w = mask.shape[1]
+    # flat positions of each horizontal pair's left pixel (k // (w - 1)
+    # counts the rows before it; k is empty when w == 1) and of each
+    # vertical pair's upper pixel; searchsorted in the sorted ``pos`` turns
+    # a flat position into its pixel's number
+    k = np.flatnonzero(mask[:, :-1] & mask[:, 1:])
+    horiz = k + k // (w - 1)
+    vert = np.flatnonzero(mask[:-1] & mask[1:])
+    a = np.searchsorted(pos, np.concatenate([horiz, vert]))
+    b = np.searchsorted(pos, np.concatenate([horiz + 1, vert + w]))
+    lab = np.arange(n)
+    while True:
+        ra, rb = lab[a], lab[b]
+        split = ra != rb
+        if not split.any():
+            break
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(lab, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = lab[lab]
+            if (jumped == lab).all():
+                break
+            lab = jumped
     out = np.zeros_like(mask)
-    out[best[:, 0], best[:, 1]] = True
+    out[mask] = lab == np.argmax(np.bincount(lab))
     return out
 
 

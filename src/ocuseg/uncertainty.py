@@ -259,7 +259,9 @@ UNC_CLIP_NORM = 500.0
 
 def _softplus_inverse(y: np.ndarray) -> np.ndarray:
     y = np.maximum(y, 1e-3)
-    return np.where(y > 30.0, y, np.log(np.expm1(y)))
+    # np.where evaluates both branches; capping expm1's input keeps the
+    # unused one finite without changing either branch's value
+    return np.where(y > 30.0, y, np.log(np.expm1(np.minimum(y, 30.0))))
 
 
 def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,

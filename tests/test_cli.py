@@ -285,6 +285,11 @@ def replace_crop(pred, box):
     (pred / "crops.csv").write_text("\n".join(rows))
 
 
+def append_crop(pred, row):
+    with open(pred / "crops.csv", "a") as f:
+        f.write(row + "\n")
+
+
 def gen(*extra):
     def argv(tmp_path, root, pred):
         return ["gen", "--out", str(tmp_path / "g"), "--seed", "1", *extra]
@@ -317,6 +322,11 @@ BAD_INPUTS = {
     "unc_epochs": (train_with("unc_epochs"), "unc_epochs must be >= 1, got 0"),
     "unc_batch": (train_with("unc_batch"), "unc_batch must be >= 1, got 0"),
     "eps_floor": (train_with("eps_floor", -5.0), "eps_floor must be > 0, got -5.0"),
+    "bbox_jitter": (train_with("bbox_jitter", 0.5), "bbox_jitter must be in [0, 0.25], got 0.5"),
+    "seg_lr": (train_with("seg_lr", -1.0), "seg_lr must be >= 0, got -1.0"),
+    "unc_lr": (train_with("unc_lr", -1.0), "unc_lr must be >= 0, got -1.0"),
+    "crop_h": (train_with("crop_h", 0), "crop_h must be >= 4, got 0"),
+    "crop_w": (train_with("crop_w", 0), "crop_w must be >= 4, got 0"),
     "landscape-n": (landscape("--n", "5"), "--n 5"),
     "landscape-v": (landscape("--v", "1,2,3"), "--v 1,2,3"),
     "s_unc": (eval_with(lambda p: replace_score(p, "abc")), "s_unc 'abc'"),
@@ -330,6 +340,10 @@ BAD_INPUTS = {
                            "crops.csv row for s000000"),
     "crop-zero-size": (eval_with(lambda p: replace_crop(p, (10, 10, 0, 40))),
                        "crops.csv row for s000000"),
+    "crop-duplicated": (eval_with(lambda p: append_crop(p, "s000000,0,0,120,160")),
+                        "crops.csv does not match the dataset: 1 duplicated ids (s000000)"),
+    "crop-unknown": (eval_with(lambda p: append_crop(p, "x00,0,0,120,160")),
+                     "crops.csv does not match the dataset: 1 unknown ids (x00)"),
     "gen-size-10x10": (gen("--n", "1", "--size", "10x10"), "--size must be at least 64x64"),
     "gen-size-0x0": (gen("--n", "1", "--size", "0x0"), "--size must be at least 64x64"),
     "gen-size-100": (gen("--n", "1", "--size", "100"), "--size expects HxW, got '100'"),

@@ -1,10 +1,95 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ocuseg import detect
 from ocuseg.detect import (BBox, crop_resize, detect_eye_heuristic, iou,
                            jitter_gt_bbox)
 from ocuseg.rng import Rng
-from ocuseg.synth import generate_dataset
+from ocuseg.synth import CORRUPTION_KINDS, generate_dataset
+
+
+def bfs_largest_component(mask):
+    """Reference: BFS flood fill from each unseen True pixel in row-major
+    order, replacing the best only on a strictly larger component."""
+    h, w = mask.shape
+    seen = np.zeros_like(mask)
+    best, best_size = None, 0
+    for r0, c0 in zip(*np.nonzero(mask)):
+        if seen[r0, c0]:
+            continue
+        stack = [(r0, c0)]
+        seen[r0, c0] = True
+        comp = []
+        while stack:
+            r, c = stack.pop()
+            comp.append((r, c))
+            for rn, cn in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if 0 <= rn < h and 0 <= cn < w and mask[rn, cn] and not seen[rn, cn]:
+                    seen[rn, cn] = True
+                    stack.append((rn, cn))
+        if len(comp) > best_size:
+            best, best_size = np.array(comp), len(comp)
+    if best is None:
+        return None
+    out = np.zeros_like(mask)
+    out[best[:, 0], best[:, 1]] = True
+    return out
+
+
+def assert_same_component(mask):
+    got, want = detect._largest_component(mask), bfs_largest_component(mask)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    return got
+
+
+@st.composite
+def masks(draw, max_side=23):
+    h = draw(st.integers(1, max_side))
+    w = draw(st.integers(1, max_side))
+    density = draw(st.sampled_from([0.2, 0.5, 0.6, 0.8]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random((h, w)) < density
+
+
+class TestLargestComponent:
+    @given(masks())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_bfs_on_random_masks(self, mask):
+        assert_same_component(mask)
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bfs_on_single_row_or_column(self, n, seed, column):
+        mask = np.random.default_rng(seed).random((1, n)) < 0.6
+        assert_same_component(mask.T if column else mask)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 11)])
+    def test_all_false_and_all_true(self, shape):
+        assert assert_same_component(np.zeros(shape, dtype=bool)) is None
+        full = np.ones(shape, dtype=bool)
+        assert np.array_equal(assert_same_component(full), full)
+
+    def test_tie_keeps_component_whose_first_pixel_comes_first(self):
+        # two 4-pixel blobs: a vertical bar from (0, 5) and a horizontal bar
+        # at (1, 0)-(1, 3); the vertical bar's first pixel comes first in
+        # row-major order, although three of its pixels come after the other
+        mask = np.zeros((5, 7), dtype=bool)
+        mask[0:4, 5] = True
+        mask[1, 0:4] = True
+        got = assert_same_component(mask)
+        assert np.array_equal(np.argwhere(got), [[0, 5], [1, 5], [2, 5], [3, 5]])
+
+    def test_detector_boxes_match_bfs_on_mixed_frames(self, monkeypatch):
+        samples = generate_dataset(64, seed=29, kinds=["none", *CORRUPTION_KINDS],
+                                   sev_range=(0.05, 1.0))
+        boxes = [detect_eye_heuristic(s.image) for s in samples]
+        monkeypatch.setattr(detect, "_largest_component", bfs_largest_component)
+        assert boxes == [detect_eye_heuristic(s.image) for s in samples]
 
 
 class TestDetector:

@@ -7,7 +7,7 @@ from ocuseg.config import RunConfig
 from ocuseg.gradcheck import grad_check, pack_params, unpack_params
 from ocuseg.rng import Rng
 from ocuseg.segnet import SegModel, class_centers
-from ocuseg.uncertainty import (UncHead, brute_force_optimal_cov,
+from ocuseg.uncertainty import (UncHead, _softplus_inverse, brute_force_optimal_cov,
                                 grad_vanishing_probe, head_flops, landscape_grid,
                                 optimal_cov_oracle, original_loss_batch,
                                 quad_form_trace_check, residual_targets,
@@ -235,6 +235,13 @@ class TestHeadTraining:
         model, _, _, _, images, labels = seg_and_batch(tiny_config, tiny_batch)
         with pytest.raises(ValueError, match="loss_kind"):
             train_unc(images, labels, model, "kl", tiny_config)
+
+    def test_softplus_inverse_large_input_without_overflow(self):
+        # an expm1 overflow in the branch np.where discards raises here
+        with np.errstate(all="raise"):
+            out = _softplus_inverse(np.array([1e3, 0.5]))
+        assert out[0] == 1e3
+        assert out[1] == np.log(np.expm1(0.5))
 
     def test_target_error_decreases(self, tiny_config, tiny_batch):
         model, _, _, _, images, labels = seg_and_batch(tiny_config, tiny_batch)
