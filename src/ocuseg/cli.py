@@ -102,6 +102,7 @@ def cmd_train_seg(args) -> int:
     if not samples:
         raise UsageError(f"dataset {args.data} is empty")
     images, labels, _, _ = build_crops(samples, config, "gt-jitter")
+    del samples     # the decoded frames are not needed once cropped
     log: list = []
     model = train_seg(images, labels, config, log=log)
     save_checkpoint(args.out, config, model.params())
@@ -131,6 +132,7 @@ def cmd_train_unc(args) -> int:
     if not samples:
         raise UsageError(f"dataset {args.data} is empty")
     images, labels, _, _ = build_crops(samples, config, "gt-jitter")
+    del samples     # the decoded frames are not needed once cropped
     log: list = []
     head = train_unc(images, labels, seg, args.loss, config, log=log)
     save_checkpoint(args.out, config, head.params())
@@ -173,9 +175,14 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _read_csv(path: Path) -> list[dict[str, str]]:
+def _read_csv(path: Path, required: tuple[str, ...]) -> list[dict[str, str]]:
+    """Rows of a CSV file as dicts keyed by its header, which must name
+    every ``required`` column."""
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     header = lines[0].split(",")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise UsageError(f"{path} lacks columns {missing} (header: {lines[0]!r})")
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
@@ -203,8 +210,8 @@ def cmd_eval(args) -> int:
     if not isinstance(meta, dict):
         raise UsageError(f"malformed {pred_dir / 'meta.json'}: not a JSON object")
     samples = {s.sample_id: s for s in read_dataset(args.data)}
-    scores_rows = _read_csv(pred_dir / "scores.csv")
-    crops_list = _read_csv(pred_dir / "crops.csv")
+    scores_rows = _read_csv(pred_dir / "scores.csv", ("sample_id", "s_unc"))
+    crops_list = _read_csv(pred_dir / "crops.csv", ("sample_id", "l", "t", "h", "w"))
     _check_row_ids("scores.csv", [r["sample_id"] for r in scores_rows], samples)
     _check_row_ids("crops.csv", [r["sample_id"] for r in crops_list], samples)
     crops_rows = {r["sample_id"]: r for r in crops_list}

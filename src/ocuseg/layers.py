@@ -6,15 +6,24 @@ one ``[C, H, W]`` image.
 
 Convolutions are cross-correlations with zero padding and mandatory
 "same" geometry: the kernel side must be odd and ``pad == (k - 1) // 2``.
-Both conv passes are GEMMs over im2col slabs (Chellapilla et al. 2006),
-built for one image and one band of output rows at a time so that each
-slab (about ``_BAND_BYTES``) stays in cache and no batch-sized slab ever
-exists.  The forward pass runs one GEMM per band; the kernel gradient
-rebuilds the same bands from the kept input and sums one GEMM per band.
-The input gradient is itself a same-size convolution of the output
-gradient (the transposed convolution: spatially flipped kernel, in/out
-channels swapped).  A caller can ask for only the leading input channels
-of that gradient, or for none, when the rest feeds frozen or absent inputs.
+Every conv pass is a set of GEMMs over slabs built for one image and one
+band of output rows at a time, so that each slab (about ``_BAND_BYTES``)
+stays in cache and no batch-sized slab ever exists.
+
+- The forward pass runs one GEMM per band of an im2col slab (Chellapilla
+  et al. 2006), which copies the input k*k times.
+- The kernel gradient copies the input only k times, into a row-shift
+  slab (``_shift_bands``): the band's zero-padded rows plus ``k-1`` halo
+  rows, flattened on the padded width and shifted by each column offset.
+  Kernel row ``dy`` is then one GEMM of the output gradient, laid on the
+  same padded width, against the slab from padded row ``dy`` on.  It sums
+  in another order than an im2col GEMM, so it matches one to rounding
+  (about 1e-15 relative).
+- The input gradient is itself a same-size convolution of the output
+  gradient (the transposed convolution: spatially flipped kernel, in/out
+  channels swapped).  A caller can ask for only the leading input channels
+  of that gradient, or for none, when the rest feeds frozen or absent
+  inputs.
 
 Spatial size changes happen only through ``pool2x_batch`` /
 ``upsample2x_batch``, which are adjoint up to a factor of 4 (pool averages
@@ -77,6 +86,40 @@ def _bands(x: np.ndarray, k: int):
             yield i, r0, r1, cols.reshape(c_in * k * k, -1)
 
 
+def _shift_bands(x: np.ndarray, k: int):
+    """Yield ``(i, r0, r1, slab)`` for each image ``i`` of ``x [C_in,N,H,W]``
+    and each band of output rows ``r0:r1``, for the kernel gradient of a
+    k x k same-size conv.
+
+    With ``wp = W + k - 1`` the padded width, ``slab`` is
+    ``[C_in*k, (r1-r0+k-1)*wp]``: its row ``(c, dx)`` is channel ``c`` of
+    the zero-padded image, flattened from padded row ``r0`` on and shifted
+    left by ``dx`` columns.  Columns ``dy*wp + (r-r0)*wp + x`` of it then
+    hold the input at tap ``(dy, dx)`` of output pixel ``(r, x)`` for every
+    ``x < W``; for ``x >= W`` they hold wrapped values the caller must
+    weight by zero.  The padded image has one spare zero row so that the
+    last band's shift stays in bounds.  One buffer of at most
+    ``_BAND_BYTES`` (but at least one row and its ``k-1`` halo rows) is
+    reused for every band, so it is overwritten on the next step.
+    """
+    c_in, n, h, w = x.shape
+    pad = (k - 1) // 2
+    wp = w + k - 1
+    rows = max(1, min(h, _BAND_BYTES // (8 * c_in * k * wp) - (k - 1)))
+    xp = np.zeros((c_in, h + k, wp))
+    flat = xp.reshape(c_in, -1)
+    buf = np.empty(c_in * k * (rows + k - 1) * wp)
+    for i in range(n):
+        xp[:, pad:pad + h, pad:pad + w] = x[:, i]
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            span = (r1 - r0 + k - 1) * wp
+            slab = buf[:c_in * k * span].reshape(c_in, k, span)
+            for dx in range(k):
+                slab[:, dx] = flat[:, r0 * wp + dx:r0 * wp + dx + span]
+            yield i, r0, r1, slab.reshape(c_in * k, span)
+
+
 def conv2d_batch(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
     """Cross-correlate ``x [C_in,N,H,W]`` with ``kernel [C_out,C_in,k,k]``.
 
@@ -99,24 +142,32 @@ def conv2d_batch_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarra
                           ) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of ``conv2d_batch`` at input ``x``: (grad_input, grad_kernel).
 
-    ``grad_kernel`` sums one GEMM of ``grad_out`` against each band's im2col
-    slab of ``x``.  ``grad_input`` is the same-size convolution of
+    ``grad_kernel`` adds, for each band of ``_shift_bands`` and each kernel
+    row ``dy``, one GEMM of the band's ``grad_out`` (laid on the padded
+    width, zeros in the pad columns) against the slab columns from padded
+    row ``dy`` on.  ``grad_input`` is the same-size convolution of
     ``grad_out`` with the kernel flipped in both spatial axes and with its
     in/out channel axes swapped (the transposed convolution), so it needs
     no gradient slab and no scatter.  Only the first ``input_channels``
     input channels are computed (default: all); ``0`` skips the input
     gradient and returns ``None`` in its place.
     """
-    c_in, n, _, w = x.shape
+    c_in, _, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
     m = c_in if input_channels is None else input_channels
     _require(0 <= m <= c_in, f"input_channels must be in 0..{c_in}, got {m}")
 
-    g = grad_out.reshape(c_out, n, -1)
-    grad_kernel = np.zeros((c_out, c_in * kh * kw))
-    for i, r0, r1, cols in _bands(x, kh):
-        grad_kernel += g[:, i, r0 * w:r1 * w] @ cols.T
-    grad_kernel = grad_kernel.reshape(kernel.shape)
+    wp = w + kw - 1
+    g = np.zeros((c_out, h, wp))
+    gflat = g.reshape(c_out, -1)
+    grad_kernel = np.zeros(kernel.shape)
+    for i, r0, r1, slab in _shift_bands(x, kh):
+        if r0 == 0:
+            g[:, :, :w] = grad_out[:, i]
+        g_band = gflat[:, r0 * wp:r1 * wp]
+        for dy in range(kh):
+            tap_row = g_band @ slab[:, dy * wp:(dy + r1 - r0) * wp].T
+            grad_kernel[:, :, dy] += tap_row.reshape(c_out, c_in, kw)
     if m == 0:
         return None, grad_kernel
     flipped = kernel[:, :m, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -139,14 +190,19 @@ def pool2x_batch(x: np.ndarray) -> np.ndarray:
                    + x[..., 1::2, 0::2] + x[..., 1::2, 1::2])
 
 
-def pool2x_batch_backward(grad_out: np.ndarray) -> np.ndarray:
-    g = 0.25 * grad_out
-    return g.repeat(2, axis=-2).repeat(2, axis=-1)
-
-
 def upsample2x_batch(x: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor 2x duplication over the trailing two axes."""
-    return x.repeat(2, axis=-2).repeat(2, axis=-1)
+    """Nearest-neighbor 2x duplication over the trailing two axes, written
+    straight into the one output array."""
+    h, w = x.shape[-2:]
+    out = np.empty(x.shape[:-2] + (h, 2, w, 2))
+    out[..., 0, :, 0] = x
+    out[..., 0, :, 1] = x
+    out[..., 1, :, :] = out[..., 0, :, :]
+    return out.reshape(x.shape[:-2] + (2 * h, 2 * w))
+
+
+def pool2x_batch_backward(grad_out: np.ndarray) -> np.ndarray:
+    return upsample2x_batch(0.25 * grad_out)
 
 
 def upsample2x_batch_backward(grad_out: np.ndarray) -> np.ndarray:
@@ -155,8 +211,12 @@ def upsample2x_batch_backward(grad_out: np.ndarray) -> np.ndarray:
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
-    """ln(1 + exp(x)) without overflow (logaddexp form)."""
-    return np.logaddexp(0.0, x)
+    """ln(1 + exp(x)) without overflow: max(x, 0) + ln(1 + exp(-|x|)).
+
+    About twice as fast as ``np.logaddexp(0, x)``.  Both are within 2 ulp
+    of the exact value, but numpy's SIMD exp rounds differently from the
+    libm one behind logaddexp, so the two differ by up to 3 ulp."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -192,8 +252,9 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
 class Conv2d:
     """3x3 same-padding conv layer with bias, on [C,N,H,W] activations.
 
-    ``forward`` keeps a reference to its input, from which ``backward``
-    rebuilds the im2col bands for the kernel gradient.
+    ``forward(x, keep_cache=True)`` keeps a reference to its input, from
+    which ``backward`` builds the kernel gradient; a forward-only call
+    drops any input kept before, so inference holds no activations.
     """
 
     def __init__(self, name: str, c_in: int, c_out: int):
@@ -217,8 +278,8 @@ class Conv2d:
         self.kernel = model_tensor(values, f"{self.name}.kernel", self.kernel.shape)
         self.bias = model_tensor(values, f"{self.name}.bias", self.bias.shape)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, *, keep_cache: bool = False) -> np.ndarray:
+        self._x = x if keep_cache else None
         out = conv2d_batch(x, self.kernel, self.pad)
         out += self.bias[:, None, None, None]
         return out
@@ -227,6 +288,8 @@ class Conv2d:
                  ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         """(grad_input, param grads); see ``conv2d_batch_backward`` for
         ``input_channels``."""
+        if self._x is None:
+            raise RuntimeError(f"{self.name}.backward needs a forward with keep_cache=True")
         gi, gk = conv2d_batch_backward(grad_out, self._x, self.kernel, input_channels)
         gb = grad_out.sum(axis=(1, 2, 3))
         return gi, {f"{self.name}.kernel": gk, f"{self.name}.bias": gb}

@@ -77,26 +77,34 @@ class SegModel:
 
     # -- forward / backward -------------------------------------------
 
-    def forward_batch(self, images: np.ndarray, keep_cache: bool = False) -> StageFeatures:
-        """images [N, H, W] -> StageFeatures.  Cache retained for backward.
+    def forward_batch(self, images: np.ndarray, keep_cache: bool = False,
+                      z: np.ndarray | None = None) -> StageFeatures:
+        """images [N, H, W] -> StageFeatures.  ``keep_cache`` keeps what
+        ``backward_batch`` needs.
 
         Crops arrive in [0, 1] and are standardized to [-1, 1] before conv1.
+        A ``z`` computed earlier for the same images is returned as the
+        latent without running conv3 (there is then no backward through it).
         """
         n, h, w = images.shape
         cfg = self.config
         if (h, w) != (cfg.crop_h, cfg.crop_w):
             raise ValueError(f"expected {cfg.crop_h}x{cfg.crop_w} crops, got {h}x{w}")
+        if z is not None:
+            if keep_cache:
+                raise ValueError("keep_cache needs conv3 to run: pass no z")
+            if z.shape != (cfg.d, n, h, w):
+                raise ValueError(f"z must be {(cfg.d, n, h, w)}, got {z.shape}")
         x = (images[None] - 0.5) * 2.0                # [1, N, H, W]
-        pre1 = self.conv1.forward(x)
+        pre1 = self.conv1.forward(x, keep_cache=keep_cache)
         s1 = relu_batch(pre1)
         p1 = pool2x_batch(s1)
-        pre2 = self.conv2.forward(p1)
+        pre2 = self.conv2.forward(p1, keep_cache=keep_cache)
         s2 = relu_batch(pre2)
-        up = upsample2x_batch(s2)
-        cat = np.concatenate([up, s1], axis=0)
-        z = self.conv3.forward(cat)
-        if keep_cache:
-            self._cache = {"pre1": pre1, "pre2": pre2}
+        if z is None:
+            cat = np.concatenate([upsample2x_batch(s2), s1], axis=0)
+            z = self.conv3.forward(cat, keep_cache=keep_cache)
+        self._cache = {"pre1": pre1, "pre2": pre2} if keep_cache else {}
         return StageFeatures(stage1=s1, stage2=s2, z=z)
 
     def backward_batch(self, grad_z: np.ndarray) -> dict[str, np.ndarray]:

@@ -272,6 +272,14 @@ def replace_score(pred, value):
     (pred / "scores.csv").write_text("\n".join(rows))
 
 
+def replace_header(name, header):
+    def edit(pred):
+        rows = (pred / name).read_text().split("\n")
+        rows[0] = header
+        (pred / name).write_text("\n".join(rows))
+    return edit
+
+
 def write_label(pred, value):
     y_hat = read_pgm(pred / "pred" / "s000000.pgm")
     y_hat[3, 4] = value
@@ -344,6 +352,10 @@ BAD_INPUTS = {
                         "crops.csv does not match the dataset: 1 duplicated ids (s000000)"),
     "crop-unknown": (eval_with(lambda p: append_crop(p, "x00,0,0,120,160")),
                      "crops.csv does not match the dataset: 1 unknown ids (x00)"),
+    "crops-header": (eval_with(replace_header("crops.csv", "id,l,t,h,w")),
+                     "crops.csv lacks columns ['sample_id']"),
+    "scores-header": (eval_with(replace_header("scores.csv", "sample_id,score,accept_at_tau")),
+                      "scores.csv lacks columns ['s_unc']"),
     "gen-size-10x10": (gen("--n", "1", "--size", "10x10"), "--size must be at least 64x64"),
     "gen-size-0x0": (gen("--n", "1", "--size", "0x0"), "--size must be at least 64x64"),
     "gen-size-100": (gen("--n", "1", "--size", "100"), "--size expects HxW, got '100'"),

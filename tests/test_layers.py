@@ -142,10 +142,13 @@ def whole_slab(x, k):
     return cols.reshape(c_in * k * k, -1)
 
 
+# 11 rows in bands of 3: split 3 + 3 + 3 + 2
+BANDS_OF_3 = [(0, 3), (3, 6), (6, 9), (9, 11)]
+
+
 class TestBandedConv:
-    def _case(self, rng, monkeypatch, c_in, k, c_out=4, n=2, h=11, w=16, rows=3):
-        # a budget of `rows` output rows: 11 rows split 3 + 3 + 3 + 2
-        monkeypatch.setattr(layers, "_BAND_BYTES", 8 * c_in * k * k * w * rows)
+    def _case(self, rng, monkeypatch, c_in, k, band_bytes, c_out=4, n=2, h=11, w=16):
+        monkeypatch.setattr(layers, "_BAND_BYTES", band_bytes)
         x = rng.normal_array(c_in * n * h * w).reshape(c_in, n, h, w)
         kernel = rng.normal_array(c_out * c_in * k * k).reshape(c_out, c_in, k, k)
         g = rng.normal_array(c_out * n * h * w).reshape(c_out, n, h, w)
@@ -154,9 +157,10 @@ class TestBandedConv:
     @pytest.mark.parametrize("k", [1, 3, 5, 15])
     @pytest.mark.parametrize("c_in", [1, 24])
     def test_forward_matches_whole_slab(self, rng, monkeypatch, k, c_in):
-        x, kernel, _ = self._case(rng, monkeypatch, c_in, k)
+        # the im2col slab of 3 output rows
+        x, kernel, _ = self._case(rng, monkeypatch, c_in, k, 8 * c_in * k * k * 16 * 3)
         bands = [(r0, r1) for i, r0, r1, _ in layers._bands(x, k) if i == 0]
-        assert bands == [(0, 3), (3, 6), (6, 9), (9, 11)]
+        assert bands == BANDS_OF_3
         out = conv2d_batch(x, kernel, (k - 1) // 2)
         ref = (kernel.reshape(kernel.shape[0], -1) @ whole_slab(x, k)).reshape(out.shape)
         if c_in * k * k < 512:
@@ -171,7 +175,12 @@ class TestBandedConv:
     @pytest.mark.parametrize("k", [1, 3, 5, 15])
     @pytest.mark.parametrize("c_in", [1, 24])
     def test_grad_kernel_matches_whole_slab(self, rng, monkeypatch, k, c_in):
-        x, kernel, g = self._case(rng, monkeypatch, c_in, k)
+        # the row-shift slab of 3 output rows, their k-1 halo rows and the
+        # k-1 pad columns
+        x, kernel, g = self._case(rng, monkeypatch, c_in, k,
+                                  8 * c_in * k * (3 + k - 1) * (16 + k - 1))
+        bands = [(r0, r1) for i, r0, r1, _ in layers._shift_bands(x, k) if i == 0]
+        assert bands == BANDS_OF_3
         _, gk = conv2d_batch_backward(g, x, kernel, input_channels=0)
         ref = (g.reshape(g.shape[0], -1) @ whole_slab(x, k).T).reshape(kernel.shape)
         np.testing.assert_allclose(gk, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -183,7 +192,7 @@ class TestBandedConv:
         x = rng.normal_array(24 * 8 * 96 * 96).reshape(24, 8, 96, 96)
         g = rng.normal_array(8 * 8 * 96 * 96).reshape(8, 8, 96, 96)
         peaks = []
-        for step in (lambda: conv.forward(x), lambda: conv.backward(g)):
+        for step in (lambda: conv.forward(x, keep_cache=True), lambda: conv.backward(g)):
             tracemalloc.start()
             step()
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -193,6 +202,27 @@ class TestBandedConv:
 
 ACTIVATIONS = {"relu": (relu_batch, relu_batch_backward),
                "softplus": (softplus, lambda g, x: g * sigmoid(x))}
+
+
+class TestConv2dLayer:
+    def test_backward_needs_a_kept_input(self, rng):
+        conv = Conv2d("c", 2, 3)
+        conv.init_he(rng)
+        x = rng.normal_array(2 * 1 * 4 * 4).reshape(2, 1, 4, 4)
+        g = np.ones((3, 1, 4, 4))
+        conv.forward(x, keep_cache=True)
+        _, grads = conv.backward(g)
+        conv.forward(x)         # forward-only: drops the kept input
+        assert conv._x is None
+        with pytest.raises(RuntimeError, match="c.backward needs a forward with keep_cache"):
+            conv.backward(g)
+        conv.forward(x, keep_cache=True)
+        assert np.array_equal(conv.backward(g)[1]["c.kernel"], grads["c.kernel"])
+
+
+def ulps_apart(a, b):
+    """Distance in units in the last place between same-sign doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
 
 
 class TestActivations:
@@ -206,6 +236,21 @@ class TestActivations:
     def test_softplus_overflow_safe(self):
         assert softplus(np.array([50.0]))[0] == pytest.approx(50.0, abs=1e-9)
         assert softplus(np.array([700.0]))[0] == pytest.approx(700.0, abs=1e-9)
+
+    def test_softplus_within_ulps_of_exact(self, rng):
+        x = np.concatenate([5.0 * rng.normal_array(100_000),
+                            np.linspace(-40.0, 40.0, 100_001)])
+        ext = x.astype(np.longdouble)
+        exact = (np.maximum(ext, 0) + np.log1p(np.exp(-np.abs(ext)))).astype(np.float64)
+        # each form lies within 2 ulp of the extended-precision value, so
+        # the two can differ by 3
+        assert ulps_apart(softplus(x), exact).max() <= 2
+        assert ulps_apart(softplus(x), np.logaddexp(0.0, x)).max() <= 3
+
+    def test_softplus_extremes_without_warning(self):
+        # a RuntimeWarning fails the test under the suite's filter
+        x = np.array([1e3, -1e3, np.inf, -np.inf])
+        assert np.array_equal(softplus(x), [1e3, 0.0, np.inf, 0.0])
 
     @pytest.mark.parametrize("kind", ["relu", "softplus"])
     def test_backward_matches_fd(self, kind, rng):
@@ -238,6 +283,12 @@ class TestPoolUpsample:
         lhs = (upsample2x_batch(x) * y).sum()
         rhs = (x * pool2x_batch(y)).sum() * 4.0
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_match_repeat_forms(self, rng):
+        x = rng.normal_array(3 * 2 * 5 * 6).reshape(3, 2, 5, 6)
+        assert np.array_equal(upsample2x_batch(x), x.repeat(2, axis=-2).repeat(2, axis=-1))
+        assert np.array_equal(pool2x_batch_backward(x),
+                              (0.25 * x).repeat(2, axis=-2).repeat(2, axis=-1))
 
     def test_backward_matches_fd(self, rng):
         x0 = rng.normal_array(64)

@@ -38,6 +38,46 @@ class TestForward:
         with pytest.raises(ValueError, match="16x16"):
             model.forward_batch(np.zeros((1, 8, 8)))
 
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_latent_independent_of_batch(self, batch):
+        # default geometry, so conv3 runs in several row bands per image
+        model = make_model(RunConfig())
+        images = Rng(2).uniform_array(7 * 96 * 96).reshape(7, 96, 96)
+        whole = model.forward_batch(images).z
+        idx = list(range(7))
+        Rng(4).shuffle(idx)
+        for i in range(0, 7, batch):
+            part = idx[i:i + batch]
+            assert np.array_equal(model.forward_batch(images[part]).z, whole[:, part])
+
+    def test_given_latent_skips_conv3(self, tiny_config, monkeypatch):
+        model = make_model(tiny_config)
+        images = Rng(1).uniform_array(3 * 16 * 16).reshape(3, 16, 16)
+        full = model.forward_batch(images)
+        monkeypatch.setattr(model.conv3, "forward", None)    # any call fails
+        given = model.forward_batch(images, z=full.z)
+        assert np.array_equal(given.stage1, full.stage1)
+        assert np.array_equal(given.stage2, full.stage2)
+        assert given.z is full.z
+        with pytest.raises(ValueError, match="z must be"):
+            model.forward_batch(images[:2], z=full.z)
+        with pytest.raises(ValueError, match="keep_cache needs conv3"):
+            model.forward_batch(images, keep_cache=True, z=full.z)
+
+    def test_forward_only_keeps_no_conv_input(self, tiny_config, tiny_batch):
+        model = make_model(tiny_config)
+        images, labels = tiny_batch
+        loss, grads = seg_loss(model, images, labels)
+        predict_batch(model, images)
+        convs = (model.conv1, model.conv2, model.conv3)
+        assert all(conv._x is None for conv in convs)
+        with pytest.raises(RuntimeError, match="conv3.backward needs a forward"):
+            model.conv3.backward(np.zeros((tiny_config.d, 2, 16, 16)))
+        again, grads_again = seg_loss(model, images, labels)
+        assert again == loss
+        for k, g in grads.items():
+            assert np.array_equal(grads_again[k], g), k
+
 
 def predict_one(model, img):
     """Labels [H, W] and per-pixel class probs [4, H*W] of one crop."""

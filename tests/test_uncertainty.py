@@ -231,6 +231,21 @@ class TestHeadTraining:
         for k, p in a.params().items():
             assert np.array_equal(p, b.params()[k]), k
 
+    def test_frozen_latent_computed_once_per_crop(self, tiny_config, monkeypatch):
+        model = SegModel(tiny_config)
+        model.init_params(Rng(3).derive("seg-init"))
+        images = Rng(5).uniform_array(5 * 16 * 16).reshape(5, 16, 16)
+        labels = (Rng(6).u64_array(5 * 16 * 16) % 4).astype(np.int64).reshape(5, 16, 16)
+        calls = []
+        forward = model.conv3.forward
+        monkeypatch.setattr(model.conv3, "forward",
+                            lambda x, **kw: calls.append(x.shape[1]) or forward(x, **kw))
+        cfg = tiny_config
+        cfg.unc_epochs, cfg.unc_batch = 3, 2
+        train_unc(images, labels, model, "surrogate", cfg)
+        # one pre-pass over ceil(5/2) batches, none in the three epochs
+        assert calls == [2, 2, 1]
+
     def test_bad_loss_kind_rejected(self, tiny_config, tiny_batch):
         model, _, _, _, images, labels = seg_and_batch(tiny_config, tiny_batch)
         with pytest.raises(ValueError, match="loss_kind"):
