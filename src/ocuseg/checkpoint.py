@@ -1,10 +1,13 @@
 """Checkpoint container: header.json + weights.bin.
 
-``header.json`` holds {format_version, config, arch_hash, config_hash,
-tensors: [{name, shape, byte_offset}]}; ``weights.bin`` is the tensors'
-float64 data, little-endian, concatenated in index order.  On load the stored
-arch_hash must match the stored config, and the size of ``weights.bin``
-must equal the sum of the tensor sizes.  Writes are byte-deterministic.
+``header.json`` holds {format_version, kind, config, arch_hash, config_hash,
+tensors: [{name, shape, byte_offset}]}; ``kind`` is ``seg`` (segmentation
+model) or ``unc`` (uncertainty head).  ``weights.bin`` is the tensors'
+float64 data, little-endian, concatenated in index order.  On load the
+header must name a kind (the one expected, if the caller gives it), the
+stored arch_hash must match the stored config, and the size of
+``weights.bin`` must equal the sum of the tensor sizes.  Writes are
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from .config import RunConfig
 
 FORMAT_VERSION = 1
+KINDS = ("seg", "unc")
 
 
 class CheckpointError(ValueError):
@@ -24,7 +28,9 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(directory: str | Path, config: RunConfig,
-                    tensors: dict[str, np.ndarray]) -> None:
+                    tensors: dict[str, np.ndarray], kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"checkpoint kind must be one of {KINDS}, got {kind!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     index = []
@@ -38,6 +44,7 @@ def save_checkpoint(directory: str | Path, config: RunConfig,
         offset += len(blob)
     header = {
         "format_version": FORMAT_VERSION,
+        "kind": kind,
         "config": json.loads(config.to_json()),
         "arch_hash": config.arch_hash(),
         "config_hash": config.content_hash(),
@@ -48,7 +55,10 @@ def save_checkpoint(directory: str | Path, config: RunConfig,
     (directory / "weights.bin").write_bytes(b"".join(blobs))
 
 
-def load_checkpoint(directory: str | Path) -> tuple[RunConfig, dict[str, np.ndarray]]:
+def load_checkpoint(directory: str | Path, kind: str | None = None
+                    ) -> tuple[RunConfig, dict[str, np.ndarray]]:
+    """The config and tensors stored in ``directory``; ``kind``, if given,
+    is the kind the caller expects."""
     directory = Path(directory)
     header_path = directory / "header.json"
     weights_path = directory / "weights.bin"
@@ -58,6 +68,12 @@ def load_checkpoint(directory: str | Path) -> tuple[RunConfig, dict[str, np.ndar
     header = json.loads(header_path.read_text(encoding="utf-8"))
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format_version {header.get('format_version')}")
+    if "kind" not in header:
+        raise CheckpointError(f"{header_path}: header has no 'kind' field "
+                              f"(one of {', '.join(KINDS)})")
+    if kind is not None and header["kind"] != kind:
+        raise CheckpointError(f"{directory}: checkpoint kind is {header['kind']!r}, "
+                              f"expected {kind!r}")
     try:
         config = RunConfig.from_json(json.dumps(header["config"]))
     except (TypeError, ValueError) as e:

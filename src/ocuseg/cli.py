@@ -31,7 +31,7 @@ from .evaluate import rank_and_filter
 from .metrics import N_CLASSES, confusion_matrix, metrics_from_confusion
 from .pipeline import DETECTOR_MODES, build_crops, infer_samples
 from .segnet import TRAIN_MIOU_SUBSET, SegModel, count_flops, evaluate_miou, train_seg
-from .synth import CORRUPTION_KINDS, generate_dataset
+from .synth import CORRUPTION_KINDS, Sample, generate_dataset
 from .uncertainty import UncHead, head_flops, landscape_grid, train_unc
 
 
@@ -51,6 +51,14 @@ def _load_config(path: str) -> RunConfig:
         return RunConfig.load(p)
     except (json.JSONDecodeError, TypeError, ValueError) as e:
         raise UsageError(f"invalid config {p}: {e}") from None
+
+
+def _read_samples(path: str) -> list[Sample]:
+    """The samples of the dataset at ``path``, which must hold at least one."""
+    samples = read_dataset(path)
+    if not samples:
+        raise UsageError(f"dataset {path} is empty")
+    return samples
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -98,14 +106,12 @@ def cmd_gen(args) -> int:
 
 def cmd_train_seg(args) -> int:
     config = _load_config(args.config)
-    samples = read_dataset(args.data)
-    if not samples:
-        raise UsageError(f"dataset {args.data} is empty")
+    samples = _read_samples(args.data)
     images, labels, _, _ = build_crops(samples, config, "gt-jitter")
     del samples     # the decoded frames are not needed once cropped
     log: list = []
     model = train_seg(images, labels, config, log=log)
-    save_checkpoint(args.out, config, model.params())
+    save_checkpoint(args.out, config, model.params(), "seg")
     _write_csv(Path(args.out) / "train_log.csv",
                ["epoch", "loss", "miou"], [list(r) for r in log])
     if log and len(images) <= TRAIN_MIOU_SUBSET:
@@ -122,20 +128,18 @@ def cmd_train_unc(args) -> int:
     seg_dir = Path(args.seg)
     if not seg_dir.exists():
         raise UsageError(f"segmentation checkpoint not found: {seg_dir}")
-    seg_config, seg_params = load_checkpoint(seg_dir)
+    seg_config, seg_params = load_checkpoint(seg_dir, "seg")
     if seg_config.arch_hash() != config.arch_hash():
         raise UsageError("config does not match the segmentation checkpoint's "
                          f"architecture ({config.arch_hash()} vs {seg_config.arch_hash()})")
     seg = SegModel(config)
     seg.set_params(seg_params)
-    samples = read_dataset(args.data)
-    if not samples:
-        raise UsageError(f"dataset {args.data} is empty")
+    samples = _read_samples(args.data)
     images, labels, _, _ = build_crops(samples, config, "gt-jitter")
     del samples     # the decoded frames are not needed once cropped
     log: list = []
     head = train_unc(images, labels, seg, args.loss, config, log=log)
-    save_checkpoint(args.out, config, head.params())
+    save_checkpoint(args.out, config, head.params(), "unc")
     _write_csv(Path(args.out) / "train_log.csv",
                ["epoch", "loss", "target_abs_err"], [list(r) for r in log])
     print(f"saved uncertainty checkpoint to {args.out} (loss={args.loss})")
@@ -144,8 +148,8 @@ def cmd_train_unc(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    seg_config, seg_params = load_checkpoint(args.seg)
-    unc_config, unc_params = load_checkpoint(args.unc)
+    seg_config, seg_params = load_checkpoint(args.seg, "seg")
+    unc_config, unc_params = load_checkpoint(args.unc, "unc")
     if seg_config.arch_hash() != unc_config.arch_hash():
         raise UsageError("checkpoint architectures differ: "
                          f"{seg_config.arch_hash()} vs {unc_config.arch_hash()}")
@@ -154,7 +158,7 @@ def cmd_infer(args) -> int:
     seg.set_params(seg_params)
     head = UncHead(config)
     head.set_params(unc_params)
-    samples = read_dataset(args.data)
+    samples = _read_samples(args.data)
     preds = infer_samples(samples, seg, head, config, detector=args.detector)
 
     out = Path(args.out)
@@ -209,7 +213,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"malformed {pred_dir / 'meta.json'}: {e}") from None
     if not isinstance(meta, dict):
         raise UsageError(f"malformed {pred_dir / 'meta.json'}: not a JSON object")
-    samples = {s.sample_id: s for s in read_dataset(args.data)}
+    samples = {s.sample_id: s for s in _read_samples(args.data)}
     scores_rows = _read_csv(pred_dir / "scores.csv", ("sample_id", "s_unc"))
     crops_list = _read_csv(pred_dir / "crops.csv", ("sample_id", "l", "t", "h", "w"))
     _check_row_ids("scores.csv", [r["sample_id"] for r in scores_rows], samples)

@@ -25,10 +25,20 @@ stays in cache and no batch-sized slab ever exists.
   of that gradient, or for none, when the rest feeds frozen or absent
   inputs.
 
-Spatial size changes happen only through ``pool2x_batch`` /
+A conv reads its input either as one ``[C_in, N, H, W]`` array or as a
+``ChannelStack``: the channel concatenation of parts read in place, where a
+part at half the height and width is read nearest-upsampled 2x.  The slab
+builders fill their per-image padded buffer straight from the parts, so a
+skip join builds neither the upsampled copy nor the concatenation; the
+buffer holds the same values as for the materialized input, so the result
+is bit-identical.  The input gradient is still one ``[C_in, N, H, W]``
+array.
+
+Spatial size changes otherwise happen through ``pool2x_batch`` /
 ``upsample2x_batch``, which are adjoint up to a factor of 4 (pool averages
 a 2x2 block, upsample duplicates; the pool backward spreads grad/4, the
-upsample backward sums the block).
+upsample backward sums the block).  ``upsample2x_batch`` and the slab
+builders' reads of a half-size part share one writer, ``_upsample2x_into``.
 """
 
 from __future__ import annotations
@@ -48,23 +58,70 @@ def _require(cond: bool, msg: str) -> None:
 # batched primitives on [C, N, H, W]
 # ---------------------------------------------------------------------------
 
+def _upsample2x_into(dst: np.ndarray, x: np.ndarray) -> None:
+    """Write the nearest-neighbor 2x duplication of ``x [..., h, w]`` into
+    ``dst [..., 2h, 2w]``, which may be a strided view."""
+    dst[..., 0::2, 0::2] = x
+    dst[..., 0::2, 1::2] = x
+    dst[..., 1::2, :] = dst[..., 0::2, :]
+
+
+class ChannelStack:
+    """The channel concatenation of ``parts``, read in place by a conv.
+
+    Each part is ``[C_i, N, H, W]`` or ``[C_i, N, H/2, W/2]``; a half-size
+    part stands for its nearest-neighbor 2x upsampling.  ``shape`` is that
+    of the concatenation, ``(sum C_i, N, H, W)``, with ``H, W`` the largest
+    part's.  Raises ValueError naming the shapes if the parts disagree in N
+    or a part is neither full nor exactly half size.
+    """
+
+    def __init__(self, *parts: np.ndarray):
+        shapes = [p.shape for p in parts]
+        n = parts[0].shape[1]
+        _require(all(p.shape[1] == n for p in parts),
+                 f"stack parts disagree in N: shapes {shapes}")
+        h, w = max(p.shape[2:] for p in parts)
+        for p in parts:
+            ph, pw = p.shape[2:]
+            _require((ph, pw) == (h, w) or (2 * ph, 2 * pw) == (h, w),
+                     f"stack part {p.shape} is neither full ({h}x{w}) nor half size: "
+                     f"shapes {shapes}")
+        self.parts = parts
+        self.shape = (sum(p.shape[0] for p in parts), n, h, w)
+
+
+def _image_into(dst: np.ndarray, x: np.ndarray | ChannelStack, i: int) -> None:
+    """Write image ``i`` of a conv input (an array or a ``ChannelStack``)
+    into ``dst [C_in, H, W]``."""
+    c0 = 0
+    for p in x.parts if isinstance(x, ChannelStack) else (x,):
+        c1 = c0 + p.shape[0]
+        if p.shape[2] == dst.shape[1]:
+            dst[c0:c1] = p[:, i]
+        else:
+            _upsample2x_into(dst[c0:c1], p[:, i])
+        c0 = c1
+
+
 # Byte budget of one band's im2col slab: small enough to stay in L2 between
 # the copy that fills it and the GEMM that reads it.
 _BAND_BYTES = 1 << 20
 
 
-def _check_conv(x: np.ndarray, kernel: np.ndarray, pad: int) -> None:
+def _check_conv(x: np.ndarray | ChannelStack, kernel: np.ndarray, pad: int) -> None:
     c_in = x.shape[0]
     _, kc_in, kh, kw = kernel.shape
     _require(kc_in == c_in,
-             f"kernel expects {kc_in} input channels, input has {c_in}")
+             f"kernel {kernel.shape} expects {kc_in} input channels, "
+             f"input {x.shape} has {c_in}")
     _require(kh == kw and kh % 2 == 1, f"kernel must be odd square, got {kh}x{kw}")
     _require(pad == (kh - 1) // 2, f"same-size conv needs pad={(kh - 1) // 2}, got {pad}")
 
 
-def _bands(x: np.ndarray, k: int):
+def _bands(x: np.ndarray | ChannelStack, k: int):
     """Yield ``(i, r0, r1, cols)`` for each image ``i`` of ``x [C_in,N,H,W]``
-    and each band of output rows ``r0:r1``.
+    (an array or a ``ChannelStack``) and each band of output rows ``r0:r1``.
 
     ``cols`` is the band's ``[C_in*k*k, (r1-r0)*W]`` im2col slab for a k x k
     same-size conv, filled by one copy from a sliding-window view of the
@@ -78,7 +135,7 @@ def _bands(x: np.ndarray, k: int):
     windows = sliding_window_view(xp, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
     buf = np.empty(c_in * k * k * rows * w)
     for i in range(n):
-        xp[:, pad:pad + h, pad:pad + w] = x[:, i]
+        _image_into(xp[:, pad:pad + h, pad:pad + w], x, i)
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
             cols = buf[:c_in * k * k * (r1 - r0) * w].reshape(c_in, k, k, r1 - r0, w)
@@ -86,10 +143,10 @@ def _bands(x: np.ndarray, k: int):
             yield i, r0, r1, cols.reshape(c_in * k * k, -1)
 
 
-def _shift_bands(x: np.ndarray, k: int):
+def _shift_bands(x: np.ndarray | ChannelStack, k: int):
     """Yield ``(i, r0, r1, slab)`` for each image ``i`` of ``x [C_in,N,H,W]``
-    and each band of output rows ``r0:r1``, for the kernel gradient of a
-    k x k same-size conv.
+    (an array or a ``ChannelStack``) and each band of output rows ``r0:r1``,
+    for the kernel gradient of a k x k same-size conv.
 
     With ``wp = W + k - 1`` the padded width, ``slab`` is
     ``[C_in*k, (r1-r0+k-1)*wp]``: its row ``(c, dx)`` is channel ``c`` of
@@ -110,7 +167,7 @@ def _shift_bands(x: np.ndarray, k: int):
     flat = xp.reshape(c_in, -1)
     buf = np.empty(c_in * k * (rows + k - 1) * wp)
     for i in range(n):
-        xp[:, pad:pad + h, pad:pad + w] = x[:, i]
+        _image_into(xp[:, pad:pad + h, pad:pad + w], x, i)
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
             span = (r1 - r0 + k - 1) * wp
@@ -120,8 +177,10 @@ def _shift_bands(x: np.ndarray, k: int):
             yield i, r0, r1, slab.reshape(c_in * k, span)
 
 
-def conv2d_batch(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
-    """Cross-correlate ``x [C_in,N,H,W]`` with ``kernel [C_out,C_in,k,k]``.
+def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray, pad: int
+                 ) -> np.ndarray:
+    """Cross-correlate ``x [C_in,N,H,W]`` (an array or a ``ChannelStack``)
+    with ``kernel [C_out,C_in,k,k]``.
 
     Returns ``[C_out, N, H, W]``, one GEMM per band of ``_bands``.  Every
     output element is the same length-``C_in*k*k`` dot product as in a
@@ -137,7 +196,8 @@ def conv2d_batch(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
     return out.reshape(c_out, n, h, w)
 
 
-def conv2d_batch_backward(grad_out: np.ndarray, x: np.ndarray, kernel: np.ndarray,
+def conv2d_batch_backward(grad_out: np.ndarray, x: np.ndarray | ChannelStack,
+                          kernel: np.ndarray,
                           input_channels: int | None = None
                           ) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of ``conv2d_batch`` at input ``x``: (grad_input, grad_kernel).
@@ -194,11 +254,9 @@ def upsample2x_batch(x: np.ndarray) -> np.ndarray:
     """Nearest-neighbor 2x duplication over the trailing two axes, written
     straight into the one output array."""
     h, w = x.shape[-2:]
-    out = np.empty(x.shape[:-2] + (h, 2, w, 2))
-    out[..., 0, :, 0] = x
-    out[..., 0, :, 1] = x
-    out[..., 1, :, :] = out[..., 0, :, :]
-    return out.reshape(x.shape[:-2] + (2 * h, 2 * w))
+    out = np.empty(x.shape[:-2] + (2 * h, 2 * w))
+    _upsample2x_into(out, x)
+    return out
 
 
 def pool2x_batch_backward(grad_out: np.ndarray) -> np.ndarray:
@@ -252,9 +310,10 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
 class Conv2d:
     """3x3 same-padding conv layer with bias, on [C,N,H,W] activations.
 
-    ``forward(x, keep_cache=True)`` keeps a reference to its input, from
-    which ``backward`` builds the kernel gradient; a forward-only call
-    drops any input kept before, so inference holds no activations.
+    ``forward(x, keep_cache=True)`` keeps a reference to its input (an
+    array or a ``ChannelStack``), from which ``backward`` builds the kernel
+    gradient; a forward-only call drops any input kept before, so inference
+    holds no activations.
     """
 
     def __init__(self, name: str, c_in: int, c_out: int):
@@ -263,7 +322,7 @@ class Conv2d:
         self.pad = 1
         self.kernel = np.zeros((c_out, c_in, self.k, self.k))
         self.bias = np.zeros(c_out)
-        self._x: np.ndarray | None = None
+        self._x: np.ndarray | ChannelStack | None = None
 
     def init_he(self, rng) -> None:
         fan_in = self.c_in * self.k * self.k
@@ -278,7 +337,8 @@ class Conv2d:
         self.kernel = model_tensor(values, f"{self.name}.kernel", self.kernel.shape)
         self.bias = model_tensor(values, f"{self.name}.bias", self.bias.shape)
 
-    def forward(self, x: np.ndarray, *, keep_cache: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray | ChannelStack, *, keep_cache: bool = False
+                ) -> np.ndarray:
         self._x = x if keep_cache else None
         out = conv2d_batch(x, self.kernel, self.pad)
         out += self.bias[:, None, None, None]

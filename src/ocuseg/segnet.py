@@ -7,6 +7,9 @@ Architecture (all convs 3x3, same padding, biased):
     stage2 = relu(conv2(pool2x_batch(stage1)))                [w2, H/2, W/2]
     z      = conv3(concat(upsample2x_batch(stage2), stage1))  [D, H, W]
 
+conv3 reads the concatenation in place, as a ``ChannelStack(stage2,
+stage1)``: neither the upsampled stage2 nor the concatenation is built.
+
 Per-pixel class probabilities are softmax(W @ z) with a bias-free 4xD
 head matrix whose rows double as class template vectors.  Activations use
 the [C, N, H, W] layout internally; images enter as [N, H, W] crops in
@@ -21,8 +24,8 @@ import numpy as np
 
 from .checkpoint import model_tensor
 from .config import RunConfig
-from .layers import (Conv2d, pool2x_batch, pool2x_batch_backward, relu_batch,
-                     relu_batch_backward, softmax_rows, upsample2x_batch,
+from .layers import (ChannelStack, Conv2d, pool2x_batch, pool2x_batch_backward,
+                     relu_batch, relu_batch_backward, softmax_rows,
                      upsample2x_batch_backward)
 from .metrics import N_CLASSES, check_labels, confusion_matrix, metrics_from_confusion
 from .optim import clip_grad_norm, fit
@@ -102,8 +105,7 @@ class SegModel:
         pre2 = self.conv2.forward(p1, keep_cache=keep_cache)
         s2 = relu_batch(pre2)
         if z is None:
-            cat = np.concatenate([upsample2x_batch(s2), s1], axis=0)
-            z = self.conv3.forward(cat, keep_cache=keep_cache)
+            z = self.conv3.forward(ChannelStack(s2, s1), keep_cache=keep_cache)
         self._cache = {"pre1": pre1, "pre2": pre2} if keep_cache else {}
         return StageFeatures(stage1=s1, stage2=s2, z=z)
 

@@ -27,8 +27,8 @@ import math
 import numpy as np
 
 from .config import RunConfig
-from .layers import (Conv2d, pool2x_batch, pool2x_batch_backward, relu_batch,
-                     relu_batch_backward, sigmoid, softplus, upsample2x_batch,
+from .layers import (ChannelStack, Conv2d, pool2x_batch, pool2x_batch_backward,
+                     relu_batch, relu_batch_backward, sigmoid, softplus,
                      upsample2x_batch_backward)
 from .optim import clip_grad_norm, fit
 from .rng import Rng
@@ -46,8 +46,10 @@ class UncHead:
         pre = h4(concat(upsample2x_batch(e), stage1, z))   [D, H]
         cov = softplus(pre) + eps_floor
 
-    Stage features and z are treated as constants (no gradient reaches the
-    backbone), matching the staged training procedure.
+    h3 and h4 read their concatenations in place, as ``ChannelStack(c, a)``
+    and ``ChannelStack(e, stage1, z)``: no upsampled or concatenated copy is
+    built.  Stage features and z are treated as constants (no gradient
+    reaches the backbone), matching the staged training procedure.
     """
 
     def __init__(self, config: RunConfig):
@@ -87,11 +89,10 @@ class UncHead:
         a = relu_batch(a_pre)
         c_pre = self.h2.forward(pool2x_batch(a), keep_cache=keep_cache)
         c = relu_batch(c_pre)
-        e_in = np.concatenate([upsample2x_batch(c), a], axis=0)
-        e_pre = self.h3.forward(e_in, keep_cache=keep_cache)
+        e_pre = self.h3.forward(ChannelStack(c, a), keep_cache=keep_cache)
         e = relu_batch(e_pre)
-        g_in = np.concatenate([upsample2x_batch(e), stages.stage1, stages.z], axis=0)
-        g_pre = self.h4.forward(g_in, keep_cache=keep_cache)
+        g_pre = self.h4.forward(ChannelStack(e, stages.stage1, stages.z),
+                                keep_cache=keep_cache)
         self._cache = ({"a_pre": a_pre, "c_pre": c_pre, "e_pre": e_pre, "g_pre": g_pre}
                        if keep_cache else {})
         return softplus(g_pre) + self.eps_floor

@@ -157,7 +157,8 @@ class TestInferEval:
         assert main(["infer", "--data", str(root / "data"),
                      "--seg", str(root / "seg"), "--unc", str(root / "seg"),
                      "--out", str(tmp_path / "p")]) == 2
-        assert "no tensor 'h1.kernel'" in capsys.readouterr().err
+        assert f"{root / 'seg'}: checkpoint kind is 'seg', expected 'unc'" \
+            in capsys.readouterr().err
 
     def test_eval_report(self, trained, tmp_path):
         root, _ = trained
@@ -304,17 +305,42 @@ def gen(*extra):
     return argv
 
 
-def infer_with_config_field(field, value):
-    """infer with a seg checkpoint whose stored config carries ``field``."""
+def infer_with_seg_header(edit):
+    """infer with a seg checkpoint whose header.json ``edit`` changed."""
     def argv(tmp_path, root, pred):
         seg = tmp_path / "seg"
         shutil.copytree(root / "seg", seg)
         header = json.loads((seg / "header.json").read_text())
-        header["config"][field] = value
+        edit(header)
         (seg / "header.json").write_text(json.dumps(header))
         return ["infer", "--data", str(root / "data"), "--seg", str(seg),
                 "--unc", str(root / "unc"), "--out", str(tmp_path / "p")]
     return argv
+
+
+def infer_with_config_field(field, value):
+    """infer with a seg checkpoint whose stored config carries ``field``."""
+    return infer_with_seg_header(lambda header: header["config"].update({field: value}))
+
+
+def empty_dataset(tmp_path):
+    data = tmp_path / "empty_set"
+    data.mkdir()
+    (data / "manifest.json").write_text("[]\n")
+    return data
+
+
+def infer_with(seg="seg", unc="unc", empty=False):
+    def argv(tmp_path, root, pred):
+        data = empty_dataset(tmp_path) if empty else root / "data"
+        return ["infer", "--data", str(data), "--seg", str(root / seg),
+                "--unc", str(root / unc), "--out", str(tmp_path / "g")]
+    return argv
+
+
+def eval_empty(tmp_path, root, pred):
+    return ["eval", "--pred", str(pred), "--data", str(empty_dataset(tmp_path)),
+            "--out", str(tmp_path / "r.json")]
 
 
 def landscape(*extra):
@@ -363,6 +389,12 @@ BAD_INPUTS = {
     "gen-n-negative": (gen("--n", "-1"), "--n must be >= 1, got -1"),
     "checkpoint-temperature": (infer_with_config_field("temperature", 1.0),
                                "unknown config fields: ['temperature']"),
+    "checkpoint-swapped": (infer_with(seg="unc", unc="seg"),
+                           "unc: checkpoint kind is 'unc', expected 'seg'"),
+    "checkpoint-no-kind": (infer_with_seg_header(lambda header: header.pop("kind")),
+                           "header.json: header has no 'kind' field (one of seg, unc)"),
+    "infer-empty": (infer_with(empty=True), "empty_set is empty"),
+    "eval-empty": (eval_empty, "empty_set is empty"),
 }
 
 

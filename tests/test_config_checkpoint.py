@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ class TestCheckpoint:
             "a.kernel": Rng(1).normal_array(24).reshape(2, 3, 4),
             "b": np.array([1.5, -2.5]),
         }
-        save_checkpoint(tmp_path / "ckpt", cfg, tensors)
+        save_checkpoint(tmp_path / "ckpt", cfg, tensors, "seg")
         cfg2, back = load_checkpoint(tmp_path / "ckpt")
         assert cfg2 == cfg
         for k, v in tensors.items():
@@ -59,8 +60,8 @@ class TestCheckpoint:
     def test_byte_deterministic(self, tmp_path):
         cfg = RunConfig(seed=5)
         tensors = {"w": Rng(2).normal_array(10)}
-        save_checkpoint(tmp_path / "a", cfg, tensors)
-        save_checkpoint(tmp_path / "b", cfg, tensors)
+        save_checkpoint(tmp_path / "a", cfg, tensors, "seg")
+        save_checkpoint(tmp_path / "b", cfg, tensors, "seg")
         assert (tmp_path / "a" / "weights.bin").read_bytes() \
             == (tmp_path / "b" / "weights.bin").read_bytes()
         assert (tmp_path / "a" / "header.json").read_bytes() \
@@ -72,7 +73,7 @@ class TestCheckpoint:
 
     def test_truncated_weights_rejected(self, tmp_path):
         cfg = RunConfig()
-        save_checkpoint(tmp_path / "c", cfg, {"w": np.ones(100)})
+        save_checkpoint(tmp_path / "c", cfg, {"w": np.ones(100)}, "seg")
         blob = (tmp_path / "c" / "weights.bin").read_bytes()
         (tmp_path / "c" / "weights.bin").write_bytes(blob[:40])
         with pytest.raises(CheckpointError, match="truncated"):
@@ -80,7 +81,7 @@ class TestCheckpoint:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg = RunConfig()
-        save_checkpoint(tmp_path / "c", cfg, {"w": np.ones(10), "b": np.ones(2)})
+        save_checkpoint(tmp_path / "c", cfg, {"w": np.ones(10), "b": np.ones(2)}, "seg")
         weights = tmp_path / "c" / "weights.bin"
         weights.write_bytes(weights.read_bytes() + b"\0\0\0\0")
         with pytest.raises(CheckpointError, match="trailing bytes"):
@@ -90,7 +91,7 @@ class TestCheckpoint:
                                       lambda h: h.update(arch_hash="0123456789abcdef")],
                              ids=["config", "hash"])
     def test_arch_hash_rechecked(self, tmp_path, edit):
-        save_checkpoint(tmp_path / "c", RunConfig(), {"w": np.ones(3)})
+        save_checkpoint(tmp_path / "c", RunConfig(), {"w": np.ones(3)}, "seg")
         path = tmp_path / "c" / "header.json"
         header = json.loads(path.read_text())
         edit(header)
@@ -99,13 +100,36 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "c")
 
     def test_invalid_stored_config_rejected(self, tmp_path):
-        save_checkpoint(tmp_path / "c", RunConfig(), {"w": np.ones(3)})
+        save_checkpoint(tmp_path / "c", RunConfig(), {"w": np.ones(3)}, "seg")
         path = tmp_path / "c" / "header.json"
         header = json.loads(path.read_text())
         header["config"]["seg_epochs"] = 0
         path.write_text(json.dumps(header))
         with pytest.raises(CheckpointError, match="invalid config: seg_epochs must be >= 1"):
             load_checkpoint(tmp_path / "c")
+
+    def test_kind_stored_and_checked(self, tmp_path):
+        save_checkpoint(tmp_path / "c", RunConfig(), {"w": np.ones(3)}, "unc")
+        assert json.loads((tmp_path / "c" / "header.json").read_text())["kind"] == "unc"
+        for kind in ("unc", None):
+            assert np.array_equal(load_checkpoint(tmp_path / "c", kind)[1]["w"], np.ones(3))
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(str(tmp_path / 'c'))}: checkpoint kind is "
+                                 "'unc', expected 'seg'$"):
+            load_checkpoint(tmp_path / "c", "seg")
+        with pytest.raises(ValueError, match="kind must be one of"):
+            save_checkpoint(tmp_path / "d", RunConfig(), {"w": np.ones(3)}, "head")
+
+    def test_kind_required(self, tmp_path):
+        save_checkpoint(tmp_path / "c", RunConfig(), {"w": np.ones(3)}, "seg")
+        path = tmp_path / "c" / "header.json"
+        header = json.loads(path.read_text())
+        del header["kind"]
+        path.write_text(json.dumps(header))
+        for kind in ("seg", None):
+            with pytest.raises(CheckpointError,
+                               match=r"header.json: header has no 'kind' field \(one of seg, unc\)"):
+                load_checkpoint(tmp_path / "c", kind)
 
     def test_model_tensor_checks_name_and_shape(self):
         values = {"a.kernel": np.ones((2, 3))}

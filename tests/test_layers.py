@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ocuseg import layers
 from ocuseg.gradcheck import grad_check
-from ocuseg.layers import (Conv2d, conv2d, conv2d_batch, conv2d_batch_backward,
+from ocuseg.layers import (ChannelStack, Conv2d, conv2d, conv2d_batch, conv2d_batch_backward,
                            pool2x_batch, pool2x_batch_backward, relu_batch,
                            relu_batch_backward, sigmoid, softmax_rows, softplus,
                            upsample2x_batch, upsample2x_batch_backward)
@@ -198,6 +198,75 @@ class TestBandedConv:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[0] < 2 * x.nbytes and peaks[1] < 2 * x.nbytes, (peaks, x.nbytes)
+
+
+# (C_i, H_i) of each part, at 96x96 crops: conv3, h3 and h4 of the default config
+STACK_GEOMETRIES = {"conv3": [(16, 48), (8, 96)], "h3": [(8, 24), (8, 48)],
+                    "h4": [(8, 48), (8, 96), (8, 96)]}
+
+
+class TestChannelStack:
+    @staticmethod
+    def _parts(rng, geometry, n=2):
+        return [rng.normal_array(c * n * h * h).reshape(c, n, h, h) for c, h in geometry]
+
+    @staticmethod
+    def _materialize(parts):
+        h = max(p.shape[2] for p in parts)
+        return np.concatenate([p if p.shape[2] == h else upsample2x_batch(p)
+                               for p in parts], axis=0)
+
+    def _check_bit_identical(self, rng, parts, c_out=8):
+        stack, x = ChannelStack(*parts), self._materialize(parts)
+        assert stack.shape == x.shape
+        kernel = rng.normal_array(c_out * x.shape[0] * 9).reshape(c_out, x.shape[0], 3, 3)
+        g = rng.normal_array(c_out * x[0].size).reshape((c_out,) + x.shape[1:])
+        assert np.array_equal(conv2d_batch(stack, kernel, 1), conv2d_batch(x, kernel, 1))
+        gi_stack, gk_stack = conv2d_batch_backward(g, stack, kernel)
+        gi, gk = conv2d_batch_backward(g, x, kernel)
+        assert np.array_equal(gk_stack, gk)
+        assert np.array_equal(gi_stack, gi)
+
+    @pytest.mark.parametrize("conv", list(STACK_GEOMETRIES))
+    def test_conv_equals_conv_of_concatenation(self, rng, conv):
+        self._check_bit_identical(rng, self._parts(rng, STACK_GEOMETRIES[conv]))
+
+    def test_several_bands(self, rng, monkeypatch):
+        # 3-row im2col bands and 6-row row-shift bands over 10 rows
+        monkeypatch.setattr(layers, "_BAND_BYTES", 8 * 5 * 9 * 16 * 3)
+        parts = [rng.normal_array(3 * 2 * 5 * 8).reshape(3, 2, 5, 8),
+                 rng.normal_array(2 * 2 * 10 * 16).reshape(2, 2, 10, 16)]
+        stack = ChannelStack(*parts)
+        assert [(r0, r1) for i, r0, r1, _ in layers._bands(stack, 3) if i == 0] \
+            == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert [(r0, r1) for i, r0, r1, _ in layers._shift_bands(stack, 3) if i == 0] \
+            == [(0, 6), (6, 10)]
+        self._check_bit_identical(rng, parts, c_out=4)
+
+    def test_conv_layer_keeps_the_stack(self, rng):
+        parts = self._parts(rng, STACK_GEOMETRIES["h3"])
+        conv = Conv2d("h3", 16, 8)
+        conv.init_he(rng)
+        conv.forward(ChannelStack(*parts), keep_cache=True)
+        assert conv._x.parts[0] is parts[0] and conv._x.parts[1] is parts[1]
+
+    @pytest.mark.parametrize("shapes,expected", [
+        ([(2, 1, 4, 4), (3, 2, 8, 8)],
+         r"stack parts disagree in N: shapes \[\(2, 1, 4, 4\), \(3, 2, 8, 8\)\]"),
+        ([(2, 1, 3, 4), (3, 1, 8, 8)],
+         r"stack part \(2, 1, 3, 4\) is neither full \(8x8\) nor half size: "
+         r"shapes \[\(2, 1, 3, 4\), \(3, 1, 8, 8\)\]"),
+        ([(2, 1, 8, 8), (3, 1, 2, 2)], r"stack part \(3, 1, 2, 2\) is neither full"),
+    ], ids=["n", "size", "quarter-size"])
+    def test_bad_parts_rejected(self, shapes, expected):
+        with pytest.raises(ValueError, match=expected):
+            ChannelStack(*(np.zeros(s) for s in shapes))
+
+    def test_channel_total_checked(self):
+        stack = ChannelStack(np.zeros((2, 1, 4, 4)), np.zeros((3, 1, 8, 8)))
+        with pytest.raises(ValueError, match=r"kernel \(4, 6, 3, 3\) expects 6 input "
+                                             r"channels, input \(5, 1, 8, 8\) has 5"):
+            conv2d_batch(stack, np.zeros((4, 6, 3, 3)), 1)
 
 
 ACTIVATIONS = {"relu": (relu_batch, relu_batch_backward),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from ocuseg.config import RunConfig
 from ocuseg.gradcheck import grad_check, pack_params, unpack_params
 from ocuseg.rng import Rng
-from ocuseg.segnet import SegModel, class_centers
+from ocuseg.segnet import INFER_BATCH, SegModel, class_centers, predict_batch
 from ocuseg.uncertainty import (UncHead, _softplus_inverse, brute_force_optimal_cov,
                                 grad_vanishing_probe, head_flops, landscape_grid,
                                 optimal_cov_oracle, original_loss_batch,
@@ -51,6 +52,22 @@ class TestHeadForward:
                               z=stages.z)
         with pytest.raises(ValueError, match="stage shapes"):
             head.forward(broken)
+
+    def test_inference_peak_memory_below_nine_latents(self, rng):
+        # the inference path of one batch on the default config: the conv inputs
+        # of the skip joins are read in place, so no upsampled or concatenated
+        # copy adds to the peak
+        config = RunConfig(seed=7)
+        seg, head = SegModel(config), UncHead(config)
+        seg.init_params(rng)
+        head.init_params(rng)
+        images = rng.uniform_array(INFER_BATCH * 96 * 96).reshape(INFER_BATCH, 96, 96)
+        tracemalloc.start()
+        _, stages = predict_batch(seg, images)
+        unc_score(head.forward(stages), config.eps_floor)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 9 * stages.z.nbytes, (peak, stages.z.nbytes)
 
 
 class TestLossValues:
