@@ -210,12 +210,18 @@ def motion_blur_kernel(length: int, angle: float) -> np.ndarray:
 
 
 def _blur(sample: Sample, severity: float, rng: Rng) -> Sample:
+    """Motion blur along a random angle, ``1 + round(14 * severity)`` taps.
+
+    The image is on the 1/255 grid, so the blur sums its integer levels
+    under 0/1 taps: every partial sum is an exact integer, whatever order
+    ``conv2d`` adds in, and ``floor(S / length + 0.5) / 255`` is
+    ``quantize8`` of the exact blur, ties included."""
     length = 1 + int(round(14.0 * severity))
     angle = rng.uniform(0.0, math.pi)
-    kern = motion_blur_kernel(length, angle)
-    pad = (kern.shape[0] - 1) // 2
-    blurred = conv2d(sample.image[None], kern[None, None], pad)[0]
-    return replace(sample, image=quantize8(blurred))
+    taps = (motion_blur_kernel(length, angle) > 0).astype(np.float64)
+    pad = (taps.shape[0] - 1) // 2
+    sums = conv2d(np.rint(255.0 * sample.image)[None], taps[None, None], pad)[0]
+    return replace(sample, image=np.floor(sums / length + 0.5) / 255.0)
 
 
 def _occlude(sample: Sample, severity: float) -> Sample:

@@ -98,6 +98,20 @@ class TestCorruptions:
         assert np.count_nonzero(response) == 15
         assert abs(response.sum() - 1.0) < 15 * (0.5 / 255) + 1e-9
 
+    @pytest.mark.parametrize("length", range(2, 16))
+    def test_blur_exact_on_the_8bit_grid(self, length):
+        # integer reference: sum the 8-bit levels under the taps, round half up
+        s = render_eye(make_params(), 120, 160, Rng(3))
+        levels = np.rint(s.image * 255).astype(np.int64)
+        for seed in (5, 6, 7, 8):
+            angle = Rng(seed).uniform(0.0, math.pi)
+            out = apply_corruption(s, Corruption("blur", (length - 1) / 14), Rng(seed))
+            taps = motion_blur_kernel(length, angle)
+            r = (taps.shape[0] - 1) // 2
+            padded = np.pad(levels, r)
+            total = sum(padded[di:di + 120, dj:dj + 160] for di, dj in zip(*np.nonzero(taps)))
+            assert np.array_equal(out.image, (2 * total + length) // (2 * length) / 255.0)
+
     def test_occlusion_full_clears_top_half_pupil(self):
         s = render_eye(make_params(), 120, 160, Rng(3))
         out = apply_corruption(s, Corruption("occlusion", 1.0), Rng(5))
