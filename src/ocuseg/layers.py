@@ -6,29 +6,34 @@ one ``[C, H, W]`` image.
 
 Convolutions are cross-correlations with zero padding and mandatory
 "same" geometry: the kernel side must be odd and ``pad == (k - 1) // 2``.
-Every conv pass is a set of GEMMs over slabs built for one image and one
-band of output rows at a time, so that each slab (about ``_BAND_BYTES``)
-stays in cache and no batch-sized slab ever exists.
+Every conv pass is a set of GEMMs over one slab format, the row-shift slab
+(``_shift_bands``), built for one image and one band of output rows at a
+time, so that each slab (about ``_BAND_BYTES``) stays in cache and no
+batch-sized slab ever exists.  The slab holds the band's zero-padded rows
+plus ``k-1`` halo rows, flattened on the padded width and shifted by each
+column offset: k copies of the input, where an im2col slab (Chellapilla et
+al. 2006) would make k*k.  Kernel row ``dy`` then reads the slab from
+padded row ``dy`` on.
 
-- The forward pass runs one GEMM per band of an im2col slab (Chellapilla
-  et al. 2006), which copies the input k*k times.
-- The kernel gradient copies the input only k times, into a row-shift
-  slab (``_shift_bands``): the band's zero-padded rows plus ``k-1`` halo
-  rows, flattened on the padded width and shifted by each column offset.
-  Kernel row ``dy`` is then one GEMM of the output gradient, laid on the
-  same padded width, against the slab from padded row ``dy`` on.  It sums
-  in another order than an im2col GEMM, so it matches one to rounding
-  (about 1e-15 relative).
+- The forward pass sums, over ``dy``, one GEMM of kernel row ``dy``
+  against the slab; it computes ``k-1`` wrapped pad columns per row, which
+  it drops.
+- The kernel gradient is, for each ``dy``, one GEMM of the output
+  gradient, laid on the same padded width with zeros in the pad columns,
+  against the slab.
 - The input gradient is itself a same-size convolution of the output
   gradient (the transposed convolution: spatially flipped kernel, in/out
-  channels swapped).  A caller can ask for only the leading input channels
-  of that gradient, or for none, when the rest feeds frozen or absent
-  inputs.
+  channels swapped), so it runs the forward pass.  A caller can ask for
+  only the leading input channels of that gradient, or for none, when the
+  rest feeds frozen or absent inputs.
+
+Both sums run in another order than a whole-batch im2col GEMM, so they
+match one to rounding (about 1e-15 relative).
 
 A conv reads its input either as one ``[C_in, N, H, W]`` array or as a
 ``ChannelStack``: the channel concatenation of parts read in place, where a
 part at half the height and width is read nearest-upsampled 2x.  The slab
-builders fill their per-image padded buffer straight from the parts, so a
+builder fills its per-image padded buffer straight from the parts, so a
 skip join builds neither the upsampled copy nor the concatenation; the
 buffer holds the same values as for the materialized input, so the result
 is bit-identical.  The input gradient is still one ``[C_in, N, H, W]``
@@ -38,13 +43,12 @@ Spatial size changes otherwise happen through ``pool2x_batch`` /
 ``upsample2x_batch``, which are adjoint up to a factor of 4 (pool averages
 a 2x2 block, upsample duplicates; the pool backward spreads grad/4, the
 upsample backward sums the block).  ``upsample2x_batch`` and the slab
-builders' reads of a half-size part share one writer, ``_upsample2x_into``.
+builder's reads of a half-size part share one writer, ``_upsample2x_into``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import model_tensor
 
@@ -67,7 +71,8 @@ def _upsample2x_into(dst: np.ndarray, x: np.ndarray) -> None:
 
 
 class ChannelStack:
-    """The channel concatenation of ``parts``, read in place by a conv.
+    """The channel concatenation of ``parts``, read in place by the slab
+    builder of every conv pass.
 
     Each part is ``[C_i, N, H, W]`` or ``[C_i, N, H/2, W/2]``; a half-size
     part stands for its nearest-neighbor 2x upsampling.  ``shape`` is that
@@ -91,20 +96,7 @@ class ChannelStack:
         self.shape = (sum(p.shape[0] for p in parts), n, h, w)
 
 
-def _image_into(dst: np.ndarray, x: np.ndarray | ChannelStack, i: int) -> None:
-    """Write image ``i`` of a conv input (an array or a ``ChannelStack``)
-    into ``dst [C_in, H, W]``."""
-    c0 = 0
-    for p in x.parts if isinstance(x, ChannelStack) else (x,):
-        c1 = c0 + p.shape[0]
-        if p.shape[2] == dst.shape[1]:
-            dst[c0:c1] = p[:, i]
-        else:
-            _upsample2x_into(dst[c0:c1], p[:, i])
-        c0 = c1
-
-
-# Byte budget of one band's im2col slab: small enough to stay in L2 between
+# Byte budget of one band's row-shift slab: small enough to stay in L2 between
 # the copy that fills it and the GEMM that reads it.
 _BAND_BYTES = 1 << 20
 
@@ -119,34 +111,10 @@ def _check_conv(x: np.ndarray | ChannelStack, kernel: np.ndarray, pad: int) -> N
     _require(pad == (kh - 1) // 2, f"same-size conv needs pad={(kh - 1) // 2}, got {pad}")
 
 
-def _bands(x: np.ndarray | ChannelStack, k: int):
-    """Yield ``(i, r0, r1, cols)`` for each image ``i`` of ``x [C_in,N,H,W]``
-    (an array or a ``ChannelStack``) and each band of output rows ``r0:r1``.
-
-    ``cols`` is the band's ``[C_in*k*k, (r1-r0)*W]`` im2col slab for a k x k
-    same-size conv, filled by one copy from a sliding-window view of the
-    zero-padded image.  One buffer of at most ``_BAND_BYTES`` (but at least
-    one row) is reused for every band, so it is overwritten on the next step.
-    """
-    c_in, n, h, w = x.shape
-    pad = (k - 1) // 2
-    rows = max(1, min(h, _BAND_BYTES // (8 * c_in * k * k * w)))
-    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
-    buf = np.empty(c_in * k * k * rows * w)
-    for i in range(n):
-        _image_into(xp[:, pad:pad + h, pad:pad + w], x, i)
-        for r0 in range(0, h, rows):
-            r1 = min(r0 + rows, h)
-            cols = buf[:c_in * k * k * (r1 - r0) * w].reshape(c_in, k, k, r1 - r0, w)
-            np.copyto(cols, windows[:, :, :, r0:r1])
-            yield i, r0, r1, cols.reshape(c_in * k * k, -1)
-
-
 def _shift_bands(x: np.ndarray | ChannelStack, k: int):
     """Yield ``(i, r0, r1, slab)`` for each image ``i`` of ``x [C_in,N,H,W]``
-    (an array or a ``ChannelStack``) and each band of output rows ``r0:r1``,
-    for the kernel gradient of a k x k same-size conv.
+    (an array or a ``ChannelStack``) and each band of output rows ``r0:r1``
+    of a k x k same-size conv.
 
     With ``wp = W + k - 1`` the padded width, ``slab`` is
     ``[C_in*k, (r1-r0+k-1)*wp]``: its row ``(c, dx)`` is channel ``c`` of
@@ -154,8 +122,8 @@ def _shift_bands(x: np.ndarray | ChannelStack, k: int):
     left by ``dx`` columns.  Columns ``dy*wp + (r-r0)*wp + x`` of it then
     hold the input at tap ``(dy, dx)`` of output pixel ``(r, x)`` for every
     ``x < W``; for ``x >= W`` they hold wrapped values the caller must
-    weight by zero.  The padded image has one spare zero row so that the
-    last band's shift stays in bounds.  One buffer of at most
+    drop or weight by zero.  The padded image has one spare zero row so
+    that the last band's shift stays in bounds.  One buffer of at most
     ``_BAND_BYTES`` (but at least one row and its ``k-1`` halo rows) is
     reused for every band, so it is overwritten on the next step.
     """
@@ -166,8 +134,17 @@ def _shift_bands(x: np.ndarray | ChannelStack, k: int):
     xp = np.zeros((c_in, h + k, wp))
     flat = xp.reshape(c_in, -1)
     buf = np.empty(c_in * k * (rows + k - 1) * wp)
+    parts = x.parts if isinstance(x, ChannelStack) else (x,)
     for i in range(n):
-        _image_into(xp[:, pad:pad + h, pad:pad + w], x, i)
+        c0 = 0
+        for p in parts:
+            c1 = c0 + p.shape[0]
+            dst = xp[c0:c1, pad:pad + h, pad:pad + w]
+            if p.shape[2] == h:
+                dst[...] = p[:, i]
+            else:
+                _upsample2x_into(dst, p[:, i])
+            c0 = c1
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
             span = (r1 - r0 + k - 1) * wp
@@ -182,18 +159,24 @@ def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray, pad: int
     """Cross-correlate ``x [C_in,N,H,W]`` (an array or a ``ChannelStack``)
     with ``kernel [C_out,C_in,k,k]``.
 
-    Returns ``[C_out, N, H, W]``, one GEMM per band of ``_bands``.  Every
-    output element is the same length-``C_in*k*k`` dot product as in a
-    whole-batch im2col GEMM.
+    Returns ``[C_out, N, H, W]``.  For each band of ``_shift_bands`` it
+    adds, over kernel rows ``dy``, one GEMM of ``kernel[:, :, dy]`` (as
+    ``[C_out, C_in*k]``) against the slab columns from padded row ``dy``
+    on, and keeps the first ``W`` of each row's ``W + k - 1`` columns.
     """
     _check_conv(x, kernel, pad)
-    c_out = kernel.shape[0]
+    c_out, c_in, k, _ = kernel.shape
     _, n, h, w = x.shape
-    k2 = kernel.reshape(c_out, -1)
-    out = np.empty((c_out, n, h * w))
-    for i, r0, r1, cols in _bands(x, kernel.shape[2]):
-        np.matmul(k2, cols, out=out[:, i, r0 * w:r1 * w])
-    return out.reshape(c_out, n, h, w)
+    wp = w + k - 1
+    taps = [kernel[:, :, dy].reshape(c_out, c_in * k) for dy in range(k)]
+    out = np.empty((c_out, n, h, w))
+    for i, r0, r1, slab in _shift_bands(x, k):
+        span = (r1 - r0) * wp
+        band = taps[0] @ slab[:, :span]
+        for dy in range(1, k):
+            band += taps[dy] @ slab[:, dy * wp:dy * wp + span]
+        out[:, i, r0:r1] = band.reshape(c_out, r1 - r0, wp)[:, :, :w]
+    return out
 
 
 def conv2d_batch_backward(grad_out: np.ndarray, x: np.ndarray | ChannelStack,
