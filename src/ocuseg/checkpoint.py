@@ -65,7 +65,12 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
     for p in (header_path, weights_path):
         if not p.exists():
             raise CheckpointError(f"missing checkpoint file: {p}")
-    header = json.loads(header_path.read_text(encoding="utf-8"))
+    try:
+        header = json.loads(header_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{header_path}: not valid JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{header_path}: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format_version {header.get('format_version')}")
     if "kind" not in header:
@@ -75,22 +80,22 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
         raise CheckpointError(f"{directory}: checkpoint kind is {header['kind']!r}, "
                               f"expected {kind!r}")
     try:
-        config = RunConfig.from_json(json.dumps(header["config"]))
+        config = RunConfig.from_json(json.dumps(header.get("config")))
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{header_path}: invalid config: {e}") from None
     if header.get("arch_hash") != config.arch_hash():
         raise CheckpointError(f"{header_path}: stored arch_hash {header.get('arch_hash')!r} "
                               f"does not match its config ({config.arch_hash()!r})")
+    index = _tensor_index(header, header_path)
     raw = weights_path.read_bytes()
-    counts = [int(np.prod(entry["shape"])) if entry["shape"] else 1
-              for entry in header["tensors"]]
+    counts = [int(np.prod(entry["shape"])) if entry["shape"] else 1 for entry in index]
     expected = 8 * sum(counts)
     if len(raw) != expected:
         kind = "truncated" if len(raw) < expected else "trailing bytes in"
         raise CheckpointError(f"{kind} {weights_path}: {len(raw)} bytes, "
                               f"header describes {expected}")
     tensors = {}
-    for entry, count in zip(header["tensors"], counts):
+    for entry, count in zip(index, counts):
         shape = tuple(entry["shape"])
         off = entry["byte_offset"]
         try:
@@ -100,6 +105,25 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
                 f"truncated weights for tensor {entry['name']!r}") from None
         tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
     return config, tensors
+
+
+def _tensor_index(header: dict, header_path: Path) -> list[dict]:
+    """The header's ``tensors`` list, each entry checked to hold a string
+    ``name``, a ``shape`` list of counts and a count ``byte_offset``."""
+    def is_count(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    index = header.get("tensors")
+    if not isinstance(index, list):
+        raise CheckpointError(f"{header_path}: 'tensors' must be a list, got {index!r}")
+    for entry in index:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(is_count(v) for v in entry["shape"])
+                and is_count(entry.get("byte_offset"))):
+            raise CheckpointError(f"{header_path}: bad tensors entry {entry!r} (expected "
+                                  "name: string, shape: list of counts, byte_offset: count)")
+    return index
 
 
 def model_tensor(values: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:

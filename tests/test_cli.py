@@ -115,17 +115,25 @@ class TestThreadDeterminism:
         env = {k: v for k, v in os.environ.items()
                if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
         env["PYTHONPATH"] = str(Path(ocuseg.__file__).resolve().parents[1])
+        train = ["--data", str(root / "data"), "--config", str(cfg_path)]
         for threads in ("1", "2"):
             env["OCUSEG_THREADS"] = threads
             out = tmp_path / f"t{threads}"
-            for argv in (["train-seg", "--out", str(out / "seg")],
-                         ["train-unc", "--seg", str(out / "seg"), "--out", str(out / "unc")]):
-                subprocess.run([sys.executable, "-m", "ocuseg.cli", *argv,
-                                "--data", str(root / "data"), "--config", str(cfg_path)],
+            for argv in (["train-seg", "--out", str(out / "seg"), *train],
+                         ["train-unc", "--seg", str(out / "seg"), "--out", str(out / "unc"),
+                          *train],
+                         ["gen", "--out", str(out / "blur"), "--n", "4", "--seed", "5",
+                          "--corruptions", "blur", "--severities", "0.1,1.0"]):
+                subprocess.run([sys.executable, "-m", "ocuseg.cli", *argv],
                                env=env, check=True, capture_output=True, timeout=300)
         for stage in ("seg", "unc"):
             assert (tmp_path / "t1" / stage / "weights.bin").read_bytes() \
                 == (tmp_path / "t2" / stage / "weights.bin").read_bytes()
+        blurred = sorted(p.relative_to(tmp_path / "t1")
+                         for p in (tmp_path / "t1" / "blur").rglob("*") if p.is_file())
+        assert len(blurred) > 4
+        for rel in blurred:
+            assert (tmp_path / "t1" / rel).read_bytes() == (tmp_path / "t2" / rel).read_bytes()
 
 
 class TestInferEval:
@@ -305,14 +313,20 @@ def gen(*extra):
     return argv
 
 
-def infer_with_seg_header(edit):
-    """infer with a seg checkpoint whose header.json ``edit`` changed."""
+def infer_with_seg_header(edit, raw=False):
+    """infer with a seg checkpoint whose header.json ``edit`` changed: the
+    parsed header in place, or with ``raw`` the file's text, which ``edit``
+    returns replaced."""
     def argv(tmp_path, root, pred):
         seg = tmp_path / "seg"
         shutil.copytree(root / "seg", seg)
-        header = json.loads((seg / "header.json").read_text())
-        edit(header)
-        (seg / "header.json").write_text(json.dumps(header))
+        path = seg / "header.json"
+        if raw:
+            path.write_text(edit(path.read_text()))
+        else:
+            header = json.loads(path.read_text())
+            edit(header)
+            path.write_text(json.dumps(header))
         return ["infer", "--data", str(root / "data"), "--seg", str(seg),
                 "--unc", str(root / "unc"), "--out", str(tmp_path / "p")]
     return argv
@@ -364,6 +378,10 @@ BAD_INPUTS = {
     "landscape-n": (landscape("--n", "5"), "--n 5"),
     "landscape-v": (landscape("--v", "1,2,3"), "--v 1,2,3"),
     "s_unc": (eval_with(lambda p: replace_score(p, "abc")), "s_unc 'abc'"),
+    "s_unc-nan": (eval_with(lambda p: replace_score(p, "nan")),
+                  "scores.csv: s_unc of s000000 is 'nan', not a finite number"),
+    "s_unc-inf": (eval_with(lambda p: replace_score(p, "-inf")),
+                  "scores.csv: s_unc of s000000 is '-inf', not a finite number"),
     "meta": (eval_with(lambda p: (p / "meta.json").write_text("{broken")), "meta.json"),
     "pcts-negative": (eval_with(lambda p: None, "-5"), "got -5.0"),
     "pcts-100": (eval_with(lambda p: None, "1,100"), "got 100.0"),
@@ -393,6 +411,22 @@ BAD_INPUTS = {
                            "unc: checkpoint kind is 'unc', expected 'seg'"),
     "checkpoint-no-kind": (infer_with_seg_header(lambda header: header.pop("kind")),
                            "header.json: header has no 'kind' field (one of seg, unc)"),
+    "checkpoint-truncated-header": (infer_with_seg_header(lambda text: text[:40], raw=True),
+                                    "header.json: not valid JSON"),
+    "checkpoint-header-list": (infer_with_seg_header(lambda text: "[1, 2]\n", raw=True),
+                               "header.json: not a JSON object"),
+    "checkpoint-no-tensors": (infer_with_seg_header(lambda header: header.pop("tensors")),
+                              "header.json: 'tensors' must be a list, got None"),
+    "checkpoint-tensors-dict": (infer_with_seg_header(lambda header: header.update(tensors={})),
+                                "header.json: 'tensors' must be a list, got {}"),
+    "checkpoint-tensor-no-name": (infer_with_seg_header(
+        lambda header: header["tensors"][0].pop("name")), "header.json: bad tensors entry"),
+    "checkpoint-tensor-shape": (infer_with_seg_header(
+        lambda header: header["tensors"][0].update(shape="8x1x3x3")),
+        "header.json: bad tensors entry"),
+    "checkpoint-tensor-offset": (infer_with_seg_header(
+        lambda header: header["tensors"][0].update(byte_offset=-8)),
+        "header.json: bad tensors entry"),
     "infer-empty": (infer_with(empty=True), "empty_set is empty"),
     "eval-empty": (eval_empty, "empty_set is empty"),
 }
