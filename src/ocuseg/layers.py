@@ -6,29 +6,23 @@ one ``[C, H, W]`` image.
 
 Convolutions are cross-correlations with zero padding and mandatory
 "same" geometry: the kernel side must be odd and ``pad == (k - 1) // 2``.
-Every conv pass is a set of GEMMs over one slab format, the row-shift slab
-(``_shift_bands``), built for one image and one band of output rows at a
-time, so that each slab (about ``_BAND_BYTES``) stays in cache and no
-batch-sized slab ever exists.  The slab holds the band's zero-padded rows
-plus ``k-1`` halo rows, flattened on the padded width and shifted by each
-column offset: k copies of the input, where an im2col slab (Chellapilla et
-al. 2006) would make k*k.  Kernel row ``dy`` then reads the slab from
-padded row ``dy`` on.
+Every conv pass is a set of GEMMs over row-shift slabs (``_shift_bands``),
+built for one image and one band of output rows at a time, so that each
+slab (about ``_BAND_BYTES``) stays in cache and no batch-sized slab ever
+exists.  A slab holds the band's zero-padded rows plus ``k-1`` halo rows,
+flattened on the padded width and shifted by each column offset: k copies
+of the input, where im2col (Chellapilla et al. 2006) makes k*k.  Kernel
+row ``dy`` reads the slab from padded row ``dy`` on, and each pass below
+matches an im2col GEMM to rounding (about 1e-15 relative).
 
-- The forward pass sums, over ``dy``, one GEMM of kernel row ``dy``
-  against the slab; it computes ``k-1`` wrapped pad columns per row, which
-  it drops.
-- The kernel gradient is, for each ``dy``, one GEMM of the output
-  gradient, laid on the same padded width with zeros in the pad columns,
-  against the slab.
-- The input gradient is itself a same-size convolution of the output
-  gradient (the transposed convolution: spatially flipped kernel, in/out
-  channels swapped), so it runs the forward pass.  A caller can ask for
-  only the leading input channels of that gradient, or for none, when the
-  rest feeds frozen or absent inputs.
-
-Both sums run in another order than a whole-batch im2col GEMM, so they
-match one to rounding (about 1e-15 relative).
+- Forward: the sum over ``dy`` of one GEMM of kernel row ``dy`` against
+  the slab, keeping ``W`` of each row's ``W + k - 1`` columns.
+- Kernel gradient: for each ``dy``, one GEMM of the output gradient, laid
+  on the padded width with zeros in the pad columns, against the slab.
+- Input gradient: the forward pass of the output gradient with the
+  transposed kernel (spatially flipped, in/out channels swapped).  A
+  caller can ask for only its leading input channels, or for none, when
+  the rest feeds frozen or absent inputs.
 
 A conv reads its input either as one ``[C_in, N, H, W]`` array or as a
 ``ChannelStack``: the channel concatenation of parts read in place, where a
@@ -101,16 +95,6 @@ class ChannelStack:
 _BAND_BYTES = 1 << 20
 
 
-def _check_conv(x: np.ndarray | ChannelStack, kernel: np.ndarray, pad: int) -> None:
-    c_in = x.shape[0]
-    _, kc_in, kh, kw = kernel.shape
-    _require(kc_in == c_in,
-             f"kernel {kernel.shape} expects {kc_in} input channels, "
-             f"input {x.shape} has {c_in}")
-    _require(kh == kw and kh % 2 == 1, f"kernel must be odd square, got {kh}x{kw}")
-    _require(pad == (kh - 1) // 2, f"same-size conv needs pad={(kh - 1) // 2}, got {pad}")
-
-
 def _shift_bands(x: np.ndarray | ChannelStack, k: int):
     """Yield ``(i, r0, r1, slab)`` for each image ``i`` of ``x [C_in,N,H,W]``
     (an array or a ``ChannelStack``) and each band of output rows ``r0:r1``
@@ -164,8 +148,12 @@ def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray, pad: int
     ``[C_out, C_in*k]``) against the slab columns from padded row ``dy``
     on, and keeps the first ``W`` of each row's ``W + k - 1`` columns.
     """
-    _check_conv(x, kernel, pad)
-    c_out, c_in, k, _ = kernel.shape
+    c_out, c_in, k, kw = kernel.shape
+    _require(c_in == x.shape[0],
+             f"kernel {kernel.shape} expects {c_in} input channels, "
+             f"input {x.shape} has {x.shape[0]}")
+    _require(k == kw and k % 2 == 1, f"kernel must be odd square, got {k}x{kw}")
+    _require(pad == (k - 1) // 2, f"same-size conv needs pad={(k - 1) // 2}, got {pad}")
     _, n, h, w = x.shape
     wp = w + k - 1
     taps = [kernel[:, :, dy].reshape(c_out, c_in * k) for dy in range(k)]

@@ -190,16 +190,13 @@ def sample_scene_params(h_full: int, w_full: int, rng: Rng) -> SceneParams:
 
 def motion_blur_kernel(length: int, angle: float) -> np.ndarray:
     """Digital-line kernel with exactly ``length`` taps of weight 1/length."""
-    if length == 1:
-        return np.ones((1, 1))
     dy, dx = math.sin(angle), math.cos(angle)
+    major = [k - (length - 1) // 2 for k in range(length)]
     if abs(dx) >= abs(dy):
         slope = dy / dx
-        major = [k - (length - 1) // 2 for k in range(length)]
         cells = [(int(math.floor(u * slope + 0.5)), u) for u in major]
     else:
         slope = dx / dy
-        major = [k - (length - 1) // 2 for k in range(length)]
         cells = [(u, int(math.floor(u * slope + 0.5))) for u in major]
     radius = max(max(abs(ci), abs(cj)) for ci, cj in cells)
     side = 2 * radius + 1
@@ -210,12 +207,9 @@ def motion_blur_kernel(length: int, angle: float) -> np.ndarray:
 
 
 def _blur(sample: Sample, severity: float, rng: Rng) -> Sample:
-    """Motion blur along a random angle, ``1 + round(14 * severity)`` taps.
-
-    The image is on the 1/255 grid, so the blur sums its integer levels
-    under 0/1 taps: every partial sum is an exact integer, whatever order
-    ``conv2d`` adds in, and ``floor(S / length + 0.5) / 255`` is
-    ``quantize8`` of the exact blur, ties included."""
+    """Motion blur by a random-angle line of ``length`` taps: the sum ``S`` of
+    the image's 8-bit levels under the taps is exact in any summation order,
+    and ``floor(S / length + 0.5) / 255`` is ``quantize8`` of the exact blur."""
     length = 1 + int(round(14.0 * severity))
     angle = rng.uniform(0.0, math.pi)
     taps = (motion_blur_kernel(length, angle) > 0).astype(np.float64)
