@@ -86,7 +86,10 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
     if header.get("arch_hash") != config.arch_hash():
         raise CheckpointError(f"{header_path}: stored arch_hash {header.get('arch_hash')!r} "
                               f"does not match its config ({config.arch_hash()!r})")
-    index = _tensor_index(header, header_path)
+    index = header.get("tensors")
+    if not (isinstance(index, list) and all(map(_is_tensor_entry, index))):
+        raise CheckpointError(f"{header_path}: 'tensors' must be a list of {{name: string, "
+                              f"shape: list of counts, byte_offset: count}}, got {index!r}")
     raw = weights_path.read_bytes()
     counts = [int(np.prod(entry["shape"])) if entry["shape"] else 1 for entry in index]
     expected = 8 * sum(counts)
@@ -107,23 +110,13 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
     return config, tensors
 
 
-def _tensor_index(header: dict, header_path: Path) -> list[dict]:
-    """The header's ``tensors`` list, each entry checked to hold a string
-    ``name``, a ``shape`` list of counts and a count ``byte_offset``."""
-    def is_count(v) -> bool:
-        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-    index = header.get("tensors")
-    if not isinstance(index, list):
-        raise CheckpointError(f"{header_path}: 'tensors' must be a list, got {index!r}")
-    for entry in index:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("shape"), list)
-                and all(is_count(v) for v in entry["shape"])
-                and is_count(entry.get("byte_offset"))):
-            raise CheckpointError(f"{header_path}: bad tensors entry {entry!r} (expected "
-                                  "name: string, shape: list of counts, byte_offset: count)")
-    return index
+def _is_tensor_entry(entry) -> bool:
+    """Whether a ``tensors`` entry has a string ``name``, a ``shape`` list of
+    counts and a count ``byte_offset``; a count is an int >= 0, not a bool."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(v) is int and v >= 0
+                    for v in [*entry["shape"], entry.get("byte_offset")]))
 
 
 def model_tensor(values: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:

@@ -17,7 +17,6 @@ if _threads:
 
 import argparse
 import json
-import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -240,7 +239,7 @@ def cmd_eval(args) -> int:
         except (KeyError, ValueError):
             raise UsageError(f"bad scores.csv or crops.csv row for {sid} in {pred_dir}: "
                              f"s_unc {row.get('s_unc')!r}, crop {crop}") from None
-        if not math.isfinite(s_unc):
+        if not np.isfinite(s_unc):
             raise UsageError(f"{pred_dir / 'scores.csv'}: s_unc of {sid} is "
                              f"{row['s_unc']!r}, not a finite number")
         pgm = pred_dir / "pred" / f"{sid}.pgm"

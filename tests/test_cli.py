@@ -416,17 +416,18 @@ BAD_INPUTS = {
     "checkpoint-header-list": (infer_with_seg_header(lambda text: "[1, 2]\n", raw=True),
                                "header.json: not a JSON object"),
     "checkpoint-no-tensors": (infer_with_seg_header(lambda header: header.pop("tensors")),
-                              "header.json: 'tensors' must be a list, got None"),
+                              "header.json: 'tensors' must be a list of {name: string, shape: "
+                              "list of counts, byte_offset: count}, got None"),
     "checkpoint-tensors-dict": (infer_with_seg_header(lambda header: header.update(tensors={})),
-                                "header.json: 'tensors' must be a list, got {}"),
+                                "header.json: 'tensors' must be a list of"),
     "checkpoint-tensor-no-name": (infer_with_seg_header(
-        lambda header: header["tensors"][0].pop("name")), "header.json: bad tensors entry"),
+        lambda header: header["tensors"][0].pop("name")), "header.json: 'tensors' must be a list of"),
     "checkpoint-tensor-shape": (infer_with_seg_header(
         lambda header: header["tensors"][0].update(shape="8x1x3x3")),
-        "header.json: bad tensors entry"),
+        "header.json: 'tensors' must be a list of"),
     "checkpoint-tensor-offset": (infer_with_seg_header(
         lambda header: header["tensors"][0].update(byte_offset=-8)),
-        "header.json: bad tensors entry"),
+        "header.json: 'tensors' must be a list of"),
     "infer-empty": (infer_with(empty=True), "empty_set is empty"),
     "eval-empty": (eval_empty, "empty_set is empty"),
 }
