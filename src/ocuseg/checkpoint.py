@@ -72,7 +72,8 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
     if not isinstance(header, dict):
         raise CheckpointError(f"{header_path}: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported format_version {header.get('format_version')}")
+        raise CheckpointError(f"{header_path}: unsupported format_version "
+                              f"{header.get('format_version')!r}")
     if "kind" not in header:
         raise CheckpointError(f"{header_path}: header has no 'kind' field "
                               f"(one of {', '.join(KINDS)})")

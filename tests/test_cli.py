@@ -411,6 +411,9 @@ BAD_INPUTS = {
                            "unc: checkpoint kind is 'unc', expected 'seg'"),
     "checkpoint-no-kind": (infer_with_seg_header(lambda header: header.pop("kind")),
                            "header.json: header has no 'kind' field (one of seg, unc)"),
+    "checkpoint-format-version": (infer_with_seg_header(
+        lambda header: header.update(format_version=2)),
+        "header.json: unsupported format_version 2"),
     "checkpoint-truncated-header": (infer_with_seg_header(lambda text: text[:40], raw=True),
                                     "header.json: not valid JSON"),
     "checkpoint-header-list": (infer_with_seg_header(lambda text: "[1, 2]\n", raw=True),
