@@ -424,7 +424,8 @@ BAD_INPUTS = {
     "checkpoint-tensors-dict": (infer_with_seg_header(lambda header: header.update(tensors={})),
                                 "header.json: 'tensors' must be a list of"),
     "checkpoint-tensor-no-name": (infer_with_seg_header(
-        lambda header: header["tensors"][0].pop("name")), "header.json: 'tensors' must be a list of"),
+        lambda header: header["tensors"][0].pop("name")),
+        "header.json: 'tensors' must be a list of"),
     "checkpoint-tensor-shape": (infer_with_seg_header(
         lambda header: header["tensors"][0].update(shape="8x1x3x3")),
         "header.json: 'tensors' must be a list of"),
