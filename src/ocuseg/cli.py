@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,8 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .datasetio import DatasetError, read_dataset, read_pgm, write_dataset, write_pgm
 from .detect import crop_resize
-from .evaluate import rank_and_filter
-from .metrics import N_CLASSES, confusion_matrix, metrics_from_confusion
+from .evaluate import rank_and_filter, threshold_decision
+from .metrics import confusion_matrix, metrics_from_confusion
 from .pipeline import DETECTOR_MODES, build_crops, infer_samples
 from .segnet import TRAIN_MIOU_SUBSET, SegModel, count_flops, evaluate_miou, train_seg
 from .synth import CORRUPTION_KINDS, Sample, generate_dataset
@@ -125,10 +126,7 @@ def cmd_train_seg(args) -> int:
 
 def cmd_train_unc(args) -> int:
     config = _load_config(args.config)
-    seg_dir = Path(args.seg)
-    if not seg_dir.exists():
-        raise UsageError(f"segmentation checkpoint not found: {seg_dir}")
-    seg_config, seg_params = load_checkpoint(seg_dir, "seg")
+    seg_config, seg_params = load_checkpoint(args.seg, "seg")
     if seg_config.arch_hash() != config.arch_hash():
         raise UsageError("config does not match the segmentation checkpoint's "
                          f"architecture ({config.arch_hash()} vs {seg_config.arch_hash()})")
@@ -158,23 +156,23 @@ def cmd_infer(args) -> int:
     seg.set_params(seg_params)
     head = UncHead(config)
     head.set_params(unc_params)
-    samples = _read_samples(args.data)
-    preds = infer_samples(samples, seg, head, config, detector=args.detector)
+    images, _, boxes, ids = build_crops(_read_samples(args.data), config, args.detector)
+    y_hat, s_unc = infer_samples(images, seg, head, config)
+    accept = [int(threshold_decision(s, config.tau) == "accept") for s in s_unc]
 
     out = Path(args.out)
     (out / "pred").mkdir(parents=True, exist_ok=True)
-    for p in preds:
-        write_pgm(out / "pred" / f"{p.sample_id}.pgm", p.y_hat.astype(np.uint8))
+    for sid, labels in zip(ids, y_hat):
+        write_pgm(out / "pred" / f"{sid}.pgm", labels.astype(np.uint8))
     _write_csv(out / "scores.csv", ["sample_id", "s_unc", "accept_at_tau"],
-               [[p.sample_id, p.s_unc, int(p.decision == "accept")] for p in preds])
+               [list(row) for row in zip(ids, s_unc, accept)])
     _write_csv(out / "crops.csv", ["sample_id", "l", "t", "h", "w"],
-               [[p.sample_id, *p.bbox.as_tuple()] for p in preds])
+               [[sid, *box.as_tuple()] for sid, box in zip(ids, boxes)])
     meta = {"config_hash": config.content_hash(), "arch_hash": config.arch_hash(),
             "detector": args.detector, "tau": config.tau}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n",
                                    encoding="utf-8")
-    accepted = sum(p.decision == "accept" for p in preds)
-    print(f"wrote {len(preds)} predictions to {out} ({accepted} accepted at "
+    print(f"wrote {len(ids)} predictions to {out} ({sum(accept)} accepted at "
           f"tau={config.tau})")
     return 0
 
@@ -229,7 +227,6 @@ def cmd_eval(args) -> int:
     except ValueError:
         raise UsageError(f"--pcts expects comma-separated numbers, got {args.pcts!r}") from None
     ids, score_list, confs, per_image = [], [], [], []
-    agg = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for row in scores_rows:
         sid = row["sample_id"]
         crop = crops_rows[sid]
@@ -256,10 +253,9 @@ def cmd_eval(args) -> int:
         ids.append(sid)
         score_list.append(s_unc)
         confs.append(conf)
-        agg += conf
         per_image.append({"id": sid, "s_unc": s_unc, "miou": m["miou"], "acc": m["acc"]})
 
-    overall = metrics_from_confusion(agg)
+    overall = metrics_from_confusion(sum(confs))
     try:
         filtered = rank_and_filter(ids, score_list, confs, pcts)
     except ValueError as e:
@@ -270,9 +266,7 @@ def cmd_eval(args) -> int:
         "unfiltered": {k: overall[k] for k in ("miou", "e1", "f1", "acc")},
         "per_image": per_image,
         "tables": {
-            "filtering": [{"pct": f.threshold_pct,
-                           "retained_count": f.retained_count,
-                           "retained_miou": f.retained_miou} for f in filtered],
+            "filtering": [asdict(f) for f in filtered],
             "ablations": {},
         },
     }
@@ -280,12 +274,12 @@ def cmd_eval(args) -> int:
     out.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n",
                    encoding="utf-8")
     rows = [[0.0, len(ids), overall["miou"]]]
-    rows += [[f.threshold_pct, f.retained_count, f.retained_miou] for f in filtered]
+    rows += [[f.pct, f.retained_count, f.retained_miou] for f in filtered]
     _write_csv(out.with_suffix(".filtering.csv"),
                ["pct", "retained_count", "retained_miou"], rows)
     print(f"unfiltered miou {overall['miou']:.4f} over {len(ids)} images")
     for f in filtered:
-        print(f"  drop {f.threshold_pct:.0f}%: retained {f.retained_count}, "
+        print(f"  drop {f.pct:.0f}%: retained {f.retained_count}, "
               f"miou {f.retained_miou:.4f}")
     return 0
 

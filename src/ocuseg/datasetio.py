@@ -96,7 +96,44 @@ def write_dataset(samples: list[Sample], directory: str | Path) -> None:
     (directory / "manifest.json").write_text(text + "\n", encoding="utf-8")
 
 
+# An id names files under img/, lbl/ and an inference run's pred/, and is a
+# field of scores.csv and crops.csv, so it may not leave those directories,
+# hide as a dot-file or split a CSV row.
+_ID_FORBIDDEN = ("/", "\\", ",", "\n", "\0")
+
+
+def _record_problem(rec, seen: set[str]) -> str | None:
+    """What makes one manifest record unusable, or None if nothing does;
+    ``seen`` holds the ids of the records before it."""
+    if not isinstance(rec, dict):
+        return f"record is not an object: {rec!r}"
+    for key in ("id", "image", "label", "bbox"):
+        if key not in rec:
+            return f"manifest record missing {key!r}"
+    for key in ("id", "image", "label"):
+        if not isinstance(rec[key], str):
+            return f"{key!r} must be a string, got {rec[key]!r}"
+    sid = rec["id"]
+    if not sid or sid.startswith(".") or any(c in sid for c in _ID_FORBIDDEN):
+        return (f"bad id {sid!r}: an id is non-empty, does not start with '.' and "
+                "holds no '/', '\\', ',', newline or NUL")
+    if sid in seen:
+        return "duplicated id"
+    bbox = rec["bbox"]
+    if not (isinstance(bbox, list) and len(bbox) == 4
+            and all(type(v) is int for v in bbox)):
+        return f"'bbox' must be four ints [l, t, h, w], got {bbox!r}"
+    severity = rec.get("severity", 0.0)
+    if type(severity) not in (int, float):
+        return f"'severity' must be a number, got {severity!r}"
+    return None
+
+
 def read_dataset(directory: str | Path) -> list[Sample]:
+    """The samples of a dataset; raises DatasetError naming the sample, and
+    the manifest or the file at fault, on a malformed record, a duplicated
+    id, a missing or bad file, or a label map whose shape differs from its
+    image."""
     directory = Path(directory)
     manifest = directory / "manifest.json"
     if not manifest.exists():
@@ -105,12 +142,19 @@ def read_dataset(directory: str | Path) -> list[Sample]:
         records = json.loads(manifest.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise DatasetError(f"malformed manifest {manifest}: {e}") from None
+    if not isinstance(records, list):
+        raise DatasetError(f"{manifest}: expected a list of sample records, "
+                           f"got {type(records).__name__}")
     samples = []
-    for rec in records:
-        sid = rec.get("id", "<missing id>")
-        for key in ("image", "label", "bbox"):
-            if key not in rec:
-                raise DatasetError(f"sample {sid}: manifest record missing {key!r}")
+    seen: set[str] = set()
+    for i, rec in enumerate(records):
+        problem = _record_problem(rec, seen)
+        if problem:
+            sid = rec.get("id") if isinstance(rec, dict) else None
+            where = f"sample {sid!r}" if isinstance(sid, str) else f"record {i}"
+            raise DatasetError(f"{manifest}: {where}: {problem}")
+        sid = rec["id"]
+        seen.add(sid)
         img_path = directory / rec["image"]
         lbl_path = directory / rec["label"]
         for p in (img_path, lbl_path):
@@ -118,6 +162,10 @@ def read_dataset(directory: str | Path) -> list[Sample]:
                 raise DatasetError(f"sample {sid}: missing file {p}")
         image = read_pgm(img_path).astype(np.float64) / 255.0
         labels = read_pgm(lbl_path).astype(np.int64)
+        if labels.shape != image.shape:
+            raise DatasetError(f"sample {sid}: label map {lbl_path} is "
+                               f"{labels.shape[0]}x{labels.shape[1]}, its image "
+                               f"{img_path} is {image.shape[0]}x{image.shape[1]}")
         _check_sample_labels(sid, labels)
         samples.append(Sample(
             image=image, labels=labels, gt_bbox=tuple(rec["bbox"]),

@@ -18,7 +18,8 @@ from .metrics import metrics_from_confusion
 
 @dataclass(frozen=True)
 class FilterResult:
-    threshold_pct: float
+    """One row of the filtering table; ``asdict`` of it is the report row."""
+    pct: float
     retained_count: int
     retained_miou: float
 
@@ -43,7 +44,7 @@ def rank_and_filter(sample_ids: list[str], scores: list[float],
         agg = np.zeros_like(confusions[0])
         for i in retained:
             agg += confusions[i]
-        results.append(FilterResult(threshold_pct=pct, retained_count=keep,
+        results.append(FilterResult(pct=pct, retained_count=keep,
                                     retained_miou=metrics_from_confusion(agg)["miou"]))
     return results
 

@@ -12,18 +12,18 @@ ordering.  Detector modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from .config import RunConfig
 from .detect import BBox, crop_resize, detect_eye_heuristic, jitter_gt_bbox
-from .metrics import N_CLASSES, confusion_matrix, metrics_from_confusion
+from .metrics import confusion_matrix, metrics_from_confusion
 from .rng import Rng
 from .segnet import INFER_BATCH, SegModel, predict_batch, train_seg
 from .synth import Sample
 from .uncertainty import UncHead, train_unc, unc_score
-from .evaluate import rank_and_filter, threshold_decision
+from .evaluate import rank_and_filter
 
 DETECTOR_MODES = ("gt-jitter", "heuristic", "full")
 
@@ -57,47 +57,16 @@ def build_crops(samples: list[Sample], config: RunConfig, mode: str = "gt-jitter
     return images, labels, boxes, ids
 
 
-@dataclass
-class Prediction:
-    sample_id: str
-    y_hat: np.ndarray            # [H, W] crop-space label map
-    s_unc: float
-    bbox: BBox
-    decision: str
-
-
-def infer_samples(samples: list[Sample], seg: SegModel, head: UncHead,
-                  config: RunConfig, detector: str = "gt-jitter") -> list[Prediction]:
-    """Detect, crop, segment, and score every sample."""
-    images, _, boxes, ids = build_crops(samples, config, detector)
-    preds: list[Prediction] = []
-    for i in range(0, len(samples), INFER_BATCH):
-        y_hat, stages = predict_batch(seg, images[i:i + INFER_BATCH])
-        scores = unc_score(head.forward(stages), config.eps_floor)
-        for j in range(len(y_hat)):
-            s = float(scores[j])
-            preds.append(Prediction(
-                sample_id=ids[i + j], y_hat=y_hat[j], s_unc=s,
-                bbox=boxes[i + j], decision=threshold_decision(s, config.tau)))
-    return preds
-
-
-def crops_ground_truth(samples: list[Sample], preds: list[Prediction],
-                       config: RunConfig) -> dict[str, np.ndarray]:
-    """Re-crop ground-truth labels with each prediction's recorded box."""
-    by_id = {s.sample_id: s for s in samples}
-    out = {}
-    for p in preds:
-        s = by_id[p.sample_id]
-        cropped = crop_resize(s, p.bbox, config.crop_h, config.crop_w)
-        out[p.sample_id] = cropped.labels
-    return out
-
-
-def per_image_confusions(samples: list[Sample], preds: list[Prediction],
-                         config: RunConfig) -> list[np.ndarray]:
-    gt = crops_ground_truth(samples, preds, config)
-    return [confusion_matrix(p.y_hat, gt[p.sample_id]) for p in preds]
+def infer_samples(images: np.ndarray, seg: SegModel, head: UncHead, config: RunConfig
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Segment and score built crops: label maps [N, H, W] (int64) and
+    ``s_unc`` [N]."""
+    y_hat = np.empty(images.shape, dtype=np.int64)
+    s_unc = np.empty(len(images))
+    for i in range(0, len(images), INFER_BATCH):
+        y_hat[i:i + INFER_BATCH], stages = predict_batch(seg, images[i:i + INFER_BATCH])
+        s_unc[i:i + INFER_BATCH] = unc_score(head.forward(stages), config.eps_floor)
+    return y_hat, s_unc
 
 
 def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample],
@@ -110,17 +79,10 @@ def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample
         images, labels, _, _ = build_crops(train_samples, config, mode)
         seg = train_seg(images, labels, config)
         head = train_unc(images, labels, seg, "surrogate", config)
-        preds = infer_samples(test_samples, seg, head, config, detector=mode)
-        confs = per_image_confusions(test_samples, preds, config)
-        agg = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-        for c in confs:
-            agg += c
-        filtered = rank_and_filter([p.sample_id for p in preds],
-                                   [p.s_unc for p in preds], confs, pcts)
-        report[name] = {
-            "miou": metrics_from_confusion(agg)["miou"],
-            "filtered": [{"pct": f.threshold_pct,
-                          "retained_count": f.retained_count,
-                          "retained_miou": f.retained_miou} for f in filtered],
-        }
+        images, labels, _, ids = build_crops(test_samples, config, mode)
+        y_hat, s_unc = infer_samples(images, seg, head, config)
+        confs = [confusion_matrix(p, t) for p, t in zip(y_hat, labels)]
+        filtered = rank_and_filter(ids, s_unc.tolist(), confs, pcts)
+        report[name] = {"miou": metrics_from_confusion(sum(confs))["miou"],
+                        "filtered": [asdict(f) for f in filtered]}
     return report

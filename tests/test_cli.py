@@ -4,15 +4,22 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ocuseg
+from ocuseg.checkpoint import load_checkpoint
 from ocuseg.cli import main
 from ocuseg.config import RunConfig
-from ocuseg.datasetio import read_pgm, write_pgm
+from ocuseg.datasetio import read_dataset, read_pgm, write_pgm
+from ocuseg.evaluate import rank_and_filter
+from ocuseg.metrics import confusion_matrix, metrics_from_confusion
+from ocuseg.pipeline import DETECTOR_MODES, build_crops, infer_samples
+from ocuseg.segnet import SegModel
+from ocuseg.uncertainty import UncHead
 
 
 def tiny_cfg(tmp_path, **overrides) -> Path:
@@ -95,11 +102,13 @@ class TestTraining:
         assert (root / "seg" / "weights.bin").read_bytes() \
             == (tmp_path / "seg2" / "weights.bin").read_bytes()
 
-    def test_missing_seg_checkpoint_exit_2(self, trained, tmp_path):
+    def test_missing_seg_checkpoint_exit_2(self, trained, tmp_path, capsys):
         root, cfg_path = trained
         assert main(["train-unc", "--data", str(root / "data"),
                      "--config", str(cfg_path), "--seg", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "unc2")]) == 2
+        assert f"missing checkpoint file: {tmp_path / 'nope' / 'header.json'}" \
+            in capsys.readouterr().err
 
     def test_corrupt_config_exit_2(self, trained, tmp_path):
         root, _ = trained
@@ -188,6 +197,29 @@ class TestInferEval:
         assert main(["eval", "--pred", str(pred), "--data", str(root / "data"),
                      "--pcts", "10,20", "--out", str(out2)]) == 0
         assert out.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("detector", DETECTOR_MODES)
+    def test_eval_report_matches_in_memory_path(self, trained, tmp_path, detector):
+        root, _ = trained
+        pred, out = tmp_path / "pred", tmp_path / "report.json"
+        assert main(["infer", "--data", str(root / "data"), "--seg", str(root / "seg"),
+                     "--unc", str(root / "unc"), "--out", str(pred),
+                     "--detector", detector]) == 0
+        assert main(["eval", "--pred", str(pred), "--data", str(root / "data"),
+                     "--pcts", "10,25", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        config, seg_params = load_checkpoint(root / "seg", "seg")
+        seg = SegModel(config)
+        seg.set_params(seg_params)
+        head = UncHead(config)
+        head.set_params(load_checkpoint(root / "unc", "unc")[1])
+        images, labels, _, ids = build_crops(read_dataset(root / "data"), config, detector)
+        y_hat, s_unc = infer_samples(images, seg, head, config)
+        confs = [confusion_matrix(p, t) for p, t in zip(y_hat, labels)]
+        overall = metrics_from_confusion(sum(confs))
+        assert report["unfiltered"] == {k: overall[k] for k in ("miou", "e1", "f1", "acc")}
+        assert report["tables"]["filtering"] == [
+            asdict(f) for f in rank_and_filter(ids, s_unc.tolist(), confs, [10.0, 25.0])]
 
     def test_eval_missing_predictions_exit_2(self, trained, tmp_path):
         root, _ = trained
@@ -352,6 +384,33 @@ def infer_with(seg="seg", unc="unc", empty=False):
     return argv
 
 
+def infer_on_dataset(edit):
+    """infer on a copy of the dataset: ``edit(data, records)`` may change its
+    files, and what it returns is written as its manifest."""
+    def argv(tmp_path, root, pred):
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps(edit(data, json.loads(manifest.read_text()))))
+        return ["infer", "--data", str(data), "--seg", str(root / "seg"),
+                "--unc", str(root / "unc"), "--out", str(tmp_path / "g")]
+    return argv
+
+
+def set_record(i, **fields):
+    """An ``infer_on_dataset`` edit that sets fields of manifest record ``i``."""
+    def edit(data, records):
+        records[i].update(fields)
+        return records
+    return infer_on_dataset(edit)
+
+
+def small_label_map(data, records):
+    labels = read_pgm(data / records[0]["label"])
+    write_pgm(data / records[0]["label"], labels[:100, :150])
+    return records
+
+
 def eval_empty(tmp_path, root, pred):
     return ["eval", "--pred", str(pred), "--data", str(empty_dataset(tmp_path)),
             "--out", str(tmp_path / "r.json")]
@@ -432,6 +491,36 @@ BAD_INPUTS = {
     "checkpoint-tensor-offset": (infer_with_seg_header(
         lambda header: header["tensors"][0].update(byte_offset=-8)),
         "header.json: 'tensors' must be a list of"),
+    "manifest-object": (infer_on_dataset(lambda data, records: {"a": 1}),
+                        "manifest.json: expected a list of sample records, got dict"),
+    "manifest-record-list": (infer_on_dataset(lambda data, records: records[:3] + [[1, 2]]),
+                             "manifest.json: record 3: record is not an object: [1, 2]"),
+    "manifest-no-id": (infer_on_dataset(
+        lambda data, records: [{k: v for k, v in records[0].items() if k != "id"}]),
+        "manifest.json: record 0: manifest record missing 'id'"),
+    "manifest-id-int": (set_record(2, id=5), "manifest.json: record 2: 'id' must be a string"),
+    "manifest-image-int": (set_record(0, image=5),
+                           "manifest.json: sample 's000000': 'image' must be a string, got 5"),
+    "manifest-label-null": (set_record(0, label=None),
+                            "manifest.json: sample 's000000': 'label' must be a string"),
+    "manifest-bbox-3": (set_record(1, bbox=[1, 2, 3]),
+                        "manifest.json: sample 's000001': 'bbox' must be four ints"),
+    "manifest-bbox-float": (set_record(1, bbox=[1, 2, 3.5, 4]),
+                            "manifest.json: sample 's000001': 'bbox' must be four ints"),
+    "manifest-severity-text": (set_record(1, severity="x"),
+                               "manifest.json: sample 's000001': 'severity' must be a "
+                               "number, got 'x'"),
+    "id-escapes": (set_record(0, id="../../escaped"),
+                   "manifest.json: sample '../../escaped': bad id"),
+    "id-empty": (set_record(0, id=""), "manifest.json: sample '': bad id"),
+    "id-backslash": (set_record(0, id="a\\b"), "manifest.json: sample 'a\\\\b': bad id"),
+    "id-comma": (set_record(0, id="a,b"), "manifest.json: sample 'a,b': bad id"),
+    "id-newline": (set_record(0, id="a\nb"), "manifest.json: sample 'a\\nb': bad id"),
+    "id-dot": (set_record(0, id=".a"), "manifest.json: sample '.a': bad id"),
+    "id-duplicated": (set_record(5, id="s000004"),
+                      "manifest.json: sample 's000004': duplicated id"),
+    "label-shape": (infer_on_dataset(small_label_map),
+                    "sample s000000: label map"),
     "infer-empty": (infer_with(empty=True), "empty_set is empty"),
     "eval-empty": (eval_empty, "empty_set is empty"),
 }

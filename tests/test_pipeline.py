@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 
 from ocuseg.config import RunConfig
-from ocuseg.pipeline import (ablation_crop_vs_full, build_crops, choose_bbox,
-                             crops_ground_truth, infer_samples, per_image_confusions)
+from ocuseg.detect import crop_resize
+from ocuseg.pipeline import (DETECTOR_MODES, ablation_crop_vs_full, build_crops,
+                             choose_bbox, infer_samples)
 from ocuseg.rng import Rng
-from ocuseg.segnet import SegModel
+from ocuseg.segnet import INFER_BATCH, SegModel
 from ocuseg.synth import generate_dataset
 from ocuseg.uncertainty import UncHead
 
@@ -45,28 +47,32 @@ def test_full_mode_uses_whole_frame():
 
 def test_infer_purity_and_alignment():
     cfg, samples, seg, head = small_setup()
-    preds = infer_samples(samples, seg, head, cfg)
-    preds2 = infer_samples(samples, seg, head, cfg)
-    assert [p.sample_id for p in preds] == [s.sample_id for s in samples]
-    for a, b in zip(preds, preds2):
-        assert a.s_unc == b.s_unc
-        assert np.array_equal(a.y_hat, b.y_hat)
-    # duplicated image content under two ids scores identically
-    import dataclasses
-    dup = [samples[0], dataclasses.replace(samples[0], sample_id="szz")]
-    cfg0 = dataclasses.replace(cfg, bbox_jitter=0.0)
-    dp = infer_samples(dup, seg, head, cfg0)
-    assert dp[0].s_unc == dp[1].s_unc
+    images = build_crops(samples, cfg)[0]
+    before = images.copy()
+    y_hat, s_unc = infer_samples(images, seg, head, cfg)
+    y_hat2, s_unc2 = infer_samples(images, seg, head, cfg)
+    assert np.array_equal(images, before)
+    assert y_hat.shape == images.shape and y_hat.dtype == np.int64
+    assert s_unc.shape == (len(images),)
+    assert np.array_equal(y_hat, y_hat2) and np.array_equal(s_unc, s_unc2)
+    # enough copies to span two inference batches; each copy's rows stay with its crops
+    copies = INFER_BATCH // len(images) + 1
+    y_rep, s_rep = infer_samples(np.concatenate([images] * copies), seg, head, cfg)
+    for k in range(copies):
+        rows = slice(k * len(images), (k + 1) * len(images))
+        assert np.array_equal(y_rep[rows], y_hat)
+        assert np.allclose(s_rep[rows], s_unc, rtol=1e-12, atol=0.0)
+    # the same crop twice in one batch scores identically
+    _, dup = infer_samples(images[[0, 0]], seg, head, cfg)
+    assert dup[0] == dup[1]
 
 
-def test_confusions_align_with_ground_truth():
-    cfg, samples, seg, head = small_setup()
-    preds = infer_samples(samples, seg, head, cfg)
-    confs = per_image_confusions(samples, preds, cfg)
-    gt = crops_ground_truth(samples, preds, cfg)
-    assert len(confs) == len(samples)
-    for p, c in zip(preds, confs):
-        assert c.sum() == gt[p.sample_id].size
+@pytest.mark.parametrize("mode", DETECTOR_MODES)
+def test_build_crops_labels_are_the_cropped_ground_truth(mode):
+    cfg, samples, _, _ = small_setup()
+    _, labels, boxes, _ = build_crops(samples, cfg, mode)
+    for s, box, lbl in zip(samples, boxes, labels):
+        assert np.array_equal(lbl, crop_resize(s, box, cfg.crop_h, cfg.crop_w).labels)
 
 
 def test_ablation_crop_vs_full_reports_both_arms():
