@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .detect import box_fits
 from .metrics import check_labels
 from .synth import Sample
 
@@ -132,7 +133,8 @@ def _record_problem(rec, seen: set[str]) -> str | None:
 def read_dataset(directory: str | Path) -> list[Sample]:
     """The samples of a dataset; raises DatasetError naming the sample, and
     the manifest or the file at fault, on a malformed record, a duplicated
-    id, a missing or bad file, or a label map whose shape differs from its
+    id, a missing or bad file, a ``bbox`` that is not a box of positive
+    size inside its image, or a label map whose shape differs from its
     image."""
     directory = Path(directory)
     manifest = directory / "manifest.json"
@@ -161,6 +163,10 @@ def read_dataset(directory: str | Path) -> list[Sample]:
             if not p.exists():
                 raise DatasetError(f"sample {sid}: missing file {p}")
         image = read_pgm(img_path).astype(np.float64) / 255.0
+        if not box_fits(rec["bbox"], *image.shape):
+            raise DatasetError(f"{manifest}: sample {sid!r}: 'bbox' {rec['bbox']} "
+                               "[l, t, h, w] is not a box of positive size inside its "
+                               f"{image.shape[0]}x{image.shape[1]} image {img_path}")
         labels = read_pgm(lbl_path).astype(np.int64)
         if labels.shape != image.shape:
             raise DatasetError(f"sample {sid}: label map {lbl_path} is "

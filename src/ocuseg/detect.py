@@ -22,6 +22,13 @@ class BBox:
         return (self.l, self.t, self.h, self.w)
 
 
+def box_fits(box: tuple[int, int, int, int], frame_h: int, frame_w: int) -> bool:
+    """Whether ``box`` (l, t, h, w) has a positive size and lies inside a
+    ``frame_h`` x ``frame_w`` frame."""
+    l, t, h, w = box
+    return l >= 0 and t >= 0 and h > 0 and w > 0 and t + h <= frame_h and l + w <= frame_w
+
+
 def iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
     al, at, ah, aw = a
     bl, bt, bh, bw = b
@@ -137,7 +144,7 @@ def crop_resize(sample: Sample, bbox: BBox | tuple[int, int, int, int],
     """
     l, t, h, w = bbox.as_tuple() if isinstance(bbox, BBox) else bbox
     fh, fw = sample.image.shape
-    if l < 0 or t < 0 or l + w > fw or t + h > fh or h <= 0 or w <= 0:
+    if not box_fits((l, t, h, w), fh, fw):
         raise ValueError(f"bbox {(l, t, h, w)} outside {fh}x{fw} frame")
     img = sample.image[t:t + h, l:l + w]
     lbl = sample.labels[t:t + h, l:l + w]

@@ -1,8 +1,15 @@
 """Dense-tensor layers with hand-derived backward passes.
 
-Tensors are float64 numpy arrays.  Activations use the ``[C, N, H, W]``
-layout (channels outermost); ``conv2d`` wraps the batched convolution for
-one ``[C, H, W]`` image.
+Activations use the ``[C, N, H, W]`` layout (channels outermost);
+``conv2d`` wraps the batched convolution for one ``[C, H, W]`` image.
+
+Every activation follows the dtype of its input: the pipeline runs on
+float32 crops, the gradchecks on float64.  That covers the slab buffers,
+conv outputs, input gradients, the upsampled and pooled maps and the
+pointwise functions.  Parameters stay float64; a conv casts its kernel
+taps and bias to the activation dtype for each pass.  The kernel and
+bias gradients are reduced into float64, so an optimizer only ever sees
+float64.
 
 Convolutions are cross-correlations with zero padding and mandatory
 "same" geometry: the kernel side must be odd and ``pad == (k - 1) // 2``.
@@ -88,10 +95,15 @@ class ChannelStack:
                      f"shapes {shapes}")
         self.parts = parts
         self.shape = (sum(p.shape[0] for p in parts), n, h, w)
+        self.dtype = np.result_type(*parts)
 
 
-# Byte budget of one band's row-shift slab: small enough to stay in L2 between
-# the copy that fills it and the GEMM that reads it.
+# Byte budget of one band's float64 row-shift slab: small enough to stay in L2
+# between the copy that fills it and the GEMM that reads it.  The band's row
+# count is set from this budget at 8 bytes per value whatever the dtype, so a
+# float32 band has the same rows in half the bytes.  Scaling the rows by the
+# itemsize instead (a float32 band of the full budget) made the float32 kernel
+# gradient slower than the float64 one.
 _BAND_BYTES = 1 << 20
 
 
@@ -107,17 +119,18 @@ def _shift_bands(x: np.ndarray | ChannelStack, k: int):
     hold the input at tap ``(dy, dx)`` of output pixel ``(r, x)`` for every
     ``x < W``; for ``x >= W`` they hold wrapped values the caller must
     drop or weight by zero.  The padded image has one spare zero row so
-    that the last band's shift stays in bounds.  One buffer of at most
-    ``_BAND_BYTES`` (but at least one row and its ``k-1`` halo rows) is
-    reused for every band, so it is overwritten on the next step.
+    that the last band's shift stays in bounds.  One buffer of ``x``'s
+    dtype, with the rows of at most ``_BAND_BYTES`` of float64 (but at
+    least one row and its ``k-1`` halo rows), is reused for every band, so
+    it is overwritten on the next step.
     """
     c_in, n, h, w = x.shape
     pad = (k - 1) // 2
     wp = w + k - 1
     rows = max(1, min(h, _BAND_BYTES // (8 * c_in * k * wp) - (k - 1)))
-    xp = np.zeros((c_in, h + k, wp))
+    xp = np.zeros((c_in, h + k, wp), dtype=x.dtype)
     flat = xp.reshape(c_in, -1)
-    buf = np.empty(c_in * k * (rows + k - 1) * wp)
+    buf = np.empty(c_in * k * (rows + k - 1) * wp, dtype=x.dtype)
     parts = x.parts if isinstance(x, ChannelStack) else (x,)
     for i in range(n):
         c0 = 0
@@ -143,10 +156,11 @@ def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray, pad: int
     """Cross-correlate ``x [C_in,N,H,W]`` (an array or a ``ChannelStack``)
     with ``kernel [C_out,C_in,k,k]``.
 
-    Returns ``[C_out, N, H, W]``.  For each band of ``_shift_bands`` it
-    adds, over kernel rows ``dy``, one GEMM of ``kernel[:, :, dy]`` (as
-    ``[C_out, C_in*k]``) against the slab columns from padded row ``dy``
-    on, and keeps the first ``W`` of each row's ``W + k - 1`` columns.
+    Returns ``[C_out, N, H, W]`` in ``x``'s dtype, to which the kernel is
+    cast.  For each band of ``_shift_bands`` it adds, over kernel rows
+    ``dy``, one GEMM of ``kernel[:, :, dy]`` (as ``[C_out, C_in*k]``)
+    against the slab columns from padded row ``dy`` on, and keeps the
+    first ``W`` of each row's ``W + k - 1`` columns.
     """
     c_out, c_in, k, kw = kernel.shape
     _require(c_in == x.shape[0],
@@ -156,8 +170,8 @@ def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray, pad: int
     _require(pad == (k - 1) // 2, f"same-size conv needs pad={(k - 1) // 2}, got {pad}")
     _, n, h, w = x.shape
     wp = w + k - 1
-    taps = [kernel[:, :, dy].reshape(c_out, c_in * k) for dy in range(k)]
-    out = np.empty((c_out, n, h, w))
+    taps = [kernel[:, :, dy].reshape(c_out, c_in * k).astype(x.dtype) for dy in range(k)]
+    out = np.empty((c_out, n, h, w), dtype=x.dtype)
     for i, r0, r1, slab in _shift_bands(x, k):
         span = (r1 - r0) * wp
         band = taps[0] @ slab[:, :span]
@@ -181,7 +195,9 @@ def conv2d_batch_backward(grad_out: np.ndarray, x: np.ndarray | ChannelStack,
     in/out channel axes swapped (the transposed convolution), so it needs
     no gradient slab and no scatter.  Only the first ``input_channels``
     input channels are computed (default: all); ``0`` skips the input
-    gradient and returns ``None`` in its place.
+    gradient and returns ``None`` in its place.  ``grad_input`` has
+    ``grad_out``'s dtype; the GEMMs run in ``x``'s dtype and
+    ``grad_kernel`` sums them in float64.
     """
     c_in, _, h, w = x.shape
     c_out, _, kh, kw = kernel.shape
@@ -189,7 +205,7 @@ def conv2d_batch_backward(grad_out: np.ndarray, x: np.ndarray | ChannelStack,
     _require(0 <= m <= c_in, f"input_channels must be in 0..{c_in}, got {m}")
 
     wp = w + kw - 1
-    g = np.zeros((c_out, h, wp))
+    g = np.zeros((c_out, h, wp), dtype=x.dtype)
     gflat = g.reshape(c_out, -1)
     grad_kernel = np.zeros(kernel.shape)
     for i, r0, r1, slab in _shift_bands(x, kh):
@@ -225,7 +241,7 @@ def upsample2x_batch(x: np.ndarray) -> np.ndarray:
     """Nearest-neighbor 2x duplication over the trailing two axes, written
     straight into the one output array."""
     h, w = x.shape[-2:]
-    out = np.empty(x.shape[:-2] + (2 * h, 2 * w))
+    out = np.empty(x.shape[:-2] + (2 * h, 2 * w), dtype=x.dtype)
     _upsample2x_into(out, x)
     return out
 
@@ -249,7 +265,7 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -312,7 +328,7 @@ class Conv2d:
                 ) -> np.ndarray:
         self._x = x if keep_cache else None
         out = conv2d_batch(x, self.kernel, self.pad)
-        out += self.bias[:, None, None, None]
+        out += self.bias.astype(out.dtype)[:, None, None, None]
         return out
 
     def backward(self, grad_out: np.ndarray, *, input_channels: int | None = None
@@ -322,5 +338,5 @@ class Conv2d:
         if self._x is None:
             raise RuntimeError(f"{self.name}.backward needs a forward with keep_cache=True")
         gi, gk = conv2d_batch_backward(grad_out, self._x, self.kernel, input_channels)
-        gb = grad_out.sum(axis=(1, 2, 3))
+        gb = grad_out.sum(axis=(1, 2, 3), dtype=np.float64)
         return gi, {f"{self.name}.kernel": gk, f"{self.name}.bias": gb}

@@ -42,8 +42,10 @@ def choose_bbox(sample: Sample, mode: str, config: RunConfig) -> BBox:
 
 def build_crops(samples: list[Sample], config: RunConfig, mode: str = "gt-jitter"
                 ) -> tuple[np.ndarray, np.ndarray, list[BBox], list[str]]:
-    """Crop every sample; returns (images [N,H,W], labels [N,H,W], boxes, ids)."""
-    images = np.empty((len(samples), config.crop_h, config.crop_w))
+    """Crop every sample; returns (images [N,H,W] float32, labels [N,H,W],
+    boxes, ids).  The crops are on the 1/255 grid, and the model runs its
+    activations in their dtype."""
+    images = np.empty((len(samples), config.crop_h, config.crop_w), dtype=np.float32)
     labels = np.empty((len(samples), config.crop_h, config.crop_w), dtype=np.int64)
     boxes = []
     ids = []

@@ -13,7 +13,9 @@ stage1)``: neither the upsampled stage2 nor the concatenation is built.
 Per-pixel class probabilities are softmax(W @ z) with a bias-free 4xD
 head matrix whose rows double as class template vectors.  Activations use
 the [C, N, H, W] layout internally; images enter as [N, H, W] crops in
-[0, 1].
+[0, 1].  Activations follow the crops' dtype (float32 from
+``pipeline.build_crops``), and a forward casts the head to it; parameters,
+their gradients and the loss sum are float64.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ def predict_batch(model: SegModel, images: np.ndarray
     """Label maps [N, H, W] (argmax ties -> lowest class) and the backbone
     features of a batch of crops."""
     feats = model.forward_batch(images)
-    logits = model.head @ feats.z.reshape(model.config.d, -1)
+    logits = model.head.astype(feats.z.dtype) @ feats.z.reshape(model.config.d, -1)
     return np.argmax(logits, axis=0).reshape(images.shape), feats
 
 
@@ -147,16 +149,17 @@ def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray
     feats = model.forward_batch(images, keep_cache=True)
     d = model.config.d
     zmat = feats.z.reshape(d, -1)
-    logits = model.head @ zmat                      # [4, N*H*W]
+    head = model.head.astype(zmat.dtype)
+    logits = head @ zmat                            # [4, N*H*W]
     probs = softmax_rows(logits)
     flat_labels = labels.reshape(-1)
     p_true = probs[flat_labels, np.arange(flat_labels.size)]
-    loss = float(-np.log(np.maximum(p_true, 1e-12)).sum() / n)
+    loss = float(-np.log(np.maximum(p_true, 1e-12)).sum(dtype=np.float64) / n)
     glogit = probs.copy()
     glogit[flat_labels, np.arange(flat_labels.size)] -= 1.0
     glogit /= n
-    grads = {"head": glogit @ zmat.T}
-    gz = (model.head.T @ glogit).reshape(d, n, h, w)
+    grads = {"head": (glogit @ zmat.T).astype(np.float64)}
+    gz = (head.T @ glogit).reshape(d, n, h, w)
     grads.update(model.backward_batch(gz))
     return loss, grads
 

@@ -18,6 +18,10 @@ per-dimension golden-section search (the 1-D summands separate).
 The per-image uncertainty score is the sum over pixels of the
 log-determinant of the predicted covariance (diagonal: sum of log
 variances); constants that do not affect ranking are dropped.
+
+The head's activations, variances and residuals follow the backbone's
+dtype (float32 in the pipeline); the losses, the score and the training
+log's means are summed in float64.
 """
 
 from __future__ import annotations
@@ -123,8 +127,9 @@ class UncHead:
 # ---------------------------------------------------------------------------
 
 def residual_targets(z: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """v = c_y - z per pixel; z [D, N, H, W], labels [N, H, W] -> [D, N, H, W]."""
-    ctr = centers.T[:, labels]          # [D, N, H, W]
+    """v = c_y - z per pixel; z [D, N, H, W], labels [N, H, W] -> [D, N, H, W],
+    in z's dtype."""
+    ctr = centers.T.astype(z.dtype)[:, labels]          # [D, N, H, W]
     return ctr - z
 
 
@@ -139,7 +144,7 @@ def original_loss_batch(cov: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarr
     d = cov.shape[0]
     npix = cov[0].size
     v2 = v * v
-    loss = float((0.5 * (v2 / cov) + 0.5 * np.log(cov)).sum() / npix
+    loss = float((0.5 * (v2 / cov) + 0.5 * np.log(cov)).sum(dtype=np.float64) / npix
                  + 0.5 * d * LN_2PI)
     grad = (0.5 / cov - 0.5 * v2 / (cov * cov)) / npix
     return loss, grad
@@ -150,7 +155,7 @@ def surrogate_loss_batch(cov: np.ndarray, v: np.ndarray) -> tuple[float, np.ndar
     gradient wrt cov."""
     npix = cov[0].size
     diff = cov - v * v
-    loss = float((diff * diff).sum() / npix)
+    loss = float((diff * diff).sum(dtype=np.float64) / npix)
     return loss, 2.0 * diff / npix
 
 
@@ -216,11 +221,14 @@ def quad_form_trace_check(v: np.ndarray) -> float:
 
 def unc_score(cov: np.ndarray, eps_floor: float = 0.0) -> np.ndarray:
     """Per-crop sum over pixels of ln det(diag covariance), i.e. of the log
-    variances: ``[D, N, H, W] -> [N]``."""
+    variances: ``[D, N, H, W] -> [N]`` float64.
+
+    The floor is compared in ``cov``'s dtype: a float32 variance at the
+    floor is ``float32(eps_floor)``, which may lie below ``eps_floor``."""
     lowest = cov.min()
-    if lowest < eps_floor or lowest <= 0.0:
+    if lowest < cov.dtype.type(eps_floor) or lowest <= 0.0:
         raise ValueError(f"variance below floor: min {lowest}")
-    return np.log(cov).sum(axis=(0, 2, 3))
+    return np.log(cov).sum(axis=(0, 2, 3), dtype=np.float64)
 
 
 def landscape_grid(v: np.ndarray, w_range: tuple[float, float], n: int) -> list[dict]:
@@ -271,11 +279,12 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
     frozen and supplies stage features, latent codes, and class centers.
 
     The frozen latent of every crop is computed once, before the first
-    epoch, into an ``[D, N, H, W]`` cache (N*D*H*W*8 bytes: 590 KB per
-    96x96 crop at the default D=8); each step then reruns only conv1 and
-    conv2 for the stage features.  Every conv runs one image at a time, so
-    a crop's cached latent is bit-identical to the one its training batch
-    would compute.  The cache saves conv3 forwards from the second epoch
+    epoch, into an ``[D, N, H, W]`` cache of the crops' dtype (float32
+    crops: N*D*H*W*4 bytes, 295 KB per 96x96 crop at the default D=8, so
+    38 MB for 128 crops and about 590 MB for 2000); each step then reruns
+    only conv1 and conv2 for the stage features.  Every conv runs one image
+    at a time, so a crop's cached latent is bit-identical to the one its
+    training batch would compute.  The cache saves conv3 forwards from the second epoch
     on, so nothing at ``unc_epochs == 1``.
 
     The output bias is warm-started so initial variances match the mean
@@ -292,18 +301,18 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
     loss_fn = original_loss_batch if loss_kind == "original" else surrogate_loss_batch
     n, b = len(images), config.unc_batch
 
-    z = np.empty((config.d,) + images.shape)
+    z = np.empty((config.d,) + images.shape, dtype=images.dtype)
     for i in range(0, n, b):
         z[:, i:i + b] = seg_model.forward_batch(images[i:i + b]).z
     v0 = residual_targets(z[:, :b], labels[:b], centers)
-    head.h4.bias = _softplus_inverse((v0 * v0).mean(axis=(1, 2, 3)))
+    head.h4.bias = _softplus_inverse((v0 * v0).mean(axis=(1, 2, 3), dtype=np.float64))
 
     def step_batch(idx: list[int]) -> tuple:
         stages = seg_model.forward_batch(images[idx], z=z[:, idx])
         v = residual_targets(stages.z, labels[idx], centers)
         cov = head.forward(stages, keep_cache=True)
         loss, dcov = loss_fn(cov, v)
-        return loss, head.backward(dcov), float(np.abs(cov - v * v).mean())
+        return loss, head.backward(dcov), float(np.abs(cov - v * v).mean(dtype=np.float64))
 
     epochs = fit(step_batch, head.params(), n, epochs=config.unc_epochs,
                  batch=config.unc_batch, lr=config.unc_lr,

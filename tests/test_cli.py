@@ -120,6 +120,8 @@ class TestTraining:
 
 class TestThreadDeterminism:
     def test_weights_identical_for_1_and_2_blas_threads(self, trained, tmp_path):
+        """Checkpoints, ``infer``'s predictions and scores, and ``gen``'s
+        files are byte-identical at one and two BLAS threads."""
         root, cfg_path = trained
         env = {k: v for k, v in os.environ.items()
                if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -131,6 +133,8 @@ class TestThreadDeterminism:
             for argv in (["train-seg", "--out", str(out / "seg"), *train],
                          ["train-unc", "--seg", str(out / "seg"), "--out", str(out / "unc"),
                           *train],
+                         ["infer", "--data", str(root / "data"), "--seg", str(out / "seg"),
+                          "--unc", str(out / "unc"), "--out", str(out / "pred")],
                          ["gen", "--out", str(out / "blur"), "--n", "4", "--seed", "5",
                           "--corruptions", "blur", "--severities", "0.1,1.0"]):
                 subprocess.run([sys.executable, "-m", "ocuseg.cli", *argv],
@@ -138,10 +142,12 @@ class TestThreadDeterminism:
         for stage in ("seg", "unc"):
             assert (tmp_path / "t1" / stage / "weights.bin").read_bytes() \
                 == (tmp_path / "t2" / stage / "weights.bin").read_bytes()
-        blurred = sorted(p.relative_to(tmp_path / "t1")
-                         for p in (tmp_path / "t1" / "blur").rglob("*") if p.is_file())
+        pred = sorted((tmp_path / "t1" / "pred" / "pred").glob("*.pgm"))
+        assert len(pred) == 12
+        blurred = sorted(p for p in (tmp_path / "t1" / "blur").rglob("*") if p.is_file())
         assert len(blurred) > 4
-        for rel in blurred:
+        for path in [tmp_path / "t1" / "pred" / "scores.csv", *pred, *blurred]:
+            rel = path.relative_to(tmp_path / "t1")
             assert (tmp_path / "t1" / rel).read_bytes() == (tmp_path / "t2" / rel).read_bytes()
 
 
@@ -507,6 +513,12 @@ BAD_INPUTS = {
                         "manifest.json: sample 's000001': 'bbox' must be four ints"),
     "manifest-bbox-float": (set_record(1, bbox=[1, 2, 3.5, 4]),
                             "manifest.json: sample 's000001': 'bbox' must be four ints"),
+    "manifest-bbox-outside": (set_record(1, bbox=[500, 500, 10, 10]),
+                              "manifest.json: sample 's000001': 'bbox' [500, 500, 10, 10] "
+                              "[l, t, h, w] is not a box of positive size inside its "
+                              "120x160 image"),
+    "manifest-bbox-negative": (set_record(1, bbox=[10, 10, -5, 0]),
+                               "manifest.json: sample 's000001': 'bbox' [10, 10, -5, 0]"),
     "manifest-severity-text": (set_record(1, severity="x"),
                                "manifest.json: sample 's000001': 'severity' must be a "
                                "number, got 'x'"),

@@ -256,6 +256,77 @@ class TestChannelStack:
             conv2d_batch(stack, np.zeros((4, 6, 3, 3)), 1)
 
 
+def conv3_input(parts, kind, dtype):
+    """conv3's input from ``parts`` in ``dtype``: their ``ChannelStack`` or
+    the materialized concatenation."""
+    parts = [p.astype(dtype) for p in parts]
+    if kind == "stack":
+        return ChannelStack(*parts)
+    return TestChannelStack._materialize(parts)
+
+
+class TestFloat32:
+    """A float32 input runs the conv in float32: the output and the input
+    gradient are float32, the kernel gradient float64.  Each is within
+    ``RTOL`` of the float64 result, relative to the largest entry."""
+    RTOL = 1e-5
+
+    @staticmethod
+    def _case(rng, n=2, h=12, w=10):
+        parts = [rng.normal_array(16 * n * (h // 2) * (w // 2)).reshape(16, n, h // 2, w // 2),
+                 rng.normal_array(8 * n * h * w).reshape(8, n, h, w)]
+        kernel = rng.normal_array(8 * 24 * 9).reshape(8, 24, 3, 3)
+        g = rng.normal_array(8 * n * h * w).reshape(8, n, h, w)
+        return parts, kernel, g
+
+    def _check_close(self, low, ref):
+        np.testing.assert_allclose(low, ref, rtol=self.RTOL, atol=self.RTOL * np.abs(ref).max())
+
+    @pytest.mark.parametrize("kind", ["array", "stack"])
+    def test_forward(self, rng, kind):
+        parts, kernel, _ = self._case(rng)
+        out = conv2d_batch(conv3_input(parts, kind, np.float32), kernel, 1)
+        assert out.dtype == np.float32
+        self._check_close(out, conv2d_batch(conv3_input(parts, kind, np.float64), kernel, 1))
+
+    @pytest.mark.parametrize("kind", ["array", "stack"])
+    @pytest.mark.parametrize("input_channels", [0, 5, 24])
+    def test_backward(self, rng, kind, input_channels):
+        parts, kernel, g = self._case(rng)
+        gi, gk = conv2d_batch_backward(g.astype(np.float32), conv3_input(parts, kind, np.float32),
+                                       kernel, input_channels)
+        gi_ref, gk_ref = conv2d_batch_backward(g, conv3_input(parts, kind, np.float64),
+                                               kernel, input_channels)
+        assert gk.dtype == np.float64
+        self._check_close(gk, gk_ref)
+        if input_channels == 0:
+            assert gi is None
+        else:
+            assert gi.dtype == np.float32
+            self._check_close(gi, gi_ref)
+
+    def test_layer_gradients_are_float64(self, rng):
+        conv = Conv2d("conv3", 24, 8)
+        conv.init_he(rng)
+        parts, _, g = self._case(rng)
+        out = conv.forward(conv3_input(parts, "stack", np.float32), keep_cache=True)
+        gi, grads = conv.backward(g.astype(np.float32))
+        assert out.dtype == gi.dtype == np.float32
+        assert all(v.dtype == np.float64 for v in grads.values())
+
+    def test_band_rows_do_not_depend_on_dtype(self, rng):
+        # conv3 of the default config: several bands per 96x96 image
+        x = rng.normal_array(24 * 96 * 96).reshape(24, 1, 96, 96)
+        bands = {dtype: [(r0, r1, slab.dtype, slab.nbytes)
+                         for _, r0, r1, slab in layers._shift_bands(x.astype(dtype), 3)]
+                 for dtype in (np.float32, np.float64)}
+        assert len(bands[np.float32]) == len(bands[np.float64]) > 1
+        for (r0, r1, dtype, nbytes), (q0, q1, _, nbytes64) in zip(bands[np.float32],
+                                                                  bands[np.float64]):
+            assert (r0, r1) == (q0, q1)
+            assert dtype == np.float32 and 2 * nbytes == nbytes64 <= layers._BAND_BYTES
+
+
 ACTIVATIONS = {"relu": (relu_batch, relu_batch_backward),
                "softplus": (softplus, lambda g, x: g * sigmoid(x))}
 

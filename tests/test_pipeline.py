@@ -75,6 +75,15 @@ def test_build_crops_labels_are_the_cropped_ground_truth(mode):
         assert np.array_equal(lbl, crop_resize(s, box, cfg.crop_h, cfg.crop_w).labels)
 
 
+@pytest.mark.parametrize("mode", DETECTOR_MODES)
+def test_build_crops_images_are_the_float32_crops(mode):
+    cfg, samples, _, _ = small_setup()
+    images, _, boxes, _ = build_crops(samples, cfg, mode)
+    assert images.dtype == np.float32
+    for s, box, img in zip(samples, boxes, images):
+        assert np.array_equal(img, np.float32(crop_resize(s, box, cfg.crop_h, cfg.crop_w).image))
+
+
 def test_ablation_crop_vs_full_reports_both_arms():
     cfg = RunConfig(seed=3, crop_h=32, crop_w=32, d=4, widths=[4, 8], head_width=4,
                     seg_epochs=1, unc_epochs=1)

@@ -173,6 +173,25 @@ class TestProbesAndScore:
         with pytest.raises(ValueError, match="floor"):
             unc_score(np.full((1, 1, 2, 2), 1e-7), eps_floor=1e-6)
 
+    def test_unc_score_accepts_float32_variances_at_the_floor(self, tiny_config, tiny_batch):
+        images, labels = tiny_batch
+        _, stages, *_ = seg_and_batch(tiny_config, (images.astype(np.float32), labels))
+        head = UncHead(tiny_config)
+        head.init_params(Rng(4).derive("unc-init"))
+        head.h4.bias = np.full_like(head.h4.bias, -60.0)
+        cov = head.forward(stages)
+        floor = np.float32(tiny_config.eps_floor)
+        # float32(1e-6) lies below 1e-6, so the floor is compared in float32
+        assert cov.dtype == np.float32 and cov.min() == floor
+        assert float(floor) < tiny_config.eps_floor
+        scores = unc_score(cov, tiny_config.eps_floor)
+        assert scores.dtype == np.float64 and np.all(np.isfinite(scores))
+        for below in (np.nextafter(floor, np.float32(0.0)), np.float32(0.0)):
+            low = cov.copy()
+            low[0, 0, 0, 0] = below
+            with pytest.raises(ValueError, match="variance below floor"):
+                unc_score(low, tiny_config.eps_floor)
+
     def test_unc_score_strictly_monotone(self):
         cov = np.full((2, 2, 3, 3), 2.0)
         base = unc_score(cov)
