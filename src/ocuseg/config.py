@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -39,14 +44,27 @@ class RunConfig:
     tau: float = 0.0
 
     def __post_init__(self):
+        # types first, so the range checks below and every later stage see
+        # ints and finite numbers; a JSON int is a valid float field
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if f.type == "float" and not ((_is_int(value) or isinstance(value, float))
+                                          and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if not (isinstance(self.widths, (list, tuple)) and len(self.widths) == 2
+                and all(_is_int(w) and w >= 1 for w in self.widths)):
+            raise ValueError(f"widths must list two ints >= 1, got {self.widths!r}")
+        for name in ("head_width", "seg_epochs", "seg_batch", "unc_epochs", "unc_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("d", "crop_h", "crop_w"):
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} must be >= 4, got {getattr(self, name)}")
         if self.crop_h % 4 or self.crop_w % 4:
             raise ValueError(f"crop size must be divisible by 4, got "
                              f"{self.crop_h}x{self.crop_w}")
-        if len(self.widths) != 2:
-            raise ValueError(f"widths must list two stage widths, got {self.widths}")
         if not self.eps_floor > 0.0:
             raise ValueError(f"eps_floor must be > 0, got {self.eps_floor}")
         if not 0.0 <= self.bbox_jitter <= 0.25:
@@ -54,9 +72,6 @@ class RunConfig:
         for name in ("seg_lr", "unc_lr"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("seg_epochs", "seg_batch", "unc_epochs", "unc_batch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1) + "\n"

@@ -255,22 +255,28 @@ def upsample2x_batch_backward(grad_out: np.ndarray) -> np.ndarray:
             + grad_out[..., 1::2, 0::2] + grad_out[..., 1::2, 1::2])
 
 
+def _softplus(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(e)
+
+
 def softplus(x: np.ndarray) -> np.ndarray:
     """ln(1 + exp(x)) without overflow: max(x, 0) + ln(1 + exp(-|x|)).
 
     About twice as fast as ``np.logaddexp(0, x)``.  Both are within 2 ulp
     of the exact value, but numpy's SIMD exp rounds differently from the
     libm one behind logaddexp, so the two differ by up to 3 ulp."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return _softplus(x, np.exp(-np.abs(x)))
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def softplus_with_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``softplus(x)`` and its slope ``sigmoid(x)``, sharing ``e = exp(-|x|)``.
+
+    The slope is ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)`` below,
+    the two overflow-free branches of the sigmoid.  ``exp(min(x, 0))`` is
+    that numerator without a branch: exactly 1 above zero and ``exp(x)``
+    below, and several times faster than selecting it with ``np.where``."""
+    e = np.exp(-np.abs(x))
+    return _softplus(x, e), np.exp(np.minimum(x, 0.0)) / (1.0 + e)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

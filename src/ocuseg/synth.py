@@ -8,6 +8,10 @@ sparse dark speckles, which keeps the darkest 5% of pixels dominated by
 the pupil blob (what the heuristic detector thresholds on) without forming
 large connected clumps.
 
+Frame geometry is separable: each coordinate is an ``[H, 1]`` column or a
+``[W]`` row that broadcasting expands, and the rotated ellipse offsets are
+computed once per frame for all three region masks and the iris gradient.
+
 Images are quantized to the 1/255 grid at the end of every generation op,
 so the PGM container round-trips bit-exactly.
 """
@@ -58,17 +62,14 @@ def quantize8(img: np.ndarray) -> np.ndarray:
     return q / 255.0
 
 
-def _ellipse_mask(rr: np.ndarray, cc: np.ndarray, center: tuple[float, float],
-                  axes: tuple[float, float], rot: float) -> np.ndarray:
+def _ellipse_q(u: np.ndarray, v: np.ndarray, axes: tuple[float, float]) -> np.ndarray:
+    """Squared normalized radius ``(u/a)**2 + (v/b)**2`` at rotated offsets
+    ``(u, v)``; the ellipse is the set ``q <= 1``.  A non-positive axis makes
+    an empty ellipse (``q`` is ``inf`` everywhere) without dividing by it."""
     a, b = axes
     if a <= 0.0 or b <= 0.0:
-        return np.zeros(rr.shape, dtype=bool)
-    dr = rr - center[0]
-    dc = cc - center[1]
-    co, si = math.cos(rot), math.sin(rot)
-    u = co * dc + si * dr
-    v = -si * dc + co * dr
-    return (u / a) ** 2 + (v / b) ** 2 <= 1.0
+        return np.full(np.broadcast_shapes(u.shape, v.shape), np.inf)
+    return (u / a) ** 2 + (v / b) ** 2
 
 
 def _ellipse_extent(axes: tuple[float, float], rot: float) -> tuple[float, float]:
@@ -89,13 +90,13 @@ def _smooth_noise(h: int, w: int, rng: Rng, cell: int = 12) -> np.ndarray:
     r0 = rr.astype(np.int64)
     c0 = cc.astype(np.int64)
     fr = (rr - r0)[:, None]
-    fc = (cc - c0)[None, :]
-    g00 = grid[r0][:, c0]
-    g01 = grid[r0][:, c0 + 1]
-    g10 = grid[r0 + 1][:, c0]
-    g11 = grid[r0 + 1][:, c0 + 1]
-    return (g00 * (1 - fr) * (1 - fc) + g01 * (1 - fr) * fc
-            + g10 * fr * (1 - fc) + g11 * fr * fc)
+    fc = cc - c0
+    # weight the coarse rows, then gather columns: the same products, summed
+    # in the same order, as gathering the four corners over the whole frame
+    top = grid[r0] * (1 - fr)
+    bot = grid[r0 + 1] * fr
+    return (top[:, c0] * (1 - fc) + top[:, c0 + 1] * fc
+            + bot[:, c0] * (1 - fc) + bot[:, c0 + 1] * fc)
 
 
 def render_eye(params: SceneParams, h_full: int, w_full: int, rng: Rng,
@@ -115,12 +116,16 @@ def render_eye(params: SceneParams, h_full: int, w_full: int, rng: Rng,
             f"extent ({ey:.1f}, {ex:.1f})")
 
     tex = rng.derive(params.texture_seed)
-    rr, cc = np.meshgrid(np.arange(h_full, dtype=np.float64) + 0.5,
-                         np.arange(w_full, dtype=np.float64) + 0.5, indexing="ij")
-
-    in_eye = _ellipse_mask(rr, cc, params.eye_center, params.eye_axes, params.rotation)
-    in_iris = _ellipse_mask(rr, cc, params.eye_center, params.iris_axes, params.rotation)
-    in_pupil = _ellipse_mask(rr, cc, params.eye_center, params.pupil_axes, params.rotation)
+    # pixel-center offsets from the eye center, rotated into the ellipse frame
+    dr = (np.arange(h_full, dtype=np.float64) + 0.5 - cr)[:, None]
+    dc = np.arange(w_full, dtype=np.float64) + 0.5 - cc_
+    co, si = math.cos(params.rotation), math.sin(params.rotation)
+    u = co * dc + si * dr
+    v = -si * dc + co * dr
+    q_iris = _ellipse_q(u, v, params.iris_axes)
+    in_eye = _ellipse_q(u, v, params.eye_axes) <= 1.0
+    in_iris = q_iris <= 1.0
+    in_pupil = _ellipse_q(u, v, params.pupil_axes) <= 1.0
 
     labels = np.zeros((h_full, w_full), dtype=np.int64)
     labels[in_eye] = 1
@@ -133,23 +138,15 @@ def render_eye(params: SceneParams, h_full: int, w_full: int, rng: Rng,
 
     # sparse dark speckle grain, background only: anchors the detector's
     # 5th-percentile threshold below the iris intensity range
-    u = tex.uniform_array(h_full * w_full).reshape(h_full, w_full)
-    speck = (u < 0.05) & ~in_eye
-    img[speck] = 0.08 + (0.24 - 0.08) * (u[speck] / 0.05)
+    grain = tex.uniform_array(h_full * w_full).reshape(h_full, w_full)
+    speck = (grain < 0.05) & ~in_eye
+    img[speck] = 0.08 + (0.24 - 0.08) * (grain[speck] / 0.05)
 
     img[in_eye] = sclera
     # radial gradient on the iris: dark near the pupil, brighter at the rim;
     # the 0.75-0.95x band keeps iris values above the speckle range and
     # below skin, so region intensities stay separable on clean frames
-    if np.any(in_iris):
-        dr = rr - cr
-        dc = cc - cc_
-        co, si = math.cos(params.rotation), math.sin(params.rotation)
-        uu = co * dc + si * dr
-        vv = -si * dc + co * dr
-        ia, ib = params.iris_axes
-        rho = np.sqrt((uu / ia) ** 2 + (vv / ib) ** 2)
-        img[in_iris] = iris_base * (0.75 + 0.20 * rho[in_iris])
+    img[in_iris] = iris_base * (0.75 + 0.20 * np.sqrt(q_iris[in_iris]))
     img[in_pupil] = pupil_val
     img += 0.015 * _smooth_noise(h_full, w_full, tex, cell=5)
 
@@ -247,8 +244,8 @@ def _domain_shift(sample: Sample, severity: float, rng: Rng) -> Sample:
     contrast = rng.uniform(1.0 - 0.35 * severity, 1.0 + 0.35 * severity)
     img = 0.5 + contrast * (gamma_correct(sample.image, gamma) - 0.5)
     h, wd = img.shape
-    rr, cc = np.meshgrid((np.arange(h) - h / 2) / (h / 2),
-                         (np.arange(wd) - wd / 2) / (wd / 2), indexing="ij")
+    rr = ((np.arange(h) - h / 2) / (h / 2))[:, None]
+    cc = (np.arange(wd) - wd / 2) / (wd / 2)
     img *= 1.0 - 0.35 * severity * (rr ** 2 + cc ** 2) / 2.0
     img += rng.normal_array(img.size, 0.0, 0.08 * severity).reshape(img.shape)
     return replace(sample, image=quantize8(img))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import RunConfig
 from .layers import (ChannelStack, Conv2d, pool2x_batch, pool2x_batch_backward,
-                     relu_batch, relu_batch_backward, sigmoid, softplus,
+                     relu_batch, relu_batch_backward, softplus, softplus_with_slope,
                      upsample2x_batch_backward)
 from .optim import clip_grad_norm, fit
 from .rng import Rng
@@ -97,14 +97,18 @@ class UncHead:
         e = relu_batch(e_pre)
         g_pre = self.h4.forward(ChannelStack(e, stages.stage1, stages.z),
                                 keep_cache=keep_cache)
-        self._cache = ({"a_pre": a_pre, "c_pre": c_pre, "e_pre": e_pre, "g_pre": g_pre}
-                       if keep_cache else {})
-        return softplus(g_pre) + self.eps_floor
+        if not keep_cache:
+            self._cache = {}
+            return softplus(g_pre) + self.eps_floor
+        # keep softplus's slope, not g_pre: backward needs nothing else of it
+        cov, slope = softplus_with_slope(g_pre)
+        self._cache = {"a_pre": a_pre, "c_pre": c_pre, "e_pre": e_pre, "slope": slope}
+        return cov + self.eps_floor
 
     def backward(self, grad_cov: np.ndarray) -> dict[str, np.ndarray]:
         u = self.config.head_width
         cache = self._cache
-        dg_pre = grad_cov * sigmoid(cache["g_pre"])
+        dg_pre = grad_cov * cache["slope"]
         # only the upsampled-e channels of h4's input: stage1 and z are frozen
         dg_in, g4 = self.h4.backward(dg_pre, input_channels=u)
         de = upsample2x_batch_backward(dg_in)

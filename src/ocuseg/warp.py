@@ -1,8 +1,13 @@
 """Geometric resampling helpers: bilinear and nearest-neighbor resizing.
 
 All mappings use half-pixel centers, ``src = (dst + 0.5) * scale - 0.5``,
-so a resize to the same size reproduces the input exactly.  Bilinear sampling clamps to the frame edge; nearest-neighbor
-sampling preserves the input's value set.
+so a resize to the same size reproduces the input exactly.  Bilinear
+sampling clamps to the frame edge; nearest-neighbor sampling preserves the
+input's value set.
+
+A resize is separable: each axis maps its output indices to source
+coordinates once, as a 1-D array, and broadcasting a row-index column
+against a column-index row makes the 2-D result.
 """
 
 from __future__ import annotations
@@ -10,44 +15,34 @@ from __future__ import annotations
 import numpy as np
 
 
-def _sample_bilinear(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    h, w = img.shape
-    r0 = np.clip(np.floor(rows).astype(np.int64), 0, h - 1)
-    c0 = np.clip(np.floor(cols).astype(np.int64), 0, w - 1)
-    r1 = np.minimum(r0 + 1, h - 1)
-    c1 = np.minimum(c0 + 1, w - 1)
-    fr = np.clip(rows, 0, h - 1) - r0
-    fc = np.clip(cols, 0, w - 1) - c0
-    top = img[r0, c0] * (1 - fc) + img[r0, c1] * fc
-    bot = img[r1, c0] * (1 - fc) + img[r1, c1] * fc
-    return top * (1 - fr) + bot * fr
+def _source_coords(n_in: int, n_out: int) -> np.ndarray:
+    """Source coordinate of each output index along one axis."""
+    return (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
 
 
-def _sample_nearest(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    h, w = img.shape
-    r = np.clip(np.floor(rows + 0.5).astype(np.int64), 0, h - 1)
-    c = np.clip(np.floor(cols + 0.5).astype(np.int64), 0, w - 1)
-    return img[r, c]
+def _bilinear_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge-clamped neighbor indices ``i0``, ``i1`` and the weight of ``i1``."""
+    src = _source_coords(n_in, n_out)
+    i0 = np.clip(np.floor(src).astype(np.int64), 0, n_in - 1)
+    return i0, np.minimum(i0 + 1, n_in - 1), np.clip(src, 0, n_in - 1) - i0
 
 
-def _grid(h_out: int, w_out: int) -> tuple[np.ndarray, np.ndarray]:
-    rr, cc = np.meshgrid(np.arange(h_out, dtype=np.float64),
-                         np.arange(w_out, dtype=np.float64), indexing="ij")
-    return rr, cc
+def _nearest_index(n_in: int, n_out: int) -> np.ndarray:
+    src = _source_coords(n_in, n_out)
+    return np.clip(np.floor(src + 0.5).astype(np.int64), 0, n_in - 1)
 
 
 def resize_bilinear(img: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
     h, w = img.shape
-    rr, cc = _grid(h_out, w_out)
-    src_r = (rr + 0.5) * (h / h_out) - 0.5
-    src_c = (cc + 0.5) * (w / w_out) - 0.5
-    return _sample_bilinear(img, src_r, src_c)
+    r0, r1, fr = _bilinear_taps(h, h_out)
+    c0, c1, fc = _bilinear_taps(w, w_out)
+    # interpolate every source row at the output columns once, then blend
+    # row pairs: the same products and sums as a per-pixel four-tap gather
+    rows = img[:, c0] * (1 - fc) + img[:, c1] * fc
+    fr = fr[:, None]
+    return rows[r0] * (1 - fr) + rows[r1] * fr
 
 
 def resize_nearest(img: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
     h, w = img.shape
-    rr, cc = _grid(h_out, w_out)
-    src_r = (rr + 0.5) * (h / h_out) - 0.5
-    src_c = (cc + 0.5) * (w / w_out) - 0.5
-    return _sample_nearest(img, src_r, src_c)
-
+    return img[_nearest_index(h, h_out)[:, None], _nearest_index(w, w_out)]

@@ -120,8 +120,9 @@ class TestTraining:
 
 class TestThreadDeterminism:
     def test_weights_identical_for_1_and_2_blas_threads(self, trained, tmp_path):
-        """Checkpoints, ``infer``'s predictions and scores, and ``gen``'s
-        files are byte-identical at one and two BLAS threads."""
+        """Checkpoints and training logs of both stages, ``infer``'s
+        predictions and scores, ``eval``'s report and ``gen``'s files are
+        byte-identical at one and two BLAS threads."""
         root, cfg_path = trained
         env = {k: v for k, v in os.environ.items()
                if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -135,6 +136,8 @@ class TestThreadDeterminism:
                           *train],
                          ["infer", "--data", str(root / "data"), "--seg", str(out / "seg"),
                           "--unc", str(out / "unc"), "--out", str(out / "pred")],
+                         ["eval", "--pred", str(out / "pred"), "--data", str(root / "data"),
+                          "--out", str(out / "report.json")],
                          ["gen", "--out", str(out / "blur"), "--n", "4", "--seed", "5",
                           "--corruptions", "blur", "--severities", "0.1,1.0"]):
                 subprocess.run([sys.executable, "-m", "ocuseg.cli", *argv],
@@ -146,7 +149,9 @@ class TestThreadDeterminism:
         assert len(pred) == 12
         blurred = sorted(p for p in (tmp_path / "t1" / "blur").rglob("*") if p.is_file())
         assert len(blurred) > 4
-        for path in [tmp_path / "t1" / "pred" / "scores.csv", *pred, *blurred]:
+        logs = [tmp_path / "t1" / stage / "train_log.csv" for stage in ("seg", "unc")]
+        reports = [tmp_path / "t1" / name for name in ("report.json", "report.filtering.csv")]
+        for path in [*logs, *reports, tmp_path / "t1" / "pred" / "scores.csv", *pred, *blurred]:
             rel = path.relative_to(tmp_path / "t1")
             assert (tmp_path / "t1" / rel).read_bytes() == (tmp_path / "t2" / rel).read_bytes()
 
@@ -440,6 +445,15 @@ BAD_INPUTS = {
     "unc_lr": (train_with("unc_lr", -1.0), "unc_lr must be >= 0, got -1.0"),
     "crop_h": (train_with("crop_h", 0), "crop_h must be >= 4, got 0"),
     "crop_w": (train_with("crop_w", 0), "crop_w must be >= 4, got 0"),
+    "crop_h-float": (train_with("crop_h", 96.0), "crop_h must be an int, got 96.0"),
+    "seg_epochs-float": (train_with("seg_epochs", 1.5), "seg_epochs must be an int, got 1.5"),
+    "seg_batch-bool": (train_with("seg_batch", True), "seg_batch must be an int, got True"),
+    "widths-str": (train_with("widths", "ab"), "widths must list two ints >= 1, got 'ab'"),
+    "widths-negative": (train_with("widths", [8, -1]),
+                        "widths must list two ints >= 1, got [8, -1]"),
+    "head_width": (train_with("head_width"), "head_width must be >= 1, got 0"),
+    "tau-str": (train_with("tau", "x"), "tau must be a finite number, got 'x'"),
+    "tau-inf": (train_with("tau", float("inf")), "tau must be a finite number, got inf"),
     "landscape-n": (landscape("--n", "5"), "--n 5"),
     "landscape-v": (landscape("--v", "1,2,3"), "--v 1,2,3"),
     "s_unc": (eval_with(lambda p: replace_score(p, "abc")), "s_unc 'abc'"),

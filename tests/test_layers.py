@@ -10,7 +10,7 @@ from ocuseg import layers
 from ocuseg.gradcheck import grad_check
 from ocuseg.layers import (ChannelStack, Conv2d, conv2d, conv2d_batch, conv2d_batch_backward,
                            pool2x_batch, pool2x_batch_backward, relu_batch,
-                           relu_batch_backward, sigmoid, softmax_rows, softplus,
+                           relu_batch_backward, softmax_rows, softplus, softplus_with_slope,
                            upsample2x_batch, upsample2x_batch_backward)
 from ocuseg.rng import Rng
 
@@ -328,7 +328,7 @@ class TestFloat32:
 
 
 ACTIVATIONS = {"relu": (relu_batch, relu_batch_backward),
-               "softplus": (softplus, lambda g, x: g * sigmoid(x))}
+               "softplus": (softplus, lambda g, x: g * softplus_with_slope(x)[1])}
 
 
 class TestConv2dLayer:
@@ -378,6 +378,20 @@ class TestActivations:
         # a RuntimeWarning fails the test under the suite's filter
         x = np.array([1e3, -1e3, np.inf, -np.inf])
         assert np.array_equal(softplus(x), [1e3, 0.0, np.inf, 0.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softplus_slope_is_the_two_branch_sigmoid(self, dtype, rng):
+        x = np.concatenate([8.0 * rng.normal_array(10_000),
+                            [0.0, -0.0, 1e3, -1e3, np.inf, -np.inf]]).astype(dtype)
+        pos = x >= 0
+        sigmoid = np.empty_like(x)
+        sigmoid[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        sigmoid[~pos] = ex / (1.0 + ex)
+        y, slope = softplus_with_slope(x)
+        assert y.dtype == slope.dtype == dtype
+        assert np.array_equal(y, softplus(x))
+        assert np.array_equal(slope, sigmoid)
 
     @pytest.mark.parametrize("kind", ["relu", "softplus"])
     def test_backward_matches_fd(self, kind, rng):

@@ -1,12 +1,15 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ocuseg.cli import main
 from ocuseg.rng import Rng
-from ocuseg.synth import (Corruption, SceneParams, apply_corruption, gamma_correct,
-                          generate_dataset,
-                          motion_blur_kernel, render_eye, sample_scene_params)
+from ocuseg.synth import (Corruption, SceneParams, _smooth_noise, apply_corruption,
+                          gamma_correct, generate_dataset, motion_blur_kernel, render_eye,
+                          sample_scene_params)
 
 
 def make_params(**overrides) -> SceneParams:
@@ -29,6 +32,14 @@ class TestRenderEye:
     def test_degenerate_pupil_has_no_class3(self):
         s = render_eye(make_params(pupil_axes=(0.0, 0.0)), 120, 160, Rng(1))
         assert not np.any(s.labels == 3)
+
+    @pytest.mark.parametrize("pupil_axes", [(0.0, 0.0), (-2.0, 5.0), (6.0, 0.0)])
+    def test_non_positive_pupil_axis_is_empty_without_warning(self, pupil_axes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s = render_eye(make_params(pupil_axes=pupil_axes), 120, 160, Rng(1))
+        assert not np.any(s.labels == 3)
+        assert np.any(s.labels == 2)
 
     def test_pupil_area_matches_ellipse(self):
         # axis-aligned so the rasterized count tracks pi*a*b
@@ -177,3 +188,41 @@ class TestGenerateDataset:
         for _ in range(50):
             p = sample_scene_params(120, 160, rng)
             render_eye(p, 120, 160, rng)  # must not raise
+
+
+@pytest.mark.parametrize("h, w, cell", [(120, 160, 12), (120, 160, 5), (97, 131, 12),
+                                        (64, 64, 5), (1, 1, 12)])
+def test_smooth_noise_matches_the_full_frame_gather(h, w, cell):
+    """Weighting coarse rows before gathering columns gives the bits of
+    gathering the four corners over the whole frame."""
+    gh, gw = h // cell + 2, w // cell + 2
+    grid = Rng(9).uniform_array(gh * gw, -1.0, 1.0).reshape(gh, gw)
+    rr, cc = np.arange(h) / cell, np.arange(w) / cell
+    r0, c0 = rr.astype(np.int64), cc.astype(np.int64)
+    fr, fc = (rr - r0)[:, None], (cc - c0)[None, :]
+    ref = (grid[r0][:, c0] * (1 - fr) * (1 - fc) + grid[r0][:, c0 + 1] * (1 - fr) * fc
+           + grid[r0 + 1][:, c0] * fr * (1 - fc) + grid[r0 + 1][:, c0 + 1] * fr * fc)
+    assert np.array_equal(_smooth_noise(h, w, Rng(9), cell), ref)
+
+
+# sha256 over (relative path, sha256 of contents) of every file that ``gen``
+# writes for an eight-frame four-kind set.  The digests come from the
+# full-frame meshgrid renderer that the separable row and column
+# coordinates replaced, so they pin the two as byte-identical: a change to
+# any pixel, label or manifest field shows here.
+GEN_DIGESTS = {
+    "120x160": "c49ec0e9adbfdc8fd860787935bbc24021df720d731baa1cd2d32dfaf89ceed5",
+    "97x131": "2265bfae0824da6ad623fa83e32176069169271652fdc198ef3ae07cee724069",
+}
+
+
+@pytest.mark.parametrize("size", list(GEN_DIGESTS))
+def test_gen_files_are_pinned(size, tmp_path):
+    assert main(["gen", "--out", str(tmp_path), "--n", "8", "--seed", "21",
+                 "--corruptions", "none,blur,occlusion,domain_shift",
+                 "--severities", "0.2,1.0", "--size", size]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    assert digest.hexdigest() == GEN_DIGESTS[size]
