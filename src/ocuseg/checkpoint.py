@@ -5,9 +5,9 @@ tensors: [{name, shape, byte_offset}]}; ``kind`` is ``seg`` (segmentation
 model) or ``unc`` (uncertainty head).  ``weights.bin`` is the tensors'
 float64 data, little-endian, concatenated in index order.  On load the
 header must name a kind (the one expected, if the caller gives it), the
-stored arch_hash must match the stored config, and the size of
-``weights.bin`` must equal the sum of the tensor sizes.  Writes are
-byte-deterministic.
+stored arch_hash must match the stored config, the size of ``weights.bin``
+must equal the sum of the tensor sizes, and each ``byte_offset`` must be
+where the tensors before it end.  Writes are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -99,15 +99,14 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
         raise CheckpointError(f"{kind} {weights_path}: {len(raw)} bytes, "
                               f"header describes {expected}")
     tensors = {}
+    off = 0
     for entry, count in zip(index, counts):
-        shape = tuple(entry["shape"])
-        off = entry["byte_offset"]
-        try:
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-        except ValueError:
-            raise CheckpointError(
-                f"truncated weights for tensor {entry['name']!r}") from None
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        if entry["byte_offset"] != off:
+            raise CheckpointError(f"{header_path}: tensor {entry['name']!r} has byte_offset "
+                                  f"{entry['byte_offset']}, not {off} where those before it end")
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
+        tensors[entry["name"]] = arr.reshape(tuple(entry["shape"])).astype(np.float64)
+        off += 8 * count
     return config, tensors
 
 

@@ -45,14 +45,16 @@ class RunConfig:
 
     def __post_init__(self):
         # types first, so the range checks below and every later stage see
-        # ints and finite numbers; a JSON int is a valid float field
+        # ints and finite floats; a JSON int is a valid float field, stored
+        # as a float so that 1 and 1.0 hash alike
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and not _is_int(value):
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
-            if f.type == "float" and not ((_is_int(value) or isinstance(value, float))
-                                          and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "float":
+                if not ((_is_int(value) or isinstance(value, float)) and math.isfinite(value)):
+                    raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+                setattr(self, f.name, float(value))
         if not (isinstance(self.widths, (list, tuple)) and len(self.widths) == 2
                 and all(_is_int(w) and w >= 1 for w in self.widths)):
             raise ValueError(f"widths must list two ints >= 1, got {self.widths!r}")

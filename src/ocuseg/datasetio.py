@@ -19,7 +19,7 @@ import numpy as np
 
 from .detect import box_fits
 from .metrics import check_labels
-from .synth import Sample
+from .synth import Sample, levels8
 
 
 class DatasetError(ValueError):
@@ -63,10 +63,6 @@ def read_pgm(path: Path) -> np.ndarray:
     return pixels.reshape(h, w).copy()
 
 
-def image_to_u8(image: np.ndarray) -> np.ndarray:
-    return np.floor(np.clip(image, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-
-
 def _check_sample_labels(sample_id: str, labels: np.ndarray) -> None:
     try:
         check_labels(labels)
@@ -82,7 +78,7 @@ def write_dataset(samples: list[Sample], directory: str | Path) -> None:
     records = []
     for s in samples:
         _check_sample_labels(s.sample_id, s.labels)
-        write_pgm(directory / "img" / f"{s.sample_id}.pgm", image_to_u8(s.image))
+        write_pgm(directory / "img" / f"{s.sample_id}.pgm", levels8(s.image).astype(np.uint8))
         write_pgm(directory / "lbl" / f"{s.sample_id}.pgm", s.labels.astype(np.uint8))
         records.append({
             "id": s.sample_id,

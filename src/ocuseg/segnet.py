@@ -29,7 +29,7 @@ from .config import RunConfig
 from .layers import (ChannelStack, Conv2d, pool2x_batch, pool2x_batch_backward,
                      relu_batch, relu_batch_backward, softmax_rows,
                      upsample2x_batch_backward)
-from .metrics import N_CLASSES, check_labels, confusion_matrix, metrics_from_confusion
+from .metrics import N_CLASSES, confusion_matrix, metrics_from_confusion
 from .optim import clip_grad_norm, fit
 from .rng import Rng
 
@@ -140,19 +140,21 @@ def predict_batch(model: SegModel, images: np.ndarray
 
 
 def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray
-             ) -> tuple[float, dict[str, np.ndarray]]:
-    """Cross-entropy and its parameter gradients: mean over the batch of
-    per-image sums over pixels of -log p at the true class (probabilities
-    clamped at 1e-12)."""
-    check_labels(labels)
+             ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Cross-entropy, its parameter gradients and the confusion matrix of the
+    batch's ``predict_batch`` labels before the step.  The loss is the mean
+    over the batch of per-image sums over pixels of -log p at the true class
+    (probabilities clamped at 1e-12)."""
     n, h, w = images.shape
     feats = model.forward_batch(images, keep_cache=True)
     d = model.config.d
     zmat = feats.z.reshape(d, -1)
     head = model.head.astype(zmat.dtype)
     logits = head @ zmat                            # [4, N*H*W]
-    probs = softmax_rows(logits)
     flat_labels = labels.reshape(-1)
+    # also rejects labels outside the classes before they index the probs
+    conf = confusion_matrix(np.argmax(logits, axis=0), flat_labels)
+    probs = softmax_rows(logits)
     p_true = probs[flat_labels, np.arange(flat_labels.size)]
     loss = float(-np.log(np.maximum(p_true, 1e-12)).sum(dtype=np.float64) / n)
     glogit = probs.copy()
@@ -161,7 +163,7 @@ def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray
     grads = {"head": (glogit @ zmat.T).astype(np.float64)}
     gz = (head.T @ glogit).reshape(d, n, h, w)
     grads.update(model.backward_batch(gz))
-    return loss, grads
+    return loss, grads, conf
 
 
 def class_centers(model: SegModel) -> np.ndarray:
@@ -169,12 +171,13 @@ def class_centers(model: SegModel) -> np.ndarray:
     return model.head.copy()
 
 
-# crops per forward pass when predicting (MIoU logging and inference)
+# crops per forward pass when predicting
 INFER_BATCH = 16
 
 
 def evaluate_miou(model: SegModel, images: np.ndarray, labels: np.ndarray) -> float:
     """Aggregate-confusion MIoU of the model over a crop set."""
+    # no src caller: bench/workloads.py and bench/attribution.py use it by name
     conf = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for i in range(0, len(images), INFER_BATCH):
         # [0] alone: binding the features too keeps them alive through the
@@ -200,16 +203,12 @@ SEG_LR_SCALES = {
 SEG_CLIP_NORM = 2000.0
 
 
-# leading crops scored by train_seg's per-epoch MIoU log row
-TRAIN_MIOU_SUBSET = 256
-
-
 def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig,
               log: list | None = None) -> SegModel:
     """``optim.fit`` of a fresh model on pre-computed crops.
 
-    ``log`` (if given) receives (epoch, mean_loss, train_miou) rows, with
-    MIoU measured on a fixed leading subset to bound the logging cost.
+    ``log`` (if given) receives (epoch, mean_loss, miou) rows; ``miou`` is the
+    running MIoU of the epoch's steps, each scoring its batch before its update.
     Raises FloatingPointError naming the epoch if the loss goes non-finite.
     """
     model = SegModel(config)
@@ -221,10 +220,10 @@ def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig,
                  shuffler=Rng(config.seed).derive("seg-shuffle"),
                  clip=lambda grads: clip_grad_norm(grads, SEG_CLIP_NORM),
                  lr_scales=SEG_LR_SCALES)
-    for epoch, (mean_loss,) in epochs:
+    # fit yields the mean confusion, which is proportional to the sum
+    for epoch, (mean_loss, mean_conf) in epochs:
         if log is not None:
-            k = min(TRAIN_MIOU_SUBSET, len(images))
-            log.append((epoch, mean_loss, evaluate_miou(model, images[:k], labels[:k])))
+            log.append((epoch, mean_loss, metrics_from_confusion(mean_conf)["miou"]))
     return model
 
 

@@ -56,10 +56,14 @@ class Sample:
     corruption: str = "none"
 
 
+def levels8(img: np.ndarray) -> np.ndarray:
+    """The 8-bit levels 0..255 (as float64) that the dataset container stores."""
+    return np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5)
+
+
 def quantize8(img: np.ndarray) -> np.ndarray:
     """Snap to the 8-bit grid used by the dataset container."""
-    q = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5)
-    return q / 255.0
+    return levels8(img) / 255.0
 
 
 def _ellipse_q(u: np.ndarray, v: np.ndarray, axes: tuple[float, float]) -> np.ndarray:
@@ -211,7 +215,7 @@ def _blur(sample: Sample, severity: float, rng: Rng) -> Sample:
     angle = rng.uniform(0.0, math.pi)
     taps = (motion_blur_kernel(length, angle) > 0).astype(np.float64)
     pad = (taps.shape[0] - 1) // 2
-    sums = conv2d(np.rint(255.0 * sample.image)[None], taps[None, None], pad)[0]
+    sums = conv2d(levels8(sample.image)[None], taps[None, None], pad)[0]
     return replace(sample, image=np.floor(sums / length + 0.5) / 255.0)
 
 

@@ -110,6 +110,19 @@ class TestTraining:
         assert f"missing checkpoint file: {tmp_path / 'nope' / 'header.json'}" \
             in capsys.readouterr().err
 
+    def test_float_field_spelled_as_int_matches(self, trained, tmp_path):
+        # a JSON int in a float field is the same config as the float
+        root, cfg_path = trained
+        fields = json.loads(cfg_path.read_text())
+        for name, eps_floor in (("as_float", 1.0), ("as_int", 1)):
+            (tmp_path / f"{name}.json").write_text(json.dumps({**fields, "eps_floor": eps_floor}))
+        assert '"eps_floor": 1,' in (tmp_path / "as_int.json").read_text()
+        assert main(["train-seg", "--data", str(root / "data"), "--config",
+                     str(tmp_path / "as_float.json"), "--out", str(tmp_path / "seg")]) == 0
+        assert main(["train-unc", "--data", str(root / "data"), "--config",
+                     str(tmp_path / "as_int.json"), "--seg", str(tmp_path / "seg"),
+                     "--out", str(tmp_path / "unc")]) == 0
+
     def test_corrupt_config_exit_2(self, trained, tmp_path):
         root, _ = trained
         bad = tmp_path / "bad.json"
@@ -511,6 +524,9 @@ BAD_INPUTS = {
     "checkpoint-tensor-offset": (infer_with_seg_header(
         lambda header: header["tensors"][0].update(byte_offset=-8)),
         "header.json: 'tensors' must be a list of"),
+    "checkpoint-tensor-overlap": (infer_with_seg_header(
+        lambda header: header["tensors"][1].update(byte_offset=0)),
+        "header.json: tensor 'conv1.bias' has byte_offset 0, not 288 where those before it end"),
     "manifest-object": (infer_on_dataset(lambda data, records: {"a": 1}),
                         "manifest.json: expected a list of sample records, got dict"),
     "manifest-record-list": (infer_on_dataset(lambda data, records: records[:3] + [[1, 2]]),

@@ -30,6 +30,11 @@ class TestRunConfig:
         c = RunConfig(d=12)
         assert a.arch_hash() != c.arch_hash()
 
+    def test_float_field_int_spelling_hashes_alike(self):
+        assert RunConfig(tau=5).content_hash() == RunConfig(tau=5.0).content_hash()
+        assert RunConfig(eps_floor=1).arch_hash() == RunConfig(eps_floor=1.0).arch_hash()
+        assert RunConfig.from_json('{"eps_floor": 1}') == RunConfig(eps_floor=1.0)
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="d must be"):
             RunConfig(d=2)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ocuseg.gradcheck import grad_check, pack_params, unpack_params
+from gradcheck import grad_check, pack_params, unpack_params
+
 from ocuseg.optim import SgdMomentum, fit
 from ocuseg.rng import Rng
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import grad_check
+
 from ocuseg import layers
-from ocuseg.gradcheck import grad_check
 from ocuseg.layers import (ChannelStack, Conv2d, conv2d, conv2d_batch, conv2d_batch_backward,
                            pool2x_batch, pool2x_batch_backward, relu_batch,
                            relu_batch_backward, softmax_rows, softplus, softplus_with_slope,

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import grad_check, pack_params, unpack_params
+
 from ocuseg.config import RunConfig
-from ocuseg.gradcheck import grad_check, pack_params, unpack_params
 from ocuseg.layers import softmax_rows
 from ocuseg.rng import Rng
-from ocuseg.segnet import (SegModel, class_centers, count_flops, predict_batch,
-                           seg_loss, train_seg)
+from ocuseg.segnet import (SegModel, class_centers, count_flops, evaluate_miou,
+                           predict_batch, seg_loss, train_seg)
 
 
 def make_model(cfg: RunConfig, seed: int = 3) -> SegModel:
@@ -67,13 +68,13 @@ class TestForward:
     def test_forward_only_keeps_no_conv_input(self, tiny_config, tiny_batch):
         model = make_model(tiny_config)
         images, labels = tiny_batch
-        loss, grads = seg_loss(model, images, labels)
+        loss, grads, _ = seg_loss(model, images, labels)
         predict_batch(model, images)
         convs = (model.conv1, model.conv2, model.conv3)
         assert all(conv._x is None for conv in convs)
         with pytest.raises(RuntimeError, match="conv3.backward needs a forward"):
             model.conv3.backward(np.zeros((tiny_config.d, 2, 16, 16)))
-        again, grads_again = seg_loss(model, images, labels)
+        again, grads_again, _ = seg_loss(model, images, labels)
         assert again == loss
         for k, g in grads.items():
             assert np.array_equal(grads_again[k], g), k
@@ -115,7 +116,7 @@ class TestSegLoss:
     def test_uniform_probs_loss_is_ln4_per_pixel(self, tiny_config, tiny_batch):
         model = SegModel(tiny_config)     # zero params -> uniform probs
         images, labels = tiny_batch
-        loss, _ = seg_loss(model, images, labels)
+        loss, _, _ = seg_loss(model, images, labels)
         assert loss == pytest.approx(16 * 16 * math.log(4), rel=1e-12)
 
     def test_perfect_probs_loss_near_zero(self, tiny_config, tiny_batch):
@@ -126,7 +127,7 @@ class TestSegLoss:
         model.head = np.eye(4, tiny_config.d)
         images, _ = tiny_batch
         labels = np.ones_like(images, dtype=np.int64)
-        loss, _ = seg_loss(model, images, labels)
+        loss, _, _ = seg_loss(model, images, labels)
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_invalid_labels_rejected(self, tiny_config, tiny_batch):
@@ -145,7 +146,7 @@ class TestSegLoss:
 
         def f(w):
             model.set_params(unpack_params(w, layout))
-            loss, grads = seg_loss(model, images, labels)
+            loss, grads, _ = seg_loss(model, images, labels)
             gvec, _ = pack_params({k: grads[k] for k, _ in layout})
             return loss, gvec
 
@@ -202,10 +203,33 @@ class TestTraining:
         cfg = tiny_config
         cfg.seg_lr = 0.0
         cfg.seg_epochs = 1
-        trained = train_seg(images, labels, cfg)
+        log: list = []
+        trained = train_seg(images, labels, cfg, log=log)
         init = make_model(cfg, seed=cfg.seed)
         for k, v in trained.params().items():
             assert np.array_equal(v, init.params()[k]), k
+        # the weights never move, so each step's running MIoU is the model's
+        want = evaluate_miou(trained, images, labels)
+        assert [row[2] for row in log] == pytest.approx([want], rel=1e-12)
+
+    def test_one_forward_per_step(self, tiny_config, monkeypatch):
+        # the log's MIoU comes from the steps' own forwards, with no extra
+        # pass; at lr 0 it is the model's MIoU over all crops, whatever the
+        # batch sizes (here 2, 2 and 1)
+        n, cfg = 5, tiny_config
+        cfg.seg_batch, cfg.seg_epochs, cfg.seg_lr = 2, 2, 0.0
+        images = Rng(5).uniform_array(n * 16 * 16).reshape(n, 16, 16)
+        labels = (Rng(6).u64_array(n * 16 * 16) % 4).astype(np.int64).reshape(n, 16, 16)
+        calls = []
+        forward = SegModel.forward_batch
+        monkeypatch.setattr(SegModel, "forward_batch",
+                            lambda self, *a, **kw: calls.append(1) or forward(self, *a, **kw))
+        log: list = []
+        train_seg(images, labels, cfg, log=log)
+        assert len(calls) == cfg.seg_epochs * math.ceil(n / cfg.seg_batch)
+        want = evaluate_miou(make_model(cfg, seed=cfg.seed), images, labels)
+        assert [row[0] for row in log] == [0, 1]
+        assert [row[2] for row in log] == pytest.approx([want, want], rel=1e-12)
 
     def test_loss_decreases_over_first_epochs(self, tiny_config, tiny_batch):
         images, labels = tiny_batch

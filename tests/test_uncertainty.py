@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gradcheck import grad_check, pack_params, unpack_params
+
 from ocuseg.config import RunConfig
-from ocuseg.gradcheck import grad_check, pack_params, unpack_params
 from ocuseg.rng import Rng
 from ocuseg.segnet import INFER_BATCH, SegModel, class_centers, predict_batch
 from ocuseg.uncertainty import (UncHead, _softplus_inverse, brute_force_optimal_cov,
