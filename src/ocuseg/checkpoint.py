@@ -6,8 +6,9 @@ model) or ``unc`` (uncertainty head).  ``weights.bin`` is the tensors'
 float64 data, little-endian, concatenated in index order.  On load the
 header must name a kind (the one expected, if the caller gives it), the
 stored arch_hash must match the stored config, the size of ``weights.bin``
-must equal the sum of the tensor sizes, and each ``byte_offset`` must be
-where the tensors before it end.  Writes are byte-deterministic.
+must equal the sum of the tensor sizes, each ``byte_offset`` must be
+where the tensors before it end, and every value must be finite.  Writes
+are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
             raise CheckpointError(f"{header_path}: tensor {entry['name']!r} has byte_offset "
                                   f"{entry['byte_offset']}, not {off} where those before it end")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{weights_path}: tensor {entry['name']!r} holds "
+                                  "non-finite values")
         tensors[entry["name"]] = arr.reshape(tuple(entry["shape"])).astype(np.float64)
         off += 8 * count
     return config, tensors

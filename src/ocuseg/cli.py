@@ -2,7 +2,8 @@
 
 Subcommands: gen, train-seg, train-unc, infer, eval, landscape, flops.
 Every command is deterministic given (config, seed, inputs).  Exit codes:
-0 success, 2 usage/validation error, 3 numeric failure during training.
+0 success, 2 usage/validation error, 3 numeric failure (a non-finite loss
+in training, a non-finite score in inference).
 """
 
 from __future__ import annotations
@@ -155,6 +156,10 @@ def cmd_infer(args) -> int:
     head.set_params(unc_params)
     images, _, boxes, ids = build_crops(_read_samples(args.data), config, args.detector)
     y_hat, s_unc = infer_samples(images, seg, head, config)
+    bad = [sid for sid, s in zip(ids, s_unc) if not np.isfinite(s)]
+    if bad:
+        raise FloatingPointError(f"s_unc is not finite for {len(bad)} samples "
+                                 f"({', '.join(bad[:20])})")
     accept = [int(threshold_decision(s, config.tau) == "accept") for s in s_unc]
 
     out = Path(args.out)

@@ -123,6 +123,8 @@ def _record_problem(rec, seen: set[str]) -> str | None:
     severity = rec.get("severity", 0.0)
     if type(severity) not in (int, float):
         return f"'severity' must be a number, got {severity!r}"
+    if not 0.0 <= severity <= 1.0:     # also rejects NaN, which json.loads accepts
+        return f"'severity' must be a finite number in [0, 1], got {severity!r}"
     return None
 
 

@@ -11,8 +11,9 @@ taps and bias to the activation dtype for each pass.  The kernel and
 bias gradients are reduced into float64, so an optimizer only ever sees
 float64.
 
-Convolutions are cross-correlations with zero padding and mandatory
-"same" geometry: the kernel side must be odd and ``pad == (k - 1) // 2``.
+Convolutions are cross-correlations with "same" geometry: the kernel
+side ``k`` must be odd, and the input is zero-padded by ``(k - 1) // 2``
+on each side, so the output has the input's height and width.
 Every conv pass is a set of GEMMs over row-shift slabs (``_shift_bands``),
 built for one image and one band of output rows at a time, so that each
 slab (about ``_BAND_BYTES``) stays in cache and no batch-sized slab ever
@@ -151,8 +152,7 @@ def _shift_bands(x: np.ndarray | ChannelStack, k: int):
             yield i, r0, r1, slab.reshape(c_in * k, span)
 
 
-def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray, pad: int
-                 ) -> np.ndarray:
+def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray) -> np.ndarray:
     """Cross-correlate ``x [C_in,N,H,W]`` (an array or a ``ChannelStack``)
     with ``kernel [C_out,C_in,k,k]``.
 
@@ -167,7 +167,6 @@ def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray, pad: int
              f"kernel {kernel.shape} expects {c_in} input channels, "
              f"input {x.shape} has {x.shape[0]}")
     _require(k == kw and k % 2 == 1, f"kernel must be odd square, got {k}x{kw}")
-    _require(pad == (k - 1) // 2, f"same-size conv needs pad={(k - 1) // 2}, got {pad}")
     _, n, h, w = x.shape
     wp = w + k - 1
     taps = [kernel[:, :, dy].reshape(c_out, c_in * k).astype(x.dtype) for dy in range(k)]
@@ -218,7 +217,7 @@ def conv2d_batch_backward(grad_out: np.ndarray, x: np.ndarray | ChannelStack,
     if m == 0:
         return None, grad_kernel
     flipped = kernel[:, :m, ::-1, ::-1].transpose(1, 0, 2, 3)
-    return conv2d_batch(grad_out, flipped, (kh - 1) // 2), grad_kernel
+    return conv2d_batch(grad_out, flipped), grad_kernel
 
 
 def relu_batch(x: np.ndarray) -> np.ndarray:
@@ -290,10 +289,10 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 # single-image convolution
 # ---------------------------------------------------------------------------
 
-def conv2d(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
+def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Same-size conv of one image ``[C_in,H,W] -> [C_out,H,W]``."""
     _require(x.ndim == 3, f"input must be [C,H,W], got shape {x.shape}")
-    return conv2d_batch(x[:, None], kernel, pad)[:, 0]
+    return conv2d_batch(x[:, None], kernel)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +311,6 @@ class Conv2d:
     def __init__(self, name: str, c_in: int, c_out: int):
         self.name = name
         self.c_in, self.c_out, self.k = c_in, c_out, 3
-        self.pad = 1
         self.kernel = np.zeros((c_out, c_in, self.k, self.k))
         self.bias = np.zeros(c_out)
         self._x: np.ndarray | ChannelStack | None = None
@@ -333,7 +331,7 @@ class Conv2d:
     def forward(self, x: np.ndarray | ChannelStack, *, keep_cache: bool = False
                 ) -> np.ndarray:
         self._x = x if keep_cache else None
-        out = conv2d_batch(x, self.kernel, self.pad)
+        out = conv2d_batch(x, self.kernel)
         out += self.bias.astype(out.dtype)[:, None, None, None]
         return out
 

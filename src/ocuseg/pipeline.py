@@ -17,6 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .config import RunConfig
+from .datasetio import DatasetError
 from .detect import BBox, crop_resize, detect_eye_heuristic, jitter_gt_bbox
 from .metrics import confusion_matrix, metrics_from_confusion
 from .rng import Rng
@@ -34,7 +35,10 @@ def choose_bbox(sample: Sample, mode: str, config: RunConfig) -> BBox:
         rng = Rng(config.seed).derive(f"crop/{sample.sample_id}")
         return jitter_gt_bbox(sample.gt_bbox, rng, config.bbox_jitter, fh, fw)
     if mode == "heuristic":
-        return detect_eye_heuristic(sample.image)
+        try:
+            return detect_eye_heuristic(sample.image)
+        except ValueError as e:     # a frame below the detector's minimum size
+            raise DatasetError(f"sample {sample.sample_id}: heuristic detector: {e}") from None
     if mode == "full":
         return BBox(0, 0, fh, fw)
     raise ValueError(f"unknown detector mode {mode!r}")

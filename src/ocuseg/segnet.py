@@ -9,6 +9,9 @@ Architecture (all convs 3x3, same padding, biased):
 
 conv3 reads the concatenation in place, as a ``ChannelStack(stage2,
 stage1)``: neither the upsampled stage2 nor the concatenation is built.
+``SegModel.stages`` runs the backbone up to conv3 and ``forward_batch``
+adds conv3; the uncertainty head's training reads stage1 and stage2 from
+``stages`` and a latent it computed once per crop.
 
 Per-pixel class probabilities are softmax(W @ z) with a bias-free 4xD
 head matrix whose rows double as class template vectors.  Activations use
@@ -82,33 +85,29 @@ class SegModel:
 
     # -- forward / backward -------------------------------------------
 
-    def forward_batch(self, images: np.ndarray, keep_cache: bool = False,
-                      z: np.ndarray | None = None) -> StageFeatures:
-        """images [N, H, W] -> StageFeatures.  ``keep_cache`` keeps what
-        ``backward_batch`` needs.
+    def stages(self, images: np.ndarray, keep_cache: bool = False
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """images [N, H, W] -> (stage1, stage2), the backbone up to conv3.
+        ``keep_cache`` keeps what ``backward_batch`` needs of conv1 and conv2.
 
         Crops arrive in [0, 1] and are standardized to [-1, 1] before conv1.
-        A ``z`` computed earlier for the same images is returned as the
-        latent without running conv3 (there is then no backward through it).
         """
-        n, h, w = images.shape
+        _, h, w = images.shape
         cfg = self.config
         if (h, w) != (cfg.crop_h, cfg.crop_w):
             raise ValueError(f"expected {cfg.crop_h}x{cfg.crop_w} crops, got {h}x{w}")
-        if z is not None:
-            if keep_cache:
-                raise ValueError("keep_cache needs conv3 to run: pass no z")
-            if z.shape != (cfg.d, n, h, w):
-                raise ValueError(f"z must be {(cfg.d, n, h, w)}, got {z.shape}")
         x = (images[None] - 0.5) * 2.0                # [1, N, H, W]
         pre1 = self.conv1.forward(x, keep_cache=keep_cache)
         s1 = relu_batch(pre1)
-        p1 = pool2x_batch(s1)
-        pre2 = self.conv2.forward(p1, keep_cache=keep_cache)
-        s2 = relu_batch(pre2)
-        if z is None:
-            z = self.conv3.forward(ChannelStack(s2, s1), keep_cache=keep_cache)
+        pre2 = self.conv2.forward(pool2x_batch(s1), keep_cache=keep_cache)
         self._cache = {"pre1": pre1, "pre2": pre2} if keep_cache else {}
+        return s1, relu_batch(pre2)
+
+    def forward_batch(self, images: np.ndarray, keep_cache: bool = False) -> StageFeatures:
+        """images [N, H, W] -> StageFeatures: ``stages`` then conv3.
+        ``keep_cache`` keeps what ``backward_batch`` needs."""
+        s1, s2 = self.stages(images, keep_cache)
+        z = self.conv3.forward(ChannelStack(s2, s1), keep_cache=keep_cache)
         return StageFeatures(stage1=s1, stage2=s2, z=z)
 
     def backward_batch(self, grad_z: np.ndarray) -> dict[str, np.ndarray]:
@@ -164,11 +163,6 @@ def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray
     gz = (head.T @ glogit).reshape(d, n, h, w)
     grads.update(model.backward_batch(gz))
     return loss, grads, conf
-
-
-def class_centers(model: SegModel) -> np.ndarray:
-    """Class template vectors: row c is the c-th row of the head matrix."""
-    return model.head.copy()
 
 
 # crops per forward pass when predicting

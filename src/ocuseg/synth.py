@@ -214,8 +214,7 @@ def _blur(sample: Sample, severity: float, rng: Rng) -> Sample:
     length = 1 + int(round(14.0 * severity))
     angle = rng.uniform(0.0, math.pi)
     taps = (motion_blur_kernel(length, angle) > 0).astype(np.float64)
-    pad = (taps.shape[0] - 1) // 2
-    sums = conv2d(levels8(sample.image)[None], taps[None, None], pad)[0]
+    sums = conv2d(levels8(sample.image)[None], taps[None, None])[0]
     return replace(sample, image=np.floor(sums / length + 0.5) / 255.0)
 
 

@@ -36,7 +36,7 @@ from .layers import (ChannelStack, Conv2d, pool2x_batch, pool2x_batch_backward,
                      upsample2x_batch_backward)
 from .optim import clip_grad_norm, fit
 from .rng import Rng
-from .segnet import SegModel, StageFeatures, class_centers
+from .segnet import SegModel, StageFeatures
 
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -132,7 +132,8 @@ class UncHead:
 
 def residual_targets(z: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """v = c_y - z per pixel; z [D, N, H, W], labels [N, H, W] -> [D, N, H, W],
-    in z's dtype."""
+    in z's dtype.  ``centers`` is [N_CLASSES, D]: row c is class c's template,
+    as in the segmentation head."""
     ctr = centers.T.astype(z.dtype)[:, labels]          # [D, N, H, W]
     return ctr - z
 
@@ -286,10 +287,11 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
     epoch, into an ``[D, N, H, W]`` cache of the crops' dtype (float32
     crops: N*D*H*W*4 bytes, 295 KB per 96x96 crop at the default D=8, so
     38 MB for 128 crops and about 590 MB for 2000); each step then reruns
-    only conv1 and conv2 for the stage features.  Every conv runs one image
-    at a time, so a crop's cached latent is bit-identical to the one its
-    training batch would compute.  The cache saves conv3 forwards from the second epoch
-    on, so nothing at ``unc_epochs == 1``.
+    ``seg_model.stages`` (conv1 and conv2) for the stage features.  Every
+    conv runs one image at a time, so a crop's cached latent is
+    bit-identical to the one its training batch would compute.  The cache
+    saves conv3 forwards from the second epoch on, so nothing at
+    ``unc_epochs == 1``.
 
     The output bias is warm-started so initial variances match the mean
     squared residual of the first batch per dimension (the residual scale
@@ -301,19 +303,18 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
         raise ValueError(f"loss_kind must be original|surrogate, got {loss_kind!r}")
     head = UncHead(config)
     head.init_params(Rng(config.seed).derive("unc-init"))
-    centers = class_centers(seg_model)
     loss_fn = original_loss_batch if loss_kind == "original" else surrogate_loss_batch
     n, b = len(images), config.unc_batch
 
     z = np.empty((config.d,) + images.shape, dtype=images.dtype)
     for i in range(0, n, b):
         z[:, i:i + b] = seg_model.forward_batch(images[i:i + b]).z
-    v0 = residual_targets(z[:, :b], labels[:b], centers)
+    v0 = residual_targets(z[:, :b], labels[:b], seg_model.head)
     head.h4.bias = _softplus_inverse((v0 * v0).mean(axis=(1, 2, 3), dtype=np.float64))
 
     def step_batch(idx: list[int]) -> tuple:
-        stages = seg_model.forward_batch(images[idx], z=z[:, idx])
-        v = residual_targets(stages.z, labels[idx], centers)
+        stages = StageFeatures(*seg_model.stages(images[idx]), z=z[:, idx])
+        v = residual_targets(stages.z, labels[idx], seg_model.head)
         cov = head.forward(stages, keep_cache=True)
         loss, dcov = loss_fn(cov, v)
         return loss, head.backward(dcov), float(np.abs(cov - v * v).mean(dtype=np.float64))

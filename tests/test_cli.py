@@ -280,6 +280,31 @@ class TestInferEval:
         assert expected in err and "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_non_finite_score_exit_3_before_writing(self, trained, tmp_path):
+        # finite in float64, inf once the forward casts the kernel to float32;
+        # a subprocess, because the cast's overflow warning fails an in-process test
+        root, _ = trained
+        seg = tmp_path / "seg"
+        shutil.copytree(root / "seg", seg)
+        with_first_weight(seg, 1e300)
+        env = {**os.environ, "PYTHONPATH": str(Path(ocuseg.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ocuseg.cli", "infer", "--data", str(root / "data"),
+             "--seg", str(seg), "--unc", str(root / "unc"), "--out", str(tmp_path / "p")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 3, proc.stderr
+        assert "numeric failure: s_unc is not finite for 12 samples (s000000, s000001," \
+            in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("detector", ["gt-jitter", "full"])
+    def test_small_frames_need_no_heuristic_detector(self, trained, tmp_path, detector):
+        root, _ = trained
+        argv = with_detector(infer_on_dataset(small_frame), detector)(tmp_path, root, None)
+        assert main(argv) == 0
+        assert len((tmp_path / "g" / "scores.csv").read_text().strip().split("\n")) == 13
+
     def test_edited_checkpoint_config_exit_2(self, trained, tmp_path, capsys):
         root, _ = trained
         seg = tmp_path / "seg"
@@ -388,6 +413,24 @@ def infer_with_seg_header(edit, raw=False):
     return argv
 
 
+def with_first_weight(checkpoint: Path, value: float) -> None:
+    """Overwrite the first float64 of ``checkpoint``'s weights.bin."""
+    raw = bytearray((checkpoint / "weights.bin").read_bytes())
+    raw[:8] = np.array([value], dtype="<f8").tobytes()
+    (checkpoint / "weights.bin").write_bytes(bytes(raw))
+
+
+def infer_with_unc_weight(value):
+    """infer with an unc checkpoint whose first stored value is ``value``."""
+    def argv(tmp_path, root, pred):
+        unc = tmp_path / "unc"
+        shutil.copytree(root / "unc", unc)
+        with_first_weight(unc, value)
+        return ["infer", "--data", str(root / "data"), "--seg", str(root / "seg"),
+                "--unc", str(unc), "--out", str(tmp_path / "g")]
+    return argv
+
+
 def infer_with_config_field(field, value):
     """infer with a seg checkpoint whose stored config carries ``field``."""
     return infer_with_seg_header(lambda header: header["config"].update({field: value}))
@@ -429,6 +472,20 @@ def set_record(i, **fields):
     return infer_on_dataset(edit)
 
 
+def small_frame(data, records):
+    """Cut sample 0 to a 48x48 frame, with its box inside it."""
+    for key in ("image", "label"):
+        write_pgm(data / records[0][key], read_pgm(data / records[0][key])[:48, :48])
+    records[0]["bbox"] = [0, 0, 48, 48]
+    return records
+
+
+def with_detector(make_argv, detector):
+    def argv(tmp_path, root, pred):
+        return [*make_argv(tmp_path, root, pred), "--detector", detector]
+    return argv
+
+
 def small_label_map(data, records):
     labels = read_pgm(data / records[0]["label"])
     write_pgm(data / records[0]["label"], labels[:100, :150])
@@ -467,6 +524,8 @@ BAD_INPUTS = {
     "head_width": (train_with("head_width"), "head_width must be >= 1, got 0"),
     "tau-str": (train_with("tau", "x"), "tau must be a finite number, got 'x'"),
     "tau-inf": (train_with("tau", float("inf")), "tau must be a finite number, got inf"),
+    "train-unc-arch": (train_with("d", 6), "config does not match the segmentation "
+                       "checkpoint's architecture"),
     "landscape-n": (landscape("--n", "5"), "--n 5"),
     "landscape-v": (landscape("--v", "1,2,3"), "--v 1,2,3"),
     "s_unc": (eval_with(lambda p: replace_score(p, "abc")), "s_unc 'abc'"),
@@ -527,6 +586,8 @@ BAD_INPUTS = {
     "checkpoint-tensor-overlap": (infer_with_seg_header(
         lambda header: header["tensors"][1].update(byte_offset=0)),
         "header.json: tensor 'conv1.bias' has byte_offset 0, not 288 where those before it end"),
+    "checkpoint-tensor-nan": (infer_with_unc_weight(float("nan")),
+                              "weights.bin: tensor 'h1.kernel' holds non-finite values"),
     "manifest-object": (infer_on_dataset(lambda data, records: {"a": 1}),
                         "manifest.json: expected a list of sample records, got dict"),
     "manifest-record-list": (infer_on_dataset(lambda data, records: records[:3] + [[1, 2]]),
@@ -552,6 +613,12 @@ BAD_INPUTS = {
     "manifest-severity-text": (set_record(1, severity="x"),
                                "manifest.json: sample 's000001': 'severity' must be a "
                                "number, got 'x'"),
+    "manifest-severity-nan": (set_record(1, severity=float("nan")),
+                              "manifest.json: sample 's000001': 'severity' must be a "
+                              "finite number in [0, 1], got nan"),
+    "manifest-severity-7.5": (set_record(1, severity=7.5),
+                              "manifest.json: sample 's000001': 'severity' must be a "
+                              "finite number in [0, 1], got 7.5"),
     "id-escapes": (set_record(0, id="../../escaped"),
                    "manifest.json: sample '../../escaped': bad id"),
     "id-empty": (set_record(0, id=""), "manifest.json: sample '': bad id"),
@@ -563,6 +630,9 @@ BAD_INPUTS = {
                       "manifest.json: sample 's000004': duplicated id"),
     "label-shape": (infer_on_dataset(small_label_map),
                     "sample s000000: label map"),
+    "heuristic-small-frame": (with_detector(infer_on_dataset(small_frame), "heuristic"),
+                              "sample s000000: heuristic detector: frame must be at "
+                              "least 64x64, got 48x48"),
     "infer-empty": (infer_with(empty=True), "empty_set is empty"),
     "eval-empty": (eval_empty, "empty_set is empty"),
 }

@@ -22,12 +22,12 @@ class TestConv2d:
         k = np.zeros((3, 3, 1, 1))
         for c in range(3):
             k[c, c, 0, 0] = 1.0
-        assert np.array_equal(conv2d(x, k, 0), x)
+        assert np.array_equal(conv2d(x, k), x)
 
     def test_zero_kernel_and_linearity(self, rng):
         x = rng.uniform_array(2 * 6 * 6).reshape(2, 6, 6)
         k = np.zeros((1, 2, 3, 3))
-        out = conv2d(x, k, 1)
+        out = conv2d(x, k)
         assert np.array_equal(out, np.zeros((1, 6, 6)))
         # grad_kernel at zero kernel is the correlation of input with grad_out
         g = rng.uniform_array(1 * 6 * 6).reshape(1, 6, 6)
@@ -48,7 +48,7 @@ class TestConv2d:
 
         def f_kernel(kf):
             k = kf.reshape(2, 2, 3, 3)
-            out = conv2d(x, k, 1)
+            out = conv2d(x, k)
             loss = 0.5 * ((out - target) ** 2).sum()
             _, gk = conv2d_batch_backward((out - target)[:, None], x[:, None], k)
             return loss, gk.reshape(-1)
@@ -57,7 +57,7 @@ class TestConv2d:
 
         def f_input(xf):
             xi = xf.reshape(2, 5, 5)
-            out = conv2d(xi, k0.reshape(2, 2, 3, 3), 1)
+            out = conv2d(xi, k0.reshape(2, 2, 3, 3))
             loss = 0.5 * ((out - target) ** 2).sum()
             gi, _ = conv2d_batch_backward((out - target)[:, None], xi[:, None],
                                           k0.reshape(2, 2, 3, 3))
@@ -68,11 +68,9 @@ class TestConv2d:
     def test_shape_errors_name_dimensions(self):
         x = np.zeros((2, 4, 4))
         with pytest.raises(ValueError, match="input channels"):
-            conv2d(x, np.zeros((1, 3, 3, 3)), 1)
-        with pytest.raises(ValueError, match="pad"):
-            conv2d(x, np.zeros((1, 2, 3, 3)), 0)
+            conv2d(x, np.zeros((1, 3, 3, 3)))
         with pytest.raises(ValueError, match="odd"):
-            conv2d(x, np.zeros((1, 2, 2, 2)), 0)
+            conv2d(x, np.zeros((1, 2, 2, 2)))
 
 
 def scatter_grad_input(grad_out, x_shape, kernel):
@@ -163,7 +161,7 @@ class TestBandedConv:
     @pytest.mark.parametrize("c_in", [1, 24])
     def test_forward_matches_whole_slab(self, rng, monkeypatch, k, c_in):
         x, kernel, _ = self._case(rng, monkeypatch, c_in, k)
-        out = conv2d_batch(x, kernel, (k - 1) // 2)
+        out = conv2d_batch(x, kernel)
         ref = (kernel.reshape(kernel.shape[0], -1) @ whole_slab(x, k)).reshape(out.shape)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
@@ -211,7 +209,7 @@ class TestChannelStack:
         assert stack.shape == x.shape
         kernel = rng.normal_array(c_out * x.shape[0] * 9).reshape(c_out, x.shape[0], 3, 3)
         g = rng.normal_array(c_out * x[0].size).reshape((c_out,) + x.shape[1:])
-        assert np.array_equal(conv2d_batch(stack, kernel, 1), conv2d_batch(x, kernel, 1))
+        assert np.array_equal(conv2d_batch(stack, kernel), conv2d_batch(x, kernel))
         gi_stack, gk_stack = conv2d_batch_backward(g, stack, kernel)
         gi, gk = conv2d_batch_backward(g, x, kernel)
         assert np.array_equal(gk_stack, gk)
@@ -254,7 +252,7 @@ class TestChannelStack:
         stack = ChannelStack(np.zeros((2, 1, 4, 4)), np.zeros((3, 1, 8, 8)))
         with pytest.raises(ValueError, match=r"kernel \(4, 6, 3, 3\) expects 6 input "
                                              r"channels, input \(5, 1, 8, 8\) has 5"):
-            conv2d_batch(stack, np.zeros((4, 6, 3, 3)), 1)
+            conv2d_batch(stack, np.zeros((4, 6, 3, 3)))
 
 
 def conv3_input(parts, kind, dtype):
@@ -286,9 +284,9 @@ class TestFloat32:
     @pytest.mark.parametrize("kind", ["array", "stack"])
     def test_forward(self, rng, kind):
         parts, kernel, _ = self._case(rng)
-        out = conv2d_batch(conv3_input(parts, kind, np.float32), kernel, 1)
+        out = conv2d_batch(conv3_input(parts, kind, np.float32), kernel)
         assert out.dtype == np.float32
-        self._check_close(out, conv2d_batch(conv3_input(parts, kind, np.float64), kernel, 1))
+        self._check_close(out, conv2d_batch(conv3_input(parts, kind, np.float64), kernel))
 
     @pytest.mark.parametrize("kind", ["array", "stack"])
     @pytest.mark.parametrize("input_channels", [0, 5, 24])

@@ -8,8 +8,9 @@ from gradcheck import grad_check, pack_params, unpack_params
 from ocuseg.config import RunConfig
 from ocuseg.layers import softmax_rows
 from ocuseg.rng import Rng
-from ocuseg.segnet import (SegModel, class_centers, count_flops, evaluate_miou,
-                           predict_batch, seg_loss, train_seg)
+from ocuseg.segnet import (SegModel, count_flops, evaluate_miou, predict_batch, seg_loss,
+                           train_seg)
+from ocuseg.uncertainty import residual_targets
 
 
 def make_model(cfg: RunConfig, seed: int = 3) -> SegModel:
@@ -51,19 +52,14 @@ class TestForward:
             part = idx[i:i + batch]
             assert np.array_equal(model.forward_batch(images[part]).z, whole[:, part])
 
-    def test_given_latent_skips_conv3(self, tiny_config, monkeypatch):
+    def test_stages_match_forward_batch_without_conv3(self, tiny_config, monkeypatch):
         model = make_model(tiny_config)
         images = Rng(1).uniform_array(3 * 16 * 16).reshape(3, 16, 16)
         full = model.forward_batch(images)
         monkeypatch.setattr(model.conv3, "forward", None)    # any call fails
-        given = model.forward_batch(images, z=full.z)
-        assert np.array_equal(given.stage1, full.stage1)
-        assert np.array_equal(given.stage2, full.stage2)
-        assert given.z is full.z
-        with pytest.raises(ValueError, match="z must be"):
-            model.forward_batch(images[:2], z=full.z)
-        with pytest.raises(ValueError, match="keep_cache needs conv3"):
-            model.forward_batch(images, keep_cache=True, z=full.z)
+        stage1, stage2 = model.stages(images)
+        assert np.array_equal(stage1, full.stage1)
+        assert np.array_equal(stage2, full.stage2)
 
     def test_forward_only_keeps_no_conv_input(self, tiny_config, tiny_batch):
         model = make_model(tiny_config)
@@ -154,24 +150,6 @@ class TestSegLoss:
 
 
 class TestClassCenters:
-    def test_rows_of_head(self, tiny_config):
-        model = make_model(tiny_config)
-        centers = class_centers(model)
-        assert np.array_equal(centers, model.head)
-        # one-hot selection: row 2 is the class-2 template
-        e2 = np.zeros(4)
-        e2[2] = 1.0
-        assert np.array_equal(model.head.T @ e2, centers[2])
-
-    def test_identity_padded_head(self, tiny_config):
-        model = SegModel(tiny_config)
-        model.head = np.eye(4, tiny_config.d)
-        centers = class_centers(model)
-        for c in range(4):
-            expected = np.zeros(tiny_config.d)
-            expected[c] = 1.0
-            assert np.array_equal(centers[c], expected)
-
     def test_nearest_center_agrees_with_argmax_for_equal_norms(self, tiny_config):
         # when rows of W share a norm, argmax(Wz) == argmin ||z - c|| exactly
         model = make_model(tiny_config)
@@ -186,6 +164,10 @@ class TestClassCenters:
         by_dist = np.argmin(dists, axis=0)
         agreement = (by_logit == by_dist).mean()
         assert agreement >= 0.90
+        # with the identity-padded head, class c's template is the unit vector e_c
+        labels = (np.arange(16 * 16) % 4).reshape(1, 16, 16)
+        v = residual_targets(feats.z, labels, np.eye(4, tiny_config.d))
+        assert np.array_equal(v, np.eye(tiny_config.d)[:, labels] - feats.z)
 
 
 class TestTraining:

@@ -8,7 +8,7 @@ from gradcheck import grad_check, pack_params, unpack_params
 
 from ocuseg.config import RunConfig
 from ocuseg.rng import Rng
-from ocuseg.segnet import INFER_BATCH, SegModel, class_centers, predict_batch
+from ocuseg.segnet import INFER_BATCH, SegModel, predict_batch
 from ocuseg.uncertainty import (UncHead, _softplus_inverse, brute_force_optimal_cov,
                                 grad_vanishing_probe, head_flops, landscape_grid,
                                 optimal_cov_oracle, original_loss_batch,
@@ -23,7 +23,7 @@ def seg_and_batch(tiny_config, tiny_batch):
     model.init_params(Rng(3).derive("seg-init"))
     images, labels = tiny_batch
     stages = model.forward_batch(images)
-    centers = class_centers(model)
+    centers = model.head.copy()
     v = residual_targets(stages.z, labels, centers)
     return model, stages, centers, v, images, labels
 
