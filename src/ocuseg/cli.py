@@ -28,7 +28,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .datasetio import DatasetError, read_dataset, read_pgm, write_dataset, write_pgm
-from .detect import crop_resize
+from .detect import BBox, crop_resize
 from .evaluate import rank_and_filter, threshold_decision
 from .metrics import confusion_matrix, metrics_from_confusion
 from .pipeline import DETECTOR_MODES, build_crops, infer_samples
@@ -220,7 +220,7 @@ def cmd_eval(args) -> int:
     _check_row_ids("crops.csv", [r["sample_id"] for r in crops_list], samples)
     crops_rows = {r["sample_id"]: r for r in crops_list}
 
-    missing = [sid for sid in samples if not (pred_dir / "pred" / f"{sid}.pgm").exists()]
+    missing = [sid for sid in samples if not (pred_dir / "pred" / f"{sid}.pgm").is_file()]
     if missing:
         raise UsageError("predictions missing for: " + ", ".join(sorted(missing)[:20]))
 
@@ -234,7 +234,7 @@ def cmd_eval(args) -> int:
         crop = crops_rows[sid]
         try:
             s_unc = float(row["s_unc"])
-            box = (int(crop["l"]), int(crop["t"]), int(crop["h"]), int(crop["w"]))
+            box = BBox(int(crop["l"]), int(crop["t"]), int(crop["h"]), int(crop["w"]))
         except (KeyError, ValueError):
             raise UsageError(f"bad scores.csv or crops.csv row for {sid} in {pred_dir}: "
                              f"s_unc {row.get('s_unc')!r}, crop {crop}") from None
@@ -244,7 +244,7 @@ def cmd_eval(args) -> int:
         pgm = pred_dir / "pred" / f"{sid}.pgm"
         y_hat = read_pgm(pgm).astype(np.int64)
         try:
-            gt = crop_resize(samples[sid], box, y_hat.shape[0], y_hat.shape[1]).labels
+            _, gt = crop_resize(samples[sid], box, y_hat.shape[0], y_hat.shape[1])
         except ValueError as e:
             raise UsageError(f"crops.csv row for {sid} in {pred_dir}: {e}") from None
         try:

@@ -13,6 +13,7 @@ already on the 1/255 grid (the generator quantizes).
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -34,32 +35,27 @@ def write_pgm(path: Path, data: np.ndarray) -> None:
         f.write(np.ascontiguousarray(data, dtype=np.uint8).tobytes())
 
 
+# magic, then width, height and maxval, each after whitespace or
+# '#'-to-end-of-line comments, then the one whitespace byte before the pixels;
+# each number is positive, with at most 9 digits after its leading zeros (far
+# inside what int() converts)
+_SEP = rb"(?:\s|#[^\n]*\n)"
+_NUMBER = rb"%s+0*([1-9]\d{0,8})" % _SEP
+_PGM_HEADER = re.compile(rb"%s*(P\d)" % _SEP + _NUMBER * 3 + rb"\s")
+
+
 def read_pgm(path: Path) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
-    try:
-        fields: list[bytes] = []
-        pos = 0
-        while len(fields) < 4:
-            while raw[pos:pos + 1].isspace():
-                pos += 1
-            if raw[pos:pos + 1] == b"#":          # comment line
-                pos = raw.index(b"\n", pos) + 1
-                continue
-            end = pos
-            while not raw[end:end + 1].isspace():
-                end += 1
-            fields.append(raw[pos:end])
-            pos = end
-        pos += 1                                  # single whitespace after maxval
-        magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
-    except (ValueError, IndexError) as e:
-        raise DatasetError(f"malformed PGM header in {path}: {e}") from None
+    m = _PGM_HEADER.match(raw)
+    if m is None:
+        raise DatasetError(f"malformed PGM header in {path}")
+    magic, w, h, maxval = m[1], int(m[2]), int(m[3]), int(m[4])
     if magic != b"P5" or maxval != 255:
         raise DatasetError(f"{path}: expected binary P5 with maxval 255")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)
-    if pixels.size != h * w:
+    if len(raw) - m.end() < h * w:
         raise DatasetError(f"{path}: truncated pixel data")
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=m.end())
     return pixels.reshape(h, w).copy()
 
 
@@ -158,7 +154,7 @@ def read_dataset(directory: str | Path) -> list[Sample]:
         img_path = directory / rec["image"]
         lbl_path = directory / rec["label"]
         for p in (img_path, lbl_path):
-            if not p.exists():
+            if not p.is_file():
                 raise DatasetError(f"sample {sid}: missing file {p}")
         image = read_pgm(img_path).astype(np.float64) / 255.0
         if not box_fits(rec["bbox"], *image.shape):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,22 +134,15 @@ def jitter_gt_bbox(gt: tuple[int, int, int, int], rng: Rng,
     return _clamp_box(nl, nt, nh, nw, frame_h, frame_w)
 
 
-def crop_resize(sample: Sample, bbox: BBox | tuple[int, int, int, int],
-                h_out: int, w_out: int) -> Sample:
-    """Crop to ``bbox`` and resize: image bilinear, labels nearest-neighbor.
-
-    The crop geometry is recorded in ``sample_id``-keyed metadata by callers;
-    here the returned sample keeps the source box in ``gt_bbox`` so
-    predictions can be mapped back.
-    """
-    l, t, h, w = bbox.as_tuple() if isinstance(bbox, BBox) else bbox
+def crop_resize(sample: Sample, bbox: BBox, h_out: int, w_out: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The sample's image and labels cropped to ``bbox`` and resized to
+    ``h_out`` x ``w_out``: the image bilinear and snapped to the 8-bit grid,
+    the labels (int64) nearest-neighbor."""
+    l, t, h, w = bbox.as_tuple()
     fh, fw = sample.image.shape
     if not box_fits((l, t, h, w), fh, fw):
         raise ValueError(f"bbox {(l, t, h, w)} outside {fh}x{fw} frame")
-    img = sample.image[t:t + h, l:l + w]
-    lbl = sample.labels[t:t + h, l:l + w]
-    if (h, w) != (h_out, w_out):
-        img = resize_bilinear(img, h_out, w_out)
-        lbl = resize_nearest(lbl, h_out, w_out)
-    return replace(sample, image=quantize8(img), labels=lbl.astype(np.int64),
-                   gt_bbox=(l, t, h, w))
+    img = resize_bilinear(sample.image[t:t + h, l:l + w], h_out, w_out)
+    lbl = resize_nearest(sample.labels[t:t + h, l:l + w], h_out, w_out)
+    return quantize8(img), lbl.astype(np.int64)

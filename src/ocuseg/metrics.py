@@ -37,29 +37,14 @@ def confusion_matrix(y_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
 def metrics_from_confusion(conf: np.ndarray) -> dict:
     total = conf.sum()
     tp = np.diag(conf).astype(np.float64)
-    gt_count = conf.sum(axis=1).astype(np.float64)
-    pred_count = conf.sum(axis=0).astype(np.float64)
-    fp = pred_count - tp
-    fn = gt_count - tp
-    union = gt_count + pred_count - tp
-    present = union > 0
-
-    per_class = {}
-    for c in range(N_CLASSES):
-        if not present[c]:
-            continue
-        denom_f1 = 2 * tp[c] + fp[c] + fn[c]
-        per_class[c] = {
-            "iou": tp[c] / union[c],
-            "f1": (2 * tp[c] / denom_f1) if denom_f1 > 0 else 0.0,
-            "e1": (fp[c] + fn[c]) / total,
-        }
-    ious = [v["iou"] for v in per_class.values()]
+    # ground truth + predicted pixels = 2tp + fp + fn, F1's denominator; a
+    # class is present where it is positive.  Every term is an exact integer.
+    gt_pred = (conf.sum(axis=1) + conf.sum(axis=0)).astype(np.float64)
+    present = gt_pred > 0
+    tp, gt_pred = tp[present], gt_pred[present]
     return {
-        "miou": float(np.mean(ious)),
-        "f1": float(np.mean([v["f1"] for v in per_class.values()])),
-        "e1": float(np.mean([v["e1"] for v in per_class.values()])),
+        "miou": float(np.mean(tp / (gt_pred - tp))),
+        "f1": float(np.mean(2 * tp / gt_pred)),
+        "e1": float(np.mean((gt_pred - 2 * tp) / total)),
         "acc": float(tp.sum() / total),
-        "per_class": per_class,
     }
-

@@ -55,9 +55,7 @@ def build_crops(samples: list[Sample], config: RunConfig, mode: str = "gt-jitter
     ids = []
     for i, s in enumerate(samples):
         box = choose_bbox(s, mode, config)
-        cropped = crop_resize(s, box, config.crop_h, config.crop_w)
-        images[i] = cropped.image
-        labels[i] = cropped.labels
+        images[i], labels[i] = crop_resize(s, box, config.crop_h, config.crop_w)
         boxes.append(box)
         ids.append(s.sample_id)
     return images, labels, boxes, ids

@@ -281,12 +281,12 @@ class TestInferEval:
         assert not (tmp_path / "r.json").exists()
 
     def test_non_finite_score_exit_3_before_writing(self, trained, tmp_path):
-        # finite in float64, inf once the forward casts the kernel to float32;
-        # a subprocess, because the cast's overflow warning fails an in-process test
+        # finite in float32, but the float32 forward overflows to inf; a
+        # subprocess, because the overflow warning fails an in-process test
         root, _ = trained
         seg = tmp_path / "seg"
         shutil.copytree(root / "seg", seg)
-        with_first_weight(seg, 1e300)
+        with_first_weight(seg, 3e38)
         env = {**os.environ, "PYTHONPATH": str(Path(ocuseg.__file__).resolve().parents[1])}
         proc = subprocess.run(
             [sys.executable, "-m", "ocuseg.cli", "infer", "--data", str(root / "data"),
@@ -451,16 +451,41 @@ def infer_with(seg="seg", unc="unc", empty=False):
     return argv
 
 
+def edited_dataset(tmp_path, root, edit) -> Path:
+    """A copy of the dataset: ``edit(data, records)`` may change its files,
+    and what it returns is written as its manifest."""
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    manifest = data / "manifest.json"
+    manifest.write_text(json.dumps(edit(data, json.loads(manifest.read_text()))))
+    return data
+
+
 def infer_on_dataset(edit):
-    """infer on a copy of the dataset: ``edit(data, records)`` may change its
-    files, and what it returns is written as its manifest."""
+    """infer on a copy of the dataset that ``edit`` changed (``edited_dataset``)."""
     def argv(tmp_path, root, pred):
-        data = tmp_path / "data"
-        shutil.copytree(root / "data", data)
-        manifest = data / "manifest.json"
-        manifest.write_text(json.dumps(edit(data, json.loads(manifest.read_text()))))
-        return ["infer", "--data", str(data), "--seg", str(root / "seg"),
-                "--unc", str(root / "unc"), "--out", str(tmp_path / "g")]
+        return ["infer", "--data", str(edited_dataset(tmp_path, root, edit)),
+                "--seg", str(root / "seg"), "--unc", str(root / "unc"),
+                "--out", str(tmp_path / "g")]
+    return argv
+
+
+def train_seg_on_dataset(edit):
+    """train-seg on a copy of the dataset that ``edit`` changed (``edited_dataset``)."""
+    def argv(tmp_path, root, pred):
+        return ["train-seg", "--data", str(edited_dataset(tmp_path, root, edit)),
+                "--config", str(tiny_cfg(tmp_path)), "--out", str(tmp_path / "g")]
+    return argv
+
+
+def train_unc_with_seg_weight(value):
+    """train-unc from a seg checkpoint whose first stored value is ``value``."""
+    def argv(tmp_path, root, pred):
+        seg = tmp_path / "seg"
+        shutil.copytree(root / "seg", seg)
+        with_first_weight(seg, value)
+        return ["train-unc", "--data", str(root / "data"), "--seg", str(seg),
+                "--config", str(tiny_cfg(tmp_path)), "--out", str(tmp_path / "g")]
     return argv
 
 
@@ -484,6 +509,23 @@ def with_detector(make_argv, detector):
     def argv(tmp_path, root, pred):
         return [*make_argv(tmp_path, root, pred), "--detector", detector]
     return argv
+
+
+def empty_label_map(data, records):
+    (data / records[0]["label"]).write_bytes(b"")
+    return records
+
+
+def halve_prediction(pred):
+    path = pred / "pred" / "s000000.pgm"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+
+
+def prediction_as_directory(pred):
+    path = pred / "pred" / "s000000.pgm"
+    path.unlink()
+    path.mkdir()
 
 
 def small_label_map(data, records):
@@ -588,6 +630,8 @@ BAD_INPUTS = {
         "header.json: tensor 'conv1.bias' has byte_offset 0, not 288 where those before it end"),
     "checkpoint-tensor-nan": (infer_with_unc_weight(float("nan")),
                               "weights.bin: tensor 'h1.kernel' holds non-finite values"),
+    "checkpoint-tensor-1e300": (train_unc_with_seg_weight(1e300),
+                                "weights.bin: tensor 'conv1.kernel' holds non-finite values"),
     "manifest-object": (infer_on_dataset(lambda data, records: {"a": 1}),
                         "manifest.json: expected a list of sample records, got dict"),
     "manifest-record-list": (infer_on_dataset(lambda data, records: records[:3] + [[1, 2]]),
@@ -630,6 +674,12 @@ BAD_INPUTS = {
                       "manifest.json: sample 's000004': duplicated id"),
     "label-shape": (infer_on_dataset(small_label_map),
                     "sample s000000: label map"),
+    "label-empty": (train_seg_on_dataset(empty_label_map), "malformed PGM header in"),
+    "image-directory": (set_record(0, image="img"), "sample s000000: missing file"),
+    "pred-truncated": (eval_with(halve_prediction), "s000000.pgm: truncated pixel data"),
+    "pred-zero-size": (eval_with(lambda p: (p / "pred" / "s000000.pgm").write_bytes(
+        b"P5\n0 0\n255\n")), "malformed PGM header in"),
+    "pred-directory": (eval_with(prediction_as_directory), "predictions missing for: s000000"),
     "heuristic-small-frame": (with_detector(infer_on_dataset(small_frame), "heuristic"),
                               "sample s000000: heuristic detector: frame must be at "
                               "least 64x64, got 48x48"),

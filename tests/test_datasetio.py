@@ -78,3 +78,37 @@ def test_pgm_roundtrip(tmp_path):
     data = (np.arange(35, dtype=np.uint8) % 251).reshape(5, 7)
     write_pgm(tmp_path / "x.pgm", data)
     assert np.array_equal(read_pgm(tmp_path / "x.pgm"), data)
+
+
+PGM_PIXELS = (np.arange(6, dtype=np.uint8) * 40).reshape(2, 3)
+
+
+def test_pgm_header_comments_between_every_token(tmp_path):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(b"P5#a\n3 # b c\n\t2#d\n#e\n255\n" + PGM_PIXELS.tobytes())
+    assert np.array_equal(read_pgm(path), PGM_PIXELS)
+
+
+@pytest.mark.parametrize("first", [9, 10, 13, 32])
+def test_pgm_whitespace_first_pixel_is_data(tmp_path, first):
+    data = PGM_PIXELS.copy()
+    data[0, 0] = first
+    write_pgm(tmp_path / "x.pgm", data)
+    assert np.array_equal(read_pgm(tmp_path / "x.pgm"), data)
+
+
+@pytest.mark.parametrize("raw,problem", [
+    (b"", "malformed PGM header in"),
+    (b"P5\n96", "malformed PGM header in"),
+    (b"P5\n" + b"9" * 5000 + b" 2\n255\n", "malformed PGM header in"),
+    (b"P5\n0 0\n255\n", "malformed PGM header in"),
+    (b"P5\n3 2\n255\n" + PGM_PIXELS.tobytes()[:3], "truncated pixel data"),
+    (b"P2\n3 2\n255\n" + PGM_PIXELS.tobytes(), "expected binary P5 with maxval 255"),
+    (b"P5\n3 2\n65535\n" + PGM_PIXELS.tobytes() * 2, "expected binary P5 with maxval 255"),
+], ids=["empty", "cut-header", "width-5000-digits", "zero-size", "cut-pixels", "P2", "maxval-65535"])
+def test_bad_pgm_rejected_naming_the_file(tmp_path, raw, problem):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(DatasetError, match=problem) as err:
+        read_pgm(path)
+    assert str(path) in str(err.value)

@@ -72,7 +72,7 @@ def test_build_crops_labels_are_the_cropped_ground_truth(mode):
     cfg, samples, _, _ = small_setup()
     _, labels, boxes, _ = build_crops(samples, cfg, mode)
     for s, box, lbl in zip(samples, boxes, labels):
-        assert np.array_equal(lbl, crop_resize(s, box, cfg.crop_h, cfg.crop_w).labels)
+        assert np.array_equal(lbl, crop_resize(s, box, cfg.crop_h, cfg.crop_w)[1])
 
 
 @pytest.mark.parametrize("mode", DETECTOR_MODES)
@@ -81,7 +81,7 @@ def test_build_crops_images_are_the_float32_crops(mode):
     images, _, boxes, _ = build_crops(samples, cfg, mode)
     assert images.dtype == np.float32
     for s, box, img in zip(samples, boxes, images):
-        assert np.array_equal(img, np.float32(crop_resize(s, box, cfg.crop_h, cfg.crop_w).image))
+        assert np.array_equal(img, np.float32(crop_resize(s, box, cfg.crop_h, cfg.crop_w)[0]))
 
 
 def test_ablation_crop_vs_full_reports_both_arms():
