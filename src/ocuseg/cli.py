@@ -2,8 +2,9 @@
 
 Subcommands: gen, train-seg, train-unc, infer, eval, landscape, flops.
 Every command is deterministic given (config, seed, inputs).  Exit codes:
-0 success, 2 usage/validation error, 3 numeric failure (a non-finite loss
-in training, a non-finite score in inference).
+0 success, 2 usage/validation error (also a path that cannot be read or
+written), 3 numeric failure (a non-finite loss in training, a non-finite
+score in inference).
 """
 
 from __future__ import annotations
@@ -378,10 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DatasetError, CheckpointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (UsageError, DatasetError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FloatingPointError as e:

@@ -86,22 +86,17 @@ def fuse_gaze(samples: list[GazeSample], temperature: float) -> tuple[float, flo
 
 
 def spearman(x: np.ndarray | list[float], y: np.ndarray | list[float]) -> float:
-    """Spearman rank correlation with average ranks for ties."""
+    """Spearman rank correlation of finite values, with average ranks for
+    ties: a tie group that ends at 1-based sorted position e with c members
+    gets rank e - (c - 1) / 2."""
     def ranks(a: np.ndarray) -> np.ndarray:
-        order = np.argsort(a, kind="stable")
-        r = np.empty(len(a))
-        sorted_a = a[order]
-        i = 0
-        while i < len(a):
-            j = i
-            while j + 1 < len(a) and sorted_a[j + 1] == sorted_a[i]:
-                j += 1
-            r[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-            i = j + 1
-        return r
+        _, group, counts = np.unique(a, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("spearman needs finite values")
     rx, ry = ranks(x), ranks(y)
     rx -= rx.mean()
     ry -= ry.mean()

@@ -79,12 +79,6 @@ class Rng:
             state = np.uint64(self.seed) + idx * np.uint64(GOLDEN_GAMMA)
             return _mix64_array(state)
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi); modulo reduction (bias negligible here)."""
-        if hi <= lo:
-            raise ValueError(f"empty range [{lo}, {hi})")
-        return lo + self.u64() % (hi - lo)
-
     # -- float draws --------------------------------------------------
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -106,7 +100,10 @@ class Rng:
         return mu + sigma * out[:n]
 
     def shuffle(self, items: list | np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i + 1)
+        """In-place Fisher-Yates shuffle of n items: for i from n - 1 down to
+        1, swap item i with item j = (next draw) mod (i + 1), a modulo
+        reduction whose bias is negligible here.  Takes max(n - 1, 0) draws."""
+        n = len(items)
+        js = self.u64_array(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             items[i], items[j] = items[j], items[i]

@@ -11,10 +11,6 @@ code and the true class template:
   surrogate: mean over pixels of  || s - v x v ||^2  -- least squares on
              the known per-dimension optimum s_d = v_d^2
 
-Both share the optimum s = v x v, which ``optimal_cov_oracle`` returns in
-closed form and ``brute_force_optimal_cov`` recovers independently by
-per-dimension golden-section search (the 1-D summands separate).
-
 The per-image uncertainty score is the sum over pixels of the
 log-determinant of the predicted covariance (diagonal: sum of log
 variances); constants that do not affect ranking are dropped.
@@ -164,66 +160,6 @@ def surrogate_loss_batch(cov: np.ndarray, v: np.ndarray) -> tuple[float, np.ndar
     return loss, 2.0 * diff / npix
 
 
-# ---------------------------------------------------------------------------
-# closed-form optimum, brute-force verification, and identities
-# ---------------------------------------------------------------------------
-
-def optimal_cov_oracle(v: np.ndarray) -> np.ndarray:
-    """Per-dimension minimizer of the CE summand: variances v*v (its trace
-    is exactly ||v||^2)."""
-    v = np.asarray(v, dtype=np.float64)
-    return v * v
-
-
-def brute_force_optimal_cov(v: np.ndarray, iters: int = 100) -> np.ndarray:
-    """Numerically minimize the CE summand per dimension by golden-section
-    search on sigma^2 in [1e-8, 1e4 * v_d^2 + 1]; independent of the closed
-    form it is used to verify."""
-    orig_shape = np.asarray(v).shape
-    v2 = (np.asarray(v, dtype=np.float64) ** 2).reshape(-1)
-    lo = np.full_like(v2, 1e-8)
-    hi = 1e4 * v2 + 1.0
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def f(s2: np.ndarray) -> np.ndarray:
-        return 0.5 * v2 / s2 + 0.5 * np.log(s2)
-
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        left = f1 < f2                      # minimum in [lo, x2]
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x1 = hi - inv_phi * (hi - lo)
-        x2 = lo + inv_phi * (hi - lo)
-        f1, f2 = f(x1), f(x2)
-    return ((lo + hi) / 2.0).reshape(orig_shape)
-
-
-def grad_vanishing_probe(v: np.ndarray, scale: float) -> tuple[float, float]:
-    """Gradient norms of both losses wrt the diagonal at cov = scale * I,
-    for the residual ``v`` of a single pixel."""
-    if scale <= 0.0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    v = np.asarray(v, dtype=np.float64).reshape(-1, 1, 1, 1)
-    cov = np.full_like(v, scale)
-    g_orig = original_loss_batch(cov, v)[1]
-    g_surr = surrogate_loss_batch(cov, v)[1]
-    return float(np.linalg.norm(g_orig)), float(np.linalg.norm(g_surr))
-
-
-def quad_form_trace_check(v: np.ndarray) -> float:
-    """Quadratic form v^T diag(v*v)^-1 v at the optimal covariance; equals
-    the dimensionality exactly."""
-    v = np.asarray(v, dtype=np.float64)
-    if np.any(v == 0.0):
-        raise ValueError("quadratic-form check undefined: some v_d is zero "
-                         "(singular optimal covariance)")
-    v2 = v * v
-    return float((v2 / v2).sum())
-
-
 def unc_score(cov: np.ndarray, eps_floor: float = 0.0) -> np.ndarray:
     """Per-crop sum over pixels of ln det(diag covariance), i.e. of the log
     variances: ``[D, N, H, W] -> [N]`` float64.
@@ -236,9 +172,20 @@ def unc_score(cov: np.ndarray, eps_floor: float = 0.0) -> np.ndarray:
     return np.log(cov).sum(axis=(0, 2, 3), dtype=np.float64)
 
 
+def loss_probe(v: np.ndarray, cov: np.ndarray) -> dict[str, float]:
+    """Both training losses and the norms of their gradients wrt the
+    diagonal variances ``cov`` for the residual ``v`` of a single pixel."""
+    v = np.asarray(v, dtype=np.float64).reshape(-1, 1, 1, 1)
+    cov = np.asarray(cov, dtype=np.float64).reshape(v.shape)
+    orig, g_orig = original_loss_batch(cov, v)
+    surr, g_surr = surrogate_loss_batch(cov, v)
+    return {"orig_loss": orig, "orig_gnorm": float(np.linalg.norm(g_orig)),
+            "surr_loss": surr, "surr_gnorm": float(np.linalg.norm(g_surr))}
+
+
 def landscape_grid(v: np.ndarray, w_range: tuple[float, float], n: int) -> list[dict]:
-    """Evaluate both training losses and their gradient norms for a single
-    2-D pixel on an n x n grid over the two diagonal variances (w1, w2)."""
+    """``loss_probe`` of a single 2-D pixel on an n x n grid over its two
+    diagonal variances (w1, w2); a non-finite v or row value raises."""
     lo, hi = w_range
     if not 0.0 < lo < hi:
         raise ValueError(f"grid range must start above 0 and below its end, got {lo},{hi}")
@@ -247,19 +194,16 @@ def landscape_grid(v: np.ndarray, w_range: tuple[float, float], n: int) -> list[
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (2,):
         raise ValueError(f"landscape is over 2 free variables, got v shape {v.shape}")
-    v = v.reshape(2, 1, 1, 1)
-    ws = np.linspace(lo, hi, n)
-    rows = []
-    for w1 in ws:
-        for w2 in ws:
-            w = np.array([w1, w2]).reshape(2, 1, 1, 1)
-            orig, og = original_loss_batch(w, v)
-            surr, sg = surrogate_loss_batch(w, v)
-            rows.append({"w1": float(w1), "w2": float(w2),
-                         "orig_loss": orig,
-                         "orig_gnorm": float(np.linalg.norm(og)),
-                         "surr_loss": surr,
-                         "surr_gnorm": float(np.linalg.norm(sg))})
+    if not np.isfinite(v).all():
+        raise ValueError(f"v must be finite, got {v.tolist()}")
+    # an overflow or a zero divisor shows as a non-finite value, rejected below
+    with np.errstate(all="ignore"):
+        ws = np.linspace(lo, hi, n)
+        rows = [{"w1": float(w1), "w2": float(w2), **loss_probe(v, [w1, w2])}
+                for w1 in ws for w2 in ws]
+    for row in rows:
+        if not all(math.isfinite(x) for x in row.values()):
+            raise ValueError(f"non-finite value on the grid: {row}")
     return rows
 
 

@@ -546,6 +546,16 @@ def landscape(*extra):
     return argv
 
 
+def existing(tmp_path, name, directory=False) -> str:
+    """A path that already names a file, or with ``directory`` a directory."""
+    path = tmp_path / name
+    if directory:
+        path.mkdir()
+    else:
+        path.write_text("")
+    return str(path)
+
+
 BAD_INPUTS = {
     "seg_epochs": (train_with("seg_epochs"), "seg_epochs must be >= 1, got 0"),
     "seg_batch": (train_with("seg_batch"), "seg_batch must be >= 1, got 0"),
@@ -570,6 +580,33 @@ BAD_INPUTS = {
                        "checkpoint's architecture"),
     "landscape-n": (landscape("--n", "5"), "--n 5"),
     "landscape-v": (landscape("--v", "1,2,3"), "--v 1,2,3"),
+    "landscape-v-nan": (landscape("--v", "nan,1"), "--v nan,1 --range 0.5,5.0 --n 41: "
+                        "v must be finite, got [nan, 1.0]"),
+    "landscape-v-inf": (landscape("--v", "inf,1"), "--v inf,1 --range 0.5,5.0 --n 41: "
+                        "v must be finite, got [inf, 1.0]"),
+    "landscape-v-1e200": (landscape("--v", "1e200,1"), "--v 1e200,1 --range 0.5,5.0 --n 41: "
+                          "non-finite value on the grid"),
+    "landscape-range-1e-300": (landscape("--range", "1e-300,1e-299"),
+                               "--range 1e-300,1e-299 --n 41: non-finite value on the grid"),
+    "landscape-out-directory": (lambda tmp_path, root, pred: [
+        "landscape", "--v", "1,2", "--range", "0.5,5.0",
+        "--out", existing(tmp_path, "somedir", directory=True)], "somedir'"),
+    "gen-out-file": (lambda tmp_path, root, pred: [
+        "gen", "--out", existing(tmp_path, "afile"), "--n", "1", "--seed", "1"], "afile/img'"),
+    "train-seg-out-file": (lambda tmp_path, root, pred: [
+        "train-seg", "--data", str(root / "data"), "--config", str(tiny_cfg(tmp_path)),
+        "--out", existing(tmp_path, "afile")], "afile'"),
+    "train-seg-config-directory": (lambda tmp_path, root, pred: [
+        "train-seg", "--data", str(root / "data"),
+        "--config", existing(tmp_path, "cfgdir", directory=True),
+        "--out", str(tmp_path / "out")], "cfgdir'"),
+    "infer-out-under-file": (lambda tmp_path, root, pred: [
+        "infer", "--data", str(root / "data"), "--seg", str(root / "seg"),
+        "--unc", str(root / "unc"), "--out", existing(tmp_path, "afile") + "/x"],
+        "afile/x/pred'"),
+    "eval-out-directory": (lambda tmp_path, root, pred: [
+        "eval", "--pred", str(pred), "--data", str(root / "data"),
+        "--out", existing(tmp_path, "somedir", directory=True)], "somedir'"),
     "s_unc": (eval_with(lambda p: replace_score(p, "abc")), "s_unc 'abc'"),
     "s_unc-nan": (eval_with(lambda p: replace_score(p, "nan")),
                   "scores.csv: s_unc of s000000 is 'nan', not a finite number"),

@@ -126,6 +126,44 @@ class TestSpearman:
     def test_ties_averaged(self):
         assert spearman([1, 1, 2, 2], [1, 1, 2, 2]) == pytest.approx(1.0)
 
+    def test_tie_ranks_exact(self):
+        # ranks 1.5, 1.5, 3, 4 against 1, 2, 3, 4: the centered ranks' cross
+        # products sum to 4.5 and their squares to 4.5 and 5
+        assert spearman([1, 1, 2, 3], [1, 2, 3, 4]) == 4.5 / math.sqrt(22.5)
+
+    def test_matches_loop_reference_on_ties(self):
+        def loop_ranks(a):
+            order = np.argsort(a, kind="stable")
+            r = np.empty(len(a))
+            i = 0
+            while i < len(a):
+                j = i
+                while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
+                    j += 1
+                r[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+                i = j + 1
+            return r
+
+        def loop_spearman(x, y):
+            rx, ry = loop_ranks(x), loop_ranks(y)
+            rx -= rx.mean()
+            ry -= ry.mean()
+            return float((rx * ry).sum() / math.sqrt((rx ** 2).sum() * (ry ** 2).sum()))
+
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 7, 40, 400):
+            x = rng.integers(0, 5, n).astype(float)
+            y = rng.integers(0, n, n) + rng.integers(0, 2, n) * 0.5
+            if len(set(x)) > 1 and len(set(y)) > 1:
+                assert spearman(x, y) == loop_spearman(x, y)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            spearman([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            spearman([1.0, 2.0, 3.0], [1.0, bad, bad])
+
     def test_independent_near_zero(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=3000)

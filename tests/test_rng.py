@@ -56,6 +56,31 @@ def test_mix64_and_fnv_known_values():
     assert fnv1a64("") == 0xCBF29CE484222325
 
 
+def test_shuffle_frozen():
+    items = list(range(20))
+    r = Rng(1)
+    r.shuffle(items)
+    assert items == [1, 14, 10, 3, 19, 4, 6, 16, 15, 13, 2, 0, 11, 7, 18, 9, 17, 12, 8, 5]
+    assert r.counter == 19
+    for n in (0, 1, 2):
+        r = Rng(1)
+        r.shuffle(list(range(n)))
+        assert r.counter == max(n - 1, 0)
+
+
+def test_shuffle_matches_scalar_fisher_yates():
+    # the reference draws one u64 per swap, in the same order and modulo
+    for seed in range(5):
+        for n in (0, 1, 2, 3, 17, 100):
+            a, b = Rng(seed), Rng(seed)
+            items, ref = list(range(n)), list(range(n))
+            a.shuffle(items)
+            for i in range(n - 1, 0, -1):
+                j = b.u64() % (i + 1)
+                ref[i], ref[j] = ref[j], ref[i]
+            assert items == ref and a.counter == b.counter
+
+
 def test_shuffle_deterministic_permutation():
     items = list(range(20))
     Rng(1).shuffle(items)

@@ -9,13 +9,37 @@ from gradcheck import grad_check, pack_params, unpack_params
 from ocuseg.config import RunConfig
 from ocuseg.rng import Rng
 from ocuseg.segnet import INFER_BATCH, SegModel, predict_batch
-from ocuseg.uncertainty import (UncHead, _softplus_inverse, brute_force_optimal_cov,
-                                grad_vanishing_probe, head_flops, landscape_grid,
-                                optimal_cov_oracle, original_loss_batch,
-                                quad_form_trace_check, residual_targets,
+from ocuseg.uncertainty import (UncHead, _softplus_inverse, head_flops, landscape_grid,
+                                loss_probe, original_loss_batch, residual_targets,
                                 surrogate_loss_batch, train_unc, unc_score)
 
 LN_2PI = math.log(2 * math.pi)
+
+
+def brute_force_optimal_cov(v: np.ndarray, iters: int = 100) -> np.ndarray:
+    """Numerically minimize the CE summand per dimension by golden-section
+    search on sigma^2 in [1e-8, 1e4 * v_d^2 + 1]; independent of the closed
+    form s = v * v it is used to verify (the 1-D summands separate)."""
+    orig_shape = np.asarray(v).shape
+    v2 = (np.asarray(v, dtype=np.float64) ** 2).reshape(-1)
+    lo = np.full_like(v2, 1e-8)
+    hi = 1e4 * v2 + 1.0
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def f(s2: np.ndarray) -> np.ndarray:
+        return 0.5 * v2 / s2 + 0.5 * np.log(s2)
+
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        left = f1 < f2                      # minimum in [lo, x2]
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x1 = hi - inv_phi * (hi - lo)
+        x2 = lo + inv_phi * (hi - lo)
+        f1, f2 = f(x1), f(x2)
+    return ((lo + hi) / 2.0).reshape(orig_shape)
 
 
 def seg_and_batch(tiny_config, tiny_batch):
@@ -113,13 +137,23 @@ class TestLossValues:
 
 
 class TestOptimalCov:
-    def test_closed_form_values(self):
-        cov = optimal_cov_oracle(np.array([3.0, 4.0]))
-        assert np.array_equal(cov, [9.0, 16.0])
-        assert cov.sum() == 25.0
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_both_gradients_vanish_at_v_squared(self, d):
+        v = Rng(d).normal_array(d).reshape(d, 1, 1, 1)
+        cov = v * v
+        _, g_orig = original_loss_batch(cov, v)
+        _, g_surr = surrogate_loss_batch(cov, v)
+        # 0.5 / cov - 0.5 * v^2 / cov^2 cancels to rounding of its 0.5 / cov terms
+        assert np.all(np.abs(g_orig) <= 1e-15 / cov)
+        assert np.all(g_surr == 0.0)
 
-    def test_zero_residual_limit(self):
-        assert np.array_equal(optimal_cov_oracle(np.zeros(3)), np.zeros(3))
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_original_loss_at_v_squared(self, d):
+        # the quadratic term 0.5 v^T diag(v*v)^-1 v is exactly d / 2
+        v = Rng(10 + d).normal_array(d).reshape(d, 1, 1, 1)
+        loss, _ = original_loss_batch(v * v, v)
+        expected = 0.5 * d * (1.0 + LN_2PI) + 0.5 * np.log(v * v).sum()
+        assert loss == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
     def test_brute_force_matches_closed_form(self):
         rng = Rng(5)
@@ -142,29 +176,25 @@ class TestOptimalCov:
 
 class TestProbesAndScore:
     def test_vanishing_gradient_asymmetry(self):
-        orig, surr = grad_vanishing_probe(np.ones(2), 1e6)
-        assert orig < 1e-5
-        assert surr > 1e5
+        probe = loss_probe(np.ones(2), np.full(2, 1e6))
+        assert probe["orig_gnorm"] < 1e-5
+        assert probe["surr_gnorm"] > 1e5
 
     def test_both_gradients_vanish_at_optimum(self):
-        v = np.array([1.0, 1.0])
-        orig, surr = grad_vanishing_probe(v, 1.0)   # scale = v^2 = 1
-        assert orig < 1e-8
-        assert surr < 1e-8
+        probe = loss_probe(np.array([1.0, 1.0]), np.full(2, 1.0))   # scale = v^2 = 1
+        assert probe["orig_gnorm"] < 1e-8
+        assert probe["surr_gnorm"] < 1e-8
 
     def test_surrogate_gradient_grows_linearly(self):
         v = np.ones(2)
-        _, s1 = grad_vanishing_probe(v, 1e3)
-        _, s2 = grad_vanishing_probe(v, 1e6)
+        s1 = loss_probe(v, np.full(2, 1e3))["surr_gnorm"]
+        s2 = loss_probe(v, np.full(2, 1e6))["surr_gnorm"]
         assert s2 / s1 == pytest.approx(1e3, rel=1e-2)
 
-    def test_quad_form_trace(self):
-        assert quad_form_trace_check(np.array([3.0, 4.0])) == 2.0
-        assert quad_form_trace_check(np.ones(7)) == 7.0
-        v = Rng(7).normal_array(16)
-        assert quad_form_trace_check(v) == pytest.approx(16.0, abs=1e-12)
-        with pytest.raises(ValueError, match="zero"):
-            quad_form_trace_check(np.array([1.0, 0.0]))
+    @pytest.mark.parametrize("cov", [[1.0, 0.0], [-1.0, 1.0]])
+    def test_probe_rejects_nonpositive_variance(self, cov):
+        with pytest.raises(ValueError, match="non-positive variance"):
+            loss_probe(np.ones(2), np.array(cov))
 
     def test_unc_score_values(self):
         # [D, N, H, W] in, one score per crop out
