@@ -65,7 +65,7 @@ def _read_samples(path: str) -> list[Sample]:
     return samples
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(c) if isinstance(c, float) else str(c)
@@ -113,13 +113,12 @@ def cmd_train_seg(args) -> int:
     samples = _read_samples(args.data)
     images, labels, _, _ = build_crops(samples, config, "gt-jitter")
     del samples     # the decoded frames are not needed once cropped
-    log: list = []
-    model = train_seg(images, labels, config, log=log)
+    model, rows = train_seg(images, labels, config)
     save_checkpoint(args.out, config, model.params(), "seg")
     _write_csv(Path(args.out) / "train_log.csv",
-               ["epoch", "loss", "miou"], [list(r) for r in log])
+               ["epoch", "loss", "miou"], rows)
     print(f"saved segmentation checkpoint to {args.out}")
-    print(f"train miou {log[-1][2]:.4f}")
+    print(f"train miou {rows[-1][2]:.4f}")
     return 0
 
 
@@ -134,13 +133,12 @@ def cmd_train_unc(args) -> int:
     samples = _read_samples(args.data)
     images, labels, _, _ = build_crops(samples, config, "gt-jitter")
     del samples     # the decoded frames are not needed once cropped
-    log: list = []
-    head = train_unc(images, labels, seg, args.loss, config, log=log)
+    head, rows = train_unc(images, labels, seg, args.loss, config)
     save_checkpoint(args.out, config, head.params(), "unc")
     _write_csv(Path(args.out) / "train_log.csv",
-               ["epoch", "loss", "target_abs_err"], [list(r) for r in log])
+               ["epoch", "loss", "target_abs_err"], rows)
     print(f"saved uncertainty checkpoint to {args.out} (loss={args.loss})")
-    print(f"final target error {log[-1][2]:.6f}")
+    print(f"final target error {rows[-1][2]:.6f}")
     return 0
 
 

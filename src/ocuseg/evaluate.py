@@ -86,15 +86,17 @@ def fuse_gaze(samples: list[GazeSample], temperature: float) -> tuple[float, flo
 
 
 def spearman(x: np.ndarray | list[float], y: np.ndarray | list[float]) -> float:
-    """Spearman rank correlation of finite values, with average ranks for
-    ties: a tie group that ends at 1-based sorted position e with c members
-    gets rank e - (c - 1) / 2."""
+    """Spearman rank correlation of two equally long sequences of finite
+    values, with average ranks for ties: a tie group that ends at 1-based
+    sorted position e with c members gets rank e - (c - 1) / 2."""
     def ranks(a: np.ndarray) -> np.ndarray:
         _, group, counts = np.unique(a, return_inverse=True, return_counts=True)
         return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if len(x) != len(y):
+        raise ValueError(f"spearman needs equally long inputs, got {len(x)} and {len(y)}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("spearman needs finite values")
     rx, ry = ranks(x), ranks(y)

@@ -81,8 +81,8 @@ def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample
     report: dict = {}
     for name, mode in (("crop", "gt-jitter"), ("full", "full")):
         images, labels, _, _ = build_crops(train_samples, config, mode)
-        seg = train_seg(images, labels, config)
-        head = train_unc(images, labels, seg, "surrogate", config)
+        seg, _ = train_seg(images, labels, config)
+        head, _ = train_unc(images, labels, seg, "surrogate", config)
         images, labels, _, ids = build_crops(test_samples, config, mode)
         y_hat, s_unc = infer_samples(images, seg, head, config)
         confs = [confusion_matrix(p, t) for p, t in zip(y_hat, labels)]

@@ -99,10 +99,11 @@ class Rng:
         out[1::2] = r * np.sin(2.0 * np.pi * u2)
         return mu + sigma * out[:n]
 
-    def shuffle(self, items: list | np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle of n items: for i from n - 1 down to
-        1, swap item i with item j = (next draw) mod (i + 1), a modulo
-        reduction whose bias is negligible here.  Takes max(n - 1, 0) draws."""
+    def shuffle(self, items: list) -> None:
+        """In-place Fisher-Yates shuffle of a list of n items: for i from
+        n - 1 down to 1, swap item i with item j = (next draw) mod (i + 1),
+        a modulo reduction whose bias is negligible here.  Takes max(n - 1,
+        0) draws.  Not for a 2-D array, whose rows would swap through views."""
         n = len(items)
         js = self.u64_array(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
         for i, j in zip(range(n - 1, 0, -1), js.tolist()):

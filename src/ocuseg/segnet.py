@@ -54,6 +54,7 @@ class SegModel:
         self.conv1 = Conv2d("conv1", 1, w1)
         self.conv2 = Conv2d("conv2", w1, w2)
         self.conv3 = Conv2d("conv3", w1 + w2, config.d)
+        self.convs = (self.conv1, self.conv2, self.conv3)
         self.head = np.zeros((N_CLASSES, config.d))
         self._cache: dict = {}
 
@@ -63,24 +64,19 @@ class SegModel:
         The head starts small (std 0.1) so early logits stay near zero and
         the summed-over-pixels loss does not blow up the first steps.
         """
-        self.conv1.init_he(rng)
-        self.conv2.init_he(rng)
-        self.conv3.init_he(rng)
+        for conv in self.convs:
+            conv.init_he(rng)
         self.head = rng.normal_array(N_CLASSES * self.config.d, 0.0, 0.1)\
             .reshape(N_CLASSES, self.config.d)
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        out.update(self.conv1.params())
-        out.update(self.conv2.params())
-        out.update(self.conv3.params())
+        out = {k: v for conv in self.convs for k, v in conv.params().items()}
         out["head"] = self.head
         return out
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
-        self.conv1.set_params(values)
-        self.conv2.set_params(values)
-        self.conv3.set_params(values)
+        for conv in self.convs:
+            conv.set_params(values)
         self.head = model_tensor(values, "head", self.head.shape)
 
     # -- forward / backward -------------------------------------------
@@ -114,19 +110,13 @@ class SegModel:
         """Backprop from dL/dz through the backbone; needs a kept cache."""
         w2 = self.config.widths[1]
         gcat, g3 = self.conv3.backward(grad_z)
-        gup = gcat[:w2]
-        gs1_skip = gcat[w2:]
-        gs2 = upsample2x_batch_backward(gup)
+        gs2 = upsample2x_batch_backward(gcat[:w2])
         gpre2 = relu_batch_backward(gs2, self._cache["pre2"])
         gp1, g2 = self.conv2.backward(gpre2)
-        gs1 = gs1_skip + pool2x_batch_backward(gp1)
+        gs1 = gcat[w2:] + pool2x_batch_backward(gp1)
         gpre1 = relu_batch_backward(gs1, self._cache["pre1"])
         _, g1 = self.conv1.backward(gpre1, input_channels=0)   # images need none
-        grads = {}
-        grads.update(g1)
-        grads.update(g2)
-        grads.update(g3)
-        return grads
+        return {**g1, **g2, **g3}
 
 
 def predict_batch(model: SegModel, images: np.ndarray
@@ -159,9 +149,8 @@ def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray
     glogit = probs.copy()
     glogit[flat_labels, np.arange(flat_labels.size)] -= 1.0
     glogit /= n
-    grads = {"head": (glogit @ zmat.T).astype(np.float64)}
     gz = (head.T @ glogit).reshape(d, n, h, w)
-    grads.update(model.backward_batch(gz))
+    grads = {"head": (glogit @ zmat.T).astype(np.float64), **model.backward_batch(gz)}
     return loss, grads, conf
 
 
@@ -197,12 +186,13 @@ SEG_LR_SCALES = {
 SEG_CLIP_NORM = 2000.0
 
 
-def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig,
-              log: list | None = None) -> SegModel:
+def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig
+              ) -> tuple[SegModel, list[tuple[int, float, float]]]:
     """``optim.fit`` of a fresh model on pre-computed crops.
 
-    ``log`` (if given) receives (epoch, mean_loss, miou) rows; ``miou`` is the
-    running MIoU of the epoch's steps, each scoring its batch before its update.
+    Returns the model and one (epoch, mean_loss, miou) row per epoch:
+    ``mean_loss`` is the mean of the epoch's batch losses and ``miou`` the
+    running MIoU of its steps, each scoring its batch before its update.
     Raises FloatingPointError naming the epoch if the loss goes non-finite.
     """
     model = SegModel(config)
@@ -215,24 +205,16 @@ def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig,
                  clip=lambda grads: clip_grad_norm(grads, SEG_CLIP_NORM),
                  lr_scales=SEG_LR_SCALES)
     # fit yields the mean confusion, which is proportional to the sum
-    for epoch, (mean_loss, mean_conf) in epochs:
-        if log is not None:
-            log.append((epoch, mean_loss, metrics_from_confusion(mean_conf)["miou"]))
-    return model
+    return model, [(epoch, mean_loss, metrics_from_confusion(mean_conf)["miou"])
+                   for epoch, (mean_loss, mean_conf) in epochs]
 
-
-# ---------------------------------------------------------------------------
-# FLOPs accounting: 2 * k^2 * C_in * C_out * H_out * W_out per conv,
-# 2 * 4 * D * H * W for the class head
-# ---------------------------------------------------------------------------
 
 def count_flops(config: RunConfig, include_head: bool = True) -> int:
+    """Forward FLOPs of one crop: 2 * k^2 * C_in * C_out * H * W per conv, at
+    its resolution, plus 2 * 4 * D * H * W for the class head."""
     h, w = config.crop_h, config.crop_w
-    w1, w2 = config.widths
-    d = config.d
-    total = 2 * 9 * 1 * w1 * h * w
-    total += 2 * 9 * w1 * w2 * (h // 2) * (w // 2)
-    total += 2 * 9 * (w1 + w2) * d * h * w
+    total = sum(2 * conv.kernel.size * (h // s) * (w // s)
+                for conv, s in zip(SegModel(config).convs, (1, 2, 1)))
     if include_head:
-        total += 2 * N_CLASSES * d * h * w
+        total += 2 * N_CLASSES * config.d * h * w
     return total

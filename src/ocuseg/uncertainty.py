@@ -61,21 +61,19 @@ class UncHead:
         self.h2 = Conv2d("h2", u, u)
         self.h3 = Conv2d("h3", 2 * u, u)
         self.h4 = Conv2d("h4", u + w1 + d, d)
+        self.convs = (self.h1, self.h2, self.h3, self.h4)
         self.eps_floor = config.eps_floor
         self._cache: dict = {}
 
     def init_params(self, rng: Rng) -> None:
-        for conv in (self.h1, self.h2, self.h3, self.h4):
+        for conv in self.convs:
             conv.init_he(rng)
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for conv in (self.h1, self.h2, self.h3, self.h4):
-            out.update(conv.params())
-        return out
+        return {k: v for conv in self.convs for k, v in conv.params().items()}
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
-        for conv in (self.h1, self.h2, self.h3, self.h4):
+        for conv in self.convs:
             conv.set_params(values)
 
     def forward(self, stages: StageFeatures, keep_cache: bool = False) -> np.ndarray:
@@ -116,10 +114,7 @@ class UncHead:
         da = de_in[u:] + pool2x_batch_backward(db)
         da_pre = relu_batch_backward(da, cache["a_pre"])
         _, g1 = self.h1.backward(da_pre, input_channels=0)   # stage2 is frozen
-        grads = {}
-        for g in (g1, g2, g3, g4):
-            grads.update(g)
-        return grads
+        return {**g1, **g2, **g3, **g4}
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +217,13 @@ def _softplus_inverse(y: np.ndarray) -> np.ndarray:
 
 
 def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
-              loss_kind: str, config: RunConfig,
-              log: list | None = None) -> UncHead:
+              loss_kind: str, config: RunConfig
+              ) -> tuple[UncHead, list[tuple[int, float, float]]]:
     """``optim.fit`` of the head parameters only; the segmentation model is
     frozen and supplies stage features, latent codes, and class centers.
+
+    Returns the head and one (epoch, mean_loss, target_abs_err) row per
+    epoch, both batch means; ``target_abs_err`` is the mean of |cov - v*v|.
 
     The frozen latent of every crop is computed once, before the first
     epoch, into an ``[D, N, H, W]`` cache of the crops' dtype (float32
@@ -268,20 +266,12 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
                  momentum=config.unc_momentum,
                  shuffler=Rng(config.seed).derive("unc-shuffle"),
                  clip=lambda grads: clip_grad_norm(grads, UNC_CLIP_NORM))
-    for epoch, means in epochs:
-        if log is not None:
-            log.append((epoch, *means))
-    return head
+    return head, [(epoch, *means) for epoch, means in epochs]
 
 
 def head_flops(config: RunConfig) -> int:
-    """FLOPs of the projection head convolutions (same 2*k^2*Cin*Cout*HW rule)."""
+    """Forward FLOPs of the head's convs on one crop, by ``count_flops``'s
+    rule; h1 to h4 run at 1/2, 1/4, 1/2 and full resolution."""
     h, w = config.crop_h, config.crop_w
-    w1, w2 = config.widths
-    u = config.head_width
-    d = config.d
-    total = 2 * 9 * w2 * u * (h // 2) * (w // 2)
-    total += 2 * 9 * u * u * (h // 4) * (w // 4)
-    total += 2 * 9 * (2 * u) * u * (h // 2) * (w // 2)
-    total += 2 * 9 * (u + w1 + d) * d * h * w
-    return total
+    return sum(2 * conv.kernel.size * (h // s) * (w // s)
+               for conv, s in zip(UncHead(config).convs, (2, 4, 2, 1)))

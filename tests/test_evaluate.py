@@ -164,6 +164,12 @@ class TestSpearman:
         with pytest.raises(ValueError, match="finite"):
             spearman([1.0, 2.0, 3.0], [1.0, bad, bad])
 
+    @pytest.mark.parametrize("x, y", [([1, 2, 3], [5]), ([1, 2], [1, 2, 3])])
+    def test_length_mismatch_rejected(self, x, y):
+        # a one-element side used to broadcast to a correlation of 0.0
+        with pytest.raises(ValueError, match=f"got {len(x)} and {len(y)}"):
+            spearman(x, y)
+
     def test_independent_near_zero(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=3000)

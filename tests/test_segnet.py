@@ -66,8 +66,7 @@ class TestForward:
         images, labels = tiny_batch
         loss, grads, _ = seg_loss(model, images, labels)
         predict_batch(model, images)
-        convs = (model.conv1, model.conv2, model.conv3)
-        assert all(conv._x is None for conv in convs)
+        assert all(conv._x is None for conv in model.convs)
         with pytest.raises(RuntimeError, match="conv3.backward needs a forward"):
             model.conv3.backward(np.zeros((tiny_config.d, 2, 16, 16)))
         again, grads_again, _ = seg_loss(model, images, labels)
@@ -175,8 +174,8 @@ class TestTraining:
         images, labels = tiny_batch
         cfg = tiny_config
         cfg.seg_epochs = 2
-        a = train_seg(images, labels, cfg)
-        b = train_seg(images, labels, cfg)
+        a, _ = train_seg(images, labels, cfg)
+        b, _ = train_seg(images, labels, cfg)
         for k, v in a.params().items():
             assert np.array_equal(v, b.params()[k]), k
 
@@ -185,8 +184,7 @@ class TestTraining:
         cfg = tiny_config
         cfg.seg_lr = 0.0
         cfg.seg_epochs = 1
-        log: list = []
-        trained = train_seg(images, labels, cfg, log=log)
+        trained, log = train_seg(images, labels, cfg)
         init = make_model(cfg, seed=cfg.seed)
         for k, v in trained.params().items():
             assert np.array_equal(v, init.params()[k]), k
@@ -206,8 +204,7 @@ class TestTraining:
         forward = SegModel.forward_batch
         monkeypatch.setattr(SegModel, "forward_batch",
                             lambda self, *a, **kw: calls.append(1) or forward(self, *a, **kw))
-        log: list = []
-        train_seg(images, labels, cfg, log=log)
+        _, log = train_seg(images, labels, cfg)
         assert len(calls) == cfg.seg_epochs * math.ceil(n / cfg.seg_batch)
         want = evaluate_miou(make_model(cfg, seed=cfg.seed), images, labels)
         assert [row[0] for row in log] == [0, 1]
@@ -218,10 +215,23 @@ class TestTraining:
         cfg = tiny_config
         cfg.seg_epochs = 5
         cfg.seg_lr = 1e-4
-        log: list = []
-        train_seg(images, labels, cfg, log=log)
+        _, log = train_seg(images, labels, cfg)
         losses = [row[1] for row in log]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
+
+
+BACKBONE_KEYS = ["conv1.kernel", "conv1.bias", "conv2.kernel", "conv2.bias",
+                 "conv3.kernel", "conv3.bias"]
+
+
+def test_param_and_gradient_key_order(tiny_config, tiny_batch):
+    # params() order is the tensor order of a checkpoint's weights.bin, and
+    # clip_grad_norm sums the gradients in dict order
+    model = make_model(tiny_config)
+    assert [conv.name for conv in model.convs] == ["conv1", "conv2", "conv3"]
+    assert list(model.params()) == BACKBONE_KEYS + ["head"]
+    _, grads, _ = seg_loss(model, *tiny_batch)
+    assert list(grads) == ["head"] + BACKBONE_KEYS
 
 
 class TestFlops:

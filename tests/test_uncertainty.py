@@ -7,8 +7,9 @@ import pytest
 from gradcheck import grad_check, pack_params, unpack_params
 
 from ocuseg.config import RunConfig
+from ocuseg.layers import Conv2d
 from ocuseg.rng import Rng
-from ocuseg.segnet import INFER_BATCH, SegModel, predict_batch
+from ocuseg.segnet import INFER_BATCH, SegModel, count_flops, predict_batch
 from ocuseg.uncertainty import (UncHead, _softplus_inverse, head_flops, landscape_grid,
                                 loss_probe, original_loss_batch, residual_targets,
                                 surrogate_loss_batch, train_unc, unc_score)
@@ -293,8 +294,8 @@ class TestHeadTraining:
         model, _, _, _, images, labels = seg_and_batch(tiny_config, tiny_batch)
         cfg = tiny_config
         cfg.unc_epochs = 2
-        a = train_unc(images, labels, model, "surrogate", cfg)
-        b = train_unc(images, labels, model, "surrogate", cfg)
+        a, _ = train_unc(images, labels, model, "surrogate", cfg)
+        b, _ = train_unc(images, labels, model, "surrogate", cfg)
         for k, p in a.params().items():
             assert np.array_equal(p, b.params()[k]), k
 
@@ -329,8 +330,7 @@ class TestHeadTraining:
         model, _, _, _, images, labels = seg_and_batch(tiny_config, tiny_batch)
         cfg = tiny_config
         cfg.unc_epochs = 6
-        log: list = []
-        train_unc(images, labels, model, "surrogate", cfg, log=log)
+        _, log = train_unc(images, labels, model, "surrogate", cfg)
         errs = [row[2] for row in log]
         assert errs[-1] < errs[0]
 
@@ -342,3 +342,40 @@ def test_head_flops_formula():
                 + 2 * 9 * 16 * 8 * 48 * 48
                 + 2 * 9 * (8 + 8 + 8) * 8 * 96 * 96)
     assert head_flops(cfg) == expected
+
+
+@pytest.mark.parametrize("geometry", ["default", "tiny"])
+def test_flops_match_the_convs_that_run(geometry, request, monkeypatch):
+    # 2 * k^2 * C_in * C_out * H * W over the shapes each conv actually sees
+    # in one crop's backbone and head forward
+    cfg = RunConfig() if geometry == "default" else request.getfixturevalue("tiny_config")
+    seen = {}
+    forward = Conv2d.forward
+
+    def record(conv, x, **kw):
+        out = forward(conv, x, **kw)
+        c_in, n, h, w = x.shape
+        assert n == 1 and out.shape[2:] == (h, w)
+        seen[conv.name] = 2 * conv.kernel.shape[2] * conv.kernel.shape[3] \
+            * c_in * out.shape[0] * h * w
+        return out
+
+    monkeypatch.setattr(Conv2d, "forward", record)
+    stages = SegModel(cfg).forward_batch(np.zeros((1, cfg.crop_h, cfg.crop_w), np.float32))
+    UncHead(cfg).forward(stages)
+    assert list(seen) == ["conv1", "conv2", "conv3", "h1", "h2", "h3", "h4"]
+    assert count_flops(cfg, include_head=False) == sum(seen[c] for c in ("conv1", "conv2", "conv3"))
+    assert head_flops(cfg) == sum(seen[c] for c in ("h1", "h2", "h3", "h4"))
+
+
+def test_param_and_gradient_key_order(tiny_config, tiny_batch):
+    # params() order is the tensor order of a checkpoint's weights.bin, and
+    # clip_grad_norm sums the gradients in dict order
+    _, stages, _, v, _, _ = seg_and_batch(tiny_config, tiny_batch)
+    head = UncHead(tiny_config)
+    head.init_params(Rng(4))
+    keys = [f"h{i}.{p}" for i in range(1, 5) for p in ("kernel", "bias")]
+    assert [conv.name for conv in head.convs] == ["h1", "h2", "h3", "h4"]
+    assert list(head.params()) == keys
+    cov = head.forward(stages, keep_cache=True)
+    assert list(head.backward(surrogate_loss_batch(cov, v)[1])) == keys
