@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +48,6 @@ def _fmt(x: float) -> str:
 
 def _load_config(path: str) -> RunConfig:
     p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {p}")
     try:
         return RunConfig.load(p)
     except (json.JSONDecodeError, TypeError, ValueError) as e:
@@ -110,9 +107,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train_seg(args) -> int:
     config = _load_config(args.config)
-    samples = _read_samples(args.data)
-    images, labels, _, _ = build_crops(samples, config, "gt-jitter")
-    del samples     # the decoded frames are not needed once cropped
+    images, labels, _, _ = build_crops(_read_samples(args.data), config, "gt-jitter")
     model, rows = train_seg(images, labels, config)
     save_checkpoint(args.out, config, model.params(), "seg")
     _write_csv(Path(args.out) / "train_log.csv",
@@ -130,9 +125,7 @@ def cmd_train_unc(args) -> int:
                          f"architecture ({config.arch_hash()} vs {seg_config.arch_hash()})")
     seg = SegModel(config)
     seg.set_params(seg_params)
-    samples = _read_samples(args.data)
-    images, labels, _, _ = build_crops(samples, config, "gt-jitter")
-    del samples     # the decoded frames are not needed once cropped
+    images, labels, _, _ = build_crops(_read_samples(args.data), config, "gt-jitter")
     head, rows = train_unc(images, labels, seg, args.loss, config)
     save_checkpoint(args.out, config, head.params(), "unc")
     _write_csv(Path(args.out) / "train_log.csv",
@@ -165,10 +158,8 @@ def cmd_infer(args) -> int:
     (out / "pred").mkdir(parents=True, exist_ok=True)
     for sid, labels in zip(ids, y_hat):
         write_pgm(out / "pred" / f"{sid}.pgm", labels.astype(np.uint8))
-    _write_csv(out / "scores.csv", ["sample_id", "s_unc", "accept_at_tau"],
-               [list(row) for row in zip(ids, s_unc, accept)])
-    _write_csv(out / "crops.csv", ["sample_id", "l", "t", "h", "w"],
-               [[sid, *box.as_tuple()] for sid, box in zip(ids, boxes)])
+    _write_csv(out / "scores.csv", ["sample_id", "s_unc", "accept_at_tau", "l", "t", "h", "w"],
+               [[*row, *box.as_tuple()] for *row, box in zip(ids, s_unc, accept, boxes)])
     meta = {"config_hash": config.content_hash(), "arch_hash": config.arch_hash(),
             "detector": args.detector, "tau": config.tau}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n",
@@ -203,21 +194,15 @@ def _check_row_ids(name: str, row_ids: list[str], dataset_ids) -> None:
 
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
-    for required in ("scores.csv", "crops.csv", "meta.json"):
-        if not (pred_dir / required).exists():
-            raise UsageError(f"prediction dir missing {required}: {pred_dir}")
     try:
         meta = json.loads((pred_dir / "meta.json").read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed {pred_dir / 'meta.json'}: {e}") from None
     if not isinstance(meta, dict):
         raise UsageError(f"malformed {pred_dir / 'meta.json'}: not a JSON object")
+    scores_rows = _read_csv(pred_dir / "scores.csv", ("sample_id", "s_unc", "l", "t", "h", "w"))
     samples = {s.sample_id: s for s in _read_samples(args.data)}
-    scores_rows = _read_csv(pred_dir / "scores.csv", ("sample_id", "s_unc"))
-    crops_list = _read_csv(pred_dir / "crops.csv", ("sample_id", "l", "t", "h", "w"))
     _check_row_ids("scores.csv", [r["sample_id"] for r in scores_rows], samples)
-    _check_row_ids("crops.csv", [r["sample_id"] for r in crops_list], samples)
-    crops_rows = {r["sample_id"]: r for r in crops_list}
 
     missing = [sid for sid in samples if not (pred_dir / "pred" / f"{sid}.pgm").is_file()]
     if missing:
@@ -230,13 +215,11 @@ def cmd_eval(args) -> int:
     ids, score_list, confs, per_image = [], [], [], []
     for row in scores_rows:
         sid = row["sample_id"]
-        crop = crops_rows[sid]
         try:
             s_unc = float(row["s_unc"])
-            box = BBox(int(crop["l"]), int(crop["t"]), int(crop["h"]), int(crop["w"]))
+            box = BBox(int(row["l"]), int(row["t"]), int(row["h"]), int(row["w"]))
         except (KeyError, ValueError):
-            raise UsageError(f"bad scores.csv or crops.csv row for {sid} in {pred_dir}: "
-                             f"s_unc {row.get('s_unc')!r}, crop {crop}") from None
+            raise UsageError(f"bad scores.csv row for {sid} in {pred_dir}: {row}") from None
         if not np.isfinite(s_unc):
             raise UsageError(f"{pred_dir / 'scores.csv'}: s_unc of {sid} is "
                              f"{row['s_unc']!r}, not a finite number")
@@ -245,7 +228,7 @@ def cmd_eval(args) -> int:
         try:
             _, gt = crop_resize(samples[sid], box, y_hat.shape[0], y_hat.shape[1])
         except ValueError as e:
-            raise UsageError(f"crops.csv row for {sid} in {pred_dir}: {e}") from None
+            raise UsageError(f"scores.csv box of {sid} in {pred_dir}: {e}") from None
         try:
             conf = confusion_matrix(y_hat, gt)
         except ValueError as e:
@@ -267,21 +250,20 @@ def cmd_eval(args) -> int:
         "unfiltered": {k: overall[k] for k in ("miou", "e1", "f1", "acc")},
         "per_image": per_image,
         "tables": {
-            "filtering": [asdict(f) for f in filtered],
+            "filtering": filtered,
             "ablations": {},
         },
     }
     out = Path(args.out)
     out.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n",
                    encoding="utf-8")
-    rows = [[0.0, len(ids), overall["miou"]]]
-    rows += [[f.pct, f.retained_count, f.retained_miou] for f in filtered]
-    _write_csv(out.with_suffix(".filtering.csv"),
-               ["pct", "retained_count", "retained_miou"], rows)
+    header = ["pct", "retained_count", "retained_miou"]
+    rows = [[0.0, len(ids), overall["miou"]]] + [[f[k] for k in header] for f in filtered]
+    _write_csv(out.with_suffix(".filtering.csv"), header, rows)
     print(f"unfiltered miou {overall['miou']:.4f} over {len(ids)} images")
     for f in filtered:
-        print(f"  drop {f.pct:.0f}%: retained {f.retained_count}, "
-              f"miou {f.retained_miou:.4f}")
+        print(f"  drop {f['pct']:.0f}%: retained {f['retained_count']}, "
+              f"miou {f['retained_miou']:.4f}")
     return 0
 
 

@@ -90,8 +90,8 @@ def write_dataset(samples: list[Sample], directory: str | Path) -> None:
 
 
 # An id names files under img/, lbl/ and an inference run's pred/, and is a
-# field of scores.csv and crops.csv, so it may not leave those directories,
-# hide as a dot-file or split a CSV row.
+# field of scores.csv, so it may not leave those directories, hide as a
+# dot-file or split a CSV row.
 _ID_FORBIDDEN = ("/", "\\", ",", "\n", "\0")
 
 

@@ -16,22 +16,15 @@ import numpy as np
 from .metrics import metrics_from_confusion
 
 
-@dataclass(frozen=True)
-class FilterResult:
-    """One row of the filtering table; ``asdict`` of it is the report row."""
-    pct: float
-    retained_count: int
-    retained_miou: float
-
-
 def rank_and_filter(sample_ids: list[str], scores: list[float],
-                    confusions: list[np.ndarray],
-                    pcts: list[float]) -> list[FilterResult]:
-    """Drop the highest-scoring p% per threshold and re-aggregate MIoU."""
+                    confusions: list[np.ndarray], pcts: list[float]) -> list[dict]:
+    """Drop the highest-scoring p% per threshold and re-aggregate MIoU: one
+    report row ``{"pct", "retained_count", "retained_miou"}`` per threshold."""
     n = len(sample_ids)
     if not (n == len(scores) == len(confusions)):
         raise ValueError("sample_ids, scores, and confusions must align")
     order = sorted(range(n), key=lambda i: (-scores[i], sample_ids[i]))
+    stacked = np.asarray(confusions)
     results = []
     for pct in pcts:
         if not 0.0 <= pct < 100.0:
@@ -40,12 +33,10 @@ def rank_and_filter(sample_ids: list[str], scores: list[float],
         keep = math.ceil((1.0 - pct / 100.0) * n)
         if keep <= 0:
             raise ValueError(f"filtering at {pct}% retains no images")
-        retained = order[n - keep:]
-        agg = np.zeros_like(confusions[0])
-        for i in retained:
-            agg += confusions[i]
-        results.append(FilterResult(pct=pct, retained_count=keep,
-                                    retained_miou=metrics_from_confusion(agg)["miou"]))
+        # integer counts: the sum is exact in any order
+        agg = stacked[order[n - keep:]].sum(axis=0)
+        results.append({"pct": pct, "retained_count": keep,
+                        "retained_miou": metrics_from_confusion(agg)["miou"]})
     return results
 
 

@@ -12,8 +12,6 @@ ordering.  Detector modes:
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 import numpy as np
 
 from .config import RunConfig
@@ -86,7 +84,6 @@ def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample
         images, labels, _, ids = build_crops(test_samples, config, mode)
         y_hat, s_unc = infer_samples(images, seg, head, config)
         confs = [confusion_matrix(p, t) for p, t in zip(y_hat, labels)]
-        filtered = rank_and_filter(ids, s_unc.tolist(), confs, pcts)
         report[name] = {"miou": metrics_from_confusion(sum(confs))["miou"],
-                        "filtered": [asdict(f) for f in filtered]}
+                        "filtered": rank_and_filter(ids, s_unc.tolist(), confs, pcts)}
     return report

@@ -186,6 +186,10 @@ def landscape_grid(v: np.ndarray, w_range: tuple[float, float], n: int) -> list[
         raise ValueError(f"grid range must start above 0 and below its end, got {lo},{hi}")
     if n < 10:
         raise ValueError(f"grid needs n >= 10, got {n}")
+    # n^2 row dicts: n = 500 took 11 s and 270 MB on one x86 core, and an n
+    # in the tens of thousands would run until memory is gone
+    if n > 500:
+        raise ValueError(f"grid needs n <= 500, got {n}")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (2,):
         raise ValueError(f"landscape is over 2 free variables, got v shape {v.shape}")

@@ -4,7 +4,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -179,8 +178,10 @@ class TestInferEval:
         assert (tmp_path / "p1" / "scores.csv").read_bytes() \
             == (tmp_path / "p2" / "scores.csv").read_bytes()
         lines = (tmp_path / "p1" / "scores.csv").read_text().strip().split("\n")
-        assert lines[0] == "sample_id,s_unc,accept_at_tau"
+        assert lines[0] == "sample_id,s_unc,accept_at_tau,l,t,h,w"
         assert len(lines) == 13
+        assert all(len(ln.split(",")) == 7 for ln in lines)
+        assert not (tmp_path / "p1" / "crops.csv").exists()
 
     def test_arch_mismatch_exit_2(self, trained, tmp_path):
         root, _ = trained
@@ -242,8 +243,8 @@ class TestInferEval:
         confs = [confusion_matrix(p, t) for p, t in zip(y_hat, labels)]
         overall = metrics_from_confusion(sum(confs))
         assert report["unfiltered"] == {k: overall[k] for k in ("miou", "e1", "f1", "acc")}
-        assert report["tables"]["filtering"] == [
-            asdict(f) for f in rank_and_filter(ids, s_unc.tolist(), confs, [10.0, 25.0])]
+        assert report["tables"]["filtering"] == \
+            rank_and_filter(ids, s_unc.tolist(), confs, [10.0, 25.0])
 
     def test_eval_missing_predictions_exit_2(self, trained, tmp_path):
         root, _ = trained
@@ -257,7 +258,7 @@ class TestInferEval:
 
 
     @pytest.mark.parametrize("edit,expected", [
-        (lambda rows: rows + [f"x{i:02d},0.5,0" for i in range(25)],
+        (lambda rows: rows + [f"x{i:02d},0.5,0,0,0,120,160" for i in range(25)],
          "25 unknown ids (" + ", ".join(f"x{i:02d}" for i in range(20)) + ")"),
         (lambda rows: rows[:3] + rows[4:], "1 dataset ids without a row (s000002)"),
         (lambda rows: rows + rows[1:3], "2 duplicated ids (s000000, s000001)"),
@@ -358,7 +359,8 @@ def eval_with(edit, pcts="1,2"):
 
 def replace_score(pred, value):
     rows = (pred / "scores.csv").read_text().split("\n")
-    rows[1] = ",".join([rows[1].split(",")[0], value, "1"])
+    fields = rows[1].split(",")
+    rows[1] = ",".join([fields[0], value, "1", *fields[3:]])
     (pred / "scores.csv").write_text("\n".join(rows))
 
 
@@ -377,15 +379,23 @@ def write_label(pred, value):
 
 
 def replace_crop(pred, box):
-    rows = (pred / "crops.csv").read_text().split("\n")
+    """Set the box columns of the first scores.csv row (sample s000000)."""
+    rows = (pred / "scores.csv").read_text().split("\n")
     assert rows[1].startswith("s000000,")
-    rows[1] = ",".join(["s000000", *map(str, box)])
-    (pred / "crops.csv").write_text("\n".join(rows))
+    rows[1] = ",".join([*rows[1].split(",")[:3], *map(str, box)])
+    (pred / "scores.csv").write_text("\n".join(rows))
 
 
 def append_crop(pred, row):
-    with open(pred / "crops.csv", "a") as f:
+    with open(pred / "scores.csv", "a") as f:
         f.write(row + "\n")
+
+
+def two_file_format(pred):
+    """Split scores.csv into the earlier scores.csv + crops.csv pair."""
+    rows = [ln.split(",") for ln in (pred / "scores.csv").read_text().strip().split("\n")]
+    (pred / "scores.csv").write_text("".join(",".join(r[:3]) + "\n" for r in rows))
+    (pred / "crops.csv").write_text("".join(",".join([r[0], *r[3:]]) + "\n" for r in rows))
 
 
 def gen(*extra):
@@ -579,6 +589,7 @@ BAD_INPUTS = {
     "train-unc-arch": (train_with("d", 6), "config does not match the segmentation "
                        "checkpoint's architecture"),
     "landscape-n": (landscape("--n", "5"), "--n 5"),
+    "landscape-n-501": (landscape("--n", "501"), "--n 501: grid needs n <= 500, got 501"),
     "landscape-v": (landscape("--v", "1,2,3"), "--v 1,2,3"),
     "landscape-v-nan": (landscape("--v", "nan,1"), "--v nan,1 --range 0.5,5.0 --n 41: "
                         "v must be finite, got [nan, 1.0]"),
@@ -607,7 +618,7 @@ BAD_INPUTS = {
     "eval-out-directory": (lambda tmp_path, root, pred: [
         "eval", "--pred", str(pred), "--data", str(root / "data"),
         "--out", existing(tmp_path, "somedir", directory=True)], "somedir'"),
-    "s_unc": (eval_with(lambda p: replace_score(p, "abc")), "s_unc 'abc'"),
+    "s_unc": (eval_with(lambda p: replace_score(p, "abc")), "'s_unc': 'abc'"),
     "s_unc-nan": (eval_with(lambda p: replace_score(p, "nan")),
                   "scores.csv: s_unc of s000000 is 'nan', not a finite number"),
     "s_unc-inf": (eval_with(lambda p: replace_score(p, "-inf")),
@@ -619,16 +630,27 @@ BAD_INPUTS = {
     "pcts-text": (eval_with(lambda p: None, "a,b"), "'a,b'"),
     "pred-label-7": (eval_with(lambda p: write_label(p, 7)), "s000000.pgm: labels outside"),
     "crop-outside-frame": (eval_with(lambda p: replace_crop(p, (150, 10, 60, 60))),
-                           "crops.csv row for s000000"),
+                           "scores.csv box of s000000"),
     "crop-zero-size": (eval_with(lambda p: replace_crop(p, (10, 10, 0, 40))),
-                       "crops.csv row for s000000"),
-    "crop-duplicated": (eval_with(lambda p: append_crop(p, "s000000,0,0,120,160")),
-                        "crops.csv does not match the dataset: 1 duplicated ids (s000000)"),
-    "crop-unknown": (eval_with(lambda p: append_crop(p, "x00,0,0,120,160")),
-                     "crops.csv does not match the dataset: 1 unknown ids (x00)"),
-    "crops-header": (eval_with(replace_header("crops.csv", "id,l,t,h,w")),
-                     "crops.csv lacks columns ['sample_id']"),
-    "scores-header": (eval_with(replace_header("scores.csv", "sample_id,score,accept_at_tau")),
+                       "scores.csv box of s000000"),
+    "crop-text": (eval_with(lambda p: replace_crop(p, ("a", 10, 60, 60))),
+                  "bad scores.csv row for s000000 in"),
+    "crop-duplicated": (eval_with(lambda p: append_crop(p, "s000000,0.5,1,0,0,120,160")),
+                        "scores.csv does not match the dataset: 1 duplicated ids (s000000)"),
+    "crop-unknown": (eval_with(lambda p: append_crop(p, "x00,0.5,1,0,0,120,160")),
+                     "scores.csv does not match the dataset: 1 unknown ids (x00)"),
+    "crops-header": (eval_with(replace_header("scores.csv",
+                                              "sample_id,s_unc,accept_at_tau,left,t,h,w")),
+                     "scores.csv lacks columns ['l']"),
+    "two-file-format": (eval_with(two_file_format),
+                        "scores.csv lacks columns ['l', 't', 'h', 'w']"),
+    "scores-missing": (eval_with(lambda p: (p / "scores.csv").unlink()), "pred/scores.csv'"),
+    "meta-missing": (eval_with(lambda p: (p / "meta.json").unlink()), "pred/meta.json'"),
+    "config-missing": (lambda tmp_path, root, pred: [
+        "train-seg", "--data", str(root / "data"), "--config", str(tmp_path / "none.json"),
+        "--out", str(tmp_path / "out")], "none.json'"),
+    "scores-header": (eval_with(replace_header("scores.csv",
+                                               "sample_id,score,accept_at_tau,l,t,h,w")),
                       "scores.csv lacks columns ['s_unc']"),
     "gen-size-10x10": (gen("--n", "1", "--size", "10x10"), "--size must be at least 64x64"),
     "gen-size-0x0": (gen("--n", "1", "--size", "0x0"), "--size must be at least 64x64"),

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ocuseg.evaluate import (FilterResult, GazeSample, fuse_gaze,
-                             pupil_centroid, rank_and_filter, spearman,
-                             threshold_decision)
-from ocuseg.metrics import confusion_matrix
+from ocuseg.evaluate import (GazeSample, fuse_gaze, pupil_centroid, rank_and_filter,
+                             spearman, threshold_decision)
+from ocuseg.metrics import confusion_matrix, metrics_from_confusion
 
 
 def _conf(correct: int, wrong: int) -> np.ndarray:
@@ -25,7 +24,8 @@ class TestRankAndFilter:
         scores = [float(i) for i in range(10)]
         confs = [_conf(90, 10) for _ in range(10)]
         res = rank_and_filter(ids, scores, confs, [0.0])
-        assert res[0].retained_count == 10
+        assert res == [{"pct": 0.0, "retained_count": 10,
+                        "retained_miou": metrics_from_confusion(sum(confs))["miou"]}]
 
     def test_anticorrelated_scores_give_monotone_curve(self):
         # higher score = worse image; dropping by score must not hurt MIoU
@@ -34,10 +34,10 @@ class TestRankAndFilter:
         scores = [float(i) for i in range(n)]
         confs = [_conf(100 - i, i) for i in range(n)]
         res = rank_and_filter(ids, scores, confs, [1, 2, 3, 4, 5])
-        mious = [r.retained_miou for r in res]
+        mious = [r["retained_miou"] for r in res]
         assert all(b >= a for a, b in zip(mious, mious[1:]))
-        assert [r.retained_count for r in res] == [math.ceil((1 - p / 100) * n)
-                                                   for p in (1, 2, 3, 4, 5)]
+        assert [r["retained_count"] for r in res] == [math.ceil((1 - p / 100) * n)
+                                                      for p in (1, 2, 3, 4, 5)]
 
     def test_equal_scores_tie_break_by_id(self):
         ids = ["b", "a", "c"]
@@ -45,10 +45,10 @@ class TestRankAndFilter:
         confs = [_conf(10, 0), _conf(0, 10), _conf(10, 0)]
         res = rank_and_filter(ids, scores, confs, [34.0])
         # drops one image: the lowest id ("a"), the all-wrong one
-        assert res[0].retained_count == 2
-        assert res[0].retained_miou == pytest.approx(
+        assert res[0]["retained_count"] == 2
+        assert res[0]["retained_miou"] == pytest.approx(
             rank_and_filter(["b", "c"], [1.0, 1.0],
-                            [_conf(10, 0), _conf(10, 0)], [0.0])[0].retained_miou)
+                            [_conf(10, 0), _conf(10, 0)], [0.0])[0]["retained_miou"])
 
     def test_empty_after_filter_rejected(self):
         with pytest.raises(ValueError, match="retains no images"):

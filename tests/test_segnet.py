@@ -237,9 +237,9 @@ def test_param_and_gradient_key_order(tiny_config, tiny_batch):
 class TestFlops:
     def test_single_conv_formula(self):
         cfg = RunConfig(crop_h=96, crop_w=96, d=4, widths=[1, 1])
-        # conv1 alone on 96x96 with 1->1 channels is the textbook count
-        conv1_only = 2 * 9 * 1 * 1 * 96 * 96
-        assert conv1_only == 165_888
+        # the textbook 2 * k^2 * C_in * C_out * H * W per conv: conv1 1->1 at
+        # 96x96, conv2 1->1 at 48x48, conv3 (1 + 1)->4 at 96x96
+        assert count_flops(cfg, include_head=False) == 165_888 + 41_472 + 1_327_104
 
     def test_doubling_spatial_dims_quadruples(self):
         a = count_flops(RunConfig(crop_h=48, crop_w=48))
