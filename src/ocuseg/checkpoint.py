@@ -59,13 +59,11 @@ def save_checkpoint(directory: str | Path, config: RunConfig,
 def load_checkpoint(directory: str | Path, kind: str | None = None
                     ) -> tuple[RunConfig, dict[str, np.ndarray]]:
     """The config and tensors stored in ``directory``; ``kind``, if given,
-    is the kind the caller expects."""
+    is the kind the caller expects.  A missing file raises the OSError that
+    names it."""
     directory = Path(directory)
     header_path = directory / "header.json"
     weights_path = directory / "weights.bin"
-    for p in (header_path, weights_path):
-        if not p.exists():
-            raise CheckpointError(f"missing checkpoint file: {p}")
     try:
         header = json.loads(header_path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

@@ -161,7 +161,8 @@ def cmd_infer(args) -> int:
     _write_csv(out / "scores.csv", ["sample_id", "s_unc", "accept_at_tau", "l", "t", "h", "w"],
                [[*row, *box.as_tuple()] for *row, box in zip(ids, s_unc, accept, boxes)])
     meta = {"config_hash": config.content_hash(), "arch_hash": config.arch_hash(),
-            "detector": args.detector, "tau": config.tau}
+            "detector": args.detector, "tau": config.tau,
+            "crop": [config.crop_h, config.crop_w]}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n",
                                    encoding="utf-8")
     print(f"wrote {len(ids)} predictions to {out} ({sum(accept)} accepted at "
@@ -200,13 +201,14 @@ def cmd_eval(args) -> int:
         raise UsageError(f"malformed {pred_dir / 'meta.json'}: {e}") from None
     if not isinstance(meta, dict):
         raise UsageError(f"malformed {pred_dir / 'meta.json'}: not a JSON object")
+    crop = meta.get("crop")
+    if not (isinstance(crop, list) and len(crop) == 2
+            and all(type(v) is int and v > 0 for v in crop)):
+        raise UsageError(f"{pred_dir / 'meta.json'}: 'crop' must be the [h, w] that infer "
+                         f"writes, got {crop!r}; run infer again")
     scores_rows = _read_csv(pred_dir / "scores.csv", ("sample_id", "s_unc", "l", "t", "h", "w"))
     samples = {s.sample_id: s for s in _read_samples(args.data)}
     _check_row_ids("scores.csv", [r["sample_id"] for r in scores_rows], samples)
-
-    missing = [sid for sid in samples if not (pred_dir / "pred" / f"{sid}.pgm").is_file()]
-    if missing:
-        raise UsageError("predictions missing for: " + ", ".join(sorted(missing)[:20]))
 
     try:
         pcts = [float(x) for x in args.pcts.split(",")]
@@ -225,8 +227,11 @@ def cmd_eval(args) -> int:
                              f"{row['s_unc']!r}, not a finite number")
         pgm = pred_dir / "pred" / f"{sid}.pgm"
         y_hat = read_pgm(pgm).astype(np.int64)
+        if list(y_hat.shape) != crop:
+            raise UsageError(f"{pgm} is {y_hat.shape[0]}x{y_hat.shape[1]}, not the "
+                             f"{crop[0]}x{crop[1]} crop size in meta.json")
         try:
-            _, gt = crop_resize(samples[sid], box, y_hat.shape[0], y_hat.shape[1])
+            _, gt = crop_resize(samples[sid], box, *crop)
         except ValueError as e:
             raise UsageError(f"scores.csv box of {sid} in {pred_dir}: {e}") from None
         try:

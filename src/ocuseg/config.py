@@ -30,16 +30,12 @@ class RunConfig:
     eps_floor: float = 1e-6
     # segmentation stage
     seg_lr: float = 3e-4
-    seg_momentum: float = 0.9
     seg_epochs: int = 4
     seg_batch: int = 8
     # uncertainty stage
     unc_lr: float = 1e-3
-    unc_momentum: float = 0.9
     unc_epochs: int = 3
     unc_batch: int = 8
-    # data handling
-    bbox_jitter: float = 0.10
     # evaluation
     tau: float = 0.0
 
@@ -69,8 +65,6 @@ class RunConfig:
                              f"{self.crop_h}x{self.crop_w}")
         if not self.eps_floor > 0.0:
             raise ValueError(f"eps_floor must be > 0, got {self.eps_floor}")
-        if not 0.0 <= self.bbox_jitter <= 0.25:
-            raise ValueError(f"bbox_jitter must be in [0, 0.25], got {self.bbox_jitter}")
         for name in ("seg_lr", "unc_lr"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

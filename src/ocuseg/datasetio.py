@@ -1,8 +1,10 @@
 """Dataset container: manifest.json + binary PGM images and label maps.
 
 Layout:
-    <dir>/manifest.json     array of {id, image, label, bbox, severity,
-                            domain, corruption}, UTF-8, sorted keys
+    <dir>/manifest.json     array of {id, bbox, severity, domain, corruption},
+                            UTF-8, sorted keys; the reader ignores other
+                            keys (the ``image`` and ``label`` paths of
+                            older sets among them)
     <dir>/img/<id>.pgm      P5, 8-bit, maxval 255; values are image*255
     <dir>/lbl/<id>.pgm      P5, 8-bit; pixel values exactly 0..3
 
@@ -78,8 +80,6 @@ def write_dataset(samples: list[Sample], directory: str | Path) -> None:
         write_pgm(directory / "lbl" / f"{s.sample_id}.pgm", s.labels.astype(np.uint8))
         records.append({
             "id": s.sample_id,
-            "image": f"img/{s.sample_id}.pgm",
-            "label": f"lbl/{s.sample_id}.pgm",
             "bbox": list(s.gt_bbox),
             "severity": s.severity,
             "domain": s.domain_id,
@@ -100,13 +100,12 @@ def _record_problem(rec, seen: set[str]) -> str | None:
     ``seen`` holds the ids of the records before it."""
     if not isinstance(rec, dict):
         return f"record is not an object: {rec!r}"
-    for key in ("id", "image", "label", "bbox"):
+    for key in ("id", "bbox"):
         if key not in rec:
             return f"manifest record missing {key!r}"
-    for key in ("id", "image", "label"):
-        if not isinstance(rec[key], str):
-            return f"{key!r} must be a string, got {rec[key]!r}"
     sid = rec["id"]
+    if not isinstance(sid, str):
+        return f"'id' must be a string, got {sid!r}"
     if not sid or sid.startswith(".") or any(c in sid for c in _ID_FORBIDDEN):
         return (f"bad id {sid!r}: an id is non-empty, does not start with '.' and "
                 "holds no '/', '\\', ',', newline or NUL")
@@ -125,15 +124,14 @@ def _record_problem(rec, seen: set[str]) -> str | None:
 
 
 def read_dataset(directory: str | Path) -> list[Sample]:
-    """The samples of a dataset; raises DatasetError naming the sample, and
-    the manifest or the file at fault, on a malformed record, a duplicated
-    id, a missing or bad file, a ``bbox`` that is not a box of positive
-    size inside its image, or a label map whose shape differs from its
-    image."""
+    """The samples of a dataset, each read from ``img/<id>.pgm`` and
+    ``lbl/<id>.pgm``; raises DatasetError naming the sample, and the
+    manifest or the file at fault, on a malformed record, a duplicated id,
+    a bad file, a ``bbox`` that is not a box of positive size inside its
+    image, or a label map whose shape differs from its image.  A missing
+    file raises the OSError that names it."""
     directory = Path(directory)
     manifest = directory / "manifest.json"
-    if not manifest.exists():
-        raise DatasetError(f"missing manifest: {manifest}")
     try:
         records = json.loads(manifest.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
@@ -151,11 +149,8 @@ def read_dataset(directory: str | Path) -> list[Sample]:
             raise DatasetError(f"{manifest}: {where}: {problem}")
         sid = rec["id"]
         seen.add(sid)
-        img_path = directory / rec["image"]
-        lbl_path = directory / rec["label"]
-        for p in (img_path, lbl_path):
-            if not p.is_file():
-                raise DatasetError(f"sample {sid}: missing file {p}")
+        img_path = directory / "img" / f"{sid}.pgm"
+        lbl_path = directory / "lbl" / f"{sid}.pgm"
         image = read_pgm(img_path).astype(np.float64) / 255.0
         if not box_fits(rec["bbox"], *image.shape):
             raise DatasetError(f"{manifest}: sample {sid!r}: 'bbox' {rec['bbox']} "

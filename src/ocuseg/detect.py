@@ -10,6 +10,9 @@ from .rng import Rng
 from .synth import Sample, quantize8
 from .warp import resize_bilinear, resize_nearest
 
+# the largest shift and rescale of a jittered box, as a fraction of its size
+BBOX_JITTER = 0.10
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -117,16 +120,12 @@ def detect_eye_heuristic(image: np.ndarray) -> BBox:
 
 
 def jitter_gt_bbox(gt: tuple[int, int, int, int], rng: Rng,
-                   max_shift: float, frame_h: int, frame_w: int) -> BBox:
-    """Perturb a ground-truth (l, t, h, w) box by up to ``max_shift`` of its size."""
-    if not (0.0 <= max_shift <= 0.25):
-        raise ValueError(f"max_shift must be in [0, 0.25], got {max_shift}")
+                   frame_h: int, frame_w: int) -> BBox:
+    """Perturb a ground-truth (l, t, h, w) box by up to ``BBOX_JITTER`` of its size."""
     l, t, h, w = gt
-    if max_shift == 0.0:
-        return _clamp_box(l, t, h, w, frame_h, frame_w)
-    scale = 1.0 + rng.uniform(-max_shift, max_shift)
-    dl = rng.uniform(-max_shift, max_shift) * w
-    dt = rng.uniform(-max_shift, max_shift) * h
+    scale = 1.0 + rng.uniform(-BBOX_JITTER, BBOX_JITTER)
+    dl = rng.uniform(-BBOX_JITTER, BBOX_JITTER) * w
+    dt = rng.uniform(-BBOX_JITTER, BBOX_JITTER) * h
     nw = max(16, int(round(w * scale)))
     nh = max(16, int(round(h * scale)))
     nl = int(round(l + dl + (w - nw) / 2))

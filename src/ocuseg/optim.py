@@ -8,6 +8,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+# the momentum of both training stages
+MOMENTUM = 0.9
+
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is at most
@@ -28,7 +31,7 @@ def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 class SgdMomentum:
     """v <- mu*v + g;  p <- p - lr*v.  Aborts loudly on non-finite grads."""
 
-    def __init__(self, lr: float, momentum: float = 0.0):
+    def __init__(self, lr: float, momentum: float):
         if lr < 0.0:
             raise ValueError(f"lr must be >= 0, got {lr}")
         self.lr = lr
@@ -60,12 +63,12 @@ def lr_schedule(base_lr: float, step: int, total_steps: int) -> float:
 
 
 def fit(step_batch: Callable[[list[int]], tuple], params: dict[str, np.ndarray],
-        n: int, *, epochs: int, batch: int, lr: float, momentum: float, shuffler,
+        n: int, *, epochs: int, batch: int, lr: float, shuffler,
         clip: Callable[[dict[str, np.ndarray]], float],
         lr_scales: dict[str, float] | None = None
         ) -> Iterator[tuple[int, list[float]]]:
-    """Mini-batch SGD with momentum over ``n`` examples, updating ``params``
-    in place; yields ``(epoch, means)`` after each epoch.
+    """Mini-batch SGD with momentum ``MOMENTUM`` over ``n`` examples,
+    updating ``params`` in place; yields ``(epoch, means)`` after each epoch.
 
     Each epoch shuffles the example order with ``shuffler`` and cuts it into
     batches of ``batch``.  ``step_batch(indices)`` returns ``(loss, grads,
@@ -74,7 +77,7 @@ def fit(step_batch: Callable[[list[int]], tuple], params: dict[str, np.ndarray],
     loss and of each stat.  A non-finite loss raises FloatingPointError
     naming the epoch, before that batch's step.
     """
-    opt = SgdMomentum(lr, momentum)
+    opt = SgdMomentum(lr, MOMENTUM)
     order = list(range(n))
     total_steps = epochs * ((n + batch - 1) // batch)
     step = 0

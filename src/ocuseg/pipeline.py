@@ -31,7 +31,7 @@ def choose_bbox(sample: Sample, mode: str, config: RunConfig) -> BBox:
     fh, fw = sample.image.shape
     if mode == "gt-jitter":
         rng = Rng(config.seed).derive(f"crop/{sample.sample_id}")
-        return jitter_gt_bbox(sample.gt_bbox, rng, config.bbox_jitter, fh, fw)
+        return jitter_gt_bbox(sample.gt_bbox, rng, fh, fw)
     if mode == "heuristic":
         try:
             return detect_eye_heuristic(sample.image)

@@ -200,7 +200,6 @@ def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig
     epochs = fit(lambda idx: seg_loss(model, images[idx], labels[idx]),
                  model.params(), len(images), epochs=config.seg_epochs,
                  batch=config.seg_batch, lr=config.seg_lr,
-                 momentum=config.seg_momentum,
                  shuffler=Rng(config.seed).derive("seg-shuffle"),
                  clip=lambda grads: clip_grad_norm(grads, SEG_CLIP_NORM),
                  lr_scales=SEG_LR_SCALES)

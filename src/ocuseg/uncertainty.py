@@ -267,7 +267,6 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
 
     epochs = fit(step_batch, head.params(), n, epochs=config.unc_epochs,
                  batch=config.unc_batch, lr=config.unc_lr,
-                 momentum=config.unc_momentum,
                  shuffler=Rng(config.seed).derive("unc-shuffle"),
                  clip=lambda grads: clip_grad_norm(grads, UNC_CLIP_NORM))
     return head, [(epoch, *means) for epoch, means in epochs]

@@ -106,7 +106,7 @@ class TestTraining:
         assert main(["train-unc", "--data", str(root / "data"),
                      "--config", str(cfg_path), "--seg", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "unc2")]) == 2
-        assert f"missing checkpoint file: {tmp_path / 'nope' / 'header.json'}" \
+        assert f"No such file or directory: '{tmp_path / 'nope' / 'header.json'}'" \
             in capsys.readouterr().err
 
     def test_float_field_spelled_as_int_matches(self, trained, tmp_path):
@@ -181,6 +181,7 @@ class TestInferEval:
         assert lines[0] == "sample_id,s_unc,accept_at_tau,l,t,h,w"
         assert len(lines) == 13
         assert all(len(ln.split(",")) == 7 for ln in lines)
+        assert json.loads((tmp_path / "p1" / "meta.json").read_text())["crop"] == [32, 32]
         assert not (tmp_path / "p1" / "crops.csv").exists()
 
     def test_arch_mismatch_exit_2(self, trained, tmp_path):
@@ -246,15 +247,19 @@ class TestInferEval:
         assert report["tables"]["filtering"] == \
             rank_and_filter(ids, s_unc.tolist(), confs, [10.0, 25.0])
 
-    def test_eval_missing_predictions_exit_2(self, trained, tmp_path):
+    def test_eval_missing_predictions_exit_2(self, trained, tmp_path, capsys):
         root, _ = trained
         pred = tmp_path / "pred"
         assert main(["infer", "--data", str(root / "data"),
                      "--seg", str(root / "seg"), "--unc", str(root / "unc"),
                      "--out", str(pred)]) == 0
         (pred / "pred" / "s000003.pgm").unlink()
+        capsys.readouterr()
         assert main(["eval", "--pred", str(pred), "--data", str(root / "data"),
                      "--out", str(tmp_path / "r.json")]) == 2
+        assert f"No such file or directory: '{pred / 'pred' / 's000003.pgm'}'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
     @pytest.mark.parametrize("edit,expected", [
@@ -509,8 +514,9 @@ def set_record(i, **fields):
 
 def small_frame(data, records):
     """Cut sample 0 to a 48x48 frame, with its box inside it."""
-    for key in ("image", "label"):
-        write_pgm(data / records[0][key], read_pgm(data / records[0][key])[:48, :48])
+    for sub in ("img", "lbl"):
+        path = data / sub / "s000000.pgm"
+        write_pgm(path, read_pgm(path)[:48, :48])
     records[0]["bbox"] = [0, 0, 48, 48]
     return records
 
@@ -522,8 +528,37 @@ def with_detector(make_argv, detector):
 
 
 def empty_label_map(data, records):
-    (data / records[0]["label"]).write_bytes(b"")
+    (data / "lbl" / "s000000.pgm").write_bytes(b"")
     return records
+
+
+def image_as_directory(data, records):
+    path = data / "img" / "s000000.pgm"
+    path.unlink()
+    path.mkdir()
+    return records
+
+
+def with_legacy_fields(fields: dict) -> None:
+    """Add the config fields that fixed constants replaced."""
+    fields.update(seg_momentum=0.9, unc_momentum=0.9, bbox_jitter=0.1)
+
+
+def legacy_config(tmp_path) -> str:
+    fields = json.loads(tiny_cfg(tmp_path).read_text())
+    with_legacy_fields(fields)
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(fields))
+    return str(path)
+
+
+def edit_meta(edit):
+    """An ``eval_with`` edit that changes the parsed meta.json in place."""
+    def apply(pred):
+        meta = json.loads((pred / "meta.json").read_text())
+        edit(meta)
+        (pred / "meta.json").write_text(json.dumps(meta))
+    return apply
 
 
 def halve_prediction(pred):
@@ -539,8 +574,8 @@ def prediction_as_directory(pred):
 
 
 def small_label_map(data, records):
-    labels = read_pgm(data / records[0]["label"])
-    write_pgm(data / records[0]["label"], labels[:100, :150])
+    path = data / "lbl" / "s000000.pgm"
+    write_pgm(path, read_pgm(path)[:100, :150])
     return records
 
 
@@ -572,7 +607,6 @@ BAD_INPUTS = {
     "unc_epochs": (train_with("unc_epochs"), "unc_epochs must be >= 1, got 0"),
     "unc_batch": (train_with("unc_batch"), "unc_batch must be >= 1, got 0"),
     "eps_floor": (train_with("eps_floor", -5.0), "eps_floor must be > 0, got -5.0"),
-    "bbox_jitter": (train_with("bbox_jitter", 0.5), "bbox_jitter must be in [0, 0.25], got 0.5"),
     "seg_lr": (train_with("seg_lr", -1.0), "seg_lr must be >= 0, got -1.0"),
     "unc_lr": (train_with("unc_lr", -1.0), "unc_lr must be >= 0, got -1.0"),
     "crop_h": (train_with("crop_h", 0), "crop_h must be >= 4, got 0"),
@@ -699,10 +733,6 @@ BAD_INPUTS = {
         lambda data, records: [{k: v for k, v in records[0].items() if k != "id"}]),
         "manifest.json: record 0: manifest record missing 'id'"),
     "manifest-id-int": (set_record(2, id=5), "manifest.json: record 2: 'id' must be a string"),
-    "manifest-image-int": (set_record(0, image=5),
-                           "manifest.json: sample 's000000': 'image' must be a string, got 5"),
-    "manifest-label-null": (set_record(0, label=None),
-                            "manifest.json: sample 's000000': 'label' must be a string"),
     "manifest-bbox-3": (set_record(1, bbox=[1, 2, 3]),
                         "manifest.json: sample 's000001': 'bbox' must be four ints"),
     "manifest-bbox-float": (set_record(1, bbox=[1, 2, 3.5, 4]),
@@ -734,11 +764,27 @@ BAD_INPUTS = {
     "label-shape": (infer_on_dataset(small_label_map),
                     "sample s000000: label map"),
     "label-empty": (train_seg_on_dataset(empty_label_map), "malformed PGM header in"),
-    "image-directory": (set_record(0, image="img"), "sample s000000: missing file"),
+    "image-directory": (infer_on_dataset(image_as_directory), "data/img/s000000.pgm'"),
     "pred-truncated": (eval_with(halve_prediction), "s000000.pgm: truncated pixel data"),
     "pred-zero-size": (eval_with(lambda p: (p / "pred" / "s000000.pgm").write_bytes(
         b"P5\n0 0\n255\n")), "malformed PGM header in"),
-    "pred-directory": (eval_with(prediction_as_directory), "predictions missing for: s000000"),
+    "pred-directory": (eval_with(prediction_as_directory), "pred/pred/s000000.pgm'"),
+    "pred-8x8": (eval_with(lambda p: write_pgm(p / "pred" / "s000000.pgm",
+                                               np.zeros((8, 8), dtype=np.uint8))),
+                 "pred/s000000.pgm is 8x8, not the 32x32 crop size in meta.json"),
+    "meta-no-crop": (eval_with(edit_meta(lambda meta: meta.pop("crop"))),
+                     "meta.json: 'crop' must be the [h, w] that infer writes, got None; "
+                     "run infer again"),
+    "meta-crop-text": (eval_with(edit_meta(lambda meta: meta.update(crop=["32", 32]))),
+                       "meta.json: 'crop' must be the [h, w] that infer writes, "
+                       "got ['32', 32]"),
+    "legacy-config": (lambda tmp_path, root, pred: [
+        "train-seg", "--data", str(root / "data"), "--config", legacy_config(tmp_path),
+        "--out", str(tmp_path / "g")],
+        "unknown config fields: ['bbox_jitter', 'seg_momentum', 'unc_momentum']"),
+    "legacy-checkpoint": (infer_with_seg_header(lambda h: with_legacy_fields(h["config"])),
+                          "header.json: invalid config: unknown config fields: "
+                          "['bbox_jitter', 'seg_momentum', 'unc_momentum']"),
     "heuristic-small-frame": (with_detector(infer_on_dataset(small_frame), "heuristic"),
                               "sample s000000: heuristic detector: frame must be at "
                               "least 64x64, got 48x48"),

@@ -73,8 +73,12 @@ class TestCheckpoint:
             == (tmp_path / "b" / "header.json").read_bytes()
 
     def test_missing_files_rejected(self, tmp_path):
-        with pytest.raises(CheckpointError, match="missing"):
+        with pytest.raises(FileNotFoundError, match="nope/header.json"):
             load_checkpoint(tmp_path / "nope")
+        save_checkpoint(tmp_path / "c", RunConfig(), {"w": np.ones(2)}, "seg")
+        (tmp_path / "c" / "weights.bin").unlink()
+        with pytest.raises(FileNotFoundError, match="c/weights.bin"):
+            load_checkpoint(tmp_path / "c")
 
     def test_truncated_weights_rejected(self, tmp_path):
         cfg = RunConfig()

@@ -35,8 +35,34 @@ def test_missing_image_file_named(tmp_path):
     samples = generate_dataset(3, seed=2)
     write_dataset(samples, tmp_path)
     (tmp_path / "img" / "s000001.pgm").unlink()
-    with pytest.raises(DatasetError, match="s000001"):
+    with pytest.raises(FileNotFoundError, match="img/s000001.pgm"):
         read_dataset(tmp_path)
+
+
+def test_manifest_lists_no_file_paths(tmp_path):
+    write_dataset(generate_dataset(2, seed=2), tmp_path)
+    records = json.loads((tmp_path / "manifest.json").read_text())
+    assert [sorted(r) for r in records] == [["bbox", "corruption", "domain", "id",
+                                             "severity"]] * 2
+
+
+@pytest.mark.parametrize("kind", ["absolute", "parent"])
+def test_files_come_from_the_id_not_stored_paths(tmp_path, kind):
+    """An older manifest's ``image``/``label`` keys are ignored, even where
+    they point at another set's files."""
+    own = generate_dataset(2, seed=2)
+    write_dataset(own, tmp_path / "A")
+    write_dataset(generate_dataset(2, seed=3), tmp_path / "B")
+    other = {"absolute": str(tmp_path / "B"), "parent": "../B"}[kind]
+    manifest = tmp_path / "A" / "manifest.json"
+    records = json.loads(manifest.read_text())
+    for rec in records:
+        rec["image"] = f"{other}/img/{rec['id']}.pgm"
+        rec["label"] = f"{other}/lbl/{rec['id']}.pgm"
+    manifest.write_text(json.dumps(records))
+    for a, b in zip(own, read_dataset(tmp_path / "A")):
+        assert np.array_equal(a.image, b.image)
+        assert np.array_equal(a.labels, b.labels)
 
 
 def test_label_value_out_of_range_rejected_on_read(tmp_path):

@@ -99,8 +99,8 @@ class TestFit:
             loss = losses[len(calls) - 1]
             return loss, {"w": np.ones(1)}, 10.0 * loss
 
-        return fit(step_batch, params, 5, epochs=2, batch=2, lr=0.1, momentum=0.0,
-                   shuffler=Rng(4), clip=lambda grads: 0.0)
+        return fit(step_batch, params, 5, epochs=2, batch=2, lr=0.1, shuffler=Rng(4),
+                   clip=lambda grads: 0.0)
 
     def test_means_are_batch_means(self):
         calls = []

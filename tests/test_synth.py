@@ -205,24 +205,34 @@ def test_smooth_noise_matches_the_full_frame_gather(h, w, cell):
     assert np.array_equal(_smooth_noise(h, w, Rng(9), cell), ref)
 
 
-# sha256 over (relative path, sha256 of contents) of every file that ``gen``
-# writes for an eight-frame four-kind set.  The digests come from the
-# full-frame meshgrid renderer that the separable row and column
-# coordinates replaced, so they pin the two as byte-identical: a change to
-# any pixel, label or manifest field shows here.
-GEN_DIGESTS = {
-    "120x160": "c49ec0e9adbfdc8fd860787935bbc24021df720d731baa1cd2d32dfaf89ceed5",
-    "97x131": "2265bfae0824da6ad623fa83e32176069169271652fdc198ef3ae07cee724069",
+# sha256 over (relative path, sha256 of contents) of every img/ and lbl/
+# PGM that ``gen`` writes for an eight-frame four-kind set.  The digests
+# come from the full-frame meshgrid renderer that the separable row and
+# column coordinates replaced, so they pin the two as byte-identical: a
+# change to any pixel or label shows here.
+PGM_DIGESTS = {
+    "120x160": "9460fae69a86901483b5ce26befd456a1f7aa4c6fe1eaebf36ca71258a923361",
+    "97x131": "8e5b70ec875dd65a6f5f21b94ef675f3b694c85c6b4fb234225e6e6a65cfc142",
+}
+# sha256 of the same set's manifest.json: a change to any record shows here.
+MANIFEST_DIGESTS = {
+    "120x160": "fbf9dbc45a9c7381ab4fdc38237d27ed59912833c06a350bf4eba7a7d550c6d2",
+    "97x131": "46bcd911c5a747f0026cc410d12074004ac7c7cd8a8d09d3b4b0531ff34f22b4",
 }
 
 
-@pytest.mark.parametrize("size", list(GEN_DIGESTS))
+@pytest.mark.parametrize("size", list(PGM_DIGESTS))
 def test_gen_files_are_pinned(size, tmp_path):
     assert main(["gen", "--out", str(tmp_path), "--n", "8", "--seed", "21",
                  "--corruptions", "none,blur,occlusion,domain_shift",
                  "--severities", "0.2,1.0", "--size", size]) == 0
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    pgms = [p for p in files if p.suffix == ".pgm"]
+    assert [p.name for p in files if p not in pgms] == ["manifest.json"]
     digest = hashlib.sha256()
-    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+    for path in pgms:
         digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
         digest.update(hashlib.sha256(path.read_bytes()).digest())
-    assert digest.hexdigest() == GEN_DIGESTS[size]
+    assert digest.hexdigest() == PGM_DIGESTS[size]
+    manifest = (tmp_path / "manifest.json").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == MANIFEST_DIGESTS[size]
