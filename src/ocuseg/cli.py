@@ -29,8 +29,9 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .datasetio import DatasetError, read_dataset, read_pgm, write_dataset, write_pgm
 from .detect import BBox, crop_resize
-from .evaluate import rank_and_filter, threshold_decision
-from .metrics import confusion_matrix, metrics_from_confusion
+# no caller here: bench/attribution.py traces rank_and_filter under this module's name
+from .evaluate import rank_and_filter, report, threshold_decision
+from .metrics import confusion_matrix
 from .pipeline import DETECTOR_MODES, build_crops, infer_samples
 # no caller here: bench/attribution.py traces evaluate_miou under this module's name
 from .segnet import SegModel, count_flops, evaluate_miou, train_seg
@@ -214,7 +215,7 @@ def cmd_eval(args) -> int:
         pcts = [float(x) for x in args.pcts.split(",")]
     except ValueError:
         raise UsageError(f"--pcts expects comma-separated numbers, got {args.pcts!r}") from None
-    ids, score_list, confs, per_image = [], [], [], []
+    ids, score_list, confs = [], [], []
     for row in scores_rows:
         sid = row["sample_id"]
         try:
@@ -238,34 +239,23 @@ def cmd_eval(args) -> int:
             conf = confusion_matrix(y_hat, gt)
         except ValueError as e:
             raise UsageError(f"{pgm}: {e}") from None
-        m = metrics_from_confusion(conf)
         ids.append(sid)
         score_list.append(s_unc)
         confs.append(conf)
-        per_image.append({"id": sid, "s_unc": s_unc, "miou": m["miou"], "acc": m["acc"]})
 
-    overall = metrics_from_confusion(sum(confs))
     try:
-        filtered = rank_and_filter(ids, score_list, confs, pcts)
+        body = report(ids, score_list, confs, pcts)
     except ValueError as e:
         raise UsageError(f"--pcts {args.pcts}: {e}") from None
-    report = {
-        "config_hash": meta.get("config_hash", ""),
-        "detector": meta.get("detector", ""),
-        "unfiltered": {k: overall[k] for k in ("miou", "e1", "f1", "acc")},
-        "per_image": per_image,
-        "tables": {
-            "filtering": filtered,
-            "ablations": {},
-        },
-    }
     out = Path(args.out)
-    out.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n",
-                   encoding="utf-8")
+    out.write_text(json.dumps({"config_hash": meta.get("config_hash", ""),
+                               "detector": meta.get("detector", ""), **body},
+                              sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    miou, filtered = body["unfiltered"]["miou"], body["tables"]["filtering"]
     header = ["pct", "retained_count", "retained_miou"]
-    rows = [[0.0, len(ids), overall["miou"]]] + [[f[k] for k in header] for f in filtered]
+    rows = [[0.0, len(ids), miou]] + [[f[k] for k in header] for f in filtered]
     _write_csv(out.with_suffix(".filtering.csv"), header, rows)
-    print(f"unfiltered miou {overall['miou']:.4f} over {len(ids)} images")
+    print(f"unfiltered miou {miou:.4f} over {len(ids)} images")
     for f in filtered:
         print(f"  drop {f['pct']:.0f}%: retained {f['retained_count']}, "
               f"miou {f['retained_miou']:.4f}")

@@ -40,6 +40,24 @@ def rank_and_filter(sample_ids: list[str], scores: list[float],
     return results
 
 
+def report(sample_ids: list[str], scores: list[float], confusions: list[np.ndarray],
+           pcts: list[float]) -> dict:
+    """The evaluation report of scored images, one confusion each:
+    ``unfiltered`` MIoU/E1/F1/ACC of the summed confusion, ``per_image``
+    rows ``{"id", "s_unc", "miou", "acc"}`` in input order, and
+    ``tables.filtering`` from ``rank_and_filter`` at each of ``pcts``."""
+    if len(confusions) == 0:
+        raise ValueError("a report needs at least one image")
+    filtering = rank_and_filter(sample_ids, scores, confusions, pcts)  # checks alignment
+    per_image = []
+    for sid, s_unc, conf in zip(sample_ids, scores, confusions):
+        m = metrics_from_confusion(conf)
+        per_image.append({"id": sid, "s_unc": s_unc, "miou": m["miou"], "acc": m["acc"]})
+    return {"unfiltered": metrics_from_confusion(sum(confusions)),
+            "per_image": per_image,
+            "tables": {"filtering": filtering, "ablations": {}}}
+
+
 def threshold_decision(s_unc: float, tau: float) -> str:
     """Reject iff the score exceeds tau (boundary accepts)."""
     return "reject" if s_unc > tau else "accept"

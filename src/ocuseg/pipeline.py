@@ -17,12 +17,12 @@ import numpy as np
 from .config import RunConfig
 from .datasetio import DatasetError
 from .detect import BBox, crop_resize, detect_eye_heuristic, jitter_gt_bbox
-from .metrics import confusion_matrix, metrics_from_confusion
+from .evaluate import report
+from .metrics import confusion_matrix
 from .rng import Rng
 from .segnet import INFER_BATCH, SegModel, predict_batch, train_seg
 from .synth import Sample
 from .uncertainty import UncHead, train_unc, unc_score
-from .evaluate import rank_and_filter
 
 DETECTOR_MODES = ("gt-jitter", "heuristic", "full")
 
@@ -74,9 +74,9 @@ def infer_samples(images: np.ndarray, seg: SegModel, head: UncHead, config: RunC
 def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample],
                           config: RunConfig, pcts: list[float]) -> dict:
     """Train and score two equal-FLOPs pipelines: eye-box crops vs whole
-    frames resized to the crop size.  Returns unfiltered MIoU and the
-    filtered-MIoU curve at each of ``pcts`` for each."""
-    report: dict = {}
+    frames resized to the crop size.  Returns each arm's ``evaluate.report``
+    on the test set, filtered at each of ``pcts``."""
+    arms = {}
     for name, mode in (("crop", "gt-jitter"), ("full", "full")):
         images, labels, _, _ = build_crops(train_samples, config, mode)
         seg, _ = train_seg(images, labels, config)
@@ -84,6 +84,5 @@ def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample
         images, labels, _, ids = build_crops(test_samples, config, mode)
         y_hat, s_unc = infer_samples(images, seg, head, config)
         confs = [confusion_matrix(p, t) for p, t in zip(y_hat, labels)]
-        report[name] = {"miou": metrics_from_confusion(sum(confs))["miou"],
-                        "filtered": rank_and_filter(ids, s_unc.tolist(), confs, pcts)}
-    return report
+        arms[name] = report(ids, s_unc.tolist(), confs, pcts)
+    return arms

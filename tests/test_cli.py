@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 import shutil
@@ -14,8 +15,9 @@ from ocuseg.checkpoint import load_checkpoint
 from ocuseg.cli import main
 from ocuseg.config import RunConfig
 from ocuseg.datasetio import read_dataset, read_pgm, write_pgm
-from ocuseg.evaluate import rank_and_filter
-from ocuseg.metrics import confusion_matrix, metrics_from_confusion
+from ocuseg.detect import BBox, crop_resize
+from ocuseg import evaluate
+from ocuseg.metrics import confusion_matrix
 from ocuseg.pipeline import DETECTOR_MODES, build_crops, infer_samples
 from ocuseg.segnet import SegModel
 from ocuseg.uncertainty import UncHead
@@ -233,7 +235,6 @@ class TestInferEval:
                      "--detector", detector]) == 0
         assert main(["eval", "--pred", str(pred), "--data", str(root / "data"),
                      "--pcts", "10,25", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
         config, seg_params = load_checkpoint(root / "seg", "seg")
         seg = SegModel(config)
         seg.set_params(seg_params)
@@ -242,10 +243,9 @@ class TestInferEval:
         images, labels, _, ids = build_crops(read_dataset(root / "data"), config, detector)
         y_hat, s_unc = infer_samples(images, seg, head, config)
         confs = [confusion_matrix(p, t) for p, t in zip(y_hat, labels)]
-        overall = metrics_from_confusion(sum(confs))
-        assert report["unfiltered"] == {k: overall[k] for k in ("miou", "e1", "f1", "acc")}
-        assert report["tables"]["filtering"] == \
-            rank_and_filter(ids, s_unc.tolist(), confs, [10.0, 25.0])
+        assert json.loads(out.read_text()) == {
+            "config_hash": config.content_hash(), "detector": detector,
+            **evaluate.report(ids, s_unc.tolist(), confs, [10.0, 25.0])}
 
     def test_eval_missing_predictions_exit_2(self, trained, tmp_path, capsys):
         root, _ = trained
@@ -322,6 +322,50 @@ class TestInferEval:
                      "--seg", str(seg), "--unc", str(root / "unc"),
                      "--out", str(tmp_path / "p")]) == 2
         assert "does not match its config" in capsys.readouterr().err
+
+
+PINNED_SCORES = [3.5, -1.25, 3.5, 1e5, 0.0, 2.0, -7.0, 3.5]
+
+
+def hand_built_predictions(root: Path) -> Path:
+    """A prediction directory written without a network for the pinned
+    ``gen`` set at ``root / "data"``: each label map is its ground-truth crop
+    shifted by up to two columns, with a block cleared in every third map;
+    even samples keep their manifest box and odd ones take the whole frame."""
+    pred = root / "pred"
+    (pred / "pred").mkdir(parents=True)
+    rows = ["sample_id,s_unc,accept_at_tau,l,t,h,w"]
+    for i, (s, s_unc) in enumerate(zip(read_dataset(root / "data"), PINNED_SCORES)):
+        box = BBox(*s.gt_bbox) if i % 2 == 0 else BBox(0, 0, *s.image.shape)
+        y_hat = np.roll(crop_resize(s, box, 32, 32)[1], i % 3, axis=1)
+        if i % 3 == 0:
+            y_hat[4:12, 10:20] = 0
+        write_pgm(pred / "pred" / f"{s.sample_id}.pgm", y_hat.astype(np.uint8))
+        rows.append(",".join([s.sample_id, repr(s_unc), "0", *map(str, box.as_tuple())]))
+    (pred / "scores.csv").write_text("\n".join(rows) + "\n")
+    meta = {"config_hash": "0123456789abcdef", "arch_hash": "fedcba9876543210",
+            "detector": "gt-jitter", "tau": 0.0, "crop": [32, 32]}
+    (pred / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    return pred
+
+
+def test_eval_outputs_pinned(tmp_path, capsys):
+    """``eval``'s report, filtering table and stdout on hand-built
+    predictions, pinned by sha256; no network runs, so no float depends on
+    the BLAS build."""
+    assert main(["gen", "--out", str(tmp_path / "data"), "--n", str(len(PINNED_SCORES)),
+                 "--seed", "13"]) == 0
+    pred = hand_built_predictions(tmp_path)
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(pred), "--data", str(tmp_path / "data"),
+                 "--pcts", "10,25,50", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256(data).hexdigest()[:16] for name, data in (
+        ("report", out.read_bytes()),
+        ("filtering", out.with_suffix(".filtering.csv").read_bytes()),
+        ("stdout", capsys.readouterr().out.encode()))}
+    assert digests == {"report": "d40438260342a8ab", "filtering": "4b7cf13470709c7d",
+                       "stdout": "f0cc2adad1872bed"}
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ocuseg.evaluate import (GazeSample, fuse_gaze, pupil_centroid, rank_and_filter,
-                             spearman, threshold_decision)
+                             report, spearman, threshold_decision)
 from ocuseg.metrics import confusion_matrix, metrics_from_confusion
 
 
@@ -59,6 +59,36 @@ class TestRankAndFilter:
         ids = [f"s{i}" for i in range(8)]
         with pytest.raises(ValueError, match=r"\[0, 100\)"):
             rank_and_filter(ids, [0.0] * 8, [_conf(5, 5)] * 8, [1.0, pct])
+
+
+class TestReport:
+    IDS = ["c", "a", "b"]
+    SCORES = [0.5, 2.0, -1.0]
+    CONFS = [_conf(90, 10), _conf(50, 50), _conf(100, 0)]
+
+    def test_per_image_follows_input_order(self):
+        rows = report(self.IDS, self.SCORES, self.CONFS, [])["per_image"]
+        assert rows == [{"id": sid, "s_unc": s, "miou": metrics_from_confusion(c)["miou"],
+                         "acc": metrics_from_confusion(c)["acc"]}
+                        for sid, s, c in zip(self.IDS, self.SCORES, self.CONFS)]
+
+    def test_unfiltered_is_the_summed_confusion(self):
+        rep = report(self.IDS, self.SCORES, self.CONFS, [34.0])
+        assert rep["unfiltered"] == metrics_from_confusion(sum(self.CONFS))
+        assert rep["tables"] == {
+            "filtering": rank_and_filter(self.IDS, self.SCORES, self.CONFS, [34.0]),
+            "ablations": {}}
+
+    @pytest.mark.parametrize("cut", [0, 1, 2])
+    def test_misaligned_inputs_rejected(self, cut):
+        args = [self.IDS, self.SCORES, self.CONFS]
+        args[cut] = args[cut][:2]
+        with pytest.raises(ValueError, match="must align"):
+            report(*args, [1.0])
+
+    def test_no_image_rejected(self):
+        with pytest.raises(ValueError, match="at least one image"):
+            report([], [], [], [1.0])
 
 
 class TestThresholdDecision:

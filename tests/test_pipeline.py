@@ -92,8 +92,12 @@ def test_ablation_crop_vs_full_reports_both_arms():
     report = ablation_crop_vs_full(train, test, cfg, [20.0, 50.0])
     assert set(report) == {"crop", "full"}
     for arm in report.values():
-        assert 0.0 <= arm["miou"] <= 1.0
-        assert [row["pct"] for row in arm["filtered"]] == [20.0, 50.0]
-        assert [row["retained_count"] for row in arm["filtered"]] == [5, 3]
-        assert all(0.0 <= row["retained_miou"] <= 1.0 for row in arm["filtered"])
+        assert set(arm) == {"unfiltered", "per_image", "tables"}
+        assert set(arm["unfiltered"]) == {"miou", "e1", "f1", "acc"}
+        assert 0.0 <= arm["unfiltered"]["miou"] <= 1.0
+        assert [row["id"] for row in arm["per_image"]] == [s.sample_id for s in test]
+        filtering = arm["tables"]["filtering"]
+        assert [row["pct"] for row in filtering] == [20.0, 50.0]
+        assert [row["retained_count"] for row in filtering] == [5, 3]
+        assert all(0.0 <= row["retained_miou"] <= 1.0 for row in filtering)
     assert ablation_crop_vs_full(train, test, cfg, [20.0, 50.0]) == report
