@@ -30,7 +30,7 @@ from .config import RunConfig
 from .datasetio import DatasetError, read_dataset, read_pgm, write_dataset, write_pgm
 from .detect import BBox, crop_resize
 # no caller here: bench/attribution.py traces rank_and_filter under this module's name
-from .evaluate import rank_and_filter, report, threshold_decision
+from .evaluate import rank_and_filter, report
 from .metrics import confusion_matrix
 from .pipeline import DETECTOR_MODES, build_crops, infer_samples
 # no caller here: bench/attribution.py traces evaluate_miou under this module's name
@@ -153,21 +153,18 @@ def cmd_infer(args) -> int:
     if bad:
         raise FloatingPointError(f"s_unc is not finite for {len(bad)} samples "
                                  f"({', '.join(bad[:20])})")
-    accept = [int(threshold_decision(s, config.tau) == "accept") for s in s_unc]
 
     out = Path(args.out)
     (out / "pred").mkdir(parents=True, exist_ok=True)
     for sid, labels in zip(ids, y_hat):
         write_pgm(out / "pred" / f"{sid}.pgm", labels.astype(np.uint8))
-    _write_csv(out / "scores.csv", ["sample_id", "s_unc", "accept_at_tau", "l", "t", "h", "w"],
-               [[*row, *box.as_tuple()] for *row, box in zip(ids, s_unc, accept, boxes)])
+    _write_csv(out / "scores.csv", ["sample_id", "s_unc", "l", "t", "h", "w"],
+               [[sid, s, *box.as_tuple()] for sid, s, box in zip(ids, s_unc, boxes)])
     meta = {"config_hash": config.content_hash(), "arch_hash": config.arch_hash(),
-            "detector": args.detector, "tau": config.tau,
-            "crop": [config.crop_h, config.crop_w]}
+            "detector": args.detector, "crop": [config.crop_h, config.crop_w]}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n",
                                    encoding="utf-8")
-    print(f"wrote {len(ids)} predictions to {out} ({sum(accept)} accepted at "
-          f"tau={config.tau})")
+    print(f"wrote {len(ids)} predictions to {out}")
     return 0
 
 

@@ -36,8 +36,6 @@ class RunConfig:
     unc_lr: float = 1e-3
     unc_epochs: int = 3
     unc_batch: int = 8
-    # evaluation
-    tau: float = 0.0
 
     def __post_init__(self):
         # types first, so the range checks below and every later stage see

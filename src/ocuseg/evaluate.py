@@ -1,9 +1,10 @@
-"""Selective-prediction evaluation: score-ranked filtering, accept/reject,
+"""Selective-prediction evaluation: the report with score-ranked filtering,
 pupil centroids, and uncertainty-weighted gaze fusion.
 
 Filtering ranks images by uncertainty score (descending, ties broken by
 sample id ascending), drops the top p%, and recomputes MIoU on the
-aggregate confusion of the retained images.
+aggregate confusion of the retained images: risk against coverage.  No
+fixed score threshold carries over, as ``s_unc``'s scale moves with the crop.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ def report(sample_ids: list[str], scores: list[float], confusions: list[np.ndarr
     return {"unfiltered": metrics_from_confusion(sum(confusions)),
             "per_image": per_image,
             "tables": {"filtering": filtering, "ablations": {}}}
-
-
-def threshold_decision(s_unc: float, tau: float) -> str:
-    """Reject iff the score exceeds tau (boundary accepts)."""
-    return "reject" if s_unc > tau else "accept"
 
 
 def pupil_centroid(y_hat: np.ndarray) -> tuple[float, float] | None:

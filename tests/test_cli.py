@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import ocuseg
+from ocuseg import evaluate
 from ocuseg.checkpoint import load_checkpoint
 from ocuseg.cli import main
 from ocuseg.config import RunConfig
 from ocuseg.datasetio import read_dataset, read_pgm, write_pgm
 from ocuseg.detect import BBox, crop_resize
-from ocuseg import evaluate
 from ocuseg.metrics import confusion_matrix
 from ocuseg.pipeline import DETECTOR_MODES, build_crops, infer_samples
 from ocuseg.segnet import SegModel
@@ -26,7 +26,7 @@ from ocuseg.uncertainty import UncHead
 def tiny_cfg(tmp_path, **overrides) -> Path:
     kwargs = dict(seed=5, crop_h=32, crop_w=32, d=4, widths=[4, 8],
                   head_width=4, seg_epochs=1, seg_lr=1e-4,
-                  unc_epochs=1, unc_lr=1e-4, tau=1e9)
+                  unc_epochs=1, unc_lr=1e-4)
     kwargs.update(overrides)
     cfg = RunConfig(**kwargs)
     p = tmp_path / "config.json"
@@ -180,10 +180,12 @@ class TestInferEval:
         assert (tmp_path / "p1" / "scores.csv").read_bytes() \
             == (tmp_path / "p2" / "scores.csv").read_bytes()
         lines = (tmp_path / "p1" / "scores.csv").read_text().strip().split("\n")
-        assert lines[0] == "sample_id,s_unc,accept_at_tau,l,t,h,w"
+        assert lines[0] == "sample_id,s_unc,l,t,h,w"
         assert len(lines) == 13
-        assert all(len(ln.split(",")) == 7 for ln in lines)
-        assert json.loads((tmp_path / "p1" / "meta.json").read_text())["crop"] == [32, 32]
+        assert all(len(ln.split(",")) == 6 for ln in lines)
+        meta = json.loads((tmp_path / "p1" / "meta.json").read_text())
+        assert set(meta) == {"config_hash", "arch_hash", "detector", "crop"}
+        assert meta["crop"] == [32, 32]
         assert not (tmp_path / "p1" / "crops.csv").exists()
 
     def test_arch_mismatch_exit_2(self, trained, tmp_path):
@@ -263,7 +265,7 @@ class TestInferEval:
 
 
     @pytest.mark.parametrize("edit,expected", [
-        (lambda rows: rows + [f"x{i:02d},0.5,0,0,0,120,160" for i in range(25)],
+        (lambda rows: rows + [f"x{i:02d},0.5,0,0,120,160" for i in range(25)],
          "25 unknown ids (" + ", ".join(f"x{i:02d}" for i in range(20)) + ")"),
         (lambda rows: rows[:3] + rows[4:], "1 dataset ids without a row (s000002)"),
         (lambda rows: rows + rows[1:3], "2 duplicated ids (s000000, s000001)"),
@@ -327,35 +329,40 @@ class TestInferEval:
 PINNED_SCORES = [3.5, -1.25, 3.5, 1e5, 0.0, 2.0, -7.0, 3.5]
 
 
-def hand_built_predictions(root: Path) -> Path:
+def hand_built_predictions(root: Path, legacy: bool) -> Path:
     """A prediction directory written without a network for the pinned
     ``gen`` set at ``root / "data"``: each label map is its ground-truth crop
     shifted by up to two columns, with a block cleared in every third map;
-    even samples keep their manifest box and odd ones take the whole frame."""
+    even samples keep their manifest box and odd ones take the whole frame.
+    ``legacy`` adds the ``accept_at_tau`` column and the ``tau`` key that
+    earlier versions of ``infer`` wrote."""
     pred = root / "pred"
     (pred / "pred").mkdir(parents=True)
-    rows = ["sample_id,s_unc,accept_at_tau,l,t,h,w"]
+    rows = ["sample_id,s_unc,accept_at_tau,l,t,h,w" if legacy else "sample_id,s_unc,l,t,h,w"]
     for i, (s, s_unc) in enumerate(zip(read_dataset(root / "data"), PINNED_SCORES)):
         box = BBox(*s.gt_bbox) if i % 2 == 0 else BBox(0, 0, *s.image.shape)
         y_hat = np.roll(crop_resize(s, box, 32, 32)[1], i % 3, axis=1)
         if i % 3 == 0:
             y_hat[4:12, 10:20] = 0
         write_pgm(pred / "pred" / f"{s.sample_id}.pgm", y_hat.astype(np.uint8))
-        rows.append(",".join([s.sample_id, repr(s_unc), "0", *map(str, box.as_tuple())]))
+        rows.append(",".join([s.sample_id, repr(s_unc), *(["0"] if legacy else []),
+                              *map(str, box.as_tuple())]))
     (pred / "scores.csv").write_text("\n".join(rows) + "\n")
     meta = {"config_hash": "0123456789abcdef", "arch_hash": "fedcba9876543210",
-            "detector": "gt-jitter", "tau": 0.0, "crop": [32, 32]}
+            "detector": "gt-jitter", "crop": [32, 32], **({"tau": 0.0} if legacy else {})}
     (pred / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
     return pred
 
 
-def test_eval_outputs_pinned(tmp_path, capsys):
+@pytest.mark.parametrize("legacy", [False, True], ids=["current", "legacy"])
+def test_eval_outputs_pinned(tmp_path, capsys, legacy):
     """``eval``'s report, filtering table and stdout on hand-built
     predictions, pinned by sha256; no network runs, so no float depends on
-    the BLAS build."""
+    the BLAS build.  A directory in the format of earlier versions gives
+    the same bytes."""
     assert main(["gen", "--out", str(tmp_path / "data"), "--n", str(len(PINNED_SCORES)),
                  "--seed", "13"]) == 0
-    pred = hand_built_predictions(tmp_path)
+    pred = hand_built_predictions(tmp_path, legacy)
     out = tmp_path / "report.json"
     capsys.readouterr()
     assert main(["eval", "--pred", str(pred), "--data", str(tmp_path / "data"),
@@ -409,7 +416,7 @@ def eval_with(edit, pcts="1,2"):
 def replace_score(pred, value):
     rows = (pred / "scores.csv").read_text().split("\n")
     fields = rows[1].split(",")
-    rows[1] = ",".join([fields[0], value, "1", *fields[3:]])
+    rows[1] = ",".join([fields[0], value, *fields[2:]])
     (pred / "scores.csv").write_text("\n".join(rows))
 
 
@@ -431,7 +438,7 @@ def replace_crop(pred, box):
     """Set the box columns of the first scores.csv row (sample s000000)."""
     rows = (pred / "scores.csv").read_text().split("\n")
     assert rows[1].startswith("s000000,")
-    rows[1] = ",".join([*rows[1].split(",")[:3], *map(str, box)])
+    rows[1] = ",".join([*rows[1].split(",")[:2], *map(str, box)])
     (pred / "scores.csv").write_text("\n".join(rows))
 
 
@@ -443,8 +450,8 @@ def append_crop(pred, row):
 def two_file_format(pred):
     """Split scores.csv into the earlier scores.csv + crops.csv pair."""
     rows = [ln.split(",") for ln in (pred / "scores.csv").read_text().strip().split("\n")]
-    (pred / "scores.csv").write_text("".join(",".join(r[:3]) + "\n" for r in rows))
-    (pred / "crops.csv").write_text("".join(",".join([r[0], *r[3:]]) + "\n" for r in rows))
+    (pred / "scores.csv").write_text("".join(",".join(r[:2]) + "\n" for r in rows))
+    (pred / "crops.csv").write_text("".join(",".join([r[0], *r[2:]]) + "\n" for r in rows))
 
 
 def gen(*extra):
@@ -584,8 +591,8 @@ def image_as_directory(data, records):
 
 
 def with_legacy_fields(fields: dict) -> None:
-    """Add the config fields that fixed constants replaced."""
-    fields.update(seg_momentum=0.9, unc_momentum=0.9, bbox_jitter=0.1)
+    """Add the config fields that earlier versions wrote and that are gone."""
+    fields.update(seg_momentum=0.9, unc_momentum=0.9, bbox_jitter=0.1, tau=0.0)
 
 
 def legacy_config(tmp_path) -> str:
@@ -662,8 +669,10 @@ BAD_INPUTS = {
     "widths-negative": (train_with("widths", [8, -1]),
                         "widths must list two ints >= 1, got [8, -1]"),
     "head_width": (train_with("head_width"), "head_width must be >= 1, got 0"),
-    "tau-str": (train_with("tau", "x"), "tau must be a finite number, got 'x'"),
-    "tau-inf": (train_with("tau", float("inf")), "tau must be a finite number, got inf"),
+    "tau-str": (train_with("tau", "x"), "unknown config fields: ['tau']"),
+    "seg_lr-str": (train_with("seg_lr", "x"), "seg_lr must be a finite number, got 'x'"),
+    "unc_lr-inf": (train_with("unc_lr", float("inf")),
+                   "unc_lr must be a finite number, got inf"),
     "train-unc-arch": (train_with("d", 6), "config does not match the segmentation "
                        "checkpoint's architecture"),
     "landscape-n": (landscape("--n", "5"), "--n 5"),
@@ -713,12 +722,12 @@ BAD_INPUTS = {
                        "scores.csv box of s000000"),
     "crop-text": (eval_with(lambda p: replace_crop(p, ("a", 10, 60, 60))),
                   "bad scores.csv row for s000000 in"),
-    "crop-duplicated": (eval_with(lambda p: append_crop(p, "s000000,0.5,1,0,0,120,160")),
+    "crop-duplicated": (eval_with(lambda p: append_crop(p, "s000000,0.5,0,0,120,160")),
                         "scores.csv does not match the dataset: 1 duplicated ids (s000000)"),
-    "crop-unknown": (eval_with(lambda p: append_crop(p, "x00,0.5,1,0,0,120,160")),
+    "crop-unknown": (eval_with(lambda p: append_crop(p, "x00,0.5,0,0,120,160")),
                      "scores.csv does not match the dataset: 1 unknown ids (x00)"),
     "crops-header": (eval_with(replace_header("scores.csv",
-                                              "sample_id,s_unc,accept_at_tau,left,t,h,w")),
+                                              "sample_id,s_unc,left,t,h,w")),
                      "scores.csv lacks columns ['l']"),
     "two-file-format": (eval_with(two_file_format),
                         "scores.csv lacks columns ['l', 't', 'h', 'w']"),
@@ -728,7 +737,7 @@ BAD_INPUTS = {
         "train-seg", "--data", str(root / "data"), "--config", str(tmp_path / "none.json"),
         "--out", str(tmp_path / "out")], "none.json'"),
     "scores-header": (eval_with(replace_header("scores.csv",
-                                               "sample_id,score,accept_at_tau,l,t,h,w")),
+                                               "sample_id,score,l,t,h,w")),
                       "scores.csv lacks columns ['s_unc']"),
     "gen-size-10x10": (gen("--n", "1", "--size", "10x10"), "--size must be at least 64x64"),
     "gen-size-0x0": (gen("--n", "1", "--size", "0x0"), "--size must be at least 64x64"),
@@ -825,10 +834,10 @@ BAD_INPUTS = {
     "legacy-config": (lambda tmp_path, root, pred: [
         "train-seg", "--data", str(root / "data"), "--config", legacy_config(tmp_path),
         "--out", str(tmp_path / "g")],
-        "unknown config fields: ['bbox_jitter', 'seg_momentum', 'unc_momentum']"),
+        "unknown config fields: ['bbox_jitter', 'seg_momentum', 'tau', 'unc_momentum']"),
     "legacy-checkpoint": (infer_with_seg_header(lambda h: with_legacy_fields(h["config"])),
                           "header.json: invalid config: unknown config fields: "
-                          "['bbox_jitter', 'seg_momentum', 'unc_momentum']"),
+                          "['bbox_jitter', 'seg_momentum', 'tau', 'unc_momentum']"),
     "heuristic-small-frame": (with_detector(infer_on_dataset(small_frame), "heuristic"),
                               "sample s000000: heuristic detector: frame must be at "
                               "least 64x64, got 48x48"),

@@ -12,7 +12,7 @@ from ocuseg.rng import Rng
 
 class TestRunConfig:
     def test_json_roundtrip_equality(self):
-        cfg = RunConfig(seed=11, crop_h=48, crop_w=48, tau=12.5, widths=[6, 12])
+        cfg = RunConfig(seed=11, crop_h=48, crop_w=48, unc_lr=12.5, widths=[6, 12])
         back = RunConfig.from_json(cfg.to_json())
         assert back == cfg
 
@@ -31,7 +31,7 @@ class TestRunConfig:
         assert a.arch_hash() != c.arch_hash()
 
     def test_float_field_int_spelling_hashes_alike(self):
-        assert RunConfig(tau=5).content_hash() == RunConfig(tau=5.0).content_hash()
+        assert RunConfig(seg_lr=5).content_hash() == RunConfig(seg_lr=5.0).content_hash()
         assert RunConfig(eps_floor=1).arch_hash() == RunConfig(eps_floor=1.0).arch_hash()
         assert RunConfig.from_json('{"eps_floor": 1}') == RunConfig(eps_floor=1.0)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ocuseg.evaluate import (GazeSample, fuse_gaze, pupil_centroid, rank_and_filter,
-                             report, spearman, threshold_decision)
+                             report, spearman)
 from ocuseg.metrics import confusion_matrix, metrics_from_confusion
 
 
@@ -89,22 +89,6 @@ class TestReport:
     def test_no_image_rejected(self):
         with pytest.raises(ValueError, match="at least one image"):
             report([], [], [], [1.0])
-
-
-class TestThresholdDecision:
-    def test_boundary_inclusive(self):
-        assert threshold_decision(5.0, 5.0) == "accept"
-        assert threshold_decision(5.0001, 5.0) == "reject"
-
-    def test_infinite_tau_always_accepts(self):
-        assert threshold_decision(1e300, math.inf) == "accept"
-
-    def test_percentile_tau_rejects_expected_fraction(self):
-        rng = np.random.default_rng(0)
-        scores = rng.normal(size=2000)
-        tau = float(np.percentile(scores, 95))
-        rej = np.mean([threshold_decision(s, tau) == "reject" for s in scores])
-        assert abs(rej - 0.05) <= 0.01
 
 
 class TestPupilCentroid:
