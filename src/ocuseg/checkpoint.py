@@ -6,14 +6,15 @@ model) or ``unc`` (uncertainty head).  ``weights.bin`` is the tensors'
 float64 data, little-endian, concatenated in index order.  On load the
 header must name a kind (the one expected, if the caller gives it), the
 stored arch_hash must match the stored config, the size of ``weights.bin``
-must equal the sum of the tensor sizes, each ``byte_offset`` must be
-where the tensors before it end, and every value must be finite in
-float32.  Writes are byte-deterministic.
+must equal the sum of the tensor sizes, no tensor may be named twice, each
+``byte_offset`` must be where the tensors before it end, and every value
+must be finite in float32.  Writes are byte-deterministic.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +92,7 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
         raise CheckpointError(f"{header_path}: 'tensors' must be a list of {{name: string, "
                               f"shape: list of counts, byte_offset: count}}, got {index!r}")
     raw = weights_path.read_bytes()
-    counts = [int(np.prod(entry["shape"])) if entry["shape"] else 1 for entry in index]
+    counts = [math.prod(entry["shape"]) for entry in index]
     expected = 8 * sum(counts)
     if len(raw) != expected:
         kind = "truncated" if len(raw) < expected else "trailing bytes in"
@@ -100,6 +101,8 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
     tensors = {}
     off = 0
     for entry, count in zip(index, counts):
+        if entry["name"] in tensors:
+            raise CheckpointError(f"{header_path}: tensor {entry['name']!r} is listed twice")
         if entry["byte_offset"] != off:
             raise CheckpointError(f"{header_path}: tensor {entry['name']!r} has byte_offset "
                                   f"{entry['byte_offset']}, not {off} where those before it end")

@@ -148,7 +148,7 @@ def cmd_infer(args) -> int:
     head = UncHead(config)
     head.set_params(unc_params)
     images, _, boxes, ids = build_crops(_read_samples(args.data), config, args.detector)
-    y_hat, s_unc = infer_samples(images, seg, head, config)
+    y_hat, s_unc = infer_samples(images, seg, head)
     bad = [sid for sid, s in zip(ids, s_unc) if not np.isfinite(s)]
     if bad:
         raise FloatingPointError(f"s_unc is not finite for {len(bad)} samples "
@@ -170,13 +170,18 @@ def cmd_infer(args) -> int:
 
 def _read_csv(path: Path, required: tuple[str, ...]) -> list[dict[str, str]]:
     """Rows of a CSV file as dicts keyed by its header, which must name
-    every ``required`` column."""
+    every ``required`` column; each row must have one field per column."""
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     header = lines[0].split(",")
     missing = [c for c in required if c not in header]
     if missing:
         raise UsageError(f"{path} lacks columns {missing} (header: {lines[0]!r})")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    rows = [ln.split(",") for ln in lines[1:]]
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise UsageError(f"{path}: row {i} has {len(row)} fields, the header "
+                             f"{len(header)}: {lines[i]!r}")
+    return [dict(zip(header, row)) for row in rows]
 
 
 def _check_row_ids(name: str, row_ids: list[str], dataset_ids) -> None:
@@ -218,7 +223,7 @@ def cmd_eval(args) -> int:
         try:
             s_unc = float(row["s_unc"])
             box = BBox(int(row["l"]), int(row["t"]), int(row["h"]), int(row["w"]))
-        except (KeyError, ValueError):
+        except ValueError:
             raise UsageError(f"bad scores.csv row for {sid} in {pred_dir}: {row}") from None
         if not np.isfinite(s_unc):
             raise UsageError(f"{pred_dir / 'scores.csv'}: s_unc of {sid} is "

@@ -59,7 +59,7 @@ def build_crops(samples: list[Sample], config: RunConfig, mode: str = "gt-jitter
     return images, labels, boxes, ids
 
 
-def infer_samples(images: np.ndarray, seg: SegModel, head: UncHead, config: RunConfig
+def infer_samples(images: np.ndarray, seg: SegModel, head: UncHead
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Segment and score built crops: label maps [N, H, W] (int64) and
     ``s_unc`` [N]."""
@@ -67,7 +67,7 @@ def infer_samples(images: np.ndarray, seg: SegModel, head: UncHead, config: RunC
     s_unc = np.empty(len(images))
     for i in range(0, len(images), INFER_BATCH):
         y_hat[i:i + INFER_BATCH], stages = predict_batch(seg, images[i:i + INFER_BATCH])
-        s_unc[i:i + INFER_BATCH] = unc_score(head.forward(stages), config.eps_floor)
+        s_unc[i:i + INFER_BATCH] = unc_score(head.forward(stages))
     return y_hat, s_unc
 
 
@@ -82,7 +82,7 @@ def ablation_crop_vs_full(train_samples: list[Sample], test_samples: list[Sample
         seg, _ = train_seg(images, labels, config)
         head, _ = train_unc(images, labels, seg, "surrogate", config)
         images, labels, _, ids = build_crops(test_samples, config, mode)
-        y_hat, s_unc = infer_samples(images, seg, head, config)
+        y_hat, s_unc = infer_samples(images, seg, head)
         confs = [confusion_matrix(p, t) for p, t in zip(y_hat, labels)]
         arms[name] = report(ids, s_unc.tolist(), confs, pcts)
     return arms

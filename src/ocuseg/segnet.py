@@ -170,6 +170,10 @@ def evaluate_miou(model: SegModel, images: np.ndarray, labels: np.ndarray) -> fl
     return metrics_from_confusion(conf)["miou"]
 
 
+# Base learning rate and crops per step of the segmentation stage.
+SEG_LR = 3e-4
+SEG_BATCH = 8
+
 # The summed-over-pixels loss gives different parameter groups gradient
 # norms that differ by orders of magnitude (class-imbalance sums hit the
 # head and biases hardest); these fixed multipliers bring the groups'
@@ -199,7 +203,7 @@ def train_seg(images: np.ndarray, labels: np.ndarray, config: RunConfig
     model.init_params(Rng(config.seed).derive("seg-init"))
     epochs = fit(lambda idx: seg_loss(model, images[idx], labels[idx]),
                  model.params(), len(images), epochs=config.seg_epochs,
-                 batch=config.seg_batch, lr=config.seg_lr,
+                 batch=SEG_BATCH, lr=SEG_LR,
                  shuffler=Rng(config.seed).derive("seg-shuffle"),
                  clip=lambda grads: clip_grad_norm(grads, SEG_CLIP_NORM),
                  lr_scales=SEG_LR_SCALES)

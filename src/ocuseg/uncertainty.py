@@ -36,6 +36,9 @@ from .segnet import SegModel, StageFeatures
 
 LN_2PI = math.log(2.0 * math.pi)
 
+# the positive floor under every predicted variance
+EPS_FLOOR = 1e-6
+
 
 class UncHead:
     """Bottleneck head: one downsampling and two upsampling steps with skips.
@@ -44,7 +47,7 @@ class UncHead:
         c = relu(h2(pool2x_batch(a)))                      [u, H/4]
         e = relu(h3(concat(upsample2x_batch(c), a)))       [u, H/2]
         pre = h4(concat(upsample2x_batch(e), stage1, z))   [D, H]
-        cov = softplus(pre) + eps_floor
+        cov = softplus(pre) + EPS_FLOOR
 
     h3 and h4 read their concatenations in place, as ``ChannelStack(c, a)``
     and ``ChannelStack(e, stage1, z)``: no upsampled or concatenated copy is
@@ -62,7 +65,6 @@ class UncHead:
         self.h3 = Conv2d("h3", 2 * u, u)
         self.h4 = Conv2d("h4", u + w1 + d, d)
         self.convs = (self.h1, self.h2, self.h3, self.h4)
-        self.eps_floor = config.eps_floor
         self._cache: dict = {}
 
     def init_params(self, rng: Rng) -> None:
@@ -77,7 +79,7 @@ class UncHead:
             conv.set_params(values)
 
     def forward(self, stages: StageFeatures, keep_cache: bool = False) -> np.ndarray:
-        """StageFeatures -> variances [D, N, H, W], all >= eps_floor."""
+        """StageFeatures -> variances [D, N, H, W], all >= EPS_FLOOR."""
         h = stages.stage1.shape[2]
         if stages.stage2.shape[2] != h // 2 or stages.z.shape[2] != h:
             raise ValueError(
@@ -93,11 +95,11 @@ class UncHead:
                                 keep_cache=keep_cache)
         if not keep_cache:
             self._cache = {}
-            return softplus(g_pre) + self.eps_floor
+            return softplus(g_pre) + EPS_FLOOR
         # keep softplus's slope, not g_pre: backward needs nothing else of it
         cov, slope = softplus_with_slope(g_pre)
         self._cache = {"a_pre": a_pre, "c_pre": c_pre, "e_pre": e_pre, "slope": slope}
-        return cov + self.eps_floor
+        return cov + EPS_FLOOR
 
     def backward(self, grad_cov: np.ndarray) -> dict[str, np.ndarray]:
         u = self.config.head_width
@@ -155,14 +157,14 @@ def surrogate_loss_batch(cov: np.ndarray, v: np.ndarray) -> tuple[float, np.ndar
     return loss, 2.0 * diff / npix
 
 
-def unc_score(cov: np.ndarray, eps_floor: float = 0.0) -> np.ndarray:
+def unc_score(cov: np.ndarray) -> np.ndarray:
     """Per-crop sum over pixels of ln det(diag covariance), i.e. of the log
     variances: ``[D, N, H, W] -> [N]`` float64.
 
     The floor is compared in ``cov``'s dtype: a float32 variance at the
-    floor is ``float32(eps_floor)``, which may lie below ``eps_floor``."""
+    floor is ``float32(EPS_FLOOR)``, which lies below ``EPS_FLOOR``."""
     lowest = cov.min()
-    if lowest < cov.dtype.type(eps_floor) or lowest <= 0.0:
+    if lowest < cov.dtype.type(EPS_FLOOR):
         raise ValueError(f"variance below floor: min {lowest}")
     return np.log(cov).sum(axis=(0, 2, 3), dtype=np.float64)
 
@@ -210,6 +212,9 @@ def landscape_grid(v: np.ndarray, w_range: tuple[float, float], n: int) -> list[
 # head training (backbone frozen)
 # ---------------------------------------------------------------------------
 
+# base learning rate, crops per step and gradient-norm ceiling of the head
+UNC_LR = 1e-3
+UNC_BATCH = 8
 UNC_CLIP_NORM = 500.0
 
 
@@ -250,7 +255,7 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
     head = UncHead(config)
     head.init_params(Rng(config.seed).derive("unc-init"))
     loss_fn = original_loss_batch if loss_kind == "original" else surrogate_loss_batch
-    n, b = len(images), config.unc_batch
+    n, b = len(images), UNC_BATCH
 
     z = np.empty((config.d,) + images.shape, dtype=images.dtype)
     for i in range(0, n, b):
@@ -266,7 +271,7 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
         return loss, head.backward(dcov), float(np.abs(cov - v * v).mean(dtype=np.float64))
 
     epochs = fit(step_batch, head.params(), n, epochs=config.unc_epochs,
-                 batch=config.unc_batch, lr=config.unc_lr,
+                 batch=UNC_BATCH, lr=UNC_LR,
                  shuffler=Rng(config.seed).derive("unc-shuffle"),
                  clip=lambda grads: clip_grad_norm(grads, UNC_CLIP_NORM))
     return head, [(epoch, *means) for epoch, means in epochs]

@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import ocuseg
-from ocuseg import evaluate
+from ocuseg import evaluate, segnet, uncertainty
 from ocuseg.checkpoint import load_checkpoint
 from ocuseg.cli import main
 from ocuseg.config import RunConfig
@@ -23,10 +24,19 @@ from ocuseg.segnet import SegModel
 from ocuseg.uncertainty import UncHead
 
 
+@pytest.fixture(scope="module", autouse=True)
+def slow_rates():
+    """Training in this process runs both stages at a learning rate of 1e-4;
+    the subprocesses of the thread test train at the modules' own rates."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segnet, "SEG_LR", 1e-4)
+        mp.setattr(uncertainty, "UNC_LR", 1e-4)
+        yield
+
+
 def tiny_cfg(tmp_path, **overrides) -> Path:
     kwargs = dict(seed=5, crop_h=32, crop_w=32, d=4, widths=[4, 8],
-                  head_width=4, seg_epochs=1, seg_lr=1e-4,
-                  unc_epochs=1, unc_lr=1e-4)
+                  head_width=4, seg_epochs=1, unc_epochs=1)
     kwargs.update(overrides)
     cfg = RunConfig(**kwargs)
     p = tmp_path / "config.json"
@@ -110,19 +120,6 @@ class TestTraining:
                      "--out", str(tmp_path / "unc2")]) == 2
         assert f"No such file or directory: '{tmp_path / 'nope' / 'header.json'}'" \
             in capsys.readouterr().err
-
-    def test_float_field_spelled_as_int_matches(self, trained, tmp_path):
-        # a JSON int in a float field is the same config as the float
-        root, cfg_path = trained
-        fields = json.loads(cfg_path.read_text())
-        for name, eps_floor in (("as_float", 1.0), ("as_int", 1)):
-            (tmp_path / f"{name}.json").write_text(json.dumps({**fields, "eps_floor": eps_floor}))
-        assert '"eps_floor": 1,' in (tmp_path / "as_int.json").read_text()
-        assert main(["train-seg", "--data", str(root / "data"), "--config",
-                     str(tmp_path / "as_float.json"), "--out", str(tmp_path / "seg")]) == 0
-        assert main(["train-unc", "--data", str(root / "data"), "--config",
-                     str(tmp_path / "as_int.json"), "--seg", str(tmp_path / "seg"),
-                     "--out", str(tmp_path / "unc")]) == 0
 
     def test_corrupt_config_exit_2(self, trained, tmp_path):
         root, _ = trained
@@ -243,7 +240,7 @@ class TestInferEval:
         head = UncHead(config)
         head.set_params(load_checkpoint(root / "unc", "unc")[1])
         images, labels, _, ids = build_crops(read_dataset(root / "data"), config, detector)
-        y_hat, s_unc = infer_samples(images, seg, head, config)
+        y_hat, s_unc = infer_samples(images, seg, head)
         confs = [confusion_matrix(p, t) for p, t in zip(y_hat, labels)]
         assert json.loads(out.read_text()) == {
             "config_hash": config.content_hash(), "detector": detector,
@@ -479,6 +476,22 @@ def infer_with_seg_header(edit, raw=False):
     return argv
 
 
+def infer_with_seg_tensor(name, shape, zeros=False):
+    """infer with a seg checkpoint whose header lists one more tensor,
+    ``name`` of ``shape``, where the others end; ``zeros`` appends its data
+    to weights.bin."""
+    def argv(tmp_path, root, pred):
+        entry = {"name": name, "shape": shape,
+                 "byte_offset": (root / "seg" / "weights.bin").stat().st_size}
+        out = infer_with_seg_header(lambda header: header["tensors"].append(entry))(
+            tmp_path, root, pred)
+        if zeros:
+            with open(tmp_path / "seg" / "weights.bin", "ab") as f:
+                f.write(bytes(8 * math.prod(shape)))
+        return out
+    return argv
+
+
 def with_first_weight(checkpoint: Path, value: float) -> None:
     """Overwrite the first float64 of ``checkpoint``'s weights.bin."""
     raw = bytearray((checkpoint / "weights.bin").read_bytes())
@@ -592,7 +605,13 @@ def image_as_directory(data, records):
 
 def with_legacy_fields(fields: dict) -> None:
     """Add the config fields that earlier versions wrote and that are gone."""
-    fields.update(seg_momentum=0.9, unc_momentum=0.9, bbox_jitter=0.1, tau=0.0)
+    fields.update(seg_momentum=0.9, unc_momentum=0.9, bbox_jitter=0.1, tau=0.0,
+                  seg_lr=3e-4, seg_batch=8, unc_lr=1e-3, unc_batch=8, eps_floor=1e-6)
+
+
+# sorted, as ``from_json`` names them
+LEGACY_FIELDS = ["bbox_jitter", "eps_floor", "seg_batch", "seg_lr", "seg_momentum", "tau",
+                 "unc_batch", "unc_lr", "unc_momentum"]
 
 
 def legacy_config(tmp_path) -> str:
@@ -654,25 +673,17 @@ def existing(tmp_path, name, directory=False) -> str:
 
 BAD_INPUTS = {
     "seg_epochs": (train_with("seg_epochs"), "seg_epochs must be >= 1, got 0"),
-    "seg_batch": (train_with("seg_batch"), "seg_batch must be >= 1, got 0"),
     "unc_epochs": (train_with("unc_epochs"), "unc_epochs must be >= 1, got 0"),
-    "unc_batch": (train_with("unc_batch"), "unc_batch must be >= 1, got 0"),
-    "eps_floor": (train_with("eps_floor", -5.0), "eps_floor must be > 0, got -5.0"),
-    "seg_lr": (train_with("seg_lr", -1.0), "seg_lr must be >= 0, got -1.0"),
-    "unc_lr": (train_with("unc_lr", -1.0), "unc_lr must be >= 0, got -1.0"),
     "crop_h": (train_with("crop_h", 0), "crop_h must be >= 4, got 0"),
     "crop_w": (train_with("crop_w", 0), "crop_w must be >= 4, got 0"),
     "crop_h-float": (train_with("crop_h", 96.0), "crop_h must be an int, got 96.0"),
     "seg_epochs-float": (train_with("seg_epochs", 1.5), "seg_epochs must be an int, got 1.5"),
-    "seg_batch-bool": (train_with("seg_batch", True), "seg_batch must be an int, got True"),
+    "seg_epochs-bool": (train_with("seg_epochs", True), "seg_epochs must be an int, got True"),
     "widths-str": (train_with("widths", "ab"), "widths must list two ints >= 1, got 'ab'"),
     "widths-negative": (train_with("widths", [8, -1]),
                         "widths must list two ints >= 1, got [8, -1]"),
     "head_width": (train_with("head_width"), "head_width must be >= 1, got 0"),
     "tau-str": (train_with("tau", "x"), "unknown config fields: ['tau']"),
-    "seg_lr-str": (train_with("seg_lr", "x"), "seg_lr must be a finite number, got 'x'"),
-    "unc_lr-inf": (train_with("unc_lr", float("inf")),
-                   "unc_lr must be a finite number, got inf"),
     "train-unc-arch": (train_with("d", 6), "config does not match the segmentation "
                        "checkpoint's architecture"),
     "landscape-n": (landscape("--n", "5"), "--n 5"),
@@ -736,6 +747,8 @@ BAD_INPUTS = {
     "config-missing": (lambda tmp_path, root, pred: [
         "train-seg", "--data", str(root / "data"), "--config", str(tmp_path / "none.json"),
         "--out", str(tmp_path / "out")], "none.json'"),
+    "scores-extra-field": (eval_with(lambda p: replace_crop(p, (0, 0, 10, 10, 99))),
+                           "pred/scores.csv: row 1 has 7 fields, the header 6: 's000000,"),
     "scores-header": (eval_with(replace_header("scores.csv",
                                                "sample_id,score,l,t,h,w")),
                       "scores.csv lacks columns ['s_unc']"),
@@ -774,6 +787,11 @@ BAD_INPUTS = {
     "checkpoint-tensor-overlap": (infer_with_seg_header(
         lambda header: header["tensors"][1].update(byte_offset=0)),
         "header.json: tensor 'conv1.bias' has byte_offset 0, not 288 where those before it end"),
+    "checkpoint-tensor-shape-overflow": (infer_with_seg_tensor("b", [2**32, 2**32]),
+                                         "seg/weights.bin: 6304 bytes, header describes "
+                                         "147573952589676419232"),
+    "checkpoint-tensor-duplicated": (infer_with_seg_tensor("head", [4, 4], zeros=True),
+                                     "seg/header.json: tensor 'head' is listed twice"),
     "checkpoint-tensor-nan": (infer_with_unc_weight(float("nan")),
                               "weights.bin: tensor 'h1.kernel' holds non-finite values"),
     "checkpoint-tensor-1e300": (train_unc_with_seg_weight(1e300),
@@ -834,10 +852,9 @@ BAD_INPUTS = {
     "legacy-config": (lambda tmp_path, root, pred: [
         "train-seg", "--data", str(root / "data"), "--config", legacy_config(tmp_path),
         "--out", str(tmp_path / "g")],
-        "unknown config fields: ['bbox_jitter', 'seg_momentum', 'tau', 'unc_momentum']"),
+        f"unknown config fields: {LEGACY_FIELDS}"),
     "legacy-checkpoint": (infer_with_seg_header(lambda h: with_legacy_fields(h["config"])),
-                          "header.json: invalid config: unknown config fields: "
-                          "['bbox_jitter', 'seg_momentum', 'tau', 'unc_momentum']"),
+                          f"header.json: invalid config: unknown config fields: {LEGACY_FIELDS}"),
     "heuristic-small-frame": (with_detector(infer_on_dataset(small_frame), "heuristic"),
                               "sample s000000: heuristic detector: frame must be at "
                               "least 64x64, got 48x48"),

@@ -49,21 +49,21 @@ def test_infer_purity_and_alignment():
     cfg, samples, seg, head = small_setup()
     images = build_crops(samples, cfg)[0]
     before = images.copy()
-    y_hat, s_unc = infer_samples(images, seg, head, cfg)
-    y_hat2, s_unc2 = infer_samples(images, seg, head, cfg)
+    y_hat, s_unc = infer_samples(images, seg, head)
+    y_hat2, s_unc2 = infer_samples(images, seg, head)
     assert np.array_equal(images, before)
     assert y_hat.shape == images.shape and y_hat.dtype == np.int64
     assert s_unc.shape == (len(images),)
     assert np.array_equal(y_hat, y_hat2) and np.array_equal(s_unc, s_unc2)
     # enough copies to span two inference batches; each copy's rows stay with its crops
     copies = INFER_BATCH // len(images) + 1
-    y_rep, s_rep = infer_samples(np.concatenate([images] * copies), seg, head, cfg)
+    y_rep, s_rep = infer_samples(np.concatenate([images] * copies), seg, head)
     for k in range(copies):
         rows = slice(k * len(images), (k + 1) * len(images))
         assert np.array_equal(y_rep[rows], y_hat)
         assert np.allclose(s_rep[rows], s_unc, rtol=1e-12, atol=0.0)
     # the same crop twice in one batch scores identically
-    _, dup = infer_samples(images[[0, 0]], seg, head, cfg)
+    _, dup = infer_samples(images[[0, 0]], seg, head)
     assert dup[0] == dup[1]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from gradcheck import grad_check, pack_params, unpack_params
 
+from ocuseg import segnet
 from ocuseg.config import RunConfig
 from ocuseg.layers import softmax_rows
 from ocuseg.rng import Rng
@@ -179,10 +180,10 @@ class TestTraining:
         for k, v in a.params().items():
             assert np.array_equal(v, b.params()[k]), k
 
-    def test_lr_zero_keeps_init(self, tiny_config, tiny_batch):
+    def test_lr_zero_keeps_init(self, tiny_config, tiny_batch, monkeypatch):
         images, labels = tiny_batch
+        monkeypatch.setattr(segnet, "SEG_LR", 0.0)
         cfg = tiny_config
-        cfg.seg_lr = 0.0
         cfg.seg_epochs = 1
         trained, log = train_seg(images, labels, cfg)
         init = make_model(cfg, seed=cfg.seed)
@@ -197,7 +198,9 @@ class TestTraining:
         # pass; at lr 0 it is the model's MIoU over all crops, whatever the
         # batch sizes (here 2, 2 and 1)
         n, cfg = 5, tiny_config
-        cfg.seg_batch, cfg.seg_epochs, cfg.seg_lr = 2, 2, 0.0
+        cfg.seg_epochs = 2
+        monkeypatch.setattr(segnet, "SEG_BATCH", 2)
+        monkeypatch.setattr(segnet, "SEG_LR", 0.0)
         images = Rng(5).uniform_array(n * 16 * 16).reshape(n, 16, 16)
         labels = (Rng(6).u64_array(n * 16 * 16) % 4).astype(np.int64).reshape(n, 16, 16)
         calls = []
@@ -205,16 +208,16 @@ class TestTraining:
         monkeypatch.setattr(SegModel, "forward_batch",
                             lambda self, *a, **kw: calls.append(1) or forward(self, *a, **kw))
         _, log = train_seg(images, labels, cfg)
-        assert len(calls) == cfg.seg_epochs * math.ceil(n / cfg.seg_batch)
+        assert len(calls) == cfg.seg_epochs * math.ceil(n / segnet.SEG_BATCH)
         want = evaluate_miou(make_model(cfg, seed=cfg.seed), images, labels)
         assert [row[0] for row in log] == [0, 1]
         assert [row[2] for row in log] == pytest.approx([want, want], rel=1e-12)
 
-    def test_loss_decreases_over_first_epochs(self, tiny_config, tiny_batch):
+    def test_loss_decreases_over_first_epochs(self, tiny_config, tiny_batch, monkeypatch):
         images, labels = tiny_batch
+        monkeypatch.setattr(segnet, "SEG_LR", 1e-4)
         cfg = tiny_config
         cfg.seg_epochs = 5
-        cfg.seg_lr = 1e-4
         _, log = train_seg(images, labels, cfg)
         losses = [row[1] for row in log]
         assert all(b <= a for a, b in zip(losses, losses[1:]))

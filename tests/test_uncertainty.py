@@ -6,13 +6,14 @@ import pytest
 
 from gradcheck import grad_check, pack_params, unpack_params
 
+from ocuseg import uncertainty
 from ocuseg.config import RunConfig
 from ocuseg.layers import Conv2d
 from ocuseg.rng import Rng
 from ocuseg.segnet import INFER_BATCH, SegModel, count_flops, predict_batch
-from ocuseg.uncertainty import (UncHead, _softplus_inverse, head_flops, landscape_grid,
-                                loss_probe, original_loss_batch, residual_targets,
-                                surrogate_loss_batch, train_unc, unc_score)
+from ocuseg.uncertainty import (EPS_FLOOR, UncHead, _softplus_inverse, head_flops,
+                                landscape_grid, loss_probe, original_loss_batch,
+                                residual_targets, surrogate_loss_batch, train_unc, unc_score)
 
 LN_2PI = math.log(2 * math.pi)
 
@@ -58,7 +59,7 @@ class TestHeadForward:
         model, stages, *_ = seg_and_batch(tiny_config, tiny_batch)
         head = UncHead(tiny_config)      # zero params
         cov = head.forward(stages)
-        expected = math.log(2.0) + tiny_config.eps_floor
+        expected = math.log(2.0) + EPS_FLOOR
         np.testing.assert_allclose(cov, expected, atol=1e-12)
 
     def test_variance_floor_holds(self, tiny_config, tiny_batch):
@@ -68,7 +69,7 @@ class TestHeadForward:
         # push pre-activations very negative: variances must stay >= floor
         head.h4.bias = np.full_like(head.h4.bias, -60.0)
         cov = head.forward(stages)
-        assert cov.min() >= tiny_config.eps_floor
+        assert cov.min() >= EPS_FLOOR
 
     def test_stage_shape_mismatch_rejected(self, tiny_config, tiny_batch):
         model, stages, *_ = seg_and_batch(tiny_config, tiny_batch)
@@ -90,7 +91,7 @@ class TestHeadForward:
         images = rng.uniform_array(INFER_BATCH * 96 * 96).reshape(INFER_BATCH, 96, 96)
         tracemalloc.start()
         _, stages = predict_batch(seg, images)
-        unc_score(head.forward(stages), config.eps_floor)
+        unc_score(head.forward(stages))
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 9 * stages.z.nbytes, (peak, stages.z.nbytes)
@@ -203,7 +204,7 @@ class TestProbesAndScore:
         single = np.array([math.e, math.e ** 2]).reshape(2, 1, 1, 1)
         assert unc_score(single) == pytest.approx([3.0], rel=1e-12)
         with pytest.raises(ValueError, match="floor"):
-            unc_score(np.full((1, 1, 2, 2), 1e-7), eps_floor=1e-6)
+            unc_score(np.full((1, 1, 2, 2), 1e-7))
 
     def test_unc_score_accepts_float32_variances_at_the_floor(self, tiny_config, tiny_batch):
         images, labels = tiny_batch
@@ -212,17 +213,17 @@ class TestProbesAndScore:
         head.init_params(Rng(4).derive("unc-init"))
         head.h4.bias = np.full_like(head.h4.bias, -60.0)
         cov = head.forward(stages)
-        floor = np.float32(tiny_config.eps_floor)
+        floor = np.float32(EPS_FLOOR)
         # float32(1e-6) lies below 1e-6, so the floor is compared in float32
         assert cov.dtype == np.float32 and cov.min() == floor
-        assert float(floor) < tiny_config.eps_floor
-        scores = unc_score(cov, tiny_config.eps_floor)
+        assert float(floor) < EPS_FLOOR
+        scores = unc_score(cov)
         assert scores.dtype == np.float64 and np.all(np.isfinite(scores))
         for below in (np.nextafter(floor, np.float32(0.0)), np.float32(0.0)):
             low = cov.copy()
             low[0, 0, 0, 0] = below
             with pytest.raises(ValueError, match="variance below floor"):
-                unc_score(low, tiny_config.eps_floor)
+                unc_score(low)
 
     def test_unc_score_strictly_monotone(self):
         cov = np.full((2, 2, 3, 3), 2.0)
@@ -308,8 +309,9 @@ class TestHeadTraining:
         forward = model.conv3.forward
         monkeypatch.setattr(model.conv3, "forward",
                             lambda x, **kw: calls.append(x.shape[1]) or forward(x, **kw))
+        monkeypatch.setattr(uncertainty, "UNC_BATCH", 2)
         cfg = tiny_config
-        cfg.unc_epochs, cfg.unc_batch = 3, 2
+        cfg.unc_epochs = 3
         train_unc(images, labels, model, "surrogate", cfg)
         # one pre-pass over ceil(5/2) batches, none in the three epochs
         assert calls == [2, 2, 1]
