@@ -1,7 +1,9 @@
 """Dense-tensor layers with hand-derived backward passes.
 
-Activations use the ``[C, N, H, W]`` layout (channels outermost);
-``conv2d`` wraps the batched convolution for one ``[C, H, W]`` image.
+Activations use the ``[C, N, H, W]`` layout (channels outermost).
+``conv2d`` wraps the batched convolution for one ``[C, H, W]`` image; no
+code in the package calls it, and it stays only because the bench traces
+it as ``synth.conv2d``.
 
 Every activation follows the dtype of its input: the pipeline runs on
 float32 crops, the gradchecks on float64.  That covers the slab buffers,

@@ -13,7 +13,9 @@ Frame geometry is separable: each coordinate is an ``[H, 1]`` column or a
 computed once per frame for all three region masks and the iris gradient.
 
 Images are quantized to the 1/255 grid at the end of every generation op,
-so the PGM container round-trips bit-exactly.
+so the PGM container round-trips bit-exactly.  Motion blur adds one shifted
+view of the zero-padded 8-bit levels per tap of a digital line; the sums
+are integers, so they are exact in any order, and no BLAS call is made.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# no caller here: bench/attribution.py traces conv2d under this module's name
 from .layers import conv2d
 from .rng import Rng
 CORRUPTION_KINDS = ("blur", "occlusion", "domain_shift")
@@ -189,32 +192,32 @@ def sample_scene_params(h_full: int, w_full: int, rng: Rng) -> SceneParams:
 # corruptions
 # ---------------------------------------------------------------------------
 
-def motion_blur_kernel(length: int, angle: float) -> np.ndarray:
-    """Digital-line kernel with exactly ``length`` taps of weight 1/length."""
+def motion_blur_kernel(length: int, angle: float) -> list[tuple[int, int]]:
+    """The ``length`` distinct ``(row, col)`` tap offsets of a digital line
+    through the origin at ``angle``, each within ``length // 2`` of it; the
+    blur weighs every tap by ``1 / length``."""
     dy, dx = math.sin(angle), math.cos(angle)
     major = [k - (length - 1) // 2 for k in range(length)]
     if abs(dx) >= abs(dy):
         slope = dy / dx
-        cells = [(int(math.floor(u * slope + 0.5)), u) for u in major]
-    else:
-        slope = dx / dy
-        cells = [(u, int(math.floor(u * slope + 0.5))) for u in major]
-    radius = max(max(abs(ci), abs(cj)) for ci, cj in cells)
-    side = 2 * radius + 1
-    kern = np.zeros((side, side))
-    for ci, cj in cells:
-        kern[ci + radius, cj + radius] = 1.0 / length
-    return kern
+        return [(int(math.floor(u * slope + 0.5)), u) for u in major]
+    slope = dx / dy
+    return [(u, int(math.floor(u * slope + 0.5))) for u in major]
 
 
 def _blur(sample: Sample, severity: float, rng: Rng) -> Sample:
     """Motion blur by a random-angle line of ``length`` taps: the sum ``S`` of
-    the image's 8-bit levels under the taps is exact in any summation order,
-    and ``floor(S / length + 0.5) / 255`` is ``quantize8`` of the exact blur."""
+    the image's 8-bit levels under the taps, one shifted view of the
+    zero-padded levels per tap, is exact in any summation order, and
+    ``floor(S / length + 0.5) / 255`` is ``quantize8`` of the exact blur."""
     length = 1 + int(round(14.0 * severity))
     angle = rng.uniform(0.0, math.pi)
-    taps = (motion_blur_kernel(length, angle) > 0).astype(np.float64)
-    sums = conv2d(levels8(sample.image)[None], taps[None, None])[0]
+    h, w = sample.image.shape
+    r = length // 2
+    padded = np.pad(levels8(sample.image), r)
+    sums = np.zeros((h, w))
+    for di, dj in motion_blur_kernel(length, angle):
+        sums += padded[r + di:r + di + h, r + dj:r + dj + w]
     return replace(sample, image=np.floor(sums / length + 0.5) / 255.0)
 
 

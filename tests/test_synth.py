@@ -1,15 +1,17 @@
 import hashlib
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ocuseg.cli import main
+from ocuseg.layers import conv2d
 from ocuseg.rng import Rng
-from ocuseg.synth import (Corruption, SceneParams, _smooth_noise, apply_corruption,
-                          gamma_correct, generate_dataset, motion_blur_kernel, render_eye,
-                          sample_scene_params)
+from ocuseg.synth import (Corruption, Sample, SceneParams, _blur, _smooth_noise,
+                          apply_corruption, gamma_correct, generate_dataset,
+                          motion_blur_kernel, render_eye, sample_scene_params)
 
 
 def make_params(**overrides) -> SceneParams:
@@ -92,11 +94,12 @@ class TestCorruptions:
             apply_corruption(s, Corruption("fog", 0.5), Rng(4))
 
     def test_blur_kernel_taps_and_normalization(self):
-        # severity 1 -> 15 taps; checked across angles on the kernel itself
+        # severity 1 -> 15 distinct taps near the origin; the impulse
+        # response below checks that their 1/15 weights sum to 1
         for angle in (0.0, 0.31, 0.79, 1.2, 1.57, 2.5):
-            k = motion_blur_kernel(15, angle)
-            assert np.count_nonzero(k) == 15
-            assert abs(k.sum() - 1.0) < 1e-9
+            taps = motion_blur_kernel(15, angle)
+            assert len(set(taps)) == len(taps) == 15
+            assert all(max(abs(di), abs(dj)) <= 7 for di, dj in taps)
 
     def test_blur_impulse_response(self):
         s = render_eye(make_params(), 120, 160, Rng(3))
@@ -109,19 +112,41 @@ class TestCorruptions:
         assert np.count_nonzero(response) == 15
         assert abs(response.sum() - 1.0) < 15 * (0.5 / 255) + 1e-9
 
-    @pytest.mark.parametrize("length", range(2, 16))
+    @pytest.mark.parametrize("length", range(1, 16))
     def test_blur_exact_on_the_8bit_grid(self, length):
         # integer reference: sum the 8-bit levels under the taps, round half up
         s = render_eye(make_params(), 120, 160, Rng(3))
         levels = np.rint(s.image * 255).astype(np.int64)
+        # length 1 needs a severity above 0, which is the identity
+        severity = max(length - 1, 0.25) / 14
         for seed in (5, 6, 7, 8):
             angle = Rng(seed).uniform(0.0, math.pi)
-            out = apply_corruption(s, Corruption("blur", (length - 1) / 14), Rng(seed))
+            out = apply_corruption(s, Corruption("blur", severity), Rng(seed))
             taps = motion_blur_kernel(length, angle)
-            r = (taps.shape[0] - 1) // 2
+            r = length // 2
+            assert len(set(taps)) == length
+            assert all(max(abs(di), abs(dj)) <= r for di, dj in taps)
             padded = np.pad(levels, r)
-            total = sum(padded[di:di + 120, dj:dj + 160] for di, dj in zip(*np.nonzero(taps)))
+            total = sum(padded[r + di:r + di + 120, r + dj:r + dj + 160] for di, dj in taps)
             assert np.array_equal(out.image, (2 * total + length) // (2 * length) / 255.0)
+
+    @pytest.mark.parametrize("length", range(1, 16))
+    def test_blur_matches_the_dense_conv(self, length):
+        """The shifted-view sums equal a dense ``conv2d`` of the 8-bit levels
+        with the taps' 0/1 kernel, up to the frame border, at 37 angles."""
+        levels = np.floor(Rng(11).uniform_array(97 * 131) * 256.0).clip(max=255.0)
+        levels = levels.reshape(97, 131)
+        s = Sample(image=levels / 255.0, labels=np.zeros((97, 131), np.int64),
+                   gt_bbox=(0, 0, 97, 131), severity=0.0, domain_id="clean", sample_id="r")
+        r = length // 2
+        for k in range(37):
+            angle = k * math.pi / 36
+            out = _blur(s, (length - 1) / 14, SimpleNamespace(uniform=lambda lo, hi: angle))
+            kernel = np.zeros((2 * r + 1, 2 * r + 1))
+            for di, dj in motion_blur_kernel(length, angle):
+                kernel[r + di, r + dj] = 1.0
+            sums = conv2d(levels[None], kernel[None, None])[0]
+            assert np.array_equal(out.image, np.floor(sums / length + 0.5) / 255.0)
 
     def test_occlusion_full_clears_top_half_pupil(self):
         s = render_eye(make_params(), 120, 160, Rng(3))
@@ -206,26 +231,35 @@ def test_smooth_noise_matches_the_full_frame_gather(h, w, cell):
 
 
 # sha256 over (relative path, sha256 of contents) of every img/ and lbl/
-# PGM that ``gen`` writes for an eight-frame four-kind set.  The digests
-# come from the full-frame meshgrid renderer that the separable row and
-# column coordinates replaced, so they pin the two as byte-identical: a
-# change to any pixel or label shows here.
+# PGM that ``gen`` writes for each set below.  The digests of the
+# eight-frame four-kind sets come from the full-frame meshgrid renderer that
+# the separable row and column coordinates replaced, and those of the
+# 32-frame blur set from the dense 15x15 conv2d blur that the shifted-view
+# sums replaced, so they pin each pair as byte-identical: a change to any
+# pixel or label shows here.
+GEN_SETS = {  # key: (--n, --corruptions, --severities, --size)
+    "120x160": ("8", "none,blur,occlusion,domain_shift", "0.2,1.0", "120x160"),
+    "97x131": ("8", "none,blur,occlusion,domain_shift", "0.2,1.0", "97x131"),
+    "blur-120x160": ("32", "blur", "0,1", "120x160"),
+}
 PGM_DIGESTS = {
     "120x160": "9460fae69a86901483b5ce26befd456a1f7aa4c6fe1eaebf36ca71258a923361",
     "97x131": "8e5b70ec875dd65a6f5f21b94ef675f3b694c85c6b4fb234225e6e6a65cfc142",
+    "blur-120x160": "3b08db0691116fbde98e272cb6b57a7e84adaad34c0ba72e950a6d4ac1e3e428",
 }
 # sha256 of the same set's manifest.json: a change to any record shows here.
 MANIFEST_DIGESTS = {
     "120x160": "fbf9dbc45a9c7381ab4fdc38237d27ed59912833c06a350bf4eba7a7d550c6d2",
     "97x131": "46bcd911c5a747f0026cc410d12074004ac7c7cd8a8d09d3b4b0531ff34f22b4",
+    "blur-120x160": "991a6441bbb68325b3955df0137257c1eb96caa718f4308d6e751b7a822f39c9",
 }
 
 
-@pytest.mark.parametrize("size", list(PGM_DIGESTS))
-def test_gen_files_are_pinned(size, tmp_path):
-    assert main(["gen", "--out", str(tmp_path), "--n", "8", "--seed", "21",
-                 "--corruptions", "none,blur,occlusion,domain_shift",
-                 "--severities", "0.2,1.0", "--size", size]) == 0
+@pytest.mark.parametrize("key", list(GEN_SETS))
+def test_gen_files_are_pinned(key, tmp_path):
+    n, kinds, severities, size = GEN_SETS[key]
+    assert main(["gen", "--out", str(tmp_path), "--n", n, "--seed", "21",
+                 "--corruptions", kinds, "--severities", severities, "--size", size]) == 0
     files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
     pgms = [p for p in files if p.suffix == ".pgm"]
     assert [p.name for p in files if p not in pgms] == ["manifest.json"]
@@ -233,6 +267,6 @@ def test_gen_files_are_pinned(size, tmp_path):
     for path in pgms:
         digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
         digest.update(hashlib.sha256(path.read_bytes()).digest())
-    assert digest.hexdigest() == PGM_DIGESTS[size]
+    assert digest.hexdigest() == PGM_DIGESTS[key]
     manifest = (tmp_path / "manifest.json").read_bytes()
-    assert hashlib.sha256(manifest).hexdigest() == MANIFEST_DIGESTS[size]
+    assert hashlib.sha256(manifest).hexdigest() == MANIFEST_DIGESTS[key]
