@@ -28,7 +28,8 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .datasetio import DatasetError, read_dataset, read_pgm, write_dataset, write_pgm
-from .detect import BBox, crop_resize
+# no caller here: bench/attribution.py traces crop_resize under this module's name
+from .detect import BBox, crop_labels, crop_resize
 # no caller here: bench/attribution.py traces rank_and_filter under this module's name
 from .evaluate import rank_and_filter, report
 from .metrics import confusion_matrix
@@ -96,10 +97,7 @@ def cmd_gen(args) -> int:
         raise UsageError(f"--size must be at least 64x64, got {args.size}")
     samples = generate_dataset(args.n, args.seed, kinds, (lo, hi), h_full, w_full)
     write_dataset(samples, args.out)
-    by_kind: dict[str, int] = {}
-    for s in samples:
-        key = s.corruption if s.severity > 0 else "none"
-        by_kind[key] = by_kind.get(key, 0) + 1
+    by_kind = Counter(s.corruption if s.severity > 0 else "none" for s in samples)
     print(f"wrote {len(samples)} samples to {args.out}")
     for k in sorted(by_kind):
         print(f"  {k}: {by_kind[k]}")
@@ -157,7 +155,7 @@ def cmd_infer(args) -> int:
     out = Path(args.out)
     (out / "pred").mkdir(parents=True, exist_ok=True)
     for sid, labels in zip(ids, y_hat):
-        write_pgm(out / "pred" / f"{sid}.pgm", labels.astype(np.uint8))
+        write_pgm(out / "pred" / f"{sid}.pgm", labels)
     _write_csv(out / "scores.csv", ["sample_id", "s_unc", "l", "t", "h", "w"],
                [[sid, s, *box.as_tuple()] for sid, s, box in zip(ids, s_unc, boxes)])
     meta = {"config_hash": config.content_hash(), "arch_hash": config.arch_hash(),
@@ -229,12 +227,12 @@ def cmd_eval(args) -> int:
             raise UsageError(f"{pred_dir / 'scores.csv'}: s_unc of {sid} is "
                              f"{row['s_unc']!r}, not a finite number")
         pgm = pred_dir / "pred" / f"{sid}.pgm"
-        y_hat = read_pgm(pgm).astype(np.int64)
+        y_hat = read_pgm(pgm)
         if list(y_hat.shape) != crop:
             raise UsageError(f"{pgm} is {y_hat.shape[0]}x{y_hat.shape[1]}, not the "
                              f"{crop[0]}x{crop[1]} crop size in meta.json")
         try:
-            _, gt = crop_resize(samples[sid], box, *crop)
+            gt = crop_labels(samples[sid].labels, box, *crop)
         except ValueError as e:
             raise UsageError(f"scores.csv box of {sid} in {pred_dir}: {e}") from None
         try:

@@ -5,11 +5,11 @@ Layout:
                             UTF-8, sorted keys; the reader ignores other
                             keys (the ``image`` and ``label`` paths of
                             older sets among them)
-    <dir>/img/<id>.pgm      P5, 8-bit, maxval 255; values are image*255
+    <dir>/img/<id>.pgm      P5, 8-bit, maxval 255; the image's levels
     <dir>/lbl/<id>.pgm      P5, 8-bit; pixel values exactly 0..3
 
-Readers rescale images by /255, so write-then-read is bit-exact for images
-already on the 1/255 grid (the generator quantizes).
+A sample's image and labels are the uint8 pixels of these files, so
+write-then-read is the identity, with no rescale or cast.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .detect import box_fits
 from .metrics import check_labels
-from .synth import Sample, levels8
+from .synth import Sample
 
 
 class DatasetError(ValueError):
@@ -31,10 +31,12 @@ class DatasetError(ValueError):
 
 def write_pgm(path: Path, data: np.ndarray) -> None:
     """Write a uint8 2D array as binary PGM (P5)."""
+    if data.dtype != np.uint8:
+        raise ValueError(f"{path}: PGM pixels must be uint8, got {data.dtype}")
     h, w = data.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(np.ascontiguousarray(data, dtype=np.uint8).tobytes())
+        f.write(data.tobytes())
 
 
 # magic, then width, height and maxval, each after whitespace or
@@ -76,8 +78,8 @@ def write_dataset(samples: list[Sample], directory: str | Path) -> None:
     records = []
     for s in samples:
         _check_sample_labels(s.sample_id, s.labels)
-        write_pgm(directory / "img" / f"{s.sample_id}.pgm", levels8(s.image).astype(np.uint8))
-        write_pgm(directory / "lbl" / f"{s.sample_id}.pgm", s.labels.astype(np.uint8))
+        write_pgm(directory / "img" / f"{s.sample_id}.pgm", s.image)
+        write_pgm(directory / "lbl" / f"{s.sample_id}.pgm", s.labels)
         records.append({
             "id": s.sample_id,
             "bbox": list(s.gt_bbox),
@@ -151,12 +153,12 @@ def read_dataset(directory: str | Path) -> list[Sample]:
         seen.add(sid)
         img_path = directory / "img" / f"{sid}.pgm"
         lbl_path = directory / "lbl" / f"{sid}.pgm"
-        image = read_pgm(img_path).astype(np.float64) / 255.0
+        image = read_pgm(img_path)
         if not box_fits(rec["bbox"], *image.shape):
             raise DatasetError(f"{manifest}: sample {sid!r}: 'bbox' {rec['bbox']} "
                                "[l, t, h, w] is not a box of positive size inside its "
                                f"{image.shape[0]}x{image.shape[1]} image {img_path}")
-        labels = read_pgm(lbl_path).astype(np.int64)
+        labels = read_pgm(lbl_path)
         if labels.shape != image.shape:
             raise DatasetError(f"sample {sid}: label map {lbl_path} is "
                                f"{labels.shape[0]}x{labels.shape[1]}, its image "

@@ -1,4 +1,4 @@
-"""Eye localization: heuristic dark-blob detector, box jitter, crop+resize."""
+"""Eye localization on uint8 frames: dark-blob detector, box jitter, crop+resize."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Rng
-from .synth import Sample, quantize8
+from .synth import Sample, levels8
 from .warp import resize_bilinear, resize_nearest
 
 # the largest shift and rescale of a jittered box, as a fraction of its size
@@ -133,15 +133,21 @@ def jitter_gt_bbox(gt: tuple[int, int, int, int], rng: Rng,
     return _clamp_box(nl, nt, nh, nw, frame_h, frame_w)
 
 
+def crop_labels(labels: np.ndarray, bbox: BBox, h_out: int, w_out: int) -> np.ndarray:
+    """A label map cropped to ``bbox`` and resized nearest-neighbor to ``h_out`` x
+    ``w_out``, in its dtype; raises ValueError when the box does not fit it."""
+    l, t, h, w = bbox.as_tuple()
+    if not box_fits((l, t, h, w), *labels.shape):
+        raise ValueError(f"bbox {(l, t, h, w)} outside {'x'.join(map(str, labels.shape))} frame")
+    return resize_nearest(labels[t:t + h, l:l + w], h_out, w_out)
+
+
 def crop_resize(sample: Sample, bbox: BBox, h_out: int, w_out: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The sample's image and labels cropped to ``bbox`` and resized to
-    ``h_out`` x ``w_out``: the image bilinear and snapped to the 8-bit grid,
-    the labels (int64) nearest-neighbor."""
+    ``h_out`` x ``w_out``: the image bilinear over intensities in [0, 1]
+    and snapped to the 1/255 grid (float64), the labels by ``crop_labels``."""
+    labels = crop_labels(sample.labels, bbox, h_out, w_out)
     l, t, h, w = bbox.as_tuple()
-    fh, fw = sample.image.shape
-    if not box_fits((l, t, h, w), fh, fw):
-        raise ValueError(f"bbox {(l, t, h, w)} outside {fh}x{fw} frame")
-    img = resize_bilinear(sample.image[t:t + h, l:l + w], h_out, w_out)
-    lbl = resize_nearest(sample.labels[t:t + h, l:l + w], h_out, w_out)
-    return quantize8(img), lbl.astype(np.int64)
+    img = resize_bilinear(sample.image[t:t + h, l:l + w] / 255.0, h_out, w_out)
+    return levels8(img) / 255.0, labels

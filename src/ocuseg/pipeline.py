@@ -2,7 +2,8 @@
 
 Crop construction is seed-deterministic per sample id, so training and
 inference see identical geometry for a given config regardless of dataset
-ordering.  Detector modes:
+ordering.  Frames and label maps are uint8 throughout; only the image crops
+the model reads are float32.  Detector modes:
 
     gt-jitter   perturbed ground-truth boxes (training default; stands in
                 for detector noise)
@@ -44,11 +45,11 @@ def choose_bbox(sample: Sample, mode: str, config: RunConfig) -> BBox:
 
 def build_crops(samples: list[Sample], config: RunConfig, mode: str = "gt-jitter"
                 ) -> tuple[np.ndarray, np.ndarray, list[BBox], list[str]]:
-    """Crop every sample; returns (images [N,H,W] float32, labels [N,H,W],
-    boxes, ids).  The crops are on the 1/255 grid, and the model runs its
-    activations in their dtype."""
+    """Crop every sample; returns (images [N,H,W] float32, labels [N,H,W]
+    uint8, boxes, ids).  The image crops are on the 1/255 grid, and the
+    model runs its activations in their dtype."""
     images = np.empty((len(samples), config.crop_h, config.crop_w), dtype=np.float32)
-    labels = np.empty((len(samples), config.crop_h, config.crop_w), dtype=np.int64)
+    labels = np.empty((len(samples), config.crop_h, config.crop_w), dtype=np.uint8)
     boxes = []
     ids = []
     for i, s in enumerate(samples):
@@ -61,9 +62,9 @@ def build_crops(samples: list[Sample], config: RunConfig, mode: str = "gt-jitter
 
 def infer_samples(images: np.ndarray, seg: SegModel, head: UncHead
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Segment and score built crops: label maps [N, H, W] (int64) and
+    """Segment and score built crops: label maps [N, H, W] (uint8) and
     ``s_unc`` [N]."""
-    y_hat = np.empty(images.shape, dtype=np.int64)
+    y_hat = np.empty(images.shape, dtype=np.uint8)
     s_unc = np.empty(len(images))
     for i in range(0, len(images), INFER_BATCH):
         y_hat[i:i + INFER_BATCH], stages = predict_batch(seg, images[i:i + INFER_BATCH])

@@ -140,14 +140,12 @@ def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray
     zmat = feats.z.reshape(d, -1)
     head = model.head.astype(zmat.dtype)
     logits = head @ zmat                            # [4, N*H*W]
-    flat_labels = labels.reshape(-1)
+    true_class = (labels.reshape(-1), np.arange(labels.size))
     # also rejects labels outside the classes before they index the probs
-    conf = confusion_matrix(np.argmax(logits, axis=0), flat_labels)
-    probs = softmax_rows(logits)
-    p_true = probs[flat_labels, np.arange(flat_labels.size)]
-    loss = float(-np.log(np.maximum(p_true, 1e-12)).sum(dtype=np.float64) / n)
-    glogit = probs.copy()
-    glogit[flat_labels, np.arange(flat_labels.size)] -= 1.0
+    conf = confusion_matrix(np.argmax(logits, axis=0), true_class[0])
+    glogit = softmax_rows(logits)                   # the probabilities, until -= 1
+    loss = float(-np.log(np.maximum(glogit[true_class], 1e-12)).sum(dtype=np.float64) / n)
+    glogit[true_class] -= 1.0
     glogit /= n
     gz = (head.T @ glogit).reshape(d, n, h, w)
     grads = {"head": (glogit @ zmat.T).astype(np.float64), **model.backward_batch(gz)}

@@ -1,21 +1,21 @@
 """Procedural eye-image rendering, corruptions, and dataset generation.
 
-A frame is a grayscale float64 image in [0, 1] with a 4-class label map:
-0 background/skin, 1 eye (sclera), 2 iris, 3 pupil.  Regions are nested
-rotated ellipses sharing a center; a pixel's label is the innermost region
-containing its center.  The background carries smooth value noise plus
-sparse dark speckles, which keeps the darkest 5% of pixels dominated by
-the pupil blob (what the heuristic detector thresholds on) without forming
-large connected clumps.
+A frame is a grayscale image of 8-bit levels with a 4-class label map, both
+uint8 as the PGM container stores them: 0 background/skin, 1 eye (sclera),
+2 iris, 3 pupil.  Regions are nested rotated ellipses sharing a center; a
+pixel's label is the innermost region containing its center.  The background
+carries smooth value noise plus sparse dark speckles, which keeps the darkest
+5% of pixels dominated by the pupil blob (what the heuristic detector
+thresholds on) without forming large connected clumps.
 
 Frame geometry is separable: each coordinate is an ``[H, 1]`` column or a
 ``[W]`` row that broadcasting expands, and the rotated ellipse offsets are
 computed once per frame for all three region masks and the iris gradient.
 
-Images are quantized to the 1/255 grid at the end of every generation op,
-so the PGM container round-trips bit-exactly.  Motion blur adds one shifted
-view of the zero-padded 8-bit levels per tap of a digital line; the sums
-are integers, so they are exact in any order, and no BLAS call is made.
+Rendering, occlusion and domain shift compute on intensities ``levels / 255``
+and round back to levels (``levels8``).  Motion blur adds one shifted view of
+the zero-padded levels per tap of a digital line; the sums are integers, so
+they are exact in any order, and no BLAS call is made.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class Corruption:
 
 @dataclass
 class Sample:
-    image: np.ndarray                        # [H,W] float64 in [0,1], on 1/255 grid
-    labels: np.ndarray                       # [H,W] int64 in {0,1,2,3}
+    image: np.ndarray                        # [H,W] uint8 8-bit levels
+    labels: np.ndarray                       # [H,W] uint8 in {0,1,2,3}
     gt_bbox: tuple[int, int, int, int]       # (l, t, h, w)
     severity: float
     domain_id: str
@@ -60,13 +60,8 @@ class Sample:
 
 
 def levels8(img: np.ndarray) -> np.ndarray:
-    """The 8-bit levels 0..255 (as float64) that the dataset container stores."""
-    return np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5)
-
-
-def quantize8(img: np.ndarray) -> np.ndarray:
-    """Snap to the 8-bit grid used by the dataset container."""
-    return levels8(img) / 255.0
+    """The nearest 8-bit levels (uint8) of intensities in [0, 1]."""
+    return np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
 
 
 def _ellipse_q(u: np.ndarray, v: np.ndarray, axes: tuple[float, float]) -> np.ndarray:
@@ -134,10 +129,8 @@ def render_eye(params: SceneParams, h_full: int, w_full: int, rng: Rng,
     in_iris = q_iris <= 1.0
     in_pupil = _ellipse_q(u, v, params.pupil_axes) <= 1.0
 
-    labels = np.zeros((h_full, w_full), dtype=np.int64)
-    labels[in_eye] = 1
-    labels[in_iris] = 2
-    labels[in_pupil] = 3
+    # the regions are strictly nested: a label counts those holding the pixel
+    labels = in_eye.astype(np.uint8) + in_iris + in_pupil
 
     skin, sclera, iris_base, pupil_val = params.intensities
     img = np.full((h_full, w_full), skin)
@@ -163,7 +156,7 @@ def render_eye(params: SceneParams, h_full: int, w_full: int, rng: Rng,
     b_excl = min(h_full, int(math.ceil(cr + 1.1 * ey)) + 1)
     bbox = (l, t, b_excl - t, r_excl - l)
 
-    return Sample(image=quantize8(img), labels=labels, gt_bbox=bbox,
+    return Sample(image=levels8(img), labels=labels, gt_bbox=bbox,
                   severity=0.0, domain_id="clean", sample_id=sample_id)
 
 
@@ -207,23 +200,23 @@ def motion_blur_kernel(length: int, angle: float) -> list[tuple[int, int]]:
 
 def _blur(sample: Sample, severity: float, rng: Rng) -> Sample:
     """Motion blur by a random-angle line of ``length`` taps: the sum ``S`` of
-    the image's 8-bit levels under the taps, one shifted view of the
-    zero-padded levels per tap, is exact in any summation order, and
-    ``floor(S / length + 0.5) / 255`` is ``quantize8`` of the exact blur."""
+    the image's levels under the taps, one shifted view of the zero-padded
+    levels per tap, is exact in any summation order, and
+    ``floor(S / length + 0.5)`` is the nearest level to the exact blur."""
     length = 1 + int(round(14.0 * severity))
     angle = rng.uniform(0.0, math.pi)
     h, w = sample.image.shape
     r = length // 2
-    padded = np.pad(levels8(sample.image), r)
-    sums = np.zeros((h, w))
+    padded = np.pad(sample.image, r)
+    sums = np.zeros((h, w), dtype=np.uint16)      # at most 15 * 255
     for di, dj in motion_blur_kernel(length, angle):
         sums += padded[r + di:r + di + h, r + dj:r + dj + w]
-    return replace(sample, image=np.floor(sums / length + 0.5) / 255.0)
+    return replace(sample, image=np.floor(sums / length + 0.5).astype(np.uint8))
 
 
 def _occlude(sample: Sample, severity: float) -> Sample:
     l, t, h, w = sample.gt_bbox
-    img = sample.image.copy()
+    img = sample.image / 255.0
     labels = sample.labels.copy()
     skin = float(np.median(img[labels == 0])) if np.any(labels == 0) else 0.55
     cols = np.arange(img.shape[1], dtype=np.float64)
@@ -235,7 +228,7 @@ def _occlude(sample: Sample, severity: float) -> Sample:
     covered = rows[:, None] < (t + depth)[None, :]
     img[covered] = skin
     labels[covered] = 0
-    return replace(sample, image=quantize8(img), labels=labels)
+    return replace(sample, image=levels8(img), labels=labels)
 
 
 def gamma_correct(image: np.ndarray, gamma: float) -> np.ndarray:
@@ -248,13 +241,13 @@ def gamma_correct(image: np.ndarray, gamma: float) -> np.ndarray:
 def _domain_shift(sample: Sample, severity: float, rng: Rng) -> Sample:
     gamma = rng.uniform(max(0.05, 1.0 - 0.6 * severity), 1.0 + 0.6 * severity)
     contrast = rng.uniform(1.0 - 0.35 * severity, 1.0 + 0.35 * severity)
-    img = 0.5 + contrast * (gamma_correct(sample.image, gamma) - 0.5)
+    img = 0.5 + contrast * (gamma_correct(sample.image / 255.0, gamma) - 0.5)
     h, wd = img.shape
     rr = ((np.arange(h) - h / 2) / (h / 2))[:, None]
     cc = (np.arange(wd) - wd / 2) / (wd / 2)
     img *= 1.0 - 0.35 * severity * (rr ** 2 + cc ** 2) / 2.0
     img += rng.normal_array(img.size, 0.0, 0.08 * severity).reshape(img.shape)
-    return replace(sample, image=quantize8(img))
+    return replace(sample, image=levels8(img))
 
 
 def apply_corruption(sample: Sample, c: Corruption, rng: Rng) -> Sample:

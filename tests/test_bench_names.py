@@ -23,7 +23,8 @@ def test_bench_hooks_install_and_restore(bench, tiny_config):
     spans, attribution, workloads = bench["spans"], bench["attribution"], bench["workloads"]
     forward = segnet.SegModel.forward_batch
     # cli imports these only for the bench to wrap; once it stops, drop the imports
-    bench_only = {name: getattr(cli, name) for name in ("rank_and_filter", "evaluate_miou")}
+    bench_only = {name: getattr(cli, name)
+                  for name in ("rank_and_filter", "evaluate_miou", "crop_resize")}
     tracer, patches = spans.Tracer(), spans.Patches()
     try:
         attribution.install_spans(tracer, attribution.conv_flop_table(RunConfig()))

@@ -8,15 +8,17 @@ from ocuseg.synth import generate_dataset
 
 
 def test_roundtrip_bit_exact(tmp_path):
-    samples = generate_dataset(20, seed=9, kinds=["none", "blur", "domain_shift"],
+    samples = generate_dataset(20, seed=9,
+                               kinds=["none", "blur", "occlusion", "domain_shift"],
                                sev_range=(0.3, 1.0))
     write_dataset(samples, tmp_path)
     back = read_dataset(tmp_path)
     assert len(back) == len(samples)
     for a, b in zip(samples, back):
         assert a.sample_id == b.sample_id
-        assert np.array_equal(a.image, b.image)
-        assert np.array_equal(a.labels, b.labels)
+        for x, y in ((a.image, b.image), (a.labels, b.labels)):
+            assert x.dtype == y.dtype == np.uint8
+            assert np.array_equal(x, y)
         assert tuple(a.gt_bbox) == tuple(b.gt_bbox)
         assert a.severity == b.severity
         assert a.domain_id == b.domain_id
@@ -68,7 +70,7 @@ def test_files_come_from_the_id_not_stored_paths(tmp_path, kind):
 def test_label_value_out_of_range_rejected_on_read(tmp_path):
     samples = generate_dataset(2, seed=2)
     write_dataset(samples, tmp_path)
-    bad = samples[0].labels.astype(np.uint8).copy()
+    bad = samples[0].labels.copy()
     bad[0, 0] = 4
     write_pgm(tmp_path / "lbl" / "s000000.pgm", bad)
     with pytest.raises(DatasetError, match="s000000.*outside 0..3"):
@@ -104,6 +106,12 @@ def test_pgm_roundtrip(tmp_path):
     data = (np.arange(35, dtype=np.uint8) % 251).reshape(5, 7)
     write_pgm(tmp_path / "x.pgm", data)
     assert np.array_equal(read_pgm(tmp_path / "x.pgm"), data)
+
+
+def test_pgm_write_needs_uint8_pixels(tmp_path):
+    with pytest.raises(ValueError, match="must be uint8, got int64"):
+        write_pgm(tmp_path / "x.pgm", np.zeros((2, 3), dtype=np.int64))
+    assert not (tmp_path / "x.pgm").exists()
 
 
 PGM_PIXELS = (np.arange(6, dtype=np.uint8) * 40).reshape(2, 3)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocuseg import detect
-from ocuseg.detect import (BBox, crop_resize, detect_eye_heuristic, iou,
+from ocuseg.detect import (BBox, crop_labels, crop_resize, detect_eye_heuristic, iou,
                            jitter_gt_bbox)
 from ocuseg.rng import Rng
 from ocuseg.synth import CORRUPTION_KINDS, generate_dataset
@@ -120,6 +120,15 @@ class TestDetector:
         s = generate_dataset(1, seed=3)[0]
         assert detect_eye_heuristic(s.image) == detect_eye_heuristic(s.image)
 
+    def test_levels_and_intensities_give_the_same_box(self):
+        # the 5th percentile is an 8-bit level or lies strictly between two,
+        # so thresholding the levels or the levels / 255 marks the same pixels
+        for size in ((120, 160), (97, 131)):
+            samples = generate_dataset(48, seed=61, kinds=["none", *CORRUPTION_KINDS],
+                                       sev_range=(0.05, 1.0), h_full=size[0], w_full=size[1])
+            assert ([detect_eye_heuristic(s.image) for s in samples]
+                    == [detect_eye_heuristic(s.image / 255.0) for s in samples])
+
 
 class TestJitter:
     def test_iou_bound_at_015(self, monkeypatch):
@@ -146,7 +155,7 @@ class TestCropResize:
     def test_full_frame_same_size_is_identity(self):
         s = generate_dataset(1, seed=12)[0]
         image, labels = crop_resize(s, BBox(0, 0, 120, 160), 120, 160)
-        assert np.array_equal(image, s.image)
+        assert np.array_equal(image, s.image / 255.0)
         assert np.array_equal(labels, s.labels)
 
     def test_labels_stay_in_closed_set(self):
@@ -168,3 +177,13 @@ class TestCropResize:
         s = generate_dataset(1, seed=12)[0]
         with pytest.raises(ValueError, match="outside"):
             crop_resize(s, BBox(150, 10, 60, 60), 96, 96)
+        with pytest.raises(ValueError, match="outside"):
+            crop_labels(s.labels, BBox(150, 10, 60, 60), 96, 96)
+
+    def test_crop_labels_are_crop_resize_labels(self):
+        for s in generate_dataset(4, seed=12, kinds=["none", "occlusion"],
+                                  sev_range=(0.5, 1.0)):
+            for box in (BBox(*s.gt_bbox), BBox(0, 0, 120, 160), BBox(7, 3, 50, 90)):
+                labels = crop_labels(s.labels, box, 96, 96)
+                assert labels.dtype == np.uint8
+                assert np.array_equal(labels, crop_resize(s, box, 96, 96)[1])

@@ -50,6 +50,16 @@ def test_predicted_only_class_counts_as_present():
     assert m["miou"] == 15 / 32
 
 
+def test_confusion_of_uint8_labels_matches_int64():
+    # every (truth, prediction) pair: ``y * N_CLASSES + y_hat`` stays below
+    # 16 in uint8, under both numpy 1.x value-based casting and NEP 50
+    y, y_hat = (a.reshape(1, -1) for a in np.divmod(np.arange(16), 4))
+    want = confusion_matrix(y_hat.astype(np.int64), y.astype(np.int64))
+    assert np.array_equal(want, np.ones((4, 4), dtype=np.int64))
+    for a, b in ((np.uint8, np.uint8), (np.uint8, np.int64), (np.int64, np.uint8)):
+        assert np.array_equal(confusion_matrix(y_hat.astype(a), y.astype(b)), want)
+
+
 def test_confusion_orientation_and_total():
     y = np.array([[0, 1]])
     y_hat = np.array([[1, 1]])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ def test_infer_purity_and_alignment():
     y_hat, s_unc = infer_samples(images, seg, head)
     y_hat2, s_unc2 = infer_samples(images, seg, head)
     assert np.array_equal(images, before)
-    assert y_hat.shape == images.shape and y_hat.dtype == np.int64
+    assert y_hat.shape == images.shape and y_hat.dtype == np.uint8
     assert s_unc.shape == (len(images),)
     assert np.array_equal(y_hat, y_hat2) and np.array_equal(s_unc, s_unc2)
     # enough copies to span two inference batches; each copy's rows stay with its crops
@@ -101,3 +103,31 @@ def test_ablation_crop_vs_full_reports_both_arms():
         assert [row["retained_count"] for row in filtering] == [5, 3]
         assert all(0.0 <= row["retained_miou"] <= 1.0 for row in filtering)
     assert ablation_crop_vs_full(train, test, cfg, [20.0, 50.0]) == report
+
+
+# sha256 (first 16 hex digits) of what build_crops returns for each detector
+# mode on 12 frames of each of the four kinds at 120x160 and at 97x131: the
+# float32 crop bytes, the label crops as uint8 bytes and the boxes.  The
+# digests come from the float64/int64 data path that the uint8 frames and
+# label maps replaced, so they pin the two as byte-identical.  The path is
+# elementwise numpy only, so no digest depends on the BLAS.
+CROP_DIGESTS = {
+    "gt-jitter": {"images": "70424992e9a1abcb", "labels": "516e543810c53d06",
+                  "boxes": "2448bd05b4e78044"},
+    "heuristic": {"images": "245fe8d075ce3562", "labels": "1618382546e171d2",
+                  "boxes": "376769d88e93726b"},
+    "full": {"images": "be10dc4959254614", "labels": "a2684b68f25256c4",
+             "boxes": "4586013348ecea34"},
+}
+
+
+@pytest.mark.parametrize("mode", DETECTOR_MODES)
+def test_build_crops_outputs_are_pinned(mode):
+    kinds = ["none", "blur", "occlusion", "domain_shift"]
+    samples = [s for h, w in ((120, 160), (97, 131))
+               for s in generate_dataset(12, seed=21, kinds=kinds, sev_range=(0.05, 1.0),
+                                         h_full=h, w_full=w)]
+    images, labels, boxes, _ = build_crops(samples, RunConfig(seed=7), mode)
+    assert {name: hashlib.sha256(data).hexdigest()[:16] for name, data in (
+        ("images", images.tobytes()), ("labels", labels.astype(np.uint8).tobytes()),
+        ("boxes", repr([b.as_tuple() for b in boxes]).encode()))} == CROP_DIGESTS[mode]

@@ -76,8 +76,9 @@ class TestRenderEye:
         assert cols.min() >= l and cols.max() < l + w
 
     def test_image_on_8bit_grid(self):
+        # the frame and its labels are the uint8 arrays the PGM files store
         s = render_eye(make_params(), 120, 160, Rng(1))
-        assert np.array_equal(s.image, np.round(s.image * 255) / 255)
+        assert s.image.dtype == np.uint8 and s.labels.dtype == np.uint8
 
 
 class TestCorruptions:
@@ -104,11 +105,11 @@ class TestCorruptions:
     def test_blur_impulse_response(self):
         s = render_eye(make_params(), 120, 160, Rng(3))
         impulse = np.zeros_like(s.image)
-        impulse[60, 80] = 1.0
+        impulse[60, 80] = 255
         sample = type(s)(image=impulse, labels=s.labels, gt_bbox=s.gt_bbox,
                          severity=0.0, domain_id="clean", sample_id="imp")
         out = apply_corruption(sample, Corruption("blur", 1.0), Rng(5))
-        response = out.image  # quantized to the 8-bit grid
+        response = out.image / 255.0
         assert np.count_nonzero(response) == 15
         assert abs(response.sum() - 1.0) < 15 * (0.5 / 255) + 1e-9
 
@@ -116,7 +117,7 @@ class TestCorruptions:
     def test_blur_exact_on_the_8bit_grid(self, length):
         # integer reference: sum the 8-bit levels under the taps, round half up
         s = render_eye(make_params(), 120, 160, Rng(3))
-        levels = np.rint(s.image * 255).astype(np.int64)
+        levels = s.image.astype(np.int64)
         # length 1 needs a severity above 0, which is the identity
         severity = max(length - 1, 0.25) / 14
         for seed in (5, 6, 7, 8):
@@ -128,7 +129,8 @@ class TestCorruptions:
             assert all(max(abs(di), abs(dj)) <= r for di, dj in taps)
             padded = np.pad(levels, r)
             total = sum(padded[r + di:r + di + 120, r + dj:r + dj + 160] for di, dj in taps)
-            assert np.array_equal(out.image, (2 * total + length) // (2 * length) / 255.0)
+            assert out.image.dtype == np.uint8
+            assert np.array_equal(out.image, (2 * total + length) // (2 * length))
 
     @pytest.mark.parametrize("length", range(1, 16))
     def test_blur_matches_the_dense_conv(self, length):
@@ -136,7 +138,7 @@ class TestCorruptions:
         with the taps' 0/1 kernel, up to the frame border, at 37 angles."""
         levels = np.floor(Rng(11).uniform_array(97 * 131) * 256.0).clip(max=255.0)
         levels = levels.reshape(97, 131)
-        s = Sample(image=levels / 255.0, labels=np.zeros((97, 131), np.int64),
+        s = Sample(image=levels.astype(np.uint8), labels=np.zeros((97, 131), np.uint8),
                    gt_bbox=(0, 0, 97, 131), severity=0.0, domain_id="clean", sample_id="r")
         r = length // 2
         for k in range(37):
@@ -146,7 +148,7 @@ class TestCorruptions:
             for di, dj in motion_blur_kernel(length, angle):
                 kernel[r + di, r + dj] = 1.0
             sums = conv2d(levels[None], kernel[None, None])[0]
-            assert np.array_equal(out.image, np.floor(sums / length + 0.5) / 255.0)
+            assert np.array_equal(out.image, np.floor(sums / length + 0.5))
 
     def test_occlusion_full_clears_top_half_pupil(self):
         s = render_eye(make_params(), 120, 160, Rng(3))
@@ -172,7 +174,7 @@ class TestCorruptions:
         out = apply_corruption(s, Corruption("domain_shift", 0.8), Rng(5))
         assert np.array_equal(out.labels, s.labels)
         assert not np.array_equal(out.image, s.image)
-        assert out.image.min() >= 0.0 and out.image.max() <= 1.0
+        assert out.image.dtype == np.uint8
 
 
 class TestGammaCorrect:
