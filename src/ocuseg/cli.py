@@ -33,7 +33,7 @@ from .detect import BBox, crop_labels, crop_resize
 # no caller here: bench/attribution.py traces rank_and_filter under this module's name
 from .evaluate import rank_and_filter, report
 from .metrics import confusion_matrix
-from .pipeline import DETECTOR_MODES, build_crops, infer_samples
+from .pipeline import DETECTOR_MODES, build_crops, crop_images, infer_samples
 # no caller here: bench/attribution.py traces evaluate_miou under this module's name
 from .segnet import SegModel, count_flops, evaluate_miou, train_seg
 from .synth import CORRUPTION_KINDS, Sample, generate_dataset
@@ -145,7 +145,7 @@ def cmd_infer(args) -> int:
     seg.set_params(seg_params)
     head = UncHead(config)
     head.set_params(unc_params)
-    images, _, boxes, ids = build_crops(_read_samples(args.data), config, args.detector)
+    images, boxes, ids = crop_images(_read_samples(args.data), config, args.detector)
     y_hat, s_unc = infer_samples(images, seg, head)
     bad = [sid for sid, s in zip(ids, s_unc) if not np.isfinite(s)]
     if bad:

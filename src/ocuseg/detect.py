@@ -133,21 +133,32 @@ def jitter_gt_bbox(gt: tuple[int, int, int, int], rng: Rng,
     return _clamp_box(nl, nt, nh, nw, frame_h, frame_w)
 
 
+def _cut(frame: np.ndarray, bbox: BBox) -> np.ndarray:
+    """The view of ``frame`` inside ``bbox``; raises ValueError when the box
+    does not fit the frame."""
+    l, t, h, w = bbox.as_tuple()
+    if not box_fits((l, t, h, w), *frame.shape):
+        raise ValueError(f"bbox {(l, t, h, w)} outside {'x'.join(map(str, frame.shape))} frame")
+    return frame[t:t + h, l:l + w]
+
+
 def crop_labels(labels: np.ndarray, bbox: BBox, h_out: int, w_out: int) -> np.ndarray:
     """A label map cropped to ``bbox`` and resized nearest-neighbor to ``h_out`` x
     ``w_out``, in its dtype; raises ValueError when the box does not fit it."""
-    l, t, h, w = bbox.as_tuple()
-    if not box_fits((l, t, h, w), *labels.shape):
-        raise ValueError(f"bbox {(l, t, h, w)} outside {'x'.join(map(str, labels.shape))} frame")
-    return resize_nearest(labels[t:t + h, l:l + w], h_out, w_out)
+    return resize_nearest(_cut(labels, bbox), h_out, w_out)
+
+
+def crop_image(image: np.ndarray, bbox: BBox, h_out: int, w_out: int) -> np.ndarray:
+    """A uint8 frame cropped to ``bbox`` and resized bilinear to ``h_out`` x
+    ``w_out`` over intensities in [0, 1], snapped to the 1/255 grid
+    (float64); raises ValueError when the box does not fit it."""
+    img = resize_bilinear(_cut(image, bbox) / 255.0, h_out, w_out)
+    return levels8(img) / 255.0
 
 
 def crop_resize(sample: Sample, bbox: BBox, h_out: int, w_out: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The sample's image and labels cropped to ``bbox`` and resized to
-    ``h_out`` x ``w_out``: the image bilinear over intensities in [0, 1]
-    and snapped to the 1/255 grid (float64), the labels by ``crop_labels``."""
+    ``h_out`` x ``w_out``, by ``crop_image`` and ``crop_labels``."""
     labels = crop_labels(sample.labels, bbox, h_out, w_out)
-    l, t, h, w = bbox.as_tuple()
-    img = resize_bilinear(sample.image[t:t + h, l:l + w] / 255.0, h_out, w_out)
-    return levels8(img) / 255.0, labels
+    return crop_image(sample.image, bbox, h_out, w_out), labels

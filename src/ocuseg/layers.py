@@ -43,6 +43,16 @@ buffer holds the same values as for the materialized input, so the result
 is bit-identical.  The input gradient is still one ``[C_in, N, H, W]``
 array.
 
+Buffer ownership: a forward-only ``Conv2d.forward`` (``keep_cache=False``)
+writes into an output buffer the layer owns and reuses while the input's
+shape and dtype stay the same, so a run of same-shape batches allocates
+no conv output.  Its result is valid until the same layer's next
+forward-only call; a caller that needs it longer copies it.  A training
+forward (``keep_cache=True``) returns a fresh array, which ``backward``
+and the caller's caches may hold.  Only ``in_place_relu`` writes over its
+argument; the other pointwise functions write only into arrays passed as
+their ``out`` (or ``work``).
+
 Spatial size changes otherwise happen through ``pool2x_batch`` /
 ``upsample2x_batch``, which are adjoint up to a factor of 4 (pool averages
 a 2x2 block, upsample duplicates; the pool backward spreads grad/4, the
@@ -154,12 +164,14 @@ def _shift_bands(x: np.ndarray | ChannelStack, k: int):
             yield i, r0, r1, slab.reshape(c_in * k, span)
 
 
-def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray) -> np.ndarray:
+def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Cross-correlate ``x [C_in,N,H,W]`` (an array or a ``ChannelStack``)
     with ``kernel [C_out,C_in,k,k]``.
 
     Returns ``[C_out, N, H, W]`` in ``x``'s dtype, to which the kernel is
-    cast.  For each band of ``_shift_bands`` it adds, over kernel rows
+    cast: ``out`` when given (every element is overwritten), else a new
+    array.  For each band of ``_shift_bands`` it adds, over kernel rows
     ``dy``, one GEMM of ``kernel[:, :, dy]`` (as ``[C_out, C_in*k]``)
     against the slab columns from padded row ``dy`` on, and keeps the
     first ``W`` of each row's ``W + k - 1`` columns.
@@ -172,12 +184,22 @@ def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray) -> np.ndarray
     _, n, h, w = x.shape
     wp = w + k - 1
     taps = [kernel[:, :, dy].reshape(c_out, c_in * k).astype(x.dtype) for dy in range(k)]
-    out = np.empty((c_out, n, h, w), dtype=x.dtype)
+    if out is None:
+        out = np.empty((c_out, n, h, w), dtype=x.dtype)
+    _require(out.shape == (c_out, n, h, w) and out.dtype == x.dtype,
+             f"out {out.shape} {out.dtype} does not fit the result "
+             f"{(c_out, n, h, w)} {x.dtype}")
+    # the band sum and each product go into two buffers sized by the first
+    # band, the tallest, instead of new arrays per band
+    bufs = None
     for i, r0, r1, slab in _shift_bands(x, k):
         span = (r1 - r0) * wp
-        band = taps[0] @ slab[:, :span]
+        if bufs is None:
+            bufs = np.empty((2, c_out * span), dtype=x.dtype)
+        band, prod = (b[:c_out * span].reshape(c_out, span) for b in bufs)
+        np.matmul(taps[0], slab[:, :span], out=band)
         for dy in range(1, k):
-            band += taps[dy] @ slab[:, dy * wp:dy * wp + span]
+            band += np.matmul(taps[dy], slab[:, dy * wp:dy * wp + span], out=prod)
         out[:, i, r0:r1] = band.reshape(c_out, r1 - r0, wp)[:, :, :w]
     return out
 
@@ -226,16 +248,27 @@ def relu_batch(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def in_place_relu(x: np.ndarray) -> np.ndarray:
+    """``relu_batch`` written over ``x``: for a forward-only pass's own conv
+    output, which nothing reads unrectified."""
+    return np.maximum(x, 0.0, out=x)
+
+
 def relu_batch_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0.0)
 
 
 def pool2x_batch(x: np.ndarray) -> np.ndarray:
-    """2x2 average pooling over the trailing two axes (must be even)."""
+    """2x2 average pooling over the trailing two axes (must be even): the
+    block's four values summed left to right, then scaled by 0.25, all in
+    the one output array."""
     h, w = x.shape[-2:]
     _require(h % 2 == 0 and w % 2 == 0, f"pool2x needs even spatial dims, got {h}x{w}")
-    return 0.25 * (x[..., 0::2, 0::2] + x[..., 0::2, 1::2]
-                   + x[..., 1::2, 0::2] + x[..., 1::2, 1::2])
+    out = np.add(x[..., 0::2, 0::2], x[..., 0::2, 1::2])
+    out += x[..., 1::2, 0::2]
+    out += x[..., 1::2, 1::2]
+    out *= 0.25
+    return out
 
 
 def upsample2x_batch(x: np.ndarray) -> np.ndarray:
@@ -256,17 +289,22 @@ def upsample2x_batch_backward(grad_out: np.ndarray) -> np.ndarray:
             + grad_out[..., 1::2, 0::2] + grad_out[..., 1::2, 1::2])
 
 
-def _softplus(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(e)
-
-
-def softplus(x: np.ndarray) -> np.ndarray:
+def softplus(x: np.ndarray, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
     """ln(1 + exp(x)) without overflow: max(x, 0) + ln(1 + exp(-|x|)).
 
     About twice as fast as ``np.logaddexp(0, x)``.  Both are within 2 ulp
     of the exact value, but numpy's SIMD exp rounds differently from the
-    libm one behind logaddexp, so the two differ by up to 3 ulp."""
-    return _softplus(x, np.exp(-np.abs(x)))
+    libm one behind logaddexp, so the two differ by up to 3 ulp.
+
+    The result goes into ``out`` (which may be ``x``) and ``ln(1 +
+    exp(-|x|))`` into ``work``, an array of ``x``'s shape and dtype; each
+    is allocated when not given, with the same values either way."""
+    e = np.abs(x, out=work)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=e)
+    return np.add(np.maximum(x, 0.0, out=out), e, out=out)
 
 
 def softplus_with_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +315,8 @@ def softplus_with_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that numerator without a branch: exactly 1 above zero and ``exp(x)``
     below, and several times faster than selecting it with ``np.where``."""
     e = np.exp(-np.abs(x))
-    return _softplus(x, e), np.exp(np.minimum(x, 0.0)) / (1.0 + e)
+    return (np.maximum(x, 0.0) + np.log1p(e),
+            np.exp(np.minimum(x, 0.0)) / (1.0 + e))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -301,13 +340,23 @@ def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # layer objects holding parameters + workspace
 # ---------------------------------------------------------------------------
 
+def reuse_buffer(buf: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``buf`` if it has ``shape`` and ``dtype``, else a new uninitialized
+    array of them: the owner's next forward-only output goes there."""
+    if buf is not None and buf.shape == shape and buf.dtype == dtype:
+        return buf
+    return np.empty(shape, dtype=dtype)
+
+
 class Conv2d:
     """3x3 same-padding conv layer with bias, on [C,N,H,W] activations.
 
     ``forward(x, keep_cache=True)`` keeps a reference to its input (an
     array or a ``ChannelStack``), from which ``backward`` builds the kernel
-    gradient; a forward-only call drops any input kept before, so inference
-    holds no activations.
+    gradient, and returns a new array.  A forward-only call drops any input
+    kept before and writes into an output buffer the layer owns, reused
+    while the output's shape and dtype stay the same: its result is valid
+    until this layer's next forward-only call, which overwrites it.
     """
 
     def __init__(self, name: str, c_in: int, c_out: int):
@@ -316,6 +365,7 @@ class Conv2d:
         self.kernel = np.zeros((c_out, c_in, self.k, self.k))
         self.bias = np.zeros(c_out)
         self._x: np.ndarray | ChannelStack | None = None
+        self._out: np.ndarray | None = None
 
     def init_he(self, rng) -> None:
         fan_in = self.c_in * self.k * self.k
@@ -332,8 +382,13 @@ class Conv2d:
 
     def forward(self, x: np.ndarray | ChannelStack, *, keep_cache: bool = False
                 ) -> np.ndarray:
-        self._x = x if keep_cache else None
-        out = conv2d_batch(x, self.kernel)
+        if keep_cache:
+            self._x = x
+            out = conv2d_batch(x, self.kernel)
+        else:
+            self._x = None
+            self._out = reuse_buffer(self._out, (self.c_out,) + x.shape[1:], x.dtype)
+            out = conv2d_batch(x, self.kernel, self._out)
         out += self.bias.astype(out.dtype)[:, None, None, None]
         return out
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .datasetio import DatasetError
-from .detect import BBox, crop_resize, detect_eye_heuristic, jitter_gt_bbox
+from .detect import BBox, crop_image, crop_resize, detect_eye_heuristic, jitter_gt_bbox
 from .evaluate import report
 from .metrics import confusion_matrix
 from .rng import Rng
@@ -60,15 +60,31 @@ def build_crops(samples: list[Sample], config: RunConfig, mode: str = "gt-jitter
     return images, labels, boxes, ids
 
 
+def crop_images(samples: list[Sample], config: RunConfig, mode: str
+                ) -> tuple[np.ndarray, list[BBox], list[str]]:
+    """``build_crops`` without the label crops: (images [N,H,W] float32,
+    boxes, ids), for a caller that reads no ground truth."""
+    images = np.empty((len(samples), config.crop_h, config.crop_w), dtype=np.float32)
+    boxes = [choose_bbox(s, mode, config) for s in samples]
+    for i, (s, box) in enumerate(zip(samples, boxes)):
+        images[i] = crop_image(s.image, box, config.crop_h, config.crop_w)
+    return images, boxes, [s.sample_id for s in samples]
+
+
 def infer_samples(images: np.ndarray, seg: SegModel, head: UncHead
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Segment and score built crops: label maps [N, H, W] (uint8) and
-    ``s_unc`` [N]."""
+    ``s_unc`` [N].
+
+    Every batch runs forward-only, in buffers the layers own and reuse, so
+    same-shape batches allocate no activations; the log variances overwrite
+    the head's variances, which nothing reads after the score."""
     y_hat = np.empty(images.shape, dtype=np.uint8)
     s_unc = np.empty(len(images))
     for i in range(0, len(images), INFER_BATCH):
         y_hat[i:i + INFER_BATCH], stages = predict_batch(seg, images[i:i + INFER_BATCH])
-        s_unc[i:i + INFER_BATCH] = unc_score(head.forward(stages))
+        cov = head.forward(stages)
+        s_unc[i:i + INFER_BATCH] = unc_score(cov, out=cov)
     return y_hat, s_unc
 
 

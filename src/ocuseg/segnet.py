@@ -29,9 +29,9 @@ import numpy as np
 
 from .checkpoint import model_tensor
 from .config import RunConfig
-from .layers import (ChannelStack, Conv2d, pool2x_batch, pool2x_batch_backward,
-                     relu_batch, relu_batch_backward, softmax_rows,
-                     upsample2x_batch_backward)
+from .layers import (ChannelStack, Conv2d, in_place_relu, pool2x_batch,
+                     pool2x_batch_backward, relu_batch, relu_batch_backward, reuse_buffer,
+                     softmax_rows, upsample2x_batch_backward)
 from .metrics import N_CLASSES, confusion_matrix, metrics_from_confusion
 from .optim import clip_grad_norm, fit
 from .rng import Rng
@@ -57,6 +57,7 @@ class SegModel:
         self.convs = (self.conv1, self.conv2, self.conv3)
         self.head = np.zeros((N_CLASSES, config.d))
         self._cache: dict = {}
+        self._logits: np.ndarray | None = None    # predict_batch's, forward-only
 
     def init_params(self, rng: Rng) -> None:
         """He fan-in init for convs (zero biases), then the head matrix.
@@ -84,7 +85,8 @@ class SegModel:
     def stages(self, images: np.ndarray, keep_cache: bool = False
                ) -> tuple[np.ndarray, np.ndarray]:
         """images [N, H, W] -> (stage1, stage2), the backbone up to conv3.
-        ``keep_cache`` keeps what ``backward_batch`` needs of conv1 and conv2.
+        ``keep_cache`` keeps what ``backward_batch`` needs of conv1 and conv2;
+        without it, both maps are the convs' own buffers (see ``Conv2d``).
 
         Crops arrive in [0, 1] and are standardized to [-1, 1] before conv1.
         """
@@ -92,16 +94,19 @@ class SegModel:
         cfg = self.config
         if (h, w) != (cfg.crop_h, cfg.crop_w):
             raise ValueError(f"expected {cfg.crop_h}x{cfg.crop_w} crops, got {h}x{w}")
+        relu = relu_batch if keep_cache else in_place_relu
         x = (images[None] - 0.5) * 2.0                # [1, N, H, W]
         pre1 = self.conv1.forward(x, keep_cache=keep_cache)
-        s1 = relu_batch(pre1)
+        s1 = relu(pre1)
         pre2 = self.conv2.forward(pool2x_batch(s1), keep_cache=keep_cache)
         self._cache = {"pre1": pre1, "pre2": pre2} if keep_cache else {}
-        return s1, relu_batch(pre2)
+        return s1, relu(pre2)
 
     def forward_batch(self, images: np.ndarray, keep_cache: bool = False) -> StageFeatures:
         """images [N, H, W] -> StageFeatures: ``stages`` then conv3.
-        ``keep_cache`` keeps what ``backward_batch`` needs."""
+        ``keep_cache`` keeps what ``backward_batch`` needs; without it, the
+        features are the convs' own buffers, overwritten by the next
+        forward-only pass."""
         s1, s2 = self.stages(images, keep_cache)
         z = self.conv3.forward(ChannelStack(s2, s1), keep_cache=keep_cache)
         return StageFeatures(stage1=s1, stage2=s2, z=z)
@@ -122,10 +127,18 @@ class SegModel:
 def predict_batch(model: SegModel, images: np.ndarray
                   ) -> tuple[np.ndarray, StageFeatures]:
     """Label maps [N, H, W] (argmax ties -> lowest class) and the backbone
-    features of a batch of crops."""
+    features of a batch of crops.  Forward-only: the features and the class
+    logits are in buffers the model owns (see ``Conv2d``)."""
     feats = model.forward_batch(images)
-    logits = model.head.astype(feats.z.dtype) @ feats.z.reshape(model.config.d, -1)
-    return np.argmax(logits, axis=0).reshape(images.shape), feats
+    zmat = feats.z.reshape(model.config.d, -1)
+    model._logits = reuse_buffer(model._logits, (N_CLASSES, zmat.shape[1]), zmat.dtype)
+    logits = np.matmul(model.head.astype(zmat.dtype), zmat, out=model._logits)
+    # image by image: argmax over axis 0 copies its input, here one image's logits
+    per_image = logits.reshape(N_CLASSES, len(images), -1)
+    labels = np.empty(per_image.shape[1:], dtype=np.intp)
+    for i, row in enumerate(labels):
+        np.argmax(per_image[:, i], axis=0, out=row)
+    return labels.reshape(images.shape), feats
 
 
 def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray
@@ -161,8 +174,6 @@ def evaluate_miou(model: SegModel, images: np.ndarray, labels: np.ndarray) -> fl
     # no src caller: bench/workloads.py and bench/attribution.py use it by name
     conf = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for i in range(0, len(images), INFER_BATCH):
-        # [0] alone: binding the features too keeps them alive through the
-        # next batch's forward
         y_hat = predict_batch(model, images[i:i + INFER_BATCH])[0]
         conf += confusion_matrix(y_hat, labels[i:i + INFER_BATCH])
     return metrics_from_confusion(conf)["miou"]

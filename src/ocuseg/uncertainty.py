@@ -27,9 +27,9 @@ import math
 import numpy as np
 
 from .config import RunConfig
-from .layers import (ChannelStack, Conv2d, pool2x_batch, pool2x_batch_backward,
-                     relu_batch, relu_batch_backward, softplus, softplus_with_slope,
-                     upsample2x_batch_backward)
+from .layers import (ChannelStack, Conv2d, in_place_relu, pool2x_batch,
+                     pool2x_batch_backward, relu_batch, relu_batch_backward, reuse_buffer,
+                     softplus, softplus_with_slope, upsample2x_batch_backward)
 from .optim import clip_grad_norm, fit
 from .rng import Rng
 from .segnet import SegModel, StageFeatures
@@ -53,6 +53,10 @@ class UncHead:
     and ``ChannelStack(e, stage1, z)``: no upsampled or concatenated copy is
     built.  Stage features and z are treated as constants (no gradient
     reaches the backbone), matching the staged training procedure.
+
+    A forward-only pass rectifies each conv's own output buffer in place and
+    returns the variances in h4's, so they are valid until the next
+    forward-only pass; a training pass returns a new array.
     """
 
     def __init__(self, config: RunConfig):
@@ -66,6 +70,7 @@ class UncHead:
         self.h4 = Conv2d("h4", u + w1 + d, d)
         self.convs = (self.h1, self.h2, self.h3, self.h4)
         self._cache: dict = {}
+        self._work: np.ndarray | None = None    # softplus's work array, forward-only
 
     def init_params(self, rng: Rng) -> None:
         for conv in self.convs:
@@ -85,17 +90,21 @@ class UncHead:
             raise ValueError(
                 f"stage shapes inconsistent: stage1 {stages.stage1.shape}, "
                 f"stage2 {stages.stage2.shape}, z {stages.z.shape}")
+        relu = relu_batch if keep_cache else in_place_relu
         a_pre = self.h1.forward(stages.stage2, keep_cache=keep_cache)
-        a = relu_batch(a_pre)
+        a = relu(a_pre)
         c_pre = self.h2.forward(pool2x_batch(a), keep_cache=keep_cache)
-        c = relu_batch(c_pre)
+        c = relu(c_pre)
         e_pre = self.h3.forward(ChannelStack(c, a), keep_cache=keep_cache)
-        e = relu_batch(e_pre)
+        e = relu(e_pre)
         g_pre = self.h4.forward(ChannelStack(e, stages.stage1, stages.z),
                                 keep_cache=keep_cache)
         if not keep_cache:
             self._cache = {}
-            return softplus(g_pre) + EPS_FLOOR
+            self._work = reuse_buffer(self._work, g_pre.shape, g_pre.dtype)
+            cov = softplus(g_pre, out=g_pre, work=self._work)
+            cov += EPS_FLOOR
+            return cov
         # keep softplus's slope, not g_pre: backward needs nothing else of it
         cov, slope = softplus_with_slope(g_pre)
         self._cache = {"a_pre": a_pre, "c_pre": c_pre, "e_pre": e_pre, "slope": slope}
@@ -157,16 +166,17 @@ def surrogate_loss_batch(cov: np.ndarray, v: np.ndarray) -> tuple[float, np.ndar
     return loss, 2.0 * diff / npix
 
 
-def unc_score(cov: np.ndarray) -> np.ndarray:
+def unc_score(cov: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-crop sum over pixels of ln det(diag covariance), i.e. of the log
-    variances: ``[D, N, H, W] -> [N]`` float64.
+    variances: ``[D, N, H, W] -> [N]`` float64.  The log variances go into
+    ``out`` (which may be ``cov``) when given, else into a new array.
 
     The floor is compared in ``cov``'s dtype: a float32 variance at the
     floor is ``float32(EPS_FLOOR)``, which lies below ``EPS_FLOOR``."""
     lowest = cov.min()
     if lowest < cov.dtype.type(EPS_FLOOR):
         raise ValueError(f"variance below floor: min {lowest}")
-    return np.log(cov).sum(axis=(0, 2, 3), dtype=np.float64)
+    return np.log(cov, out=out).sum(axis=(0, 2, 3), dtype=np.float64)
 
 
 def loss_probe(v: np.ndarray, cov: np.ndarray) -> dict[str, float]:
@@ -264,6 +274,9 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
     head.h4.bias = _softplus_inverse((v0 * v0).mean(axis=(1, 2, 3), dtype=np.float64))
 
     def step_batch(idx: list[int]) -> tuple:
+        # forward-only stages: conv1's and conv2's own buffers, which h4 and
+        # h1 keep for this step's backward; the next step's stages call
+        # overwrites them only after that backward
         stages = StageFeatures(*seg_model.stages(images[idx]), z=z[:, idx])
         v = residual_targets(stages.z, labels[idx], seg_model.head)
         cov = head.forward(stages, keep_cache=True)

@@ -346,6 +346,25 @@ class TestConv2dLayer:
         assert np.array_equal(conv.backward(g)[1]["c.kernel"], grads["c.kernel"])
 
 
+    def test_forward_only_output_is_the_layers_buffer(self, rng):
+        conv = Conv2d("c", 2, 3)
+        conv.init_he(rng)
+        x = rng.normal_array(2 * 2 * 5 * 5).reshape(2, 2, 5, 5).astype(np.float32)
+        first = conv.forward(x)
+        want = first.copy()
+        # same shape: the same buffer, every element rewritten
+        first.fill(np.nan)
+        assert conv.forward(x) is first and np.array_equal(first, want)
+        # another shape or dtype gets a new buffer and leaves the old one alone
+        assert conv.forward(x[:, :1]).shape == (3, 1, 5, 5)
+        assert conv.forward(x.astype(np.float64)).dtype == np.float64
+        assert np.array_equal(first, want)
+        # a training forward returns a new array every call
+        kept = conv.forward(x, keep_cache=True)
+        assert kept is not conv.forward(x, keep_cache=True)
+        assert np.array_equal(kept, want)
+
+
 def ulps_apart(a, b):
     """Distance in units in the last place between same-sign doubles."""
     return np.abs(a.view(np.int64) - b.view(np.int64))

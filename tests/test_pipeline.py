@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from ocuseg.config import RunConfig
 from ocuseg.detect import crop_resize
 from ocuseg.pipeline import (DETECTOR_MODES, ablation_crop_vs_full, build_crops,
-                             choose_bbox, infer_samples)
+                             choose_bbox, crop_images, infer_samples)
 from ocuseg.rng import Rng
 from ocuseg.segnet import INFER_BATCH, SegModel
 from ocuseg.synth import generate_dataset
@@ -86,6 +87,15 @@ def test_build_crops_images_are_the_float32_crops(mode):
         assert np.array_equal(img, np.float32(crop_resize(s, box, cfg.crop_h, cfg.crop_w)[0]))
 
 
+@pytest.mark.parametrize("mode", DETECTOR_MODES)
+def test_crop_images_is_build_crops_without_labels(mode):
+    cfg, samples, _, _ = small_setup()
+    images, _, boxes, ids = build_crops(samples, cfg, mode)
+    got_images, got_boxes, got_ids = crop_images(samples, cfg, mode)
+    assert got_images.dtype == np.float32 and np.array_equal(got_images, images)
+    assert got_boxes == boxes and got_ids == ids
+
+
 def test_ablation_crop_vs_full_reports_both_arms():
     cfg = RunConfig(seed=3, crop_h=32, crop_w=32, d=4, widths=[4, 8], head_width=4,
                     seg_epochs=1, unc_epochs=1)
@@ -131,3 +141,57 @@ def test_build_crops_outputs_are_pinned(mode):
     assert {name: hashlib.sha256(data).hexdigest()[:16] for name, data in (
         ("images", images.tobytes()), ("labels", labels.astype(np.uint8).tobytes()),
         ("boxes", repr([b.as_tuple() for b in boxes]).encode()))} == CROP_DIGESTS[mode]
+
+
+def seeded_models(config: RunConfig) -> tuple[SegModel, UncHead]:
+    seg = SegModel(config)
+    seg.init_params(Rng(config.seed).derive("seg-init"))
+    head = UncHead(config)
+    head.init_params(Rng(config.seed).derive("unc-init"))
+    return seg, head
+
+
+def mixed_crops(n: int, seed: int, mode: str) -> np.ndarray:
+    samples = generate_dataset(n, seed=seed, kinds=["none", "blur", "occlusion", "domain_shift"],
+                               sev_range=(0.05, 1.0))
+    return build_crops(samples, RunConfig(seed=7), mode)[0]
+
+
+# sha256 (first 16 hex digits) of infer_samples' label-map bytes followed by
+# its s_unc bytes, on 37 mixed crops at the default geometry: two full
+# batches and a partial one.  The convs run on the BLAS, so the digest holds
+# for the BLAS build it was taken with (OpenBLAS 0.3.31, x86-64).
+INFER_DIGEST = "097ebf9dac48d143"
+
+
+def test_infer_samples_outputs_are_pinned():
+    config = RunConfig(seed=7)
+    seg, head = seeded_models(config)
+    y_hat, s_unc = infer_samples(mixed_crops(37, 41, "gt-jitter"), seg, head)
+    assert hashlib.sha256(y_hat.tobytes() + s_unc.tobytes()).hexdigest()[:16] == INFER_DIGEST
+    # other crops through the same models give what fresh models give: the
+    # 5-crop set runs first, in the shape of the pinned call's last batch
+    other = mixed_crops(21, 42, "heuristic")
+    for images in (other[:5], other):
+        got = infer_samples(images, seg, head)
+        want = infer_samples(images, *seeded_models(config))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_warm_inference_allocates_no_activations():
+    # 48 crops at the default geometry: three full batches, whose layers
+    # reuse the buffers of a first call.  The warm peak was 2.85 MB (the
+    # pooled stage1, the batch's argmax labels and the returned arrays),
+    # against 36 MB when every batch allocated its activations; one float32
+    # [D, 16, 96, 96] activation is 4.7 MB, so any such temporary fails.
+    config = RunConfig(seed=7)
+    seg, head = seeded_models(config)
+    images = mixed_crops(48, 43, "gt-jitter")
+    infer_samples(images, seg, head)
+    tracemalloc.start()
+    try:
+        infer_samples(images, seg, head)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6, peak

@@ -8,7 +8,7 @@ from gradcheck import grad_check, pack_params, unpack_params
 
 from ocuseg import uncertainty
 from ocuseg.config import RunConfig
-from ocuseg.layers import Conv2d
+from ocuseg.layers import Conv2d, relu_batch, softplus
 from ocuseg.rng import Rng
 from ocuseg.segnet import INFER_BATCH, SegModel, count_flops, predict_batch
 from ocuseg.uncertainty import (EPS_FLOOR, UncHead, _softplus_inverse, head_flops,
@@ -224,6 +224,15 @@ class TestProbesAndScore:
             low[0, 0, 0, 0] = below
             with pytest.raises(ValueError, match="variance below floor"):
                 unc_score(low)
+
+    def test_pointwise_functions_leave_their_argument_unchanged(self, rng):
+        # only an array passed as ``out`` (or softplus's ``work``) is written
+        x = rng.normal_array(2 * 3 * 4 * 4).reshape(2, 3, 4, 4).astype(np.float32)
+        cov = softplus(x) + np.float32(1.0)
+        for f, arg in ((relu_batch, x), (softplus, x), (unc_score, cov)):
+            before = arg.copy()
+            f(arg)
+            assert np.array_equal(arg, before), f.__name__
 
     def test_unc_score_strictly_monotone(self):
         cov = np.full((2, 2, 3, 3), 2.0)
