@@ -127,8 +127,9 @@ class SegModel:
 def predict_batch(model: SegModel, images: np.ndarray
                   ) -> tuple[np.ndarray, StageFeatures]:
     """Label maps [N, H, W] (argmax ties -> lowest class) and the backbone
-    features of a batch of crops.  Forward-only: the features and the class
-    logits are in buffers the model owns (see ``Conv2d``)."""
+    features of a batch of crops.  Forward-only: the features are the
+    convs' own buffers (see ``Conv2d``) and the class logits go into one
+    the model owns."""
     feats = model.forward_batch(images)
     zmat = feats.z.reshape(model.config.d, -1)
     model._logits = reuse_buffer(model._logits, (N_CLASSES, zmat.shape[1]), zmat.dtype)
