@@ -189,17 +189,11 @@ def conv2d_batch(x: np.ndarray | ChannelStack, kernel: np.ndarray,
     _require(out.shape == (c_out, n, h, w) and out.dtype == x.dtype,
              f"out {out.shape} {out.dtype} does not fit the result "
              f"{(c_out, n, h, w)} {x.dtype}")
-    # the band sum and each product go into two buffers sized by the first
-    # band, the tallest, instead of new arrays per band
-    bufs = None
     for i, r0, r1, slab in _shift_bands(x, k):
         span = (r1 - r0) * wp
-        if bufs is None:
-            bufs = np.empty((2, c_out * span), dtype=x.dtype)
-        band, prod = (b[:c_out * span].reshape(c_out, span) for b in bufs)
-        np.matmul(taps[0], slab[:, :span], out=band)
+        band = taps[0] @ slab[:, :span]
         for dy in range(1, k):
-            band += np.matmul(taps[dy], slab[:, dy * wp:dy * wp + span], out=prod)
+            band += taps[dy] @ slab[:, dy * wp:dy * wp + span]
         out[:, i, r0:r1] = band.reshape(c_out, r1 - r0, wp)[:, :, :w]
     return out
 
@@ -249,8 +243,9 @@ def relu_batch(x: np.ndarray) -> np.ndarray:
 
 
 def in_place_relu(x: np.ndarray) -> np.ndarray:
-    """``relu_batch`` written over ``x``: for a forward-only pass's own conv
-    output, which nothing reads unrectified."""
+    """``relu_batch`` written over ``x``: for a conv's own output, which
+    nothing reads unrectified (``relu_batch_backward``'s mask ``x > 0`` is
+    the same on the rectified values)."""
     return np.maximum(x, 0.0, out=x)
 
 
@@ -259,16 +254,11 @@ def relu_batch_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def pool2x_batch(x: np.ndarray) -> np.ndarray:
-    """2x2 average pooling over the trailing two axes (must be even): the
-    block's four values summed left to right, then scaled by 0.25, all in
-    the one output array."""
+    """2x2 average pooling over the trailing two axes (must be even)."""
     h, w = x.shape[-2:]
     _require(h % 2 == 0 and w % 2 == 0, f"pool2x needs even spatial dims, got {h}x{w}")
-    out = np.add(x[..., 0::2, 0::2], x[..., 0::2, 1::2])
-    out += x[..., 1::2, 0::2]
-    out += x[..., 1::2, 1::2]
-    out *= 0.25
-    return out
+    return 0.25 * (x[..., 0::2, 0::2] + x[..., 0::2, 1::2]
+                   + x[..., 1::2, 0::2] + x[..., 1::2, 1::2])
 
 
 def upsample2x_batch(x: np.ndarray) -> np.ndarray:

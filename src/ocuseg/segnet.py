@@ -30,8 +30,8 @@ import numpy as np
 from .checkpoint import model_tensor
 from .config import RunConfig
 from .layers import (ChannelStack, Conv2d, in_place_relu, pool2x_batch,
-                     pool2x_batch_backward, relu_batch, relu_batch_backward, reuse_buffer,
-                     softmax_rows, upsample2x_batch_backward)
+                     pool2x_batch_backward, relu_batch_backward, softmax_rows,
+                     upsample2x_batch_backward)
 from .metrics import N_CLASSES, confusion_matrix, metrics_from_confusion
 from .optim import clip_grad_norm, fit
 from .rng import Rng
@@ -57,7 +57,6 @@ class SegModel:
         self.convs = (self.conv1, self.conv2, self.conv3)
         self.head = np.zeros((N_CLASSES, config.d))
         self._cache: dict = {}
-        self._logits: np.ndarray | None = None    # predict_batch's, forward-only
 
     def init_params(self, rng: Rng) -> None:
         """He fan-in init for convs (zero biases), then the head matrix.
@@ -94,13 +93,12 @@ class SegModel:
         cfg = self.config
         if (h, w) != (cfg.crop_h, cfg.crop_w):
             raise ValueError(f"expected {cfg.crop_h}x{cfg.crop_w} crops, got {h}x{w}")
-        relu = relu_batch if keep_cache else in_place_relu
         x = (images[None] - 0.5) * 2.0                # [1, N, H, W]
-        pre1 = self.conv1.forward(x, keep_cache=keep_cache)
-        s1 = relu(pre1)
-        pre2 = self.conv2.forward(pool2x_batch(s1), keep_cache=keep_cache)
-        self._cache = {"pre1": pre1, "pre2": pre2} if keep_cache else {}
-        return s1, relu(pre2)
+        # ReLU over each conv's output: backward's mask s > 0 is pre > 0
+        s1 = in_place_relu(self.conv1.forward(x, keep_cache=keep_cache))
+        s2 = in_place_relu(self.conv2.forward(pool2x_batch(s1), keep_cache=keep_cache))
+        self._cache = {"s1": s1, "s2": s2} if keep_cache else {}
+        return s1, s2
 
     def forward_batch(self, images: np.ndarray, keep_cache: bool = False) -> StageFeatures:
         """images [N, H, W] -> StageFeatures: ``stages`` then conv3.
@@ -116,10 +114,10 @@ class SegModel:
         w2 = self.config.widths[1]
         gcat, g3 = self.conv3.backward(grad_z)
         gs2 = upsample2x_batch_backward(gcat[:w2])
-        gpre2 = relu_batch_backward(gs2, self._cache["pre2"])
+        gpre2 = relu_batch_backward(gs2, self._cache["s2"])
         gp1, g2 = self.conv2.backward(gpre2)
         gs1 = gcat[w2:] + pool2x_batch_backward(gp1)
-        gpre1 = relu_batch_backward(gs1, self._cache["pre1"])
+        gpre1 = relu_batch_backward(gs1, self._cache["s1"])
         _, g1 = self.conv1.backward(gpre1, input_channels=0)   # images need none
         return {**g1, **g2, **g3}
 
@@ -128,18 +126,10 @@ def predict_batch(model: SegModel, images: np.ndarray
                   ) -> tuple[np.ndarray, StageFeatures]:
     """Label maps [N, H, W] (argmax ties -> lowest class) and the backbone
     features of a batch of crops.  Forward-only: the features are the
-    convs' own buffers (see ``Conv2d``) and the class logits go into one
-    the model owns."""
+    convs' own buffers (see ``Conv2d``)."""
     feats = model.forward_batch(images)
-    zmat = feats.z.reshape(model.config.d, -1)
-    model._logits = reuse_buffer(model._logits, (N_CLASSES, zmat.shape[1]), zmat.dtype)
-    logits = np.matmul(model.head.astype(zmat.dtype), zmat, out=model._logits)
-    # image by image: argmax over axis 0 copies its input, here one image's logits
-    per_image = logits.reshape(N_CLASSES, len(images), -1)
-    labels = np.empty(per_image.shape[1:], dtype=np.intp)
-    for i, row in enumerate(labels):
-        np.argmax(per_image[:, i], axis=0, out=row)
-    return labels.reshape(images.shape), feats
+    logits = model.head.astype(feats.z.dtype) @ feats.z.reshape(model.config.d, -1)
+    return np.argmax(logits, axis=0).reshape(images.shape), feats
 
 
 def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray

@@ -28,8 +28,8 @@ import numpy as np
 
 from .config import RunConfig
 from .layers import (ChannelStack, Conv2d, in_place_relu, pool2x_batch,
-                     pool2x_batch_backward, relu_batch, relu_batch_backward, reuse_buffer,
-                     softplus, softplus_with_slope, upsample2x_batch_backward)
+                     pool2x_batch_backward, relu_batch_backward, reuse_buffer, softplus,
+                     softplus_with_slope, upsample2x_batch_backward)
 from .optim import clip_grad_norm, fit
 from .rng import Rng
 from .segnet import SegModel, StageFeatures
@@ -54,9 +54,9 @@ class UncHead:
     built.  Stage features and z are treated as constants (no gradient
     reaches the backbone), matching the staged training procedure.
 
-    A forward-only pass rectifies each conv's own output buffer in place and
-    returns the variances in h4's, so they are valid until the next
-    forward-only pass; a training pass returns a new array.
+    Each conv's output is rectified in place.  A forward-only pass returns
+    the variances in h4's own output buffer, so they are valid until the
+    next forward-only pass; a training pass returns a new array.
     """
 
     def __init__(self, config: RunConfig):
@@ -90,13 +90,10 @@ class UncHead:
             raise ValueError(
                 f"stage shapes inconsistent: stage1 {stages.stage1.shape}, "
                 f"stage2 {stages.stage2.shape}, z {stages.z.shape}")
-        relu = relu_batch if keep_cache else in_place_relu
-        a_pre = self.h1.forward(stages.stage2, keep_cache=keep_cache)
-        a = relu(a_pre)
-        c_pre = self.h2.forward(pool2x_batch(a), keep_cache=keep_cache)
-        c = relu(c_pre)
-        e_pre = self.h3.forward(ChannelStack(c, a), keep_cache=keep_cache)
-        e = relu(e_pre)
+        # ReLU over each conv's output: backward's mask a > 0 is a_pre > 0
+        a = in_place_relu(self.h1.forward(stages.stage2, keep_cache=keep_cache))
+        c = in_place_relu(self.h2.forward(pool2x_batch(a), keep_cache=keep_cache))
+        e = in_place_relu(self.h3.forward(ChannelStack(c, a), keep_cache=keep_cache))
         g_pre = self.h4.forward(ChannelStack(e, stages.stage1, stages.z),
                                 keep_cache=keep_cache)
         if not keep_cache:
@@ -107,7 +104,7 @@ class UncHead:
             return cov
         # keep softplus's slope, not g_pre: backward needs nothing else of it
         cov, slope = softplus_with_slope(g_pre)
-        self._cache = {"a_pre": a_pre, "c_pre": c_pre, "e_pre": e_pre, "slope": slope}
+        self._cache = {"a": a, "c": c, "e": e, "slope": slope}
         return cov + EPS_FLOOR
 
     def backward(self, grad_cov: np.ndarray) -> dict[str, np.ndarray]:
@@ -117,13 +114,13 @@ class UncHead:
         # only the upsampled-e channels of h4's input: stage1 and z are frozen
         dg_in, g4 = self.h4.backward(dg_pre, input_channels=u)
         de = upsample2x_batch_backward(dg_in)
-        de_pre = relu_batch_backward(de, cache["e_pre"])
+        de_pre = relu_batch_backward(de, cache["e"])
         de_in, g3 = self.h3.backward(de_pre)
         dc = upsample2x_batch_backward(de_in[:u])
-        dc_pre = relu_batch_backward(dc, cache["c_pre"])
+        dc_pre = relu_batch_backward(dc, cache["c"])
         db, g2 = self.h2.backward(dc_pre)
         da = de_in[u:] + pool2x_batch_backward(db)
-        da_pre = relu_batch_backward(da, cache["a_pre"])
+        da_pre = relu_batch_backward(da, cache["a"])
         _, g1 = self.h1.backward(da_pre, input_channels=0)   # stage2 is frozen
         return {**g1, **g2, **g3, **g4}
 
