@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, read_json
 
 FORMAT_VERSION = 1
 KINDS = ("seg", "unc")
@@ -47,7 +48,7 @@ def save_checkpoint(directory: str | Path, config: RunConfig,
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "config": json.loads(config.to_json()),
+        "config": asdict(config),
         "arch_hash": config.arch_hash(),
         "config_hash": config.content_hash(),
         "tensors": index,
@@ -65,12 +66,7 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
     directory = Path(directory)
     header_path = directory / "header.json"
     weights_path = directory / "weights.bin"
-    try:
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{header_path}: not valid JSON: {e}") from None
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{header_path}: not a JSON object")
+    header = read_json(header_path, CheckpointError, dict)
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{header_path}: unsupported format_version "
                               f"{header.get('format_version')!r}")
@@ -81,7 +77,7 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
         raise CheckpointError(f"{directory}: checkpoint kind is {header['kind']!r}, "
                               f"expected {kind!r}")
     try:
-        config = RunConfig.from_json(json.dumps(header.get("config")))
+        config = RunConfig.from_dict(header.get("config"))
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{header_path}: invalid config: {e}") from None
     if header.get("arch_hash") != config.arch_hash():
@@ -95,8 +91,8 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
     counts = [math.prod(entry["shape"]) for entry in index]
     expected = 8 * sum(counts)
     if len(raw) != expected:
-        kind = "truncated" if len(raw) < expected else "trailing bytes in"
-        raise CheckpointError(f"{kind} {weights_path}: {len(raw)} bytes, "
+        problem = "truncated" if len(raw) < expected else "trailing bytes in"
+        raise CheckpointError(f"{problem} {weights_path}: {len(raw)} bytes, "
                               f"header describes {expected}")
     tensors = {}
     off = 0

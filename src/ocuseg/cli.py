@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import RunConfig
+from .config import RunConfig, read_json, read_text
 from .datasetio import DatasetError, read_dataset, read_pgm, write_dataset, write_pgm
 # no caller here: bench/attribution.py traces crop_resize under this module's name
 from .detect import BBox, crop_labels, crop_resize
@@ -44,16 +44,23 @@ class UsageError(ValueError):
     pass
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _load_config(path: str) -> RunConfig:
-    p = Path(path)
+    data = read_json(path, UsageError, dict)
     try:
-        return RunConfig.load(p)
-    except (json.JSONDecodeError, TypeError, ValueError) as e:
-        raise UsageError(f"invalid config {p}: {e}") from None
+        return RunConfig.from_dict(data)
+    except ValueError as e:
+        raise UsageError(f"invalid config {path}: {e}") from None
+
+
+def _load_model(cls, directory: str, kind: str):
+    """The config and ``cls`` model of the ``kind`` checkpoint in ``directory``."""
+    config, tensors = load_checkpoint(directory, kind)
+    model = cls(config)
+    try:
+        model.set_params(tensors)
+    except CheckpointError as e:
+        raise CheckpointError(f"{directory}: {e}") from None
+    return config, model
 
 
 def _read_samples(path: str) -> list[Sample]:
@@ -67,8 +74,7 @@ def _read_samples(path: str) -> list[Sample]:
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(c) if isinstance(c, float) else str(c)
-                              for c in row))
+        lines.append(",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -118,12 +124,10 @@ def cmd_train_seg(args) -> int:
 
 def cmd_train_unc(args) -> int:
     config = _load_config(args.config)
-    seg_config, seg_params = load_checkpoint(args.seg, "seg")
+    seg_config, seg = _load_model(SegModel, args.seg, "seg")
     if seg_config.arch_hash() != config.arch_hash():
         raise UsageError("config does not match the segmentation checkpoint's "
                          f"architecture ({config.arch_hash()} vs {seg_config.arch_hash()})")
-    seg = SegModel(config)
-    seg.set_params(seg_params)
     images, labels, _, _ = build_crops(_read_samples(args.data), config, "gt-jitter")
     head, rows = train_unc(images, labels, seg, args.loss, config)
     save_checkpoint(args.out, config, head.params(), "unc")
@@ -135,16 +139,11 @@ def cmd_train_unc(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    seg_config, seg_params = load_checkpoint(args.seg, "seg")
-    unc_config, unc_params = load_checkpoint(args.unc, "unc")
-    if seg_config.arch_hash() != unc_config.arch_hash():
+    config, seg = _load_model(SegModel, args.seg, "seg")
+    unc_config, head = _load_model(UncHead, args.unc, "unc")
+    if config.arch_hash() != unc_config.arch_hash():
         raise UsageError("checkpoint architectures differ: "
-                         f"{seg_config.arch_hash()} vs {unc_config.arch_hash()}")
-    config = seg_config
-    seg = SegModel(config)
-    seg.set_params(seg_params)
-    head = UncHead(config)
-    head.set_params(unc_params)
+                         f"{config.arch_hash()} vs {unc_config.arch_hash()}")
     images, boxes, ids = crop_images(_read_samples(args.data), config, args.detector)
     y_hat, s_unc = infer_samples(images, seg, head)
     bad = [sid for sid, s in zip(ids, s_unc) if not np.isfinite(s)]
@@ -169,7 +168,7 @@ def cmd_infer(args) -> int:
 def _read_csv(path: Path, required: tuple[str, ...]) -> list[dict[str, str]]:
     """Rows of a CSV file as dicts keyed by its header, which must name
     every ``required`` column; each row must have one field per column."""
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
+    lines = read_text(path, UsageError).strip().split("\n")
     header = lines[0].split(",")
     missing = [c for c in required if c not in header]
     if missing:
@@ -182,8 +181,8 @@ def _read_csv(path: Path, required: tuple[str, ...]) -> list[dict[str, str]]:
     return [dict(zip(header, row)) for row in rows]
 
 
-def _check_row_ids(name: str, row_ids: list[str], dataset_ids) -> None:
-    """The CSV ``name`` must list each dataset id exactly once and nothing else."""
+def _check_row_ids(path: Path, row_ids: list[str], dataset_ids) -> None:
+    """The CSV ``path`` must list each dataset id exactly once and nothing else."""
     counts = Counter(row_ids)
     bad = {"unknown ids": [sid for sid in counts if sid not in dataset_ids],
            "dataset ids without a row": [sid for sid in dataset_ids if sid not in counts],
@@ -191,17 +190,12 @@ def _check_row_ids(name: str, row_ids: list[str], dataset_ids) -> None:
     problems = [f"{len(ids)} {what} ({', '.join(sorted(ids)[:20])})"
                 for what, ids in bad.items() if ids]
     if problems:
-        raise UsageError(f"{name} does not match the dataset: " + "; ".join(problems))
+        raise UsageError(f"{path} does not match the dataset: " + "; ".join(problems))
 
 
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
-    try:
-        meta = json.loads((pred_dir / "meta.json").read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise UsageError(f"malformed {pred_dir / 'meta.json'}: {e}") from None
-    if not isinstance(meta, dict):
-        raise UsageError(f"malformed {pred_dir / 'meta.json'}: not a JSON object")
+    meta = read_json(pred_dir / "meta.json", UsageError, dict)
     crop = meta.get("crop")
     if not (isinstance(crop, list) and len(crop) == 2
             and all(type(v) is int and v > 0 for v in crop)):
@@ -209,7 +203,7 @@ def cmd_eval(args) -> int:
                          f"writes, got {crop!r}; run infer again")
     scores_rows = _read_csv(pred_dir / "scores.csv", ("sample_id", "s_unc", "l", "t", "h", "w"))
     samples = {s.sample_id: s for s in _read_samples(args.data)}
-    _check_row_ids("scores.csv", [r["sample_id"] for r in scores_rows], samples)
+    _check_row_ids(pred_dir / "scores.csv", [r["sample_id"] for r in scores_rows], samples)
 
     try:
         pcts = [float(x) for x in args.pcts.split(",")]

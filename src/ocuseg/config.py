@@ -3,6 +3,7 @@
 The JSON round-trip is exact (all fields are ints or lists of ints),
 and ``content_hash`` gives a stable fingerprint embedded in
 checkpoints and reports so artifacts are traceable to their config.
+Every text file a command reads goes through ``read_text`` / ``read_json``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,30 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """The UTF-8 text of ``path``; a file that is not UTF-8 raises ``error`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text: {e}") from None
+
+
+def read_json(path: str | Path, error: type[Exception], expect: type, what: str = ""):
+    """The JSON value in ``path``, whose top level must be an ``expect`` (dict or
+    list); raises ``error`` naming the file as ``read_text`` does, and on
+    text that is not JSON or another top level, which ``what`` words."""
+    text = read_text(path, error)
+    try:
+        data = json.loads(text)
+    # ValueError: an int past Python's digit limit; RecursionError: deep nesting
+    except (json.JSONDecodeError, ValueError, RecursionError) as e:
+        raise error(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(data, expect):
+        what = what or f"not a JSON {'object' if expect is dict else 'list'}"
+        raise error(f"{path}: {what}, got {type(data).__name__}")
+    return data
 
 
 def _is_int(value) -> bool:
@@ -53,17 +78,11 @@ class RunConfig:
         return json.dumps(asdict(self), sort_keys=True, indent=1) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+    def from_dict(cls, data) -> "RunConfig":
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunConfig":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
     def content_hash(self) -> str:
         canon = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_json
 from .detect import box_fits
 from .metrics import check_labels
 from .synth import Sample
@@ -49,8 +50,7 @@ _PGM_HEADER = re.compile(rb"%s*(P\d)" % _SEP + _NUMBER * 3 + rb"\s")
 
 
 def read_pgm(path: Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
+    raw = Path(path).read_bytes()
     m = _PGM_HEADER.match(raw)
     if m is None:
         raise DatasetError(f"malformed PGM header in {path}")
@@ -63,11 +63,11 @@ def read_pgm(path: Path) -> np.ndarray:
     return pixels.reshape(h, w).copy()
 
 
-def _check_sample_labels(sample_id: str, labels: np.ndarray) -> None:
+def _check_sample_labels(sample: str, labels: np.ndarray) -> None:
     try:
         check_labels(labels)
     except ValueError as e:
-        raise DatasetError(f"sample {sample_id}: {e}") from None
+        raise DatasetError(f"sample {sample}: {e}") from None
 
 
 def write_dataset(samples: list[Sample], directory: str | Path) -> None:
@@ -134,13 +134,7 @@ def read_dataset(directory: str | Path) -> list[Sample]:
     file raises the OSError that names it."""
     directory = Path(directory)
     manifest = directory / "manifest.json"
-    try:
-        records = json.loads(manifest.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DatasetError(f"malformed manifest {manifest}: {e}") from None
-    if not isinstance(records, list):
-        raise DatasetError(f"{manifest}: expected a list of sample records, "
-                           f"got {type(records).__name__}")
+    records = read_json(manifest, DatasetError, list, "expected a list of sample records")
     samples = []
     seen: set[str] = set()
     for i, rec in enumerate(records):
@@ -163,7 +157,7 @@ def read_dataset(directory: str | Path) -> list[Sample]:
             raise DatasetError(f"sample {sid}: label map {lbl_path} is "
                                f"{labels.shape[0]}x{labels.shape[1]}, its image "
                                f"{img_path} is {image.shape[0]}x{image.shape[1]}")
-        _check_sample_labels(sid, labels)
+        _check_sample_labels(f"{sid}: {lbl_path}", labels)
         samples.append(Sample(
             image=image, labels=labels, gt_bbox=tuple(rec["bbox"]),
             severity=float(rec.get("severity", 0.0)),

@@ -238,14 +238,10 @@ def conv2d_batch_backward(grad_out: np.ndarray, x: np.ndarray | ChannelStack,
     return conv2d_batch(grad_out, flipped), grad_kernel
 
 
-def relu_batch(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def in_place_relu(x: np.ndarray) -> np.ndarray:
-    """``relu_batch`` written over ``x``: for a conv's own output, which
-    nothing reads unrectified (``relu_batch_backward``'s mask ``x > 0`` is
-    the same on the rectified values)."""
+    """ReLU written over ``x``: for a conv's own output, which nothing reads
+    unrectified (``relu_batch_backward``'s mask ``x > 0`` is the same on the
+    rectified values)."""
     return np.maximum(x, 0.0, out=x)
 
 

@@ -1,15 +1,21 @@
+import contextlib
 import filecmp
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ocuseg
 from ocuseg import evaluate, segnet, uncertainty
@@ -609,7 +615,7 @@ def with_legacy_fields(fields: dict) -> None:
                   seg_lr=3e-4, seg_batch=8, unc_lr=1e-3, unc_batch=8, eps_floor=1e-6)
 
 
-# sorted, as ``from_json`` names them
+# sorted, as ``from_dict`` names them
 LEGACY_FIELDS = ["bbox_jitter", "eps_floor", "seg_batch", "seg_lr", "seg_momentum", "tau",
                  "unc_batch", "unc_lr", "unc_momentum"]
 
@@ -659,6 +665,29 @@ def landscape(*extra):
         return ["landscape", "--v", "1,2", "--range", "0.5,5.0", *extra,
                 "--out", str(tmp_path / "g.csv")]
     return argv
+
+
+def put_0xff(path: Path) -> None:
+    """Replace the middle byte of ``path`` with 0xff, which is not UTF-8."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2] + b"\xff" + raw[len(raw) // 2 + 1:])
+
+
+def train_seg_on_manifest(edit):
+    """train-seg on a copy of the dataset whose manifest.json ``edit`` rewrote."""
+    def argv(tmp_path, root, pred):
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        edit(data / "manifest.json")
+        return ["train-seg", "--data", str(data), "--config", str(tiny_cfg(tmp_path)),
+                "--out", str(tmp_path / "g")]
+    return argv
+
+
+def flops_on_0xff_config(tmp_path, root, pred):
+    config = tiny_cfg(tmp_path)
+    put_0xff(config)
+    return ["flops", "--config", str(config)]
 
 
 def existing(tmp_path, name, directory=False) -> str:
@@ -860,6 +889,16 @@ BAD_INPUTS = {
                               "least 64x64, got 48x48"),
     "infer-empty": (infer_with(empty=True), "empty_set is empty"),
     "eval-empty": (eval_empty, "empty_set is empty"),
+    "manifest-0xff": (train_seg_on_manifest(put_0xff), "data/manifest.json: not UTF-8 text: "
+                      "'utf-8' codec can't decode byte 0xff"),
+    "manifest-nested": (train_seg_on_manifest(lambda path: path.write_text("[" * 100_000)),
+                        "data/manifest.json: not valid JSON: maximum recursion depth exceeded"),
+    "scores-0xff": (eval_with(lambda p: put_0xff(p / "scores.csv")),
+                    "pred/scores.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    "meta-0xff": (eval_with(lambda p: put_0xff(p / "meta.json")),
+                  "pred/meta.json: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    "config-0xff": (flops_on_0xff_config, "config.json: not UTF-8 text: 'utf-8' codec "
+                    "can't decode byte 0xff in position 67: invalid start byte"),
 }
 
 
@@ -874,6 +913,82 @@ def test_bad_input_exit_2_naming_it(predicted, tmp_path, capsys, case):
     assert expected in err and "Traceback" not in err, err
     assert not (tmp_path / "r.json").exists()
     assert not (tmp_path / "g").exists()
+
+
+# each file a command reads, with the arguments of a command that reads it;
+# paths are relative to a copy of the predicted set's root
+READERS = {
+    **dict.fromkeys(["data/manifest.json", "data/img/s000000.pgm", "data/lbl/s000000.pgm"],
+                    ["train-seg", "--data", "data", "--config", "config.json", "--out", "out"]),
+    "config.json": ["flops", "--config", "config.json"],
+    **dict.fromkeys(["seg/header.json", "seg/weights.bin", "unc/header.json", "unc/weights.bin"],
+                    ["infer", "--data", "data", "--seg", "seg", "--unc", "unc", "--out", "out"]),
+    **dict.fromkeys(["pred/scores.csv", "pred/meta.json", "pred/pred/s000000.pgm"],
+                    ["eval", "--pred", "pred", "--data", "data", "--out", "out.json"]),
+}
+
+
+@pytest.fixture(scope="module")
+def damageable(predicted, tmp_path_factory):
+    """A copy of every file in ``READERS``, which a test may damage and must restore."""
+    root = tmp_path_factory.mktemp("damage")
+    for name in ("data", "seg", "unc", "pred"):
+        shutil.copytree(predicted.parent / name, root / name)
+    shutil.copy(predicted.parent / "config.json", root)
+    return root
+
+
+def _hung(signum, frame):
+    pytest.fail("the command did not finish within 10 s")
+
+
+@pytest.mark.parametrize("name", list(READERS))
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_damaged_file_exit_0_or_2_naming_it(damageable, name, data):
+    """A file cut at any offset, or with any one byte replaced, ends its
+    reader in exit 0 or in exit 2 with a message that names the file or the
+    dataset, checkpoint or prediction directory that holds it: a damaged
+    file can leave its directory inconsistent (a header that describes more
+    bytes than ``weights.bin`` holds, a manifest id with no image), and the
+    message then names the file that disagrees.  A weight whose exponent
+    byte is replaced can stay finite in float32 and still overflow the
+    float32 forward (near 1e34): that is exit 3, the numeric failure."""
+    path = damageable / name
+    raw = path.read_bytes()
+    at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    if data.draw(st.booleans(), label="cut"):
+        damaged = raw[:at]
+    else:
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+        damaged = raw[:at] + bytes([byte]) + raw[at + 1:]
+    command, *args = READERS[name]
+    argv = [command, *(a if a.startswith("-") else str(damageable / a) for a in args)]
+    old_handler = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    try:
+        path.write_bytes(damaged)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            # a damaged weight can overflow the float32 forward; numpy's
+            # warning does not stop the command line, but pytest's
+            # filterwarnings would turn it into an error here
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old_handler)
+        path.write_bytes(raw)
+        shutil.rmtree(damageable / "out", ignore_errors=True)
+        (damageable / "out.json").unlink(missing_ok=True)
+    err = err.getvalue()
+    assert "Traceback" not in err, err
+    if path.name == "weights.bin" and rc == 3:
+        assert err.startswith("numeric failure: s_unc is not finite"), err
+        return
+    assert rc in (0, 2), err
+    assert rc == 0 or str(damageable / Path(name).parts[0]) in err, err
 
 
 class TestLandscape:

@@ -1,19 +1,57 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from ocuseg.checkpoint import (CheckpointError, load_checkpoint, model_tensor,
                                save_checkpoint)
-from ocuseg.config import RunConfig
+from ocuseg.config import RunConfig, read_json, read_text
 from ocuseg.rng import Rng
+
+
+class Bad(ValueError):
+    pass
+
+
+class TestReaders:
+    @pytest.mark.parametrize("raw,expect,what,message", [
+        (b'{"a": "\xff"}', dict, "", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        (b'{"a": 1', dict, "", "not valid JSON: Expecting ',' delimiter"),
+        (b"[" * 100_000, list, "", "not valid JSON: maximum recursion depth exceeded"),
+        (b"[1]", dict, "", "not a JSON object, got list"),
+        (b"{}", list, "", "not a JSON list, got dict"),
+        (b"7", list, "expected a list of records", "expected a list of records, got int"),
+    ], ids=["not-utf8", "cut", "nested", "list", "dict", "what"])
+    def test_read_json_raises_the_callers_error_naming_the_file(self, tmp_path, raw, expect,
+                                                                 what, message):
+        path = tmp_path / "f.json"
+        path.write_bytes(raw)
+        with pytest.raises(Bad, match=f"^{re.escape(f'{path}: {message}')}"):
+            read_json(path, Bad, expect, what)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python converts ints of any length")
+    def test_read_json_int_past_the_digit_limit(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text("[" + "1" * (sys.get_int_max_str_digits() + 1) + "]")
+        with pytest.raises(Bad, match=f"^{re.escape(str(path))}: not valid JSON: Exceeds"):
+            read_json(path, Bad, list)
+
+    def test_read_text_and_json_return_the_contents(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"\u00e9": [1, 2.5]}\n', encoding="utf-8")
+        assert read_text(path, Bad) == '{"\u00e9": [1, 2.5]}\n'
+        assert read_json(path, Bad, dict) == {"\u00e9": [1, 2.5]}
+        with pytest.raises(FileNotFoundError):
+            read_text(tmp_path / "missing.json", Bad)
 
 
 class TestRunConfig:
     def test_json_roundtrip_equality(self):
         cfg = RunConfig(seed=11, crop_h=48, crop_w=48, unc_epochs=12, widths=[6, 12])
-        back = RunConfig.from_json(cfg.to_json())
+        back = RunConfig.from_dict(json.loads(cfg.to_json()))
         assert back == cfg
 
     def test_content_hash_stable_and_sensitive(self):
@@ -36,12 +74,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="divisible by 4"):
             RunConfig(crop_h=50)
         with pytest.raises(ValueError, match="unknown config fields"):
-            RunConfig.from_json('{"seed": 1, "bogus": 2}')
+            RunConfig.from_dict({"seed": 1, "bogus": 2})
         # fields that older configs carried and nothing read
         for field, value in (("corruption_mix", {"blur": 1.0}), ("temperature", 1.0),
                              ("pcts", [1.0, 2.0])):
             with pytest.raises(ValueError, match=rf"unknown config fields: \['{field}'\]"):
-                RunConfig.from_json(json.dumps({"seed": 1, field: value}))
+                RunConfig.from_dict({"seed": 1, field: value})
 
 
 class TestCheckpoint:

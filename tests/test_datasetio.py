@@ -88,7 +88,7 @@ def test_malformed_manifest(tmp_path):
     samples = generate_dataset(1, seed=2)
     write_dataset(samples, tmp_path)
     (tmp_path / "manifest.json").write_text("{not json", encoding="utf-8")
-    with pytest.raises(DatasetError, match="malformed manifest"):
+    with pytest.raises(DatasetError, match="manifest.json: not valid JSON"):
         read_dataset(tmp_path)
 
 
