@@ -148,8 +148,11 @@ def cmd_infer(args) -> int:
     y_hat, s_unc = infer_samples(images, seg, head)
     bad = [sid for sid, s in zip(ids, s_unc) if not np.isfinite(s)]
     if bad:
+        # the frames are 8-bit, so only the weights can overflow the forward
         raise FloatingPointError(f"s_unc is not finite for {len(bad)} samples "
-                                 f"({', '.join(bad[:20])})")
+                                 f"({', '.join(bad[:20])}): the weights of --seg "
+                                 f"{args.seg} or --unc {args.unc} overflow the "
+                                 "float32 forward")
 
     out = Path(args.out)
     (out / "pred").mkdir(parents=True, exist_ok=True)

@@ -125,13 +125,23 @@ def _record_problem(rec, seen: set[str]) -> str | None:
     return None
 
 
+def _read_sample_pgm(manifest: Path, sid: str, path: Path) -> np.ndarray:
+    """``read_pgm`` of a file the manifest names; a missing file is the
+    manifest's fault, so its DatasetError names the manifest and the id."""
+    try:
+        return read_pgm(path)
+    except FileNotFoundError:
+        raise DatasetError(f"{manifest}: sample {sid!r}: no file {path}") from None
+
+
 def read_dataset(directory: str | Path) -> list[Sample]:
     """The samples of a dataset, each read from ``img/<id>.pgm`` and
     ``lbl/<id>.pgm``; raises DatasetError naming the sample, and the
     manifest or the file at fault, on a malformed record, a duplicated id,
-    a bad file, a ``bbox`` that is not a box of positive size inside its
-    image, or a label map whose shape differs from its image.  A missing
-    file raises the OSError that names it."""
+    a bad file, a missing file, a ``bbox`` that is not a box of positive
+    size inside its image, or a label map whose shape differs from its
+    image.  A file that exists but cannot be read raises the OSError that
+    names it."""
     directory = Path(directory)
     manifest = directory / "manifest.json"
     records = read_json(manifest, DatasetError, list, "expected a list of sample records")
@@ -147,12 +157,12 @@ def read_dataset(directory: str | Path) -> list[Sample]:
         seen.add(sid)
         img_path = directory / "img" / f"{sid}.pgm"
         lbl_path = directory / "lbl" / f"{sid}.pgm"
-        image = read_pgm(img_path)
+        image = _read_sample_pgm(manifest, sid, img_path)
         if not box_fits(rec["bbox"], *image.shape):
             raise DatasetError(f"{manifest}: sample {sid!r}: 'bbox' {rec['bbox']} "
                                "[l, t, h, w] is not a box of positive size inside its "
                                f"{image.shape[0]}x{image.shape[1]} image {img_path}")
-        labels = read_pgm(lbl_path)
+        labels = _read_sample_pgm(manifest, sid, lbl_path)
         if labels.shape != image.shape:
             raise DatasetError(f"sample {sid}: label map {lbl_path} is "
                                f"{labels.shape[0]}x{labels.shape[1]}, its image "

@@ -42,9 +42,9 @@ def iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def _largest_component(mask: np.ndarray) -> np.ndarray | None:
-    """Largest 4-connected True component as a boolean mask, or None when
-    ``mask`` has no True pixel.
+def _largest_component(mask: np.ndarray) -> np.ndarray:
+    """Flat positions, ascending, of the largest 4-connected True component
+    of ``mask``; empty when ``mask`` has no True pixel.
 
     4-connected union-find labeling of the True pixels, numbered in
     row-major order: every edge hooks its larger root onto its smaller one
@@ -55,7 +55,7 @@ def _largest_component(mask: np.ndarray) -> np.ndarray | None:
     pos = np.flatnonzero(mask)
     n = pos.size
     if n == 0:
-        return None
+        return pos
     w = mask.shape[1]
     # flat positions of each horizontal pair's left pixel (k // (w - 1)
     # counts the rows before it; k is empty when w == 1) and of each
@@ -79,9 +79,28 @@ def _largest_component(mask: np.ndarray) -> np.ndarray | None:
             if (jumped == lab).all():
                 break
             lab = jumped
-    out = np.zeros_like(mask)
-    out[mask] = lab == np.argmax(np.bincount(lab))
-    return out
+    return pos[lab == np.argmax(np.bincount(lab))]
+
+
+def _dark_level(image: np.ndarray) -> int:
+    """The 8-bit level ``t`` for which ``image < t`` marks the same pixels as
+    ``image < np.quantile(image, 0.05)``, from the frame's 256-level
+    histogram.
+
+    ``np.quantile``'s default (linear) rule reads the sorted values ``v`` at
+    the index ``i = (n - 1) * 0.05``: it is ``v[i]`` when ``i`` is an
+    integer or ``v[floor(i)] == v[floor(i) + 1]``, and otherwise a value in
+    ``(v[floor(i)], v[floor(i) + 1]]``, where no 8-bit level lies strictly
+    inside, so the pixels below it are those at most ``v[floor(i)]``.  (Its
+    float interpolation stays above ``v[floor(i)]``: ``(n - 1) / 20`` is an
+    integer or at least 1/20 away from one, so the fraction of ``i`` is 0 or
+    about 1/20 or more.)
+    """
+    i = (image.size - 1) * 0.05         # the index np.quantile computes, in float64
+    lo = int(i)
+    at_most = np.cumsum(np.bincount(image.reshape(-1), minlength=256))
+    level = int(np.searchsorted(at_most, lo, side="right"))     # v[lo]
+    return level + 1 if i > lo and at_most[level] == lo + 1 else level
 
 
 def _clamp_box(l: int, t: int, h: int, w: int, frame_h: int, frame_w: int) -> BBox:
@@ -93,24 +112,28 @@ def _clamp_box(l: int, t: int, h: int, w: int, frame_h: int, frame_w: int) -> BB
 
 
 def detect_eye_heuristic(image: np.ndarray) -> BBox:
-    """Locate the eye from the dark pupil blob.
+    """Locate the eye in a 2-D uint8 frame from the dark pupil blob.
 
-    Thresholds at the 5th intensity percentile, takes the largest connected
-    component, and returns a square box of side 3x the blob's bounding
-    extent (clamped to [32, min frame side]), centered on the blob centroid.
-    Falls back to a centered box of side 0.75 * min(H, W) when no component
-    exceeds 20 pixels.
+    Marks the pixels below the frame's 5th intensity percentile (the level
+    ``_dark_level`` reads off its 256-level histogram), takes the largest
+    4-connected component, and returns a square box of side 3x the blob's
+    bounding extent (clamped to [32, min frame side]), centered on the blob
+    centroid.  Falls back to a centered box of side 0.75 * min(H, W) when
+    no component exceeds 20 pixels.  Raises ValueError on a frame that is
+    not 2-D uint8 or is smaller than 64x64.
     """
+    if image.ndim != 2 or image.dtype != np.uint8:
+        raise ValueError(f"expected a 2-D uint8 frame, got {image.ndim}-D {image.dtype}")
     fh, fw = image.shape
     if fh < 64 or fw < 64:
         raise ValueError(f"frame must be at least 64x64, got {fh}x{fw}")
-    q = np.quantile(image, 0.05)
     # strictly below: a constant frame yields no blob and takes the fallback
-    blob = _largest_component(image < q)
-    if blob is None or blob.sum() <= 20:
+    blob = _largest_component(image < _dark_level(image))
+    if blob.size <= 20:
         side = int(round(0.75 * min(fh, fw)))
         return _clamp_box((fw - side) // 2, (fh - side) // 2, side, side, fh, fw)
-    rows, cols = np.nonzero(blob)
+    # the positions ascend, so rows and cols are np.nonzero's of the blob mask
+    rows, cols = np.divmod(blob, fw)
     cy, cx = rows.mean(), cols.mean()
     extent = max(rows.max() - rows.min() + 1, cols.max() - cols.min() + 1)
     side = int(round(3.0 * extent))

@@ -122,14 +122,37 @@ class SegModel:
         return {**g1, **g2, **g3}
 
 
+def class_labels(logits: np.ndarray) -> np.ndarray:
+    """uint8 labels [M] of [C, M] class logits: each column's largest logit,
+    the lowest class among tied ones, and a column's first NaN where it has
+    one (``np.argmax(logits, axis=0)``'s rule).
+
+    One comparison per class against the running maximum of the classes
+    before it: a class that beats it is above every earlier label, so the
+    labels take the larger of themselves and ``c`` where it wins.
+    """
+    labels = np.zeros(logits.shape[1], dtype=np.uint8)
+    best = logits[0].copy()
+    for c in range(1, len(logits)):
+        beats = (logits[c] > best).view(np.uint8)
+        beats *= c
+        np.maximum(labels, beats, out=labels)
+        np.maximum(best, logits[c], out=best)
+    nan = np.isnan(best)            # np.maximum carries a column's NaN into best
+    if nan.any():
+        labels[nan] = np.argmax(np.isnan(logits[:, nan]), axis=0)
+    return labels
+
+
 def predict_batch(model: SegModel, images: np.ndarray
                   ) -> tuple[np.ndarray, StageFeatures]:
-    """Label maps [N, H, W] (argmax ties -> lowest class) and the backbone
-    features of a batch of crops.  Forward-only: the features are the
-    convs' own buffers (see ``Conv2d``)."""
+    """uint8 label maps [N, H, W] and the backbone features of a batch of
+    crops; ``class_labels`` picks each pixel's class by comparison, ties
+    going to the lowest class.  Forward-only: the features are the convs'
+    own buffers (see ``Conv2d``)."""
     feats = model.forward_batch(images)
     logits = model.head.astype(feats.z.dtype) @ feats.z.reshape(model.config.d, -1)
-    return np.argmax(logits, axis=0).reshape(images.shape), feats
+    return class_labels(logits).reshape(images.shape), feats
 
 
 def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray
@@ -146,7 +169,7 @@ def seg_loss(model: SegModel, images: np.ndarray, labels: np.ndarray
     logits = head @ zmat                            # [4, N*H*W]
     true_class = (labels.reshape(-1), np.arange(labels.size))
     # also rejects labels outside the classes before they index the probs
-    conf = confusion_matrix(np.argmax(logits, axis=0), true_class[0])
+    conf = confusion_matrix(class_labels(logits), true_class[0])
     glogit = softmax_rows(logits)                   # the probabilities, until -= 1
     loss = float(-np.log(np.maximum(glogit[true_class], 1e-12)).sum(dtype=np.float64) / n)
     glogit[true_class] -= 1.0

@@ -309,6 +309,28 @@ class TestInferEval:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("stage, weight", [("seg", -1e38), ("unc", 1e38)])
+    def test_large_weight_exit_3_naming_the_checkpoints(self, trained, tmp_path, capsys,
+                                                        stage, weight):
+        # finite in float32, so the load accepts it, but the float32
+        # forward overflows; the frames are 8-bit, so the message blames
+        # the weights
+        root, _ = trained
+        shutil.copytree(root / stage, tmp_path / stage)
+        with_first_weight(tmp_path / stage, weight)
+        dirs = {"seg": root / "seg", "unc": root / "unc", stage: tmp_path / stage}
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["infer", "--data", str(root / "data"), "--seg", str(dirs["seg"]),
+                       "--unc", str(dirs["unc"]), "--out", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith("numeric failure: s_unc is not finite for "), err
+        assert (f"the weights of --seg {dirs['seg']} or --unc {dirs['unc']} overflow "
+                "the float32 forward") in err, err
+        assert not (tmp_path / "p").exists()
+
     @pytest.mark.parametrize("detector", ["gt-jitter", "full"])
     def test_small_frames_need_no_heuristic_detector(self, trained, tmp_path, detector):
         root, _ = trained
@@ -609,6 +631,11 @@ def image_as_directory(data, records):
     return records
 
 
+def no_label_map(data, records):
+    (data / "lbl" / "s000002.pgm").unlink()
+    return records
+
+
 def with_legacy_fields(fields: dict) -> None:
     """Add the config fields that earlier versions wrote and that are gone."""
     fields.update(seg_momentum=0.9, unc_momentum=0.9, bbox_jitter=0.1, tau=0.0,
@@ -861,6 +888,10 @@ BAD_INPUTS = {
     "id-dot": (set_record(0, id=".a"), "manifest.json: sample '.a': bad id"),
     "id-duplicated": (set_record(5, id="s000004"),
                       "manifest.json: sample 's000004': duplicated id"),
+    "id-no-image": (set_record(3, id="s00000#"),
+                    "data/manifest.json: sample 's00000#': no file "),
+    "id-no-label": (infer_on_dataset(no_label_map),
+                    "data/manifest.json: sample 's000002': no file "),
     "label-shape": (infer_on_dataset(small_label_map),
                     "sample s000000: label map"),
     "label-empty": (train_seg_on_dataset(empty_label_map), "malformed PGM header in"),
@@ -953,7 +984,8 @@ def test_damaged_file_exit_0_or_2_naming_it(damageable, name, data):
     bytes than ``weights.bin`` holds, a manifest id with no image), and the
     message then names the file that disagrees.  A weight whose exponent
     byte is replaced can stay finite in float32 and still overflow the
-    float32 forward (near 1e34): that is exit 3, the numeric failure."""
+    float32 forward (near 1e34): that is exit 3, the numeric failure, whose
+    message names both checkpoints."""
     path = damageable / name
     raw = path.read_bytes()
     at = data.draw(st.integers(0, len(raw) - 1), label="offset")
@@ -986,8 +1018,8 @@ def test_damaged_file_exit_0_or_2_naming_it(damageable, name, data):
     assert "Traceback" not in err, err
     if path.name == "weights.bin" and rc == 3:
         assert err.startswith("numeric failure: s_unc is not finite"), err
-        return
-    assert rc in (0, 2), err
+    else:
+        assert rc in (0, 2), err
     assert rc == 0 or str(damageable / Path(name).parts[0]) in err, err
 
 

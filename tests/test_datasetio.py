@@ -37,7 +37,16 @@ def test_missing_image_file_named(tmp_path):
     samples = generate_dataset(3, seed=2)
     write_dataset(samples, tmp_path)
     (tmp_path / "img" / "s000001.pgm").unlink()
-    with pytest.raises(FileNotFoundError, match="img/s000001.pgm"):
+    with pytest.raises(DatasetError, match="manifest.json: sample 's000001': no file .*"
+                                           "img/s000001.pgm"):
+        read_dataset(tmp_path)
+
+
+def test_missing_label_file_named(tmp_path):
+    write_dataset(generate_dataset(3, seed=2), tmp_path)
+    (tmp_path / "lbl" / "s000002.pgm").unlink()
+    with pytest.raises(DatasetError, match="manifest.json: sample 's000002': no file .*"
+                                           "lbl/s000002.pgm"):
         read_dataset(tmp_path)
 
 

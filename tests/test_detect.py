@@ -12,10 +12,11 @@ from ocuseg.synth import CORRUPTION_KINDS, generate_dataset
 
 def bfs_largest_component(mask):
     """Reference: BFS flood fill from each unseen True pixel in row-major
-    order, replacing the best only on a strictly larger component."""
+    order, replacing the best only on a strictly larger component; returns
+    the best component's flat positions, ascending."""
     h, w = mask.shape
     seen = np.zeros_like(mask)
-    best, best_size = None, 0
+    best = []
     for r0, c0 in zip(*np.nonzero(mask)):
         if seen[r0, c0]:
             continue
@@ -24,26 +25,19 @@ def bfs_largest_component(mask):
         comp = []
         while stack:
             r, c = stack.pop()
-            comp.append((r, c))
+            comp.append(r * w + c)
             for rn, cn in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
                 if 0 <= rn < h and 0 <= cn < w and mask[rn, cn] and not seen[rn, cn]:
                     seen[rn, cn] = True
                     stack.append((rn, cn))
-        if len(comp) > best_size:
-            best, best_size = np.array(comp), len(comp)
-    if best is None:
-        return None
-    out = np.zeros_like(mask)
-    out[best[:, 0], best[:, 1]] = True
-    return out
+        if len(comp) > len(best):
+            best = comp
+    return np.sort(np.array(best, dtype=np.intp))
 
 
 def assert_same_component(mask):
     got, want = detect._largest_component(mask), bfs_largest_component(mask)
-    if want is None:
-        assert got is None
-    else:
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
     return got
 
 
@@ -70,9 +64,9 @@ class TestLargestComponent:
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 11)])
     def test_all_false_and_all_true(self, shape):
-        assert assert_same_component(np.zeros(shape, dtype=bool)) is None
+        assert assert_same_component(np.zeros(shape, dtype=bool)).size == 0
         full = np.ones(shape, dtype=bool)
-        assert np.array_equal(assert_same_component(full), full)
+        assert np.array_equal(assert_same_component(full), np.arange(full.size))
 
     def test_tie_keeps_component_whose_first_pixel_comes_first(self):
         # two 4-pixel blobs: a vertical bar from (0, 5) and a horizontal bar
@@ -82,7 +76,7 @@ class TestLargestComponent:
         mask[0:4, 5] = True
         mask[1, 0:4] = True
         got = assert_same_component(mask)
-        assert np.array_equal(np.argwhere(got), [[0, 5], [1, 5], [2, 5], [3, 5]])
+        assert np.array_equal(np.divmod(got, 7), [[0, 1, 2, 3], [5, 5, 5, 5]])
 
     def test_detector_boxes_match_bfs_on_mixed_frames(self, monkeypatch):
         samples = generate_dataset(64, seed=29, kinds=["none", *CORRUPTION_KINDS],
@@ -101,7 +95,7 @@ class TestDetector:
         assert hits / len(samples) >= 0.95
 
     def test_uniform_image_falls_back_to_centered_box(self):
-        img = np.full((120, 160), 0.5)
+        img = np.full((120, 160), 128, np.uint8)
         box = detect_eye_heuristic(img)
         assert (box.h, box.w) == (90, 90)       # 0.75 * min(120, 160)
         assert box.t == (120 - 90) // 2
@@ -120,14 +114,60 @@ class TestDetector:
         s = generate_dataset(1, seed=3)[0]
         assert detect_eye_heuristic(s.image) == detect_eye_heuristic(s.image)
 
-    def test_levels_and_intensities_give_the_same_box(self):
-        # the 5th percentile is an 8-bit level or lies strictly between two,
-        # so thresholding the levels or the levels / 255 marks the same pixels
+    def test_histogram_threshold_marks_the_quantile_mask_on_frames(self):
         for size in ((120, 160), (97, 131)):
             samples = generate_dataset(48, seed=61, kinds=["none", *CORRUPTION_KINDS],
                                        sev_range=(0.05, 1.0), h_full=size[0], w_full=size[1])
-            assert ([detect_eye_heuristic(s.image) for s in samples]
-                    == [detect_eye_heuristic(s.image / 255.0) for s in samples])
+            for s in samples:
+                assert_quantile_mask(s.image)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.uint16, bool])
+    def test_only_uint8_frames(self, dtype):
+        image = generate_dataset(1, seed=3)[0].image
+        with pytest.raises(ValueError, match=f"2-D uint8 frame, got 2-D {np.dtype(dtype)}"):
+            detect_eye_heuristic(image.astype(dtype))
+        with pytest.raises(ValueError, match="got 3-D uint8"):
+            detect_eye_heuristic(image[None])
+
+
+def assert_quantile_mask(image):
+    level = detect._dark_level(image)
+    assert type(level) is int and 0 <= level <= 255
+    assert np.array_equal(image < level, image < np.quantile(image, 0.05))
+
+
+# (h * w - 1) is a multiple of 20 for 81x81 and 61x81, where the quantile's
+# index lands on an integer and the quantile is one of the frame's levels
+THRESHOLD_SIZES = [(81, 81), (61, 81), (64, 64), (120, 160), (97, 131), (1, 1), (1, 21)]
+
+
+class TestDarkLevel:
+    @pytest.mark.parametrize("shape", THRESHOLD_SIZES)
+    def test_random_frames(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for top in (1, 2, 3, 17, 256):
+            for _ in range(20):
+                assert_quantile_mask(rng.integers(0, top, shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", THRESHOLD_SIZES)
+    @pytest.mark.parametrize("value", [0, 1, 128, 255])
+    def test_constant_frames_mark_nothing(self, shape, value):
+        image = np.full(shape, value, np.uint8)
+        assert detect._dark_level(image) == value
+        assert_quantile_mask(image)
+
+    @pytest.mark.parametrize("shape", THRESHOLD_SIZES)
+    def test_two_level_frames_around_the_index(self, shape):
+        # the dark level's count runs over the quantile index's floor, so
+        # the threshold moves between the two levels
+        n = shape[0] * shape[1]
+        lo = int((n - 1) * 0.05)
+        rng = np.random.default_rng(n)
+        for dark, bright in ((0, 1), (0, 255), (37, 38), (100, 200), (254, 255)):
+            for count in range(max(0, lo - 1), min(n, lo + 2) + 1):
+                flat = np.full(n, bright, np.uint8)
+                flat[rng.permutation(n)[:count]] = dark
+                assert_quantile_mask(flat.reshape(shape))
 
 
 class TestJitter:

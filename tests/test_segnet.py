@@ -111,6 +111,31 @@ class TestPredict:
         assert np.array_equal(y_hat.reshape(-1), np.argmax(probs, axis=0))
 
 
+class TestClassLabels:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_argmax_with_exact_ties(self, dtype):
+        rng = np.random.default_rng(5)
+        # a few distinct values, so many columns tie in every pattern
+        for values in (rng.standard_normal((4, 4000)), rng.integers(-2, 3, (4, 4000)),
+                       np.zeros((4, 10)), rng.integers(0, 2, (4, 4000))):
+            logits = values.astype(dtype)
+            got = segnet.class_labels(logits)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, np.argmax(logits, axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_argmax_on_infinities_and_nan(self, dtype):
+        rng = np.random.default_rng(6)
+        logits = rng.integers(-1, 2, (4, 4000)).astype(dtype)
+        for value, share in ((np.inf, 0.2), (-np.inf, 0.2), (np.nan, 0.1)):
+            logits[rng.random(logits.shape) < share] = value
+        assert np.array_equal(segnet.class_labels(logits), np.argmax(logits, axis=0))
+
+    def test_one_class_and_one_column(self):
+        assert segnet.class_labels(np.zeros((1, 3))).tolist() == [0, 0, 0]
+        assert segnet.class_labels(np.array([[1.0], [3.0], [3.0], [2.0]])).tolist() == [1]
+
+
 class TestSegLoss:
     def test_uniform_probs_loss_is_ln4_per_pixel(self, tiny_config, tiny_batch):
         model = SegModel(tiny_config)     # zero params -> uniform probs
