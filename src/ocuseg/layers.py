@@ -43,15 +43,16 @@ buffer holds the same values as for the materialized input, so the result
 is bit-identical.  The input gradient is still one ``[C_in, N, H, W]``
 array.
 
-Buffer ownership: a forward-only ``Conv2d.forward`` (``keep_cache=False``)
+Buffer ownership: every ``Conv2d.forward``, training or forward-only,
 writes into an output buffer the layer owns and reuses while the input's
 shape and dtype stay the same, so a run of same-shape batches allocates
-no conv output.  Its result is valid until the same layer's next
-forward-only call; a caller that needs it longer copies it.  A training
-forward (``keep_cache=True``) returns a fresh array, which ``backward``
-and the caller's caches may hold.  Only ``in_place_relu`` writes over its
-argument; the other pointwise functions write only into arrays passed as
-their ``out`` (or ``work``).
+no conv output.  A forward's result is valid until the same layer's next
+forward; a caller that needs it longer copies it.  A conv built with
+``relu=True`` rectifies that buffer in place, and its ``backward`` masks
+the output gradient by it, so no caller keeps an activation for backward.
+Only ``in_place_relu`` writes over its argument; the other pointwise
+functions write only into arrays passed as their ``out`` (or ``work``,
+``slope``).
 
 Spatial size changes otherwise happen through ``pool2x_batch`` /
 ``upsample2x_batch``, which are adjoint up to a factor of 4 (pool averages
@@ -276,7 +277,8 @@ def upsample2x_batch_backward(grad_out: np.ndarray) -> np.ndarray:
 
 
 def softplus(x: np.ndarray, out: np.ndarray | None = None,
-             work: np.ndarray | None = None) -> np.ndarray:
+             work: np.ndarray | None = None, slope: np.ndarray | None = None
+             ) -> np.ndarray:
     """ln(1 + exp(x)) without overflow: max(x, 0) + ln(1 + exp(-|x|)).
 
     About twice as fast as ``np.logaddexp(0, x)``.  Both are within 2 ulp
@@ -285,24 +287,19 @@ def softplus(x: np.ndarray, out: np.ndarray | None = None,
 
     The result goes into ``out`` (which may be ``x``) and ``ln(1 +
     exp(-|x|))`` into ``work``, an array of ``x``'s shape and dtype; each
-    is allocated when not given, with the same values either way."""
+    is allocated when not given, with the same values either way.  A given
+    ``slope`` (like ``work``) receives the derivative ``sigmoid(x)`` from the
+    shared ``e = exp(-|x|)`` as ``max(e, x >= 0) / (1 + e)``: the
+    overflow-free branches ``1 / (1 + e)`` for ``x >= 0`` (``e <= 1``) and
+    ``e / (1 + e)`` below."""
     e = np.abs(x, out=work)
     np.negative(e, out=e)
     np.exp(e, out=e)
+    if slope is not None:
+        np.maximum(e, x >= 0.0, out=slope)
+        slope /= 1.0 + e
     np.log1p(e, out=e)
     return np.add(np.maximum(x, 0.0, out=out), e, out=out)
-
-
-def softplus_with_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``softplus(x)`` and its slope ``sigmoid(x)``, sharing ``e = exp(-|x|)``.
-
-    The slope is ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)`` below,
-    the two overflow-free branches of the sigmoid.  ``exp(min(x, 0))`` is
-    that numerator without a branch: exactly 1 above zero and ``exp(x)``
-    below, and several times faster than selecting it with ``np.where``."""
-    e = np.exp(-np.abs(x))
-    return (np.maximum(x, 0.0) + np.log1p(e),
-            np.exp(np.minimum(x, 0.0)) / (1.0 + e))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -335,19 +332,23 @@ def reuse_buffer(buf: np.ndarray | None, shape: tuple[int, ...], dtype) -> np.nd
 
 
 class Conv2d:
-    """3x3 same-padding conv layer with bias, on [C,N,H,W] activations.
+    """3x3 same-padding conv layer with bias, on [C,N,H,W] activations,
+    followed by a ReLU when built with ``relu=True``.
 
-    ``forward(x, keep_cache=True)`` keeps a reference to its input (an
+    ``forward`` writes into an output buffer the layer owns, reused while
+    the output's shape and dtype stay the same: its result is valid until
+    this layer's next forward, which overwrites it.  With ``relu`` the
+    buffer is rectified in place, and ``backward`` masks ``grad_out`` by
+    it (where the output is positive the pre-activation was).
+    ``forward(x, keep_cache=True)`` also keeps a reference to its input (an
     array or a ``ChannelStack``), from which ``backward`` builds the kernel
-    gradient, and returns a new array.  A forward-only call drops any input
-    kept before and writes into an output buffer the layer owns, reused
-    while the output's shape and dtype stay the same: its result is valid
-    until this layer's next forward-only call, which overwrites it.
+    gradient; a forward-only call drops any input kept before.
     """
 
-    def __init__(self, name: str, c_in: int, c_out: int):
+    def __init__(self, name: str, c_in: int, c_out: int, *, relu: bool = False):
         self.name = name
         self.c_in, self.c_out, self.k = c_in, c_out, 3
+        self.relu = relu
         self.kernel = np.zeros((c_out, c_in, self.k, self.k))
         self.bias = np.zeros(c_out)
         self._x: np.ndarray | ChannelStack | None = None
@@ -368,15 +369,11 @@ class Conv2d:
 
     def forward(self, x: np.ndarray | ChannelStack, *, keep_cache: bool = False
                 ) -> np.ndarray:
-        if keep_cache:
-            self._x = x
-            out = conv2d_batch(x, self.kernel)
-        else:
-            self._x = None
-            self._out = reuse_buffer(self._out, (self.c_out,) + x.shape[1:], x.dtype)
-            out = conv2d_batch(x, self.kernel, self._out)
+        self._x = x if keep_cache else None
+        self._out = reuse_buffer(self._out, (self.c_out,) + x.shape[1:], x.dtype)
+        out = conv2d_batch(x, self.kernel, self._out)
         out += self.bias.astype(out.dtype)[:, None, None, None]
-        return out
+        return in_place_relu(out) if self.relu else out
 
     def backward(self, grad_out: np.ndarray, *, input_channels: int | None = None
                  ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
@@ -384,6 +381,8 @@ class Conv2d:
         ``input_channels``."""
         if self._x is None:
             raise RuntimeError(f"{self.name}.backward needs a forward with keep_cache=True")
+        if self.relu:
+            grad_out = relu_batch_backward(grad_out, self._out)
         gi, gk = conv2d_batch_backward(grad_out, self._x, self.kernel, input_channels)
         gb = grad_out.sum(axis=(1, 2, 3), dtype=np.float64)
         return gi, {f"{self.name}.kernel": gk, f"{self.name}.bias": gb}

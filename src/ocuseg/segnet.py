@@ -29,9 +29,8 @@ import numpy as np
 
 from .checkpoint import model_tensor
 from .config import RunConfig
-from .layers import (ChannelStack, Conv2d, in_place_relu, pool2x_batch,
-                     pool2x_batch_backward, relu_batch_backward, softmax_rows,
-                     upsample2x_batch_backward)
+from .layers import (ChannelStack, Conv2d, pool2x_batch, pool2x_batch_backward,
+                     softmax_rows, upsample2x_batch_backward)
 from .metrics import N_CLASSES, confusion_matrix, metrics_from_confusion
 from .optim import clip_grad_norm, fit
 from .rng import Rng
@@ -51,12 +50,11 @@ class SegModel:
     def __init__(self, config: RunConfig):
         self.config = config
         w1, w2 = config.widths
-        self.conv1 = Conv2d("conv1", 1, w1)
-        self.conv2 = Conv2d("conv2", w1, w2)
+        self.conv1 = Conv2d("conv1", 1, w1, relu=True)
+        self.conv2 = Conv2d("conv2", w1, w2, relu=True)
         self.conv3 = Conv2d("conv3", w1 + w2, config.d)
         self.convs = (self.conv1, self.conv2, self.conv3)
         self.head = np.zeros((N_CLASSES, config.d))
-        self._cache: dict = {}
 
     def init_params(self, rng: Rng) -> None:
         """He fan-in init for convs (zero biases), then the head matrix.
@@ -83,9 +81,9 @@ class SegModel:
 
     def stages(self, images: np.ndarray, keep_cache: bool = False
                ) -> tuple[np.ndarray, np.ndarray]:
-        """images [N, H, W] -> (stage1, stage2), the backbone up to conv3.
-        ``keep_cache`` keeps what ``backward_batch`` needs of conv1 and conv2;
-        without it, both maps are the convs' own buffers (see ``Conv2d``).
+        """images [N, H, W] -> (stage1, stage2), the backbone up to conv3:
+        conv1's and conv2's own buffers (see ``Conv2d``).  ``keep_cache``
+        keeps the inputs ``backward_batch`` needs.
 
         Crops arrive in [0, 1] and are standardized to [-1, 1] before conv1.
         """
@@ -94,31 +92,26 @@ class SegModel:
         if (h, w) != (cfg.crop_h, cfg.crop_w):
             raise ValueError(f"expected {cfg.crop_h}x{cfg.crop_w} crops, got {h}x{w}")
         x = (images[None] - 0.5) * 2.0                # [1, N, H, W]
-        # ReLU over each conv's output: backward's mask s > 0 is pre > 0
-        s1 = in_place_relu(self.conv1.forward(x, keep_cache=keep_cache))
-        s2 = in_place_relu(self.conv2.forward(pool2x_batch(s1), keep_cache=keep_cache))
-        self._cache = {"s1": s1, "s2": s2} if keep_cache else {}
+        s1 = self.conv1.forward(x, keep_cache=keep_cache)
+        s2 = self.conv2.forward(pool2x_batch(s1), keep_cache=keep_cache)
         return s1, s2
 
     def forward_batch(self, images: np.ndarray, keep_cache: bool = False) -> StageFeatures:
-        """images [N, H, W] -> StageFeatures: ``stages`` then conv3.
-        ``keep_cache`` keeps what ``backward_batch`` needs; without it, the
-        features are the convs' own buffers, overwritten by the next
-        forward-only pass."""
+        """images [N, H, W] -> StageFeatures: ``stages`` then conv3.  The
+        features are the convs' own buffers, overwritten by their next
+        forward; ``keep_cache`` keeps what ``backward_batch`` needs."""
         s1, s2 = self.stages(images, keep_cache)
         z = self.conv3.forward(ChannelStack(s2, s1), keep_cache=keep_cache)
         return StageFeatures(stage1=s1, stage2=s2, z=z)
 
     def backward_batch(self, grad_z: np.ndarray) -> dict[str, np.ndarray]:
-        """Backprop from dL/dz through the backbone; needs a kept cache."""
+        """Backprop from dL/dz through the backbone, after a
+        ``forward_batch`` with ``keep_cache``."""
         w2 = self.config.widths[1]
         gcat, g3 = self.conv3.backward(grad_z)
-        gs2 = upsample2x_batch_backward(gcat[:w2])
-        gpre2 = relu_batch_backward(gs2, self._cache["s2"])
-        gp1, g2 = self.conv2.backward(gpre2)
+        gp1, g2 = self.conv2.backward(upsample2x_batch_backward(gcat[:w2]))
         gs1 = gcat[w2:] + pool2x_batch_backward(gp1)
-        gpre1 = relu_batch_backward(gs1, self._cache["s1"])
-        _, g1 = self.conv1.backward(gpre1, input_channels=0)   # images need none
+        _, g1 = self.conv1.backward(gs1, input_channels=0)   # images need none
         return {**g1, **g2, **g3}
 
 

@@ -27,9 +27,8 @@ import math
 import numpy as np
 
 from .config import RunConfig
-from .layers import (ChannelStack, Conv2d, in_place_relu, pool2x_batch,
-                     pool2x_batch_backward, relu_batch_backward, reuse_buffer, softplus,
-                     softplus_with_slope, upsample2x_batch_backward)
+from .layers import (ChannelStack, Conv2d, pool2x_batch, pool2x_batch_backward,
+                     reuse_buffer, softplus, upsample2x_batch_backward)
 from .optim import clip_grad_norm, fit
 from .rng import Rng
 from .segnet import SegModel, StageFeatures
@@ -54,9 +53,9 @@ class UncHead:
     built.  Stage features and z are treated as constants (no gradient
     reaches the backbone), matching the staged training procedure.
 
-    Each conv's output is rectified in place.  A forward-only pass returns
-    the variances in h4's own output buffer, so they are valid until the
-    next forward-only pass; a training pass returns a new array.
+    h1 to h3 rectify their outputs in place (``relu=True``).  A pass returns
+    the variances in h4's own output buffer, valid until the head's next
+    forward.
     """
 
     def __init__(self, config: RunConfig):
@@ -64,13 +63,13 @@ class UncHead:
         w1, w2 = config.widths
         u = config.head_width
         d = config.d
-        self.h1 = Conv2d("h1", w2, u)
-        self.h2 = Conv2d("h2", u, u)
-        self.h3 = Conv2d("h3", 2 * u, u)
+        self.h1 = Conv2d("h1", w2, u, relu=True)
+        self.h2 = Conv2d("h2", u, u, relu=True)
+        self.h3 = Conv2d("h3", 2 * u, u, relu=True)
         self.h4 = Conv2d("h4", u + w1 + d, d)
         self.convs = (self.h1, self.h2, self.h3, self.h4)
-        self._cache: dict = {}
         self._work: np.ndarray | None = None    # softplus's work array, forward-only
+        self._slope: np.ndarray | None = None   # softplus's slope, kept for backward
 
     def init_params(self, rng: Rng) -> None:
         for conv in self.convs:
@@ -90,38 +89,33 @@ class UncHead:
             raise ValueError(
                 f"stage shapes inconsistent: stage1 {stages.stage1.shape}, "
                 f"stage2 {stages.stage2.shape}, z {stages.z.shape}")
-        # ReLU over each conv's output: backward's mask a > 0 is a_pre > 0
-        a = in_place_relu(self.h1.forward(stages.stage2, keep_cache=keep_cache))
-        c = in_place_relu(self.h2.forward(pool2x_batch(a), keep_cache=keep_cache))
-        e = in_place_relu(self.h3.forward(ChannelStack(c, a), keep_cache=keep_cache))
+        a = self.h1.forward(stages.stage2, keep_cache=keep_cache)
+        c = self.h2.forward(pool2x_batch(a), keep_cache=keep_cache)
+        e = self.h3.forward(ChannelStack(c, a), keep_cache=keep_cache)
         g_pre = self.h4.forward(ChannelStack(e, stages.stage1, stages.z),
                                 keep_cache=keep_cache)
-        if not keep_cache:
-            self._cache = {}
-            self._work = reuse_buffer(self._work, g_pre.shape, g_pre.dtype)
-            cov = softplus(g_pre, out=g_pre, work=self._work)
-            cov += EPS_FLOOR
-            return cov
-        # keep softplus's slope, not g_pre: backward needs nothing else of it
-        cov, slope = softplus_with_slope(g_pre)
-        self._cache = {"a": a, "c": c, "e": e, "slope": slope}
-        return cov + EPS_FLOOR
+        # a training pass keeps softplus's slope, all backward needs of g_pre;
+        # its work array is freed on return, not owned, so that it adds
+        # nothing to the memory held through backward
+        if keep_cache:
+            work, self._slope = None, np.empty_like(g_pre)
+        else:
+            work = self._work = reuse_buffer(self._work, g_pre.shape, g_pre.dtype)
+            self._slope = None
+        cov = softplus(g_pre, out=g_pre, work=work, slope=self._slope)
+        cov += EPS_FLOOR
+        return cov
 
     def backward(self, grad_cov: np.ndarray) -> dict[str, np.ndarray]:
+        """Parameter gradients from dL/dcov, after a ``forward`` with
+        ``keep_cache``."""
         u = self.config.head_width
-        cache = self._cache
-        dg_pre = grad_cov * cache["slope"]
         # only the upsampled-e channels of h4's input: stage1 and z are frozen
-        dg_in, g4 = self.h4.backward(dg_pre, input_channels=u)
-        de = upsample2x_batch_backward(dg_in)
-        de_pre = relu_batch_backward(de, cache["e"])
-        de_in, g3 = self.h3.backward(de_pre)
-        dc = upsample2x_batch_backward(de_in[:u])
-        dc_pre = relu_batch_backward(dc, cache["c"])
-        db, g2 = self.h2.backward(dc_pre)
+        dg_in, g4 = self.h4.backward(grad_cov * self._slope, input_channels=u)
+        de_in, g3 = self.h3.backward(upsample2x_batch_backward(dg_in))
+        db, g2 = self.h2.backward(upsample2x_batch_backward(de_in[:u]))
         da = de_in[u:] + pool2x_batch_backward(db)
-        da_pre = relu_batch_backward(da, cache["a"])
-        _, g1 = self.h1.backward(da_pre, input_channels=0)   # stage2 is frozen
+        _, g1 = self.h1.backward(da, input_channels=0)   # stage2 is frozen
         return {**g1, **g2, **g3, **g4}
 
 

@@ -11,8 +11,7 @@ from gradcheck import grad_check
 from ocuseg import layers
 from ocuseg.layers import (ChannelStack, Conv2d, conv2d, conv2d_batch, conv2d_batch_backward,
                            in_place_relu, pool2x_batch, pool2x_batch_backward, relu_batch_backward,
-                           softmax_rows, softplus, softplus_with_slope, upsample2x_batch,
-                           upsample2x_batch_backward)
+                           softmax_rows, softplus, upsample2x_batch, upsample2x_batch_backward)
 from ocuseg.rng import Rng
 
 
@@ -326,8 +325,14 @@ class TestFloat32:
             assert dtype == np.float32 and 2 * nbytes == nbytes64 <= layers._BAND_BYTES
 
 
+def softplus_slope(x):
+    slope = np.empty_like(x)
+    softplus(x, slope=slope)
+    return slope
+
+
 ACTIVATIONS = {"relu": (lambda x: np.maximum(x, 0.0), relu_batch_backward),
-               "softplus": (softplus, lambda g, x: g * softplus_with_slope(x)[1])}
+               "softplus": (softplus, lambda g, x: g * softplus_slope(x))}
 
 
 class TestConv2dLayer:
@@ -359,10 +364,27 @@ class TestConv2dLayer:
         assert conv.forward(x[:, :1]).shape == (3, 1, 5, 5)
         assert conv.forward(x.astype(np.float64)).dtype == np.float64
         assert np.array_equal(first, want)
-        # a training forward returns a new array every call
+        # a training forward also returns the layer's buffer, and keeps its input
         kept = conv.forward(x, keep_cache=True)
-        assert kept is not conv.forward(x, keep_cache=True)
+        kept.fill(np.nan)
+        assert conv.forward(x, keep_cache=True) is kept and conv._x is x
         assert np.array_equal(kept, want)
+
+    def test_relu_layer_is_the_linear_layer_then_relu(self, rng):
+        x = rng.normal_array(2 * 2 * 5 * 5).reshape(2, 2, 5, 5)
+        g = rng.normal_array(3 * 2 * 5 * 5).reshape(3, 2, 5, 5)
+        linear, rectified = Conv2d("c", 2, 3), Conv2d("c", 2, 3, relu=True)
+        linear.init_he(Rng(5))
+        rectified.init_he(Rng(5))
+        pre = linear.forward(x, keep_cache=True).copy()
+        out = rectified.forward(x, keep_cache=True)
+        assert (pre < 0).any() and (pre > 0).any()
+        assert np.array_equal(out, np.maximum(pre, 0.0))
+        gi, grads = rectified.backward(g)
+        gi_ref, grads_ref = linear.backward(g * (out > 0))
+        assert np.array_equal(gi, gi_ref)
+        for k, v in grads_ref.items():
+            assert np.array_equal(grads[k], v), k
 
 
 def ulps_apart(a, b):
@@ -407,7 +429,8 @@ class TestActivations:
         sigmoid[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         sigmoid[~pos] = ex / (1.0 + ex)
-        y, slope = softplus_with_slope(x)
+        slope = np.full_like(x, np.nan)
+        y = softplus(x, slope=slope)
         assert y.dtype == slope.dtype == dtype
         assert np.array_equal(y, softplus(x))
         assert np.array_equal(slope, sigmoid)

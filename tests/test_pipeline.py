@@ -10,9 +10,9 @@ from ocuseg.detect import crop_resize
 from ocuseg.pipeline import (DETECTOR_MODES, ablation_crop_vs_full, build_crops,
                              choose_bbox, crop_images, infer_samples)
 from ocuseg.rng import Rng
-from ocuseg.segnet import INFER_BATCH, SegModel, predict_batch
+from ocuseg.segnet import INFER_BATCH, SEG_BATCH, SegModel, StageFeatures, predict_batch, seg_loss
 from ocuseg.synth import generate_dataset
-from ocuseg.uncertainty import UncHead, unc_score
+from ocuseg.uncertainty import UncHead, original_loss_batch, residual_targets, unc_score
 
 
 def small_setup():
@@ -158,13 +158,15 @@ def mixed_crops(n: int, seed: int, mode: str) -> np.ndarray:
     return build_crops(samples, RunConfig(seed=7), mode)[0]
 
 
-def fresh_arrays_infer(images: np.ndarray, seg: SegModel, head: UncHead
+def fresh_arrays_infer(images: np.ndarray, config: RunConfig
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """infer_samples through the training forwards (keep_cache=True), which
-    return new arrays and reuse no buffer: the same ufuncs in the same
-    order, batch by batch, so the same bytes on any BLAS."""
+    """infer_samples through the training forwards (keep_cache=True) of
+    fresh ``seeded_models`` for each batch, so no buffer carries over from
+    one batch to the next: the same ufuncs in the same order, batch by
+    batch, so the same bytes on any BLAS."""
     y_hat, s_unc = [], []
     for i in range(0, len(images), INFER_BATCH):
+        seg, head = seeded_models(config)
         feats = seg.forward_batch(images[i:i + INFER_BATCH], keep_cache=True)
         logits = seg.head.astype(feats.z.dtype) @ feats.z.reshape(seg.config.d, -1)
         y_hat.append(np.argmax(logits, axis=0).reshape(images[i:i + INFER_BATCH].shape))
@@ -179,7 +181,7 @@ def test_infer_samples_matches_fresh_arrays():
     seg, head = seeded_models(config)
     images = mixed_crops(37, 41, "gt-jitter")
     y_hat, s_unc = infer_samples(images, seg, head)
-    want = fresh_arrays_infer(images, *seeded_models(config))
+    want = fresh_arrays_infer(images, config)
     assert np.array_equal(y_hat, want[0]) and np.array_equal(s_unc, want[1])
     # other crops through the same models give what fresh models give: the
     # 5-crop set runs first, in the shape of the first call's last batch
@@ -188,6 +190,37 @@ def test_infer_samples_matches_fresh_arrays():
         got = infer_samples(images, seg, head)
         want = infer_samples(images, *seeded_models(config))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def head_step(seg: SegModel, head: UncHead, images: np.ndarray, labels: np.ndarray
+              ) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and gradients of one step of ``train_unc`` with the original loss."""
+    stages = StageFeatures(*seg.stages(images), z=seg.forward_batch(images).z.copy())
+    v = residual_targets(stages.z, labels, seg.head)
+    loss, dcov = original_loss_batch(head.forward(stages, keep_cache=True), v)
+    return loss, head.backward(dcov)
+
+
+def test_training_steps_ignore_poisoned_buffers():
+    # a step of each stage fills every conv's buffer; NaN written over them
+    # all must not reach the next steps, which rewrite each buffer in full
+    config = RunConfig(seed=7)
+    images, labels, _, _ = build_crops(
+        generate_dataset(2 * SEG_BATCH, seed=44, kinds=["none", "blur", "occlusion"],
+                         sev_range=(0.05, 1.0)), config)
+    first, second = slice(0, SEG_BATCH), slice(SEG_BATCH, 2 * SEG_BATCH)
+    seg, head = seeded_models(config)
+    seg_loss(seg, images[first], labels[first])
+    head_step(seg, head, images[first], labels[first])
+    for step in (lambda s, h, x, y: seg_loss(s, x, y)[:2], head_step):
+        for conv in seg.convs + head.convs:
+            conv._out.fill(np.nan)
+        loss, grads = step(seg, head, images[second], labels[second])
+        want_loss, want_grads = step(*seeded_models(config), images[second], labels[second])
+        assert loss == want_loss
+        assert grads.keys() == want_grads.keys()
+        for k, g in want_grads.items():
+            assert np.array_equal(grads[k], g), k
 
 
 def test_warm_inference_allocates_no_activations(monkeypatch):
