@@ -44,6 +44,11 @@ class UsageError(ValueError):
     pass
 
 
+# the longest frame side gen renders; a 4096x4096 frame's float64 work
+# arrays take ~134 MB each, and a much larger one ends in a memory error
+MAX_SIDE = 4096
+
+
 def _load_config(path: str) -> RunConfig:
     data = read_json(path, UsageError, dict)
     try:
@@ -101,6 +106,8 @@ def cmd_gen(args) -> int:
         raise UsageError(f"--size expects HxW, got {args.size!r}") from None
     if h_full < 64 or w_full < 64:
         raise UsageError(f"--size must be at least 64x64, got {args.size}")
+    if h_full > MAX_SIDE or w_full > MAX_SIDE:
+        raise UsageError(f"--size must be at most {MAX_SIDE}x{MAX_SIDE}, got {args.size}")
     samples = generate_dataset(args.n, args.seed, kinds, (lo, hi), h_full, w_full)
     write_dataset(samples, args.out)
     by_kind = Counter(s.corruption if s.severity > 0 else "none" for s in samples)
@@ -300,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corruptions", default="none",
                    help="comma list of none|blur|occlusion|domain_shift")
     p.add_argument("--severities", default="0,0", help="LO,HI severity range")
-    p.add_argument("--size", default="120x160", help="frame size HxW, at least 64x64")
+    p.add_argument("--size", default="120x160",
+                   help=f"frame size HxW, at least 64x64 and at most {MAX_SIDE}x{MAX_SIDE}")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train-seg", help="train the segmentation network")

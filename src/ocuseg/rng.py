@@ -4,7 +4,9 @@ The generator is a pure function of (seed, counter): draw ``i`` of a stream
 is ``mix64(seed + (i+1) * GOLDEN_GAMMA)`` where ``mix64`` is the splitmix64
 finalizer (xor-shift-multiply with the constants below, all arithmetic mod
 2**64).  Scalar and vectorized draws produce bit-identical streams, so the
-sequence is reproducible across runs and platforms.
+sequence is reproducible across runs and platforms.  The array draws work
+in place: the counters' ``arange`` becomes the draws, which become the floats,
+and the finalizer's shifted copies share one scratch array.
 
 Floats in [0, 1) take the top 53 bits: ``(u64 >> 11) * 2**-53``.  Normals
 use the Box-Muller transform on consecutive uniform pairs.
@@ -31,12 +33,16 @@ def mix64(x: int) -> int:
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
+    """splitmix64 finalizer, in place on a uint64 array, which it returns;
+    each shifted copy goes through one scratch array."""
+    shifted = np.right_shift(x, np.uint64(30))
+    x ^= shifted
     x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=shifted)
+    x ^= shifted
     x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
     return x
 
 
@@ -73,11 +79,13 @@ class Rng:
         return mix64((self.seed + self.counter * GOLDEN_GAMMA) & _MASK)
 
     def u64_array(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        """The next ``n`` draws, computed in place on their counters' arange
+        (uint64 array arithmetic wraps mod 2**64 as the scalar masks do)."""
+        x = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        with np.errstate(over="ignore"):
-            state = np.uint64(self.seed) + idx * np.uint64(GOLDEN_GAMMA)
-            return _mix64_array(state)
+        x *= np.uint64(GOLDEN_GAMMA)
+        x += np.uint64(self.seed)
+        return _mix64_array(x)
 
     # -- float draws --------------------------------------------------
 
@@ -85,8 +93,17 @@ class Rng:
         return lo + (hi - lo) * ((self.u64() >> 11) * _INV_2_53)
 
     def uniform_array(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        u = (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return lo + (hi - lo) * u
+        """The next ``n`` draws of ``uniform(lo, hi)``, bit for bit, computed
+        in place: the floats overwrite the uint64 draws they are made from,
+        and [0, 1) skips ``lo + (hi - lo) * u``, the identity there."""
+        x = self.u64_array(n)
+        x >>= np.uint64(11)
+        u = np.multiply(x, _INV_2_53, out=x.view(np.float64))
+        if lo == 0.0 and hi == 1.0:
+            return u
+        u *= hi - lo
+        u += lo
+        return u
 
     def normal_array(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         m = (n + 1) // 2

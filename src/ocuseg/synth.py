@@ -11,6 +11,15 @@ thresholds on) without forming large connected clumps.
 Frame geometry is separable: each coordinate is an ``[H, 1]`` column or a
 ``[W]`` row that broadcasting expands, and the rotated ellipse offsets are
 computed once per frame for all three region masks and the iris gradient.
+They are computed only inside the eye's window, its axis-aligned bounding
+box widened by more than one pixel on each side and clamped to the frame,
+and that is exact.  A pixel inside the window gets the offsets and squared
+radii ``q`` that the full frame would, element for element.  A pixel outside
+lies at least ``e + 1.5`` pixels from the center along a row or column where
+the eye's half-extent is ``e``; the ellipse ``q <= s**2`` has half-extent
+``s * e``, so there ``q >= (1 + 1.5 / e)**2``: above 1.001 even for an eye
+spanning a 4096-pixel frame, far beyond the rounding of ``q``.  The iris and
+pupil nest inside the eye with smaller axes, so their ``q`` is larger still.
 
 Rendering, occlusion and domain shift compute on intensities ``levels / 255``
 and round back to levels (``levels8``).  Motion blur adds one shifted view of
@@ -93,17 +102,31 @@ def _smooth_noise(h: int, w: int, rng: Rng, cell: int = 12) -> np.ndarray:
     c0 = cc.astype(np.int64)
     fr = (rr - r0)[:, None]
     fc = cc - c0
+    gc = 1 - fc
     # weight the coarse rows, then gather columns: the same products, summed
-    # in the same order, as gathering the four corners over the whole frame
+    # in the same order, as gathering the four corners over the whole frame;
+    # each corner column goes through one scratch array (the indices are in
+    # range, so mode="clip" only spares np.take its bounds-check buffer)
     top = grid[r0] * (1 - fr)
     bot = grid[r0 + 1] * fr
-    return (top[:, c0] * (1 - fc) + top[:, c0 + 1] * fc
-            + bot[:, c0] * (1 - fc) + bot[:, c0 + 1] * fc)
+    out = np.take(top, c0, axis=1, mode="clip")
+    out *= gc
+    part = np.empty_like(out)
+    for rows, cols, weight in ((top, c0 + 1, fc), (bot, c0, gc), (bot, c0 + 1, fc)):
+        np.take(rows, cols, axis=1, out=part, mode="clip")
+        part *= weight
+        out += part
+    return out
 
 
 def render_eye(params: SceneParams, h_full: int, w_full: int, rng: Rng,
                sample_id: str = "") -> Sample:
-    """Rasterize a labeled eye frame; deterministic given (params, rng seed)."""
+    """Rasterize a labeled eye frame; deterministic given (params, rng seed).
+
+    The ellipse geometry is evaluated only in the eye's window, and the
+    sclera, iris-gradient and pupil fills index it; outside it every label is
+    0 and the frame keeps its background, exactly as the full-frame
+    evaluation would give (see the module docstring for why)."""
     if h_full < 64 or w_full < 64:
         raise ValueError(f"frame must be at least 64x64, got {h_full}x{w_full}")
     for inner, outer, names in ((params.pupil_axes, params.iris_axes, "pupil/iris"),
@@ -118,9 +141,14 @@ def render_eye(params: SceneParams, h_full: int, w_full: int, rng: Rng,
             f"extent ({ey:.1f}, {ex:.1f})")
 
     tex = rng.derive(params.texture_seed)
+    # the eye's window: its bounding box widened by more than one pixel on
+    # each side, clamped to the frame; every pixel outside it lies outside
+    # all three ellipses (see the module docstring)
+    r0, r1 = max(0, math.floor(cr - ey) - 1), min(h_full, math.ceil(cr + ey) + 1)
+    c0, c1 = max(0, math.floor(cc_ - ex) - 1), min(w_full, math.ceil(cc_ + ex) + 1)
     # pixel-center offsets from the eye center, rotated into the ellipse frame
-    dr = (np.arange(h_full, dtype=np.float64) + 0.5 - cr)[:, None]
-    dc = np.arange(w_full, dtype=np.float64) + 0.5 - cc_
+    dr = (np.arange(r0, r1, dtype=np.float64) + 0.5 - cr)[:, None]
+    dc = np.arange(c0, c1, dtype=np.float64) + 0.5 - cc_
     co, si = math.cos(params.rotation), math.sin(params.rotation)
     u = co * dc + si * dr
     v = -si * dc + co * dr
@@ -130,25 +158,31 @@ def render_eye(params: SceneParams, h_full: int, w_full: int, rng: Rng,
     in_pupil = _ellipse_q(u, v, params.pupil_axes) <= 1.0
 
     # the regions are strictly nested: a label counts those holding the pixel
-    labels = in_eye.astype(np.uint8) + in_iris + in_pupil
+    labels = np.zeros((h_full, w_full), dtype=np.uint8)
+    labels[r0:r1, c0:c1] = in_eye.astype(np.uint8) + in_iris + in_pupil
 
     skin, sclera, iris_base, pupil_val = params.intensities
-    img = np.full((h_full, w_full), skin)
-    img += 0.04 * _smooth_noise(h_full, w_full, tex)
+    img = _smooth_noise(h_full, w_full, tex)
+    img *= 0.04
+    img += skin
 
     # sparse dark speckle grain, background only: anchors the detector's
     # 5th-percentile threshold below the iris intensity range
     grain = tex.uniform_array(h_full * w_full).reshape(h_full, w_full)
-    speck = (grain < 0.05) & ~in_eye
+    speck = grain < 0.05
+    speck[r0:r1, c0:c1] &= ~in_eye
     img[speck] = 0.08 + (0.24 - 0.08) * (grain[speck] / 0.05)
 
-    img[in_eye] = sclera
+    eye = img[r0:r1, c0:c1]
+    eye[in_eye] = sclera
     # radial gradient on the iris: dark near the pupil, brighter at the rim;
     # the 0.75-0.95x band keeps iris values above the speckle range and
     # below skin, so region intensities stay separable on clean frames
-    img[in_iris] = iris_base * (0.75 + 0.20 * np.sqrt(q_iris[in_iris]))
-    img[in_pupil] = pupil_val
-    img += 0.015 * _smooth_noise(h_full, w_full, tex, cell=5)
+    eye[in_iris] = iris_base * (0.75 + 0.20 * np.sqrt(q_iris[in_iris]))
+    eye[in_pupil] = pupil_val
+    fine = _smooth_noise(h_full, w_full, tex, cell=5)
+    fine *= 0.015
+    img += fine
 
     l = max(0, int(math.floor(cc_ - 1.1 * ex)))
     t = max(0, int(math.floor(cr - 1.1 * ey)))

@@ -811,6 +811,8 @@ BAD_INPUTS = {
     "gen-size-10x10": (gen("--n", "1", "--size", "10x10"), "--size must be at least 64x64"),
     "gen-size-0x0": (gen("--n", "1", "--size", "0x0"), "--size must be at least 64x64"),
     "gen-size-100": (gen("--n", "1", "--size", "100"), "--size expects HxW, got '100'"),
+    "gen-size-huge": (gen("--n", "1", "--size", "64x4097"),
+                      "--size must be at most 4096x4096, got 64x4097"),
     "gen-n-0": (gen("--n", "0"), "--n must be >= 1, got 0"),
     "gen-n-negative": (gen("--n", "-1"), "--n must be >= 1, got -1"),
     "checkpoint-temperature": (infer_with_config_field("temperature", 1.0),

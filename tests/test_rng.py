@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import pytest
 
 from ocuseg.rng import Rng, fnv1a64, mix64
 
@@ -31,6 +34,33 @@ def test_uniform_range_and_determinism():
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.02
     assert np.array_equal(u, Rng(5).uniform_array(10000))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (0.05, 1.0)])
+def test_uniform_array_matches_scalar_draws(lo, hi):
+    a, b = Rng(8), Rng(8)
+    vector = a.uniform_array(257, lo, hi)
+    scalar = np.array([b.uniform(lo, hi) for _ in range(257)])
+    assert np.array_equal(vector.view(np.uint64), scalar.view(np.uint64))
+    # a scalar draw after a vector draw stays aligned
+    assert a.uniform(lo, hi) == b.uniform(lo, hi)
+    assert a.counter == b.counter == 258
+
+
+# sha256 of the little-endian float64 bytes of normal_array(1001) (odd n) for seed 2024,
+# frozen from the draws that copied every intermediate array
+NORMAL_1001_SHA256 = {
+    (0.0, 1.0): "e45dc1cd5d516b9d31705851343d53ed2c3111a4ebfee20f7437a5704d17d37d",
+    (0.5, 0.08): "be43e9e95241f0a03f500ef149c20509a934fa0e0ac6c1be0e0ee45a0696e8b3",
+}
+
+
+@pytest.mark.parametrize("mu, sigma", list(NORMAL_1001_SHA256))
+def test_normal_array_frozen(mu, sigma):
+    z = Rng(2024).normal_array(1001, mu, sigma)
+    assert z.shape == (1001,) and z.dtype == np.float64
+    digest = hashlib.sha256(z.astype("<f8").tobytes()).hexdigest()
+    assert digest == NORMAL_1001_SHA256[mu, sigma]
 
 
 def test_normal_moments():

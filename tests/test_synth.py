@@ -1,6 +1,7 @@
 import hashlib
 import math
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from ocuseg.cli import main
 from ocuseg.layers import conv2d
 from ocuseg.rng import Rng
-from ocuseg.synth import (Corruption, Sample, SceneParams, _blur, _smooth_noise,
-                          apply_corruption, gamma_correct, generate_dataset,
-                          motion_blur_kernel, render_eye, sample_scene_params)
+from ocuseg.synth import (Corruption, Sample, SceneParams, _blur, _ellipse_extent, _ellipse_q,
+                          _smooth_noise, apply_corruption, gamma_correct, generate_dataset,
+                          levels8, motion_blur_kernel, render_eye, sample_scene_params)
 
 
 def make_params(**overrides) -> SceneParams:
@@ -79,6 +80,71 @@ class TestRenderEye:
         # the frame and its labels are the uint8 arrays the PGM files store
         s = render_eye(make_params(), 120, 160, Rng(1))
         assert s.image.dtype == np.uint8 and s.labels.dtype == np.uint8
+
+
+def full_frame_render_eye(params, h_full, w_full, rng):
+    """Reference: the rasterizer that evaluates the ellipse geometry at every
+    pixel of the frame and fills the regions through frame-sized masks."""
+    cr, cc_ = params.eye_center
+    ey, ex = _ellipse_extent(params.eye_axes, params.rotation)
+    tex = rng.derive(params.texture_seed)
+    dr = (np.arange(h_full, dtype=np.float64) + 0.5 - cr)[:, None]
+    dc = np.arange(w_full, dtype=np.float64) + 0.5 - cc_
+    co, si = math.cos(params.rotation), math.sin(params.rotation)
+    u = co * dc + si * dr
+    v = -si * dc + co * dr
+    q_iris = _ellipse_q(u, v, params.iris_axes)
+    in_eye = _ellipse_q(u, v, params.eye_axes) <= 1.0
+    in_iris = q_iris <= 1.0
+    in_pupil = _ellipse_q(u, v, params.pupil_axes) <= 1.0
+    labels = in_eye.astype(np.uint8) + in_iris + in_pupil
+
+    skin, sclera, iris_base, pupil_val = params.intensities
+    img = np.full((h_full, w_full), skin)
+    img += 0.04 * _smooth_noise(h_full, w_full, tex)
+    grain = tex.uniform_array(h_full * w_full).reshape(h_full, w_full)
+    speck = (grain < 0.05) & ~in_eye
+    img[speck] = 0.08 + (0.24 - 0.08) * (grain[speck] / 0.05)
+    img[in_eye] = sclera
+    img[in_iris] = iris_base * (0.75 + 0.20 * np.sqrt(q_iris[in_iris]))
+    img[in_pupil] = pupil_val
+    img += 0.015 * _smooth_noise(h_full, w_full, tex, cell=5)
+
+    l = max(0, int(math.floor(cc_ - 1.1 * ex)))
+    t = max(0, int(math.floor(cr - 1.1 * ey)))
+    r_excl = min(w_full, int(math.ceil(cc_ + 1.1 * ex)) + 1)
+    b_excl = min(h_full, int(math.ceil(cr + 1.1 * ey)) + 1)
+    return levels8(img), labels, (l, t, b_excl - t, r_excl - l)
+
+
+def window_test_scenes(h, w):
+    """200 sampled scenes, then scenes whose eye sits at the sampler's four
+    extreme corners (centers 1.15 extents from the border) and at the frame
+    itself (the eye's box touching the border), and zero-axis pupils."""
+    rng = Rng(h * 1000 + w)
+    scenes = [sample_scene_params(h, w, rng) for _ in range(200)]
+    for _ in range(8):
+        p = sample_scene_params(h, w, rng)
+        ey, ex = _ellipse_extent(p.eye_axes, p.rotation)
+        for margin in (1.15, 1.0):
+            for cr in (margin * ey, h - 1 - margin * ey):
+                for cc in (margin * ex, w - 1 - margin * ex):
+                    scenes.append(replace(p, eye_center=(cr, cc)))
+        scenes.append(replace(p, pupil_axes=(0.0, 0.0)))
+    return scenes
+
+
+@pytest.mark.parametrize("size", ["120x160", "97x131", "64x64", "200x240"])
+def test_window_matches_full_frame_geometry(size):
+    """Evaluating the geometry only inside the eye's window leaves every
+    image level, label and box bit-identical to the full-frame rasterizer."""
+    h, w = (int(x) for x in size.split("x"))
+    for i, p in enumerate(window_test_scenes(h, w)):
+        got = render_eye(p, h, w, Rng(i))
+        image, labels, bbox = full_frame_render_eye(p, h, w, Rng(i))
+        assert np.array_equal(got.image, image), (i, p)
+        assert np.array_equal(got.labels, labels), (i, p)
+        assert got.gt_bbox == bbox, (i, p)
 
 
 class TestCorruptions:
@@ -234,26 +300,34 @@ def test_smooth_noise_matches_the_full_frame_gather(h, w, cell):
 
 # sha256 over (relative path, sha256 of contents) of every img/ and lbl/
 # PGM that ``gen`` writes for each set below.  The digests of the
-# eight-frame four-kind sets come from the full-frame meshgrid renderer that
-# the separable row and column coordinates replaced, and those of the
-# 32-frame blur set from the dense 15x15 conv2d blur that the shifted-view
-# sums replaced, so they pin each pair as byte-identical: a change to any
-# pixel or label shows here.
+# 120x160 and 97x131 sets come from the full-frame meshgrid renderer that
+# the separable row and column coordinates replaced, those of the 32-frame
+# blur set from the dense 15x15 conv2d blur that the shifted-view sums
+# replaced, and those of the 64x64 and 200x240 sets from the full-frame
+# geometry and array draws that the eye's window and the in-place draws
+# replaced, so they pin each pair as byte-identical: a change to any pixel
+# or label shows here.
 GEN_SETS = {  # key: (--n, --corruptions, --severities, --size)
     "120x160": ("8", "none,blur,occlusion,domain_shift", "0.2,1.0", "120x160"),
     "97x131": ("8", "none,blur,occlusion,domain_shift", "0.2,1.0", "97x131"),
     "blur-120x160": ("32", "blur", "0,1", "120x160"),
+    "64x64": ("8", "none,blur,occlusion,domain_shift", "0.2,1.0", "64x64"),
+    "200x240": ("8", "none,blur,occlusion,domain_shift", "0.2,1.0", "200x240"),
 }
 PGM_DIGESTS = {
     "120x160": "9460fae69a86901483b5ce26befd456a1f7aa4c6fe1eaebf36ca71258a923361",
     "97x131": "8e5b70ec875dd65a6f5f21b94ef675f3b694c85c6b4fb234225e6e6a65cfc142",
     "blur-120x160": "3b08db0691116fbde98e272cb6b57a7e84adaad34c0ba72e950a6d4ac1e3e428",
+    "64x64": "0e114a0181c738909c9c894c41778f11c13ffd76afece8062d53724993d7dafd",
+    "200x240": "56cddf8a4a89edb3f740dd0d52bdbe0864e30b4788b50c93bfaab251d923ca52",
 }
 # sha256 of the same set's manifest.json: a change to any record shows here.
 MANIFEST_DIGESTS = {
     "120x160": "fbf9dbc45a9c7381ab4fdc38237d27ed59912833c06a350bf4eba7a7d550c6d2",
     "97x131": "46bcd911c5a747f0026cc410d12074004ac7c7cd8a8d09d3b4b0531ff34f22b4",
     "blur-120x160": "991a6441bbb68325b3955df0137257c1eb96caa718f4308d6e751b7a822f39c9",
+    "64x64": "1af09e750e2ba42247fe8994a6e34b77ccee3c9186b4d97086032ecbf40d4641",
+    "200x240": "f0acc92cd90ca4adaa3a947e7791a300840d82c2d4676d8629bb9ee2c74d4660",
 }
 
 
