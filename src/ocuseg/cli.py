@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import RunConfig, read_json, read_text
+from .config import MAX_SIDE, MIN_SIDE, RunConfig, read_json, read_text
 from .datasetio import DatasetError, read_dataset, read_pgm, write_dataset, write_pgm
 # no caller here: bench/attribution.py traces crop_resize under this module's name
 from .detect import BBox, crop_labels, crop_resize
@@ -42,11 +42,6 @@ from .uncertainty import UncHead, head_flops, landscape_grid, train_unc
 
 class UsageError(ValueError):
     pass
-
-
-# the longest frame side gen renders; a 4096x4096 frame's float64 work
-# arrays take ~134 MB each, and a much larger one ends in a memory error
-MAX_SIDE = 4096
 
 
 def _load_config(path: str) -> RunConfig:
@@ -104,8 +99,8 @@ def cmd_gen(args) -> int:
         h_full, w_full = (int(x) for x in args.size.split("x"))
     except ValueError:
         raise UsageError(f"--size expects HxW, got {args.size!r}") from None
-    if h_full < 64 or w_full < 64:
-        raise UsageError(f"--size must be at least 64x64, got {args.size}")
+    if h_full < MIN_SIDE or w_full < MIN_SIDE:
+        raise UsageError(f"--size must be at least {MIN_SIDE}x{MIN_SIDE}, got {args.size}")
     if h_full > MAX_SIDE or w_full > MAX_SIDE:
         raise UsageError(f"--size must be at most {MAX_SIDE}x{MAX_SIDE}, got {args.size}")
     samples = generate_dataset(args.n, args.seed, kinds, (lo, hi), h_full, w_full)
@@ -308,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of none|blur|occlusion|domain_shift")
     p.add_argument("--severities", default="0,0", help="LO,HI severity range")
     p.add_argument("--size", default="120x160",
-                   help=f"frame size HxW, at least 64x64 and at most {MAX_SIDE}x{MAX_SIDE}")
+                   help=f"frame size HxW, at least {MIN_SIDE}x{MIN_SIDE} "
+                        f"and at most {MAX_SIDE}x{MAX_SIDE}")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train-seg", help="train the segmentation network")

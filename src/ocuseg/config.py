@@ -38,6 +38,12 @@ def read_json(path: str | Path, error: type[Exception], expect: type, what: str 
     return data
 
 
+# bounds on frame and crop sides (a 4096x4096 frame's float64 work arrays take ~134 MB
+# each) and conv channels (h4's kernel at 1024 everywhere is 3072x1024x3x3 float64, ~0.2 GB)
+MIN_SIDE, MAX_SIDE = 64, 4096
+MAX_CHANNELS = 1024
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -64,12 +70,16 @@ class RunConfig:
         if not (isinstance(self.widths, (list, tuple)) and len(self.widths) == 2
                 and all(_is_int(w) and w >= 1 for w in self.widths)):
             raise ValueError(f"widths must list two ints >= 1, got {self.widths!r}")
-        for name in ("head_width", "seg_epochs", "unc_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("d", "crop_h", "crop_w"):
-            if getattr(self, name) < 4:
-                raise ValueError(f"{name} must be >= 4, got {getattr(self, name)}")
+        for name, least, most in (("head_width", 1, MAX_CHANNELS), ("seg_epochs", 1, None),
+                                  ("unc_epochs", 1, None), ("d", 4, MAX_CHANNELS),
+                                  ("crop_h", 4, MAX_SIDE), ("crop_w", 4, MAX_SIDE)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            if most is not None and value > most:
+                raise ValueError(f"{name} must be at most {most}, got {value}")
+        if max(self.widths) > MAX_CHANNELS:
+            raise ValueError(f"widths must be at most {MAX_CHANNELS}, got {self.widths!r}")
         if self.crop_h % 4 or self.crop_w % 4:
             raise ValueError(f"crop size must be divisible by 4, got "
                              f"{self.crop_h}x{self.crop_w}")

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MIN_SIDE
 from .rng import Rng
 from .synth import Sample, levels8
 from .warp import resize_bilinear, resize_nearest
@@ -120,13 +121,13 @@ def detect_eye_heuristic(image: np.ndarray) -> BBox:
     bounding extent (clamped to [32, min frame side]), centered on the blob
     centroid.  Falls back to a centered box of side 0.75 * min(H, W) when
     no component exceeds 20 pixels.  Raises ValueError on a frame that is
-    not 2-D uint8 or is smaller than 64x64.
+    not 2-D uint8 or is smaller than MIN_SIDE x MIN_SIDE (64x64).
     """
     if image.ndim != 2 or image.dtype != np.uint8:
         raise ValueError(f"expected a 2-D uint8 frame, got {image.ndim}-D {image.dtype}")
     fh, fw = image.shape
-    if fh < 64 or fw < 64:
-        raise ValueError(f"frame must be at least 64x64, got {fh}x{fw}")
+    if fh < MIN_SIDE or fw < MIN_SIDE:
+        raise ValueError(f"frame must be at least {MIN_SIDE}x{MIN_SIDE}, got {fh}x{fw}")
     # strictly below: a constant frame yields no blob and takes the fallback
     blob = _largest_component(image < _dark_level(image))
     if blob.size <= 20:

@@ -1,6 +1,6 @@
-"""The training loop shared by both stages: SGD with momentum on named
-parameter dicts, a warmup/decay learning-rate schedule, global-norm
-gradient clipping and the non-finite-loss abort."""
+"""The training loop shared by both stages: SGD with momentum bound once to a
+run's named parameters, lr scales and velocities, a warmup/decay learning-rate
+schedule, global-norm gradient clipping and the non-finite-loss abort."""
 
 from __future__ import annotations
 
@@ -29,29 +29,25 @@ def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 class SgdMomentum:
-    """v <- mu*v + g;  p <- p - lr*v.  Aborts loudly on non-finite grads."""
+    """v <- MOMENTUM*v + g;  p <- p - lr*scale*v, aborting on non-finite grads.
+    Binds the parameter dict it updates in place, each parameter's lr scale
+    (1 where ``lr_scales`` omits it) and a zero velocity at construction."""
 
-    def __init__(self, lr: float, momentum: float):
-        if lr < 0.0:
-            raise ValueError(f"lr must be >= 0, got {lr}")
-        self.lr = lr
-        self.momentum = momentum
-        self.velocity: dict[str, np.ndarray] = {}
+    def __init__(self, params: dict[str, np.ndarray],
+                 lr_scales: dict[str, float] | None = None):
+        self.params = params
+        self.scales = {name: (lr_scales or {}).get(name, 1.0) for name in params}
+        self.velocity = {name: np.zeros_like(p) for name, p in params.items()}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr_scales: dict[str, float] | None = None) -> None:
-        for name, p in params.items():
+    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+        for name, p in self.params.items():
             g = grads[name]
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient for {name!r}")
-            v = self.velocity.get(name)
-            if v is None:
-                v = np.zeros_like(p)
-                self.velocity[name] = v
-            v *= self.momentum
+            v = self.velocity[name]
+            v *= MOMENTUM
             v += g
-            scale = lr_scales.get(name, 1.0) if lr_scales else 1.0
-            p -= self.lr * scale * v
+            p -= lr * self.scales[name] * v
 
 
 def lr_schedule(base_lr: float, step: int, total_steps: int) -> float:
@@ -77,7 +73,7 @@ def fit(step_batch: Callable[[list[int]], tuple], params: dict[str, np.ndarray],
     loss and of each stat.  A non-finite loss raises FloatingPointError
     naming the epoch, before that batch's step.
     """
-    opt = SgdMomentum(lr, MOMENTUM)
+    opt = SgdMomentum(params, lr_scales)
     order = list(range(n))
     total_steps = epochs * ((n + batch - 1) // batch)
     step = 0
@@ -90,8 +86,7 @@ def fit(step_batch: Callable[[list[int]], tuple], params: dict[str, np.ndarray],
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training diverged at epoch {epoch}")
             clip(grads)
-            opt.lr = lr_schedule(lr, step, total_steps)
-            opt.step(params, grads, lr_scales=lr_scales)
+            opt.step(grads, lr_schedule(lr, step, total_steps))
             values = (loss, *stats)
             sums = [s + v for s, v in zip(sums or [0.0] * len(values), values)]
             batches += 1

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import MIN_SIDE
 # no caller here: bench/attribution.py traces conv2d under this module's name
 from .layers import conv2d
 from .rng import Rng
@@ -127,8 +128,8 @@ def render_eye(params: SceneParams, h_full: int, w_full: int, rng: Rng,
     sclera, iris-gradient and pupil fills index it; outside it every label is
     0 and the frame keeps its background, exactly as the full-frame
     evaluation would give (see the module docstring for why)."""
-    if h_full < 64 or w_full < 64:
-        raise ValueError(f"frame must be at least 64x64, got {h_full}x{w_full}")
+    if h_full < MIN_SIDE or w_full < MIN_SIDE:
+        raise ValueError(f"frame must be at least {MIN_SIDE}x{MIN_SIDE}, got {h_full}x{w_full}")
     for inner, outer, names in ((params.pupil_axes, params.iris_axes, "pupil/iris"),
                                 (params.iris_axes, params.eye_axes, "iris/eye")):
         if not (inner[0] < outer[0] and inner[1] < outer[1]):

@@ -2,20 +2,20 @@
 
 The head maps backbone stage features to a per-pixel diagonal covariance
 (variances through softplus plus a small floor, so they stay positive).
-Two losses train it against the residual v = c_y - z between the latent
-code and the true class template:
+Two losses train it against one variance target, ``variance_targets``'s
+t = (c_y - z)^2: the squared residual of the latent code to its class template.
 
-  original:  mean over pixels of  0.5 v^T diag(s)^-1 v + 0.5 ln det diag(s)
+  original:  mean over pixels of  0.5 sum_d t_d / s_d + 0.5 ln det diag(s)
              + (D/2) ln 2pi   -- the prior/posterior cross-entropy; its
              gradient in s decays like 1/s^2, flattening at large variances
-  surrogate: mean over pixels of  || s - v x v ||^2  -- least squares on
-             the known per-dimension optimum s_d = v_d^2
+  surrogate: mean over pixels of  || s - t ||^2  -- least squares on the
+             known per-dimension optimum s_d = t_d
 
 The per-image uncertainty score is the sum over pixels of the
 log-determinant of the predicted covariance (diagonal: sum of log
 variances); constants that do not affect ranking are dropped.
 
-The head's activations, variances and residuals follow the backbone's
+The head's activations, variances and targets follow the backbone's
 dtype (float32 in the pipeline); the losses, the score and the training
 log's means are summed in float64.
 """
@@ -120,39 +120,35 @@ class UncHead:
 
 
 # ---------------------------------------------------------------------------
-# losses on per-pixel residuals
+# losses on per-pixel variance targets
 # ---------------------------------------------------------------------------
 
-def residual_targets(z: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """v = c_y - z per pixel; z [D, N, H, W], labels [N, H, W] -> [D, N, H, W],
-    in z's dtype.  ``centers`` is [N_CLASSES, D]: row c is class c's template,
-    as in the segmentation head."""
-    ctr = centers.T.astype(z.dtype)[:, labels]          # [D, N, H, W]
-    return ctr - z
+def variance_targets(z: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """t = (c_y - z)^2 per pixel, the variance the head learns; z [D, N, H, W],
+    labels [N, H, W] -> [D, N, H, W] in z's dtype.  ``centers`` is
+    [N_CLASSES, D]: row c is class c's template, as in the segmentation head."""
+    t = centers.T.astype(z.dtype)[:, labels] - z        # a fresh [D, N, H, W] array
+    t *= t
+    return t
 
 
-def _check_cov(cov: np.ndarray) -> None:
+def original_loss_batch(cov: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+    """Prior/posterior CE for the target ``t``, mean over pixels, and its gradient wrt cov."""
     if cov.min() <= 0.0:
         raise ValueError(f"non-positive variance: min {cov.min()}")
-
-
-def original_loss_batch(cov: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Prior/posterior CE, mean over pixels, and its gradient wrt cov."""
-    _check_cov(cov)
     d = cov.shape[0]
     npix = cov[0].size
-    v2 = v * v
-    loss = float((0.5 * (v2 / cov) + 0.5 * np.log(cov)).sum(dtype=np.float64) / npix
+    loss = float((0.5 * (t / cov) + 0.5 * np.log(cov)).sum(dtype=np.float64) / npix
                  + 0.5 * d * LN_2PI)
-    grad = (0.5 / cov - 0.5 * v2 / (cov * cov)) / npix
+    grad = (0.5 / cov - 0.5 * t / (cov * cov)) / npix
     return loss, grad
 
 
-def surrogate_loss_batch(cov: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Least squares on the variance target v*v, mean over pixels, and its
+def surrogate_loss_batch(cov: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least squares on the variance target ``t``, mean over pixels, and its
     gradient wrt cov."""
     npix = cov[0].size
-    diff = cov - v * v
+    diff = cov - t
     loss = float((diff * diff).sum(dtype=np.float64) / npix)
     return loss, 2.0 * diff / npix
 
@@ -172,11 +168,11 @@ def unc_score(cov: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def loss_probe(v: np.ndarray, cov: np.ndarray) -> dict[str, float]:
     """Both training losses and the norms of their gradients wrt the
-    diagonal variances ``cov`` for the residual ``v`` of a single pixel."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1, 1, 1, 1)
-    cov = np.asarray(cov, dtype=np.float64).reshape(v.shape)
-    orig, g_orig = original_loss_batch(cov, v)
-    surr, g_surr = surrogate_loss_batch(cov, v)
+    diagonal variances ``cov`` for the residual ``v`` (target v*v) of one pixel."""
+    t = np.square(np.asarray(v, dtype=np.float64)).reshape(-1, 1, 1, 1)
+    cov = np.asarray(cov, dtype=np.float64).reshape(t.shape)
+    orig, g_orig = original_loss_batch(cov, t)
+    surr, g_surr = surrogate_loss_batch(cov, t)
     return {"orig_loss": orig, "orig_gnorm": float(np.linalg.norm(g_orig)),
             "surr_loss": surr, "surr_gnorm": float(np.linalg.norm(g_surr))}
 
@@ -233,7 +229,7 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
     frozen and supplies stage features, latent codes, and class centers.
 
     Returns the head and one (epoch, mean_loss, target_abs_err) row per
-    epoch, both batch means; ``target_abs_err`` is the mean of |cov - v*v|.
+    epoch, both batch means; ``target_abs_err`` is the mean of |cov - t|.
 
     The frozen latent of every crop is computed once, before the first
     epoch, into an ``[D, N, H, W]`` cache of the crops' dtype (float32
@@ -246,7 +242,7 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
     ``unc_epochs == 1``.
 
     The output bias is warm-started so initial variances match the mean
-    squared residual of the first batch per dimension (the residual scale
+    variance target of the first batch per dimension (the residual scale
     is a property of the frozen backbone and can sit decades away from
     softplus(0); starting there would waste the whole budget on a scale
     march).  Deterministic given (seed, data).
@@ -261,18 +257,18 @@ def train_unc(images: np.ndarray, labels: np.ndarray, seg_model: SegModel,
     z = np.empty((config.d,) + images.shape, dtype=images.dtype)
     for i in range(0, n, b):
         z[:, i:i + b] = seg_model.forward_batch(images[i:i + b]).z
-    v0 = residual_targets(z[:, :b], labels[:b], seg_model.head)
-    head.h4.bias = _softplus_inverse((v0 * v0).mean(axis=(1, 2, 3), dtype=np.float64))
+    t0 = variance_targets(z[:, :b], labels[:b], seg_model.head)
+    head.h4.bias = _softplus_inverse(t0.mean(axis=(1, 2, 3), dtype=np.float64))
 
     def step_batch(idx: list[int]) -> tuple:
         # forward-only stages: conv1's and conv2's own buffers, which h4 and
         # h1 keep for this step's backward; the next step's stages call
         # overwrites them only after that backward
         stages = StageFeatures(*seg_model.stages(images[idx]), z=z[:, idx])
-        v = residual_targets(stages.z, labels[idx], seg_model.head)
+        t = variance_targets(stages.z, labels[idx], seg_model.head)
         cov = head.forward(stages, keep_cache=True)
-        loss, dcov = loss_fn(cov, v)
-        return loss, head.backward(dcov), float(np.abs(cov - v * v).mean(dtype=np.float64))
+        loss, dcov = loss_fn(cov, t)
+        return loss, head.backward(dcov), float(np.abs(cov - t).mean(dtype=np.float64))
 
     epochs = fit(step_batch, head.params(), n, epochs=config.unc_epochs,
                  batch=UNC_BATCH, lr=UNC_LR,

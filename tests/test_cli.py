@@ -739,6 +739,15 @@ BAD_INPUTS = {
     "widths-negative": (train_with("widths", [8, -1]),
                         "widths must list two ints >= 1, got [8, -1]"),
     "head_width": (train_with("head_width"), "head_width must be >= 1, got 0"),
+    # sizes past their caps exit 2 before anything is allocated
+    "d-huge": (train_with("d", 1000000000), "d must be at most 1024, got 1000000000"),
+    "crop_h-huge": (train_with("crop_h", 400000000),
+                    "crop_h must be at most 4096, got 400000000"),
+    "widths-huge": (train_with("widths", [100000, 100000]),
+                    "widths must be at most 1024, got [100000, 100000]"),
+    "flops-d-huge": (lambda tmp_path, root, pred: [
+        "flops", "--config", str(config_with(tmp_path, "d", 1000000000))],
+        "d must be at most 1024, got 1000000000"),
     "tau-str": (train_with("tau", "x"), "unknown config fields: ['tau']"),
     "train-unc-arch": (train_with("d", 6), "config does not match the segmentation "
                        "checkpoint's architecture"),

@@ -7,7 +7,7 @@ import pytest
 
 from ocuseg.checkpoint import (CheckpointError, load_checkpoint, model_tensor,
                                save_checkpoint)
-from ocuseg.config import RunConfig, read_json, read_text
+from ocuseg.config import MAX_CHANNELS, MAX_SIDE, RunConfig, read_json, read_text
 from ocuseg.rng import Rng
 
 
@@ -73,6 +73,16 @@ class TestRunConfig:
             RunConfig(d=2)
         with pytest.raises(ValueError, match="divisible by 4"):
             RunConfig(crop_h=50)
+        # the caps hold at their value and reject one past it
+        RunConfig(crop_h=MAX_SIDE, crop_w=MAX_SIDE)
+        RunConfig(d=MAX_CHANNELS, widths=[MAX_CHANNELS, MAX_CHANNELS], head_width=MAX_CHANNELS)
+        for field, value, cap in (("crop_h", MAX_SIDE + 4, MAX_SIDE),
+                                  ("crop_w", MAX_SIDE + 4, MAX_SIDE),
+                                  ("d", MAX_CHANNELS + 1, MAX_CHANNELS),
+                                  ("head_width", MAX_CHANNELS + 1, MAX_CHANNELS),
+                                  ("widths", [8, MAX_CHANNELS + 1], MAX_CHANNELS)):
+            with pytest.raises(ValueError, match=rf"^{field} must be at most {cap}, got "):
+                RunConfig(**{field: value})
         with pytest.raises(ValueError, match="unknown config fields"):
             RunConfig.from_dict({"seed": 1, "bogus": 2})
         # fields that older configs carried and nothing read

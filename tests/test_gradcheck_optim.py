@@ -3,7 +3,7 @@ import pytest
 
 from gradcheck import grad_check, pack_params, unpack_params
 
-from ocuseg.optim import SgdMomentum, fit
+from ocuseg.optim import MOMENTUM, SgdMomentum, fit
 from ocuseg.rng import Rng
 
 
@@ -46,44 +46,54 @@ class TestGradCheck:
 class TestSgd:
     def test_lr_zero_keeps_params(self):
         p = {"w": np.array([1.0, 2.0])}
-        SgdMomentum(0.0, 0.9).step(p, {"w": np.array([5.0, -3.0])})
+        SgdMomentum(p).step({"w": np.array([5.0, -3.0])}, 0.0)
         assert np.array_equal(p["w"], [1.0, 2.0])
 
     def test_plain_step(self):
+        # the velocity starts at zero, so the first step moves by lr * g
         p = {"w": np.array([1.0, 2.0])}
-        SgdMomentum(1.0, 0.0).step(p, {"w": np.array([0.5, -0.5])})
+        SgdMomentum(p).step({"w": np.array([0.5, -0.5])}, 1.0)
         assert np.array_equal(p["w"], [0.5, 2.5])
 
+    def test_lr_scales_bound_per_parameter(self):
+        # a name the scales omit steps at scale 1
+        p = {"a": np.zeros(1), "b": np.zeros(1)}
+        opt = SgdMomentum(p, {"a": 0.5})
+        assert opt.scales == {"a": 0.5, "b": 1.0}
+        opt.step({"a": np.ones(1), "b": np.ones(1)}, 1.0)
+        assert p["a"][0] == -0.5 and p["b"][0] == -1.0
+
     def test_quadratic_contraction(self):
-        # 100 steps on (w-3)^2 at lr 0.1 contract to the minimum
-        opt = SgdMomentum(0.1, 0.0)
+        # 400 steps on (w-3)^2 at lr 0.1 contract to the minimum
         p = {"w": np.array([0.0])}
-        for _ in range(100):
-            opt.step(p, {"w": 2.0 * (p["w"] - 3.0)})
+        opt = SgdMomentum(p)
+        for _ in range(400):
+            opt.step({"w": 2.0 * (p["w"] - 3.0)}, 0.1)
         assert abs(p["w"][0] - 3.0) < 1e-6
 
     def test_nonfinite_grads_abort(self):
-        opt = SgdMomentum(0.1, 0.9)
         p = {"w": np.ones(2)}
+        opt = SgdMomentum(p)
         with pytest.raises(FloatingPointError, match="w"):
-            opt.step(p, {"w": np.array([np.nan, 1.0])})
+            opt.step({"w": np.array([np.nan, 1.0])}, 0.1)
         with pytest.raises(FloatingPointError, match="w"):
-            opt.step(p, {"w": np.array([np.inf, 0.0])})
+            opt.step({"w": np.array([np.inf, 0.0])}, 0.1)
         assert np.array_equal(p["w"], [1.0, 1.0])
 
     def test_momentum_accumulates(self):
-        opt = SgdMomentum(1.0, 0.5)
         p = {"w": np.array([0.0])}
-        opt.step(p, {"w": np.array([1.0])})      # v=1, w=-1
-        opt.step(p, {"w": np.array([1.0])})      # v=1.5, w=-2.5
-        assert p["w"][0] == pytest.approx(-2.5)
+        opt = SgdMomentum(p)
+        opt.step({"w": np.array([1.0])}, 1.0)      # v=1, w=-1
+        opt.step({"w": np.array([1.0])}, 1.0)      # v=MOMENTUM+1, w=-(MOMENTUM+2)
+        assert p["w"][0] == pytest.approx(-(MOMENTUM + 2.0))
+        assert opt.velocity["w"][0] == pytest.approx(MOMENTUM + 1.0)
 
     def test_deterministic(self):
         def run():
-            opt = SgdMomentum(0.01, 0.9)
             p = {"w": np.linspace(0, 1, 5)}
+            opt = SgdMomentum(p)
             for i in range(10):
-                opt.step(p, {"w": np.full(5, 0.1 * (i + 1))})
+                opt.step({"w": np.full(5, 0.1 * (i + 1))}, 0.01)
             return p["w"].copy()
 
         assert np.array_equal(run(), run())

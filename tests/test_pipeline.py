@@ -12,7 +12,7 @@ from ocuseg.pipeline import (DETECTOR_MODES, ablation_crop_vs_full, build_crops,
 from ocuseg.rng import Rng
 from ocuseg.segnet import INFER_BATCH, SEG_BATCH, SegModel, StageFeatures, predict_batch, seg_loss
 from ocuseg.synth import generate_dataset
-from ocuseg.uncertainty import UncHead, original_loss_batch, residual_targets, unc_score
+from ocuseg.uncertainty import UncHead, original_loss_batch, unc_score, variance_targets
 
 
 def small_setup():
@@ -196,8 +196,8 @@ def head_step(seg: SegModel, head: UncHead, images: np.ndarray, labels: np.ndarr
               ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and gradients of one step of ``train_unc`` with the original loss."""
     stages = StageFeatures(*seg.stages(images), z=seg.forward_batch(images).z.copy())
-    v = residual_targets(stages.z, labels, seg.head)
-    loss, dcov = original_loss_batch(head.forward(stages, keep_cache=True), v)
+    t = variance_targets(stages.z, labels, seg.head)
+    loss, dcov = original_loss_batch(head.forward(stages, keep_cache=True), t)
     return loss, head.backward(dcov)
 
 

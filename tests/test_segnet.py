@@ -11,7 +11,7 @@ from ocuseg.layers import softmax_rows
 from ocuseg.rng import Rng
 from ocuseg.segnet import (SegModel, count_flops, evaluate_miou, predict_batch, seg_loss,
                            train_seg)
-from ocuseg.uncertainty import residual_targets
+from ocuseg.uncertainty import variance_targets
 
 
 def make_model(cfg: RunConfig, seed: int = 3) -> SegModel:
@@ -194,8 +194,8 @@ class TestClassCenters:
         assert agreement >= 0.90
         # with the identity-padded head, class c's template is the unit vector e_c
         labels = (np.arange(16 * 16) % 4).reshape(1, 16, 16)
-        v = residual_targets(feats.z, labels, np.eye(4, tiny_config.d))
-        assert np.array_equal(v, np.eye(tiny_config.d)[:, labels] - feats.z)
+        t = variance_targets(feats.z, labels, np.eye(4, tiny_config.d))
+        assert np.array_equal(t, (np.eye(tiny_config.d)[:, labels] - feats.z) ** 2)
 
 
 class TestTraining:

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,31 @@ def test_text_files_are_read_through_one_helper(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     bad = sorted({node.lineno for node in ast.walk(tree) if _bypasses_reader(node)})
     assert not bad, f"{path.name} reads text past config.read_text/read_json at lines {bad}"
+
+
+CI = ROOT / ".github" / "workflows" / "ci.yml"
+K_COMMANDS = [line for line in CI.read_text(encoding="utf-8").splitlines()
+              if re.search(r"\s-k\s", line)]
+
+
+def _test_functions(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test")}
+
+
+def test_ci_selects_some_tests_by_name():
+    assert K_COMMANDS, f"no pytest -k command in {CI}"
+
+
+# a test renamed or moved out of the files a -k command lists drops out of
+# that CI step without any failure, so every name the step selects must be
+# a test function defined in one of the files the same command runs
+@pytest.mark.parametrize("command", K_COMMANDS, ids=range(len(K_COMMANDS)))
+def test_ci_k_names_are_tests_in_the_listed_files(command):
+    expression = re.search(r"""\s-k\s+(["'])(.*?)\1""", command).group(2)
+    names = set(re.findall(r"\w+", expression)) - {"and", "or", "not"}
+    files = re.findall(r"tests/\S+\.py", command)
+    defined = set().union(*(_test_functions(ROOT / f) for f in files))
+    assert files and names, command
+    assert names <= defined, f"not a test in {files}: {sorted(names - defined)}"

@@ -13,7 +13,7 @@ from ocuseg.rng import Rng
 from ocuseg.segnet import INFER_BATCH, SegModel, count_flops, predict_batch
 from ocuseg.uncertainty import (EPS_FLOOR, UncHead, _softplus_inverse, head_flops,
                                 landscape_grid, loss_probe, original_loss_batch,
-                                residual_targets, surrogate_loss_batch, train_unc, unc_score)
+                                surrogate_loss_batch, train_unc, unc_score, variance_targets)
 
 LN_2PI = math.log(2 * math.pi)
 
@@ -50,8 +50,8 @@ def seg_and_batch(tiny_config, tiny_batch):
     images, labels = tiny_batch
     stages = model.forward_batch(images)
     centers = model.head.copy()
-    v = residual_targets(stages.z, labels, centers)
-    return model, stages, centers, v, images, labels
+    t = variance_targets(stages.z, labels, centers)
+    return model, stages, centers, t, images, labels
 
 
 class TestHeadForward:
@@ -102,7 +102,7 @@ class TestLossValues:
         # D=1, v=0, sigma^2=1: only the 2pi constant remains
         cov = np.ones((1, 1, 1, 1))
         v = np.zeros((1, 1, 1, 1))
-        loss, _ = original_loss_batch(cov, v)
+        loss, _ = original_loss_batch(cov, v * v)
         assert loss == pytest.approx(0.5 * LN_2PI, abs=1e-12)
 
     def test_original_at_theorem_optimum(self):
@@ -110,7 +110,7 @@ class TestLossValues:
         # 0.5(1+1) + 0.5 ln 144 + ln 2pi
         cov = np.array([9.0, 16.0]).reshape(2, 1, 1, 1)
         v = np.array([3.0, 4.0]).reshape(2, 1, 1, 1)
-        loss, _ = original_loss_batch(cov, v)
+        loss, _ = original_loss_batch(cov, v * v)
         assert loss == pytest.approx(1.0 + 0.5 * math.log(144.0) + LN_2PI, abs=1e-12)
 
     def test_original_rejects_nonpositive_variance(self):
@@ -119,11 +119,11 @@ class TestLossValues:
 
     def test_surrogate_zero_at_target(self):
         v = Rng(1).normal_array(8).reshape(2, 1, 2, 2)
-        loss, _ = surrogate_loss_batch(v * v, v)
+        loss, _ = surrogate_loss_batch(v * v, v * v)
         assert loss == 0.0
 
     def test_surrogate_arithmetic(self):
-        # D=1, sigma^2=2, v=1 -> (2-1)^2 = 1
+        # D=1, sigma^2=2, t=1 -> (2-1)^2 = 1
         loss, _ = surrogate_loss_batch(np.full((1, 1, 1, 1), 2.0),
                                        np.ones((1, 1, 1, 1)))
         assert loss == 1.0
@@ -133,7 +133,7 @@ class TestLossValues:
         for _ in range(20):
             v = rng.normal_array(4).reshape(4, 1, 1, 1)
             cov = np.abs(rng.normal_array(4)).reshape(4, 1, 1, 1) + 0.1
-            loss, _ = surrogate_loss_batch(cov, v)
+            loss, _ = surrogate_loss_batch(cov, v * v)
             assert loss >= 0.0
             assert (loss == 0.0) == bool(np.allclose(cov, v * v))
 
@@ -143,8 +143,8 @@ class TestOptimalCov:
     def test_both_gradients_vanish_at_v_squared(self, d):
         v = Rng(d).normal_array(d).reshape(d, 1, 1, 1)
         cov = v * v
-        _, g_orig = original_loss_batch(cov, v)
-        _, g_surr = surrogate_loss_batch(cov, v)
+        _, g_orig = original_loss_batch(cov, v * v)
+        _, g_surr = surrogate_loss_batch(cov, v * v)
         # 0.5 / cov - 0.5 * v^2 / cov^2 cancels to rounding of its 0.5 / cov terms
         assert np.all(np.abs(g_orig) <= 1e-15 / cov)
         assert np.all(g_surr == 0.0)
@@ -153,7 +153,7 @@ class TestOptimalCov:
     def test_original_loss_at_v_squared(self, d):
         # the quadratic term 0.5 v^T diag(v*v)^-1 v is exactly d / 2
         v = Rng(10 + d).normal_array(d).reshape(d, 1, 1, 1)
-        loss, _ = original_loss_batch(v * v, v)
+        loss, _ = original_loss_batch(v * v, v * v)
         expected = 0.5 * d * (1.0 + LN_2PI) + 0.5 * np.log(v * v).sum()
         assert loss == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
@@ -281,7 +281,7 @@ class TestLandscapeGrid:
 
 class TestHeadTraining:
     def test_gradcheck_through_head_and_losses(self, tiny_config, tiny_batch):
-        model, stages, centers, v, images, labels = seg_and_batch(tiny_config, tiny_batch)
+        model, stages, centers, t, images, labels = seg_and_batch(tiny_config, tiny_batch)
         head = UncHead(tiny_config)
         head.init_params(Rng(3).derive("unc-init"))
         named = head.params()
@@ -293,7 +293,7 @@ class TestHeadTraining:
             def f(wv):
                 head.set_params(unpack_params(wv, layout))
                 cov = head.forward(stages, keep_cache=True)
-                loss, dcov = loss_fn(cov, v)
+                loss, dcov = loss_fn(cov, t)
                 grads = head.backward(dcov)
                 gvec, _ = pack_params({k: grads[k] for k, _ in layout})
                 return loss, gvec
@@ -324,6 +324,28 @@ class TestHeadTraining:
         train_unc(images, labels, model, "surrogate", cfg)
         # one pre-pass over ceil(5/2) batches, none in the three epochs
         assert calls == [2, 2, 1]
+
+    @pytest.mark.parametrize("loss_kind", ["surrogate", "original"])
+    def test_each_step_computes_one_target_that_its_loss_reads(self, tiny_config,
+                                                                monkeypatch, loss_kind):
+        model = SegModel(tiny_config)
+        model.init_params(Rng(3).derive("seg-init"))
+        images = Rng(5).uniform_array(5 * 16 * 16).reshape(5, 16, 16)
+        labels = (Rng(6).u64_array(5 * 16 * 16) % 4).astype(np.int64).reshape(5, 16, 16)
+        made, read = [], []
+        targets = uncertainty.variance_targets
+        monkeypatch.setattr(uncertainty, "variance_targets",
+                            lambda *a: made.append(targets(*a)) or made[-1])
+        name = f"{loss_kind}_loss_batch"
+        loss = getattr(uncertainty, name)
+        monkeypatch.setattr(uncertainty, name, lambda cov, t: read.append(t) or loss(cov, t))
+        monkeypatch.setattr(uncertainty, "UNC_BATCH", 2)
+        cfg = tiny_config
+        cfg.unc_epochs = 3
+        train_unc(images, labels, model, loss_kind, cfg)
+        # the warm start's target, then one per step: ceil(5/2) steps per epoch
+        assert len(made) == 1 + 9 and len(read) == 9
+        assert all(t is made[i + 1] for i, t in enumerate(read))
 
     def test_bad_loss_kind_rejected(self, tiny_config, tiny_batch):
         model, _, _, _, images, labels = seg_and_batch(tiny_config, tiny_batch)
@@ -382,11 +404,11 @@ def test_flops_match_the_convs_that_run(geometry, request, monkeypatch):
 def test_param_and_gradient_key_order(tiny_config, tiny_batch):
     # params() order is the tensor order of a checkpoint's weights.bin, and
     # clip_grad_norm sums the gradients in dict order
-    _, stages, _, v, _, _ = seg_and_batch(tiny_config, tiny_batch)
+    _, stages, _, t, _, _ = seg_and_batch(tiny_config, tiny_batch)
     head = UncHead(tiny_config)
     head.init_params(Rng(4))
     keys = [f"h{i}.{p}" for i in range(1, 5) for p in ("kernel", "bias")]
     assert [conv.name for conv in head.convs] == ["h1", "h2", "h3", "h4"]
     assert list(head.params()) == keys
     cov = head.forward(stages, keep_cache=True)
-    assert list(head.backward(surrogate_loss_batch(cov, v)[1])) == keys
+    assert list(head.backward(surrogate_loss_batch(cov, t)[1])) == keys
