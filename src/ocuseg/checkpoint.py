@@ -20,14 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, read_json
+from .config import InputError, RunConfig, naming, read_json
 
 FORMAT_VERSION = 1
 KINDS = ("seg", "unc")
-
-
-class CheckpointError(ValueError):
-    pass
 
 
 def save_checkpoint(directory: str | Path, config: RunConfig,
@@ -66,47 +62,45 @@ def load_checkpoint(directory: str | Path, kind: str | None = None
     directory = Path(directory)
     header_path = directory / "header.json"
     weights_path = directory / "weights.bin"
-    header = read_json(header_path, CheckpointError, dict)
+    header = read_json(header_path, dict)
     if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(f"{header_path}: unsupported format_version "
-                              f"{header.get('format_version')!r}")
+        raise InputError(f"{header_path}: unsupported format_version "
+                         f"{header.get('format_version')!r}")
     if "kind" not in header:
-        raise CheckpointError(f"{header_path}: header has no 'kind' field "
-                              f"(one of {', '.join(KINDS)})")
+        raise InputError(f"{header_path}: header has no 'kind' field "
+                         f"(one of {', '.join(KINDS)})")
     if kind is not None and header["kind"] != kind:
-        raise CheckpointError(f"{directory}: checkpoint kind is {header['kind']!r}, "
-                              f"expected {kind!r}")
-    try:
+        raise InputError(f"{directory}: checkpoint kind is {header['kind']!r}, "
+                         f"expected {kind!r}")
+    with naming(f"{header_path}: invalid config"):
         config = RunConfig.from_dict(header.get("config"))
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{header_path}: invalid config: {e}") from None
     if header.get("arch_hash") != config.arch_hash():
-        raise CheckpointError(f"{header_path}: stored arch_hash {header.get('arch_hash')!r} "
-                              f"does not match its config ({config.arch_hash()!r})")
+        raise InputError(f"{header_path}: stored arch_hash {header.get('arch_hash')!r} "
+                         f"does not match its config ({config.arch_hash()!r})")
     index = header.get("tensors")
     if not (isinstance(index, list) and all(map(_is_tensor_entry, index))):
-        raise CheckpointError(f"{header_path}: 'tensors' must be a list of {{name: string, "
-                              f"shape: list of counts, byte_offset: count}}, got {index!r}")
+        raise InputError(f"{header_path}: 'tensors' must be a list of {{name: string, "
+                         f"shape: list of counts, byte_offset: count}}, got {index!r}")
     raw = weights_path.read_bytes()
     counts = [math.prod(entry["shape"]) for entry in index]
     expected = 8 * sum(counts)
     if len(raw) != expected:
         problem = "truncated" if len(raw) < expected else "trailing bytes in"
-        raise CheckpointError(f"{problem} {weights_path}: {len(raw)} bytes, "
-                              f"header describes {expected}")
+        raise InputError(f"{problem} {weights_path}: {len(raw)} bytes, "
+                         f"header describes {expected}")
     tensors = {}
     off = 0
     for entry, count in zip(index, counts):
         if entry["name"] in tensors:
-            raise CheckpointError(f"{header_path}: tensor {entry['name']!r} is listed twice")
+            raise InputError(f"{header_path}: tensor {entry['name']!r} is listed twice")
         if entry["byte_offset"] != off:
-            raise CheckpointError(f"{header_path}: tensor {entry['name']!r} has byte_offset "
-                                  f"{entry['byte_offset']}, not {off} where those before it end")
+            raise InputError(f"{header_path}: tensor {entry['name']!r} has byte_offset "
+                             f"{entry['byte_offset']}, not {off} where those before it end")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
         # the model runs its activations in float32, where larger values are inf
         if not (np.abs(arr) <= np.finfo(np.float32).max).all():
-            raise CheckpointError(f"{weights_path}: tensor {entry['name']!r} holds "
-                                  "non-finite values (in float32)")
+            raise InputError(f"{weights_path}: tensor {entry['name']!r} holds "
+                             "non-finite values (in float32)")
         tensors[entry["name"]] = arr.reshape(tuple(entry["shape"])).astype(np.float64)
         off += 8 * count
     return config, tensors
@@ -124,9 +118,9 @@ def _is_tensor_entry(entry) -> bool:
 def model_tensor(values: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
     """A copy of ``values[name]``, which must exist and have ``shape``."""
     if name not in values:
-        raise CheckpointError(f"checkpoint has no tensor {name!r}")
+        raise InputError(f"checkpoint has no tensor {name!r}")
     arr = values[name]
     if arr.shape != tuple(shape):
-        raise CheckpointError(f"tensor {name!r} has shape {list(arr.shape)}, "
-                              f"model expects {list(shape)}")
+        raise InputError(f"tensor {name!r} has shape {list(arr.shape)}, "
+                         f"model expects {list(shape)}")
     return arr.copy()

@@ -2,9 +2,12 @@
 
 Subcommands: gen, train-seg, train-unc, infer, eval, landscape, flops.
 Every command is deterministic given (config, seed, inputs).  Exit codes:
-0 success, 2 usage/validation error (also a path that cannot be read or
-written), 3 numeric failure (a non-finite loss in training, a non-finite
-score in inference).
+0 success, 2 a bad input (also a path that cannot be read or written), 3
+numeric failure (a non-finite loss in training, a non-finite score in
+inference).  ``config.InputError`` is the one error that means exit 2: a
+command raises it for a bad flag or file, and ``config.naming`` turns a
+library's ValueError into one that names the input at fault.  Any other
+ValueError is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import MAX_SIDE, MIN_SIDE, RunConfig, read_json, read_text
-from .datasetio import DatasetError, read_dataset, read_pgm, write_dataset, write_pgm
+from .checkpoint import load_checkpoint, save_checkpoint
+from .config import MAX_SIDE, MIN_SIDE, InputError, RunConfig, naming, read_json, read_text
+from .datasetio import read_dataset, read_pgm, write_dataset, write_pgm
 # no caller here: bench/attribution.py traces crop_resize under this module's name
 from .detect import BBox, crop_labels, crop_resize
 # no caller here: bench/attribution.py traces rank_and_filter under this module's name
@@ -40,26 +43,18 @@ from .synth import CORRUPTION_KINDS, Sample, generate_dataset
 from .uncertainty import UncHead, head_flops, landscape_grid, train_unc
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _load_config(path: str) -> RunConfig:
-    data = read_json(path, UsageError, dict)
-    try:
+    data = read_json(path, dict)
+    with naming(f"invalid config {path}"):
         return RunConfig.from_dict(data)
-    except ValueError as e:
-        raise UsageError(f"invalid config {path}: {e}") from None
 
 
 def _load_model(cls, directory: str, kind: str):
     """The config and ``cls`` model of the ``kind`` checkpoint in ``directory``."""
     config, tensors = load_checkpoint(directory, kind)
     model = cls(config)
-    try:
+    with naming(directory):
         model.set_params(tensors)
-    except CheckpointError as e:
-        raise CheckpointError(f"{directory}: {e}") from None
     return config, model
 
 
@@ -67,7 +62,7 @@ def _read_samples(path: str) -> list[Sample]:
     """The samples of the dataset at ``path``, which must hold at least one."""
     samples = read_dataset(path)
     if not samples:
-        raise UsageError(f"dataset {path} is empty")
+        raise InputError(f"dataset {path} is empty")
     return samples
 
 
@@ -86,23 +81,23 @@ def cmd_gen(args) -> int:
     kinds = [k.strip() for k in args.corruptions.split(",") if k.strip()]
     for k in kinds:
         if k != "none" and k not in CORRUPTION_KINDS:
-            raise UsageError(f"unknown corruption kind {k!r}")
+            raise InputError(f"unknown corruption kind {k!r}")
     try:
         lo, hi = (float(x) for x in args.severities.split(","))
     except ValueError:
-        raise UsageError(f"--severities expects LO,HI, got {args.severities!r}") from None
+        raise InputError(f"--severities expects LO,HI, got {args.severities!r}") from None
     if not (0.0 <= lo <= hi <= 1.0):
-        raise UsageError(f"severity range must satisfy 0 <= lo <= hi <= 1, got {lo},{hi}")
+        raise InputError(f"severity range must satisfy 0 <= lo <= hi <= 1, got {lo},{hi}")
     if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+        raise InputError(f"--n must be >= 1, got {args.n}")
     try:
         h_full, w_full = (int(x) for x in args.size.split("x"))
     except ValueError:
-        raise UsageError(f"--size expects HxW, got {args.size!r}") from None
+        raise InputError(f"--size expects HxW, got {args.size!r}") from None
     if h_full < MIN_SIDE or w_full < MIN_SIDE:
-        raise UsageError(f"--size must be at least {MIN_SIDE}x{MIN_SIDE}, got {args.size}")
+        raise InputError(f"--size must be at least {MIN_SIDE}x{MIN_SIDE}, got {args.size}")
     if h_full > MAX_SIDE or w_full > MAX_SIDE:
-        raise UsageError(f"--size must be at most {MAX_SIDE}x{MAX_SIDE}, got {args.size}")
+        raise InputError(f"--size must be at most {MAX_SIDE}x{MAX_SIDE}, got {args.size}")
     samples = generate_dataset(args.n, args.seed, kinds, (lo, hi), h_full, w_full)
     write_dataset(samples, args.out)
     by_kind = Counter(s.corruption if s.severity > 0 else "none" for s in samples)
@@ -128,7 +123,7 @@ def cmd_train_unc(args) -> int:
     config = _load_config(args.config)
     seg_config, seg = _load_model(SegModel, args.seg, "seg")
     if seg_config.arch_hash() != config.arch_hash():
-        raise UsageError("config does not match the segmentation checkpoint's "
+        raise InputError("config does not match the segmentation checkpoint's "
                          f"architecture ({config.arch_hash()} vs {seg_config.arch_hash()})")
     images, labels, _, _ = build_crops(_read_samples(args.data), config, "gt-jitter")
     head, rows = train_unc(images, labels, seg, args.loss, config)
@@ -144,7 +139,7 @@ def cmd_infer(args) -> int:
     config, seg = _load_model(SegModel, args.seg, "seg")
     unc_config, head = _load_model(UncHead, args.unc, "unc")
     if config.arch_hash() != unc_config.arch_hash():
-        raise UsageError("checkpoint architectures differ: "
+        raise InputError("checkpoint architectures differ: "
                          f"{config.arch_hash()} vs {unc_config.arch_hash()}")
     images, boxes, ids = crop_images(_read_samples(args.data), config, args.detector)
     y_hat, s_unc = infer_samples(images, seg, head)
@@ -173,15 +168,15 @@ def cmd_infer(args) -> int:
 def _read_csv(path: Path, required: tuple[str, ...]) -> list[dict[str, str]]:
     """Rows of a CSV file as dicts keyed by its header, which must name
     every ``required`` column; each row must have one field per column."""
-    lines = read_text(path, UsageError).strip().split("\n")
+    lines = read_text(path).strip().split("\n")
     header = lines[0].split(",")
     missing = [c for c in required if c not in header]
     if missing:
-        raise UsageError(f"{path} lacks columns {missing} (header: {lines[0]!r})")
+        raise InputError(f"{path} lacks columns {missing} (header: {lines[0]!r})")
     rows = [ln.split(",") for ln in lines[1:]]
     for i, row in enumerate(rows, start=1):
         if len(row) != len(header):
-            raise UsageError(f"{path}: row {i} has {len(row)} fields, the header "
+            raise InputError(f"{path}: row {i} has {len(row)} fields, the header "
                              f"{len(header)}: {lines[i]!r}")
     return [dict(zip(header, row)) for row in rows]
 
@@ -195,16 +190,16 @@ def _check_row_ids(path: Path, row_ids: list[str], dataset_ids) -> None:
     problems = [f"{len(ids)} {what} ({', '.join(sorted(ids)[:20])})"
                 for what, ids in bad.items() if ids]
     if problems:
-        raise UsageError(f"{path} does not match the dataset: " + "; ".join(problems))
+        raise InputError(f"{path} does not match the dataset: " + "; ".join(problems))
 
 
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
-    meta = read_json(pred_dir / "meta.json", UsageError, dict)
+    meta = read_json(pred_dir / "meta.json", dict)
     crop = meta.get("crop")
     if not (isinstance(crop, list) and len(crop) == 2
             and all(type(v) is int and v > 0 for v in crop)):
-        raise UsageError(f"{pred_dir / 'meta.json'}: 'crop' must be the [h, w] that infer "
+        raise InputError(f"{pred_dir / 'meta.json'}: 'crop' must be the [h, w] that infer "
                          f"writes, got {crop!r}; run infer again")
     scores_rows = _read_csv(pred_dir / "scores.csv", ("sample_id", "s_unc", "l", "t", "h", "w"))
     samples = {s.sample_id: s for s in _read_samples(args.data)}
@@ -213,7 +208,7 @@ def cmd_eval(args) -> int:
     try:
         pcts = [float(x) for x in args.pcts.split(",")]
     except ValueError:
-        raise UsageError(f"--pcts expects comma-separated numbers, got {args.pcts!r}") from None
+        raise InputError(f"--pcts expects comma-separated numbers, got {args.pcts!r}") from None
     ids, score_list, confs = [], [], []
     for row in scores_rows:
         sid = row["sample_id"]
@@ -221,31 +216,25 @@ def cmd_eval(args) -> int:
             s_unc = float(row["s_unc"])
             box = BBox(int(row["l"]), int(row["t"]), int(row["h"]), int(row["w"]))
         except ValueError:
-            raise UsageError(f"bad scores.csv row for {sid} in {pred_dir}: {row}") from None
+            raise InputError(f"bad scores.csv row for {sid} in {pred_dir}: {row}") from None
         if not np.isfinite(s_unc):
-            raise UsageError(f"{pred_dir / 'scores.csv'}: s_unc of {sid} is "
+            raise InputError(f"{pred_dir / 'scores.csv'}: s_unc of {sid} is "
                              f"{row['s_unc']!r}, not a finite number")
         pgm = pred_dir / "pred" / f"{sid}.pgm"
         y_hat = read_pgm(pgm)
         if list(y_hat.shape) != crop:
-            raise UsageError(f"{pgm} is {y_hat.shape[0]}x{y_hat.shape[1]}, not the "
+            raise InputError(f"{pgm} is {y_hat.shape[0]}x{y_hat.shape[1]}, not the "
                              f"{crop[0]}x{crop[1]} crop size in meta.json")
-        try:
+        with naming(f"scores.csv box of {sid} in {pred_dir}"):
             gt = crop_labels(samples[sid].labels, box, *crop)
-        except ValueError as e:
-            raise UsageError(f"scores.csv box of {sid} in {pred_dir}: {e}") from None
-        try:
+        with naming(pgm):
             conf = confusion_matrix(y_hat, gt)
-        except ValueError as e:
-            raise UsageError(f"{pgm}: {e}") from None
         ids.append(sid)
         score_list.append(s_unc)
         confs.append(conf)
 
-    try:
+    with naming(f"--pcts {args.pcts}"):
         body = report(ids, score_list, confs, pcts)
-    except ValueError as e:
-        raise UsageError(f"--pcts {args.pcts}: {e}") from None
     out = Path(args.out)
     out.write_text(json.dumps({"config_hash": meta.get("config_hash", ""),
                                "detector": meta.get("detector", ""), **body},
@@ -266,11 +255,9 @@ def cmd_landscape(args) -> int:
         v = np.array([float(x) for x in args.v.split(",")])
         lo, hi = (float(x) for x in args.range.split(","))
     except ValueError:
-        raise UsageError("--v expects F,F and --range expects LO,HI") from None
-    try:
+        raise InputError("--v expects F,F and --range expects LO,HI") from None
+    with naming(f"--v {args.v} --range {args.range} --n {args.n}"):
         rows = landscape_grid(v, (lo, hi), args.n)
-    except ValueError as e:
-        raise UsageError(f"--v {args.v} --range {args.range} --n {args.n}: {e}") from None
     header = ["w1", "w2", "orig_loss", "orig_gnorm", "surr_loss", "surr_gnorm"]
     _write_csv(Path(args.out), header, [[r[k] for k in header] for r in rows])
     print(f"wrote {len(rows)} grid points to {args.out}")
@@ -355,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DatasetError, CheckpointError, OSError) as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FloatingPointError as e:

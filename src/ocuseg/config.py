@@ -4,37 +4,53 @@ The JSON round-trip is exact (all fields are ints or lists of ints),
 and ``content_hash`` gives a stable fingerprint embedded in
 checkpoints and reports so artifacts are traceable to their config.
 Every text file a command reads goes through ``read_text`` / ``read_json``.
+A bad input from outside the program raises ``InputError``, directly or
+through ``naming``; it is the one error the command line turns into exit 2.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 
-def read_text(path: str | Path, error: type[Exception]) -> str:
-    """The UTF-8 text of ``path``; a file that is not UTF-8 raises ``error`` naming it."""
+class InputError(ValueError):
+    """A bad input from outside the program: a file, a flag or a config field."""
+
+
+@contextmanager
+def naming(what: str | Path):
+    """Re-raise a ValueError from the block as an InputError that names ``what``."""
+    try:
+        yield
+    except ValueError as e:
+        raise InputError(f"{what}: {e}") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; a file that is not UTF-8 raises InputError naming it."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
-        raise error(f"{path}: not UTF-8 text: {e}") from None
+        raise InputError(f"{path}: not UTF-8 text: {e}") from None
 
 
-def read_json(path: str | Path, error: type[Exception], expect: type, what: str = ""):
+def read_json(path: str | Path, expect: type, what: str = ""):
     """The JSON value in ``path``, whose top level must be an ``expect`` (dict or
-    list); raises ``error`` naming the file as ``read_text`` does, and on
+    list); raises InputError naming the file as ``read_text`` does, and on
     text that is not JSON or another top level, which ``what`` words."""
-    text = read_text(path, error)
+    text = read_text(path)
     try:
         data = json.loads(text)
     # ValueError: an int past Python's digit limit; RecursionError: deep nesting
     except (json.JSONDecodeError, ValueError, RecursionError) as e:
-        raise error(f"{path}: not valid JSON: {e}") from None
+        raise InputError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(data, expect):
         what = what or f"not a JSON {'object' if expect is dict else 'list'}"
-        raise error(f"{path}: {what}, got {type(data).__name__}")
+        raise InputError(f"{path}: {what}, got {type(data).__name__}")
     return data
 
 
@@ -89,6 +105,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"expected an object of fields, got {type(data).__name__}")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")

@@ -20,14 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_json
+from .config import InputError, naming, read_json
 from .detect import box_fits
 from .metrics import check_labels
 from .synth import Sample
-
-
-class DatasetError(ValueError):
-    pass
 
 
 def write_pgm(path: Path, data: np.ndarray) -> None:
@@ -53,25 +49,23 @@ def read_pgm(path: Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     m = _PGM_HEADER.match(raw)
     if m is None:
-        raise DatasetError(f"malformed PGM header in {path}")
+        raise InputError(f"malformed PGM header in {path}")
     magic, w, h, maxval = m[1], int(m[2]), int(m[3]), int(m[4])
     if magic != b"P5" or maxval != 255:
-        raise DatasetError(f"{path}: expected binary P5 with maxval 255")
+        raise InputError(f"{path}: expected binary P5 with maxval 255")
     if len(raw) - m.end() < h * w:
-        raise DatasetError(f"{path}: truncated pixel data")
+        raise InputError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=m.end())
     return pixels.reshape(h, w).copy()
 
 
 def _check_sample_labels(sample: str, labels: np.ndarray) -> None:
-    try:
+    with naming(f"sample {sample}"):
         check_labels(labels)
-    except ValueError as e:
-        raise DatasetError(f"sample {sample}: {e}") from None
 
 
 def write_dataset(samples: list[Sample], directory: str | Path) -> None:
-    """Persist samples; raises DatasetError on invalid labels (names sample)."""
+    """Persist samples; raises InputError on invalid labels (names sample)."""
     directory = Path(directory)
     (directory / "img").mkdir(parents=True, exist_ok=True)
     (directory / "lbl").mkdir(parents=True, exist_ok=True)
@@ -127,16 +121,16 @@ def _record_problem(rec, seen: set[str]) -> str | None:
 
 def _read_sample_pgm(manifest: Path, sid: str, path: Path) -> np.ndarray:
     """``read_pgm`` of a file the manifest names; a missing file is the
-    manifest's fault, so its DatasetError names the manifest and the id."""
+    manifest's fault, so its InputError names the manifest and the id."""
     try:
         return read_pgm(path)
     except FileNotFoundError:
-        raise DatasetError(f"{manifest}: sample {sid!r}: no file {path}") from None
+        raise InputError(f"{manifest}: sample {sid!r}: no file {path}") from None
 
 
 def read_dataset(directory: str | Path) -> list[Sample]:
     """The samples of a dataset, each read from ``img/<id>.pgm`` and
-    ``lbl/<id>.pgm``; raises DatasetError naming the sample, and the
+    ``lbl/<id>.pgm``; raises InputError naming the sample, and the
     manifest or the file at fault, on a malformed record, a duplicated id,
     a bad file, a missing file, a ``bbox`` that is not a box of positive
     size inside its image, or a label map whose shape differs from its
@@ -144,7 +138,7 @@ def read_dataset(directory: str | Path) -> list[Sample]:
     names it."""
     directory = Path(directory)
     manifest = directory / "manifest.json"
-    records = read_json(manifest, DatasetError, list, "expected a list of sample records")
+    records = read_json(manifest, list, "expected a list of sample records")
     samples = []
     seen: set[str] = set()
     for i, rec in enumerate(records):
@@ -152,21 +146,21 @@ def read_dataset(directory: str | Path) -> list[Sample]:
         if problem:
             sid = rec.get("id") if isinstance(rec, dict) else None
             where = f"sample {sid!r}" if isinstance(sid, str) else f"record {i}"
-            raise DatasetError(f"{manifest}: {where}: {problem}")
+            raise InputError(f"{manifest}: {where}: {problem}")
         sid = rec["id"]
         seen.add(sid)
         img_path = directory / "img" / f"{sid}.pgm"
         lbl_path = directory / "lbl" / f"{sid}.pgm"
         image = _read_sample_pgm(manifest, sid, img_path)
         if not box_fits(rec["bbox"], *image.shape):
-            raise DatasetError(f"{manifest}: sample {sid!r}: 'bbox' {rec['bbox']} "
-                               "[l, t, h, w] is not a box of positive size inside its "
-                               f"{image.shape[0]}x{image.shape[1]} image {img_path}")
+            raise InputError(f"{manifest}: sample {sid!r}: 'bbox' {rec['bbox']} "
+                             "[l, t, h, w] is not a box of positive size inside its "
+                             f"{image.shape[0]}x{image.shape[1]} image {img_path}")
         labels = _read_sample_pgm(manifest, sid, lbl_path)
         if labels.shape != image.shape:
-            raise DatasetError(f"sample {sid}: label map {lbl_path} is "
-                               f"{labels.shape[0]}x{labels.shape[1]}, its image "
-                               f"{img_path} is {image.shape[0]}x{image.shape[1]}")
+            raise InputError(f"sample {sid}: label map {lbl_path} is "
+                             f"{labels.shape[0]}x{labels.shape[1]}, its image "
+                             f"{img_path} is {image.shape[0]}x{image.shape[1]}")
         _check_sample_labels(f"{sid}: {lbl_path}", labels)
         samples.append(Sample(
             image=image, labels=labels, gt_bbox=tuple(rec["bbox"]),

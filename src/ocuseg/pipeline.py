@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import RunConfig
-from .datasetio import DatasetError
+from .config import RunConfig, naming
 from .detect import BBox, crop_image, crop_resize, detect_eye_heuristic, jitter_gt_bbox
 from .evaluate import report
 from .metrics import confusion_matrix
@@ -34,10 +33,9 @@ def choose_bbox(sample: Sample, mode: str, config: RunConfig) -> BBox:
         rng = Rng(config.seed).derive(f"crop/{sample.sample_id}")
         return jitter_gt_bbox(sample.gt_bbox, rng, fh, fw)
     if mode == "heuristic":
-        try:
+        # a frame below the detector's minimum size is a bad input
+        with naming(f"sample {sample.sample_id}: heuristic detector"):
             return detect_eye_heuristic(sample.image)
-        except ValueError as e:     # a frame below the detector's minimum size
-            raise DatasetError(f"sample {sample.sample_id}: heuristic detector: {e}") from None
     if mode == "full":
         return BBox(0, 0, fh, fw)
     raise ValueError(f"unknown detector mode {mode!r}")

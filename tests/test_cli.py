@@ -9,6 +9,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import traceback
 import warnings
 from pathlib import Path
 
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 import ocuseg
 from ocuseg import evaluate, segnet, uncertainty
 from ocuseg.checkpoint import load_checkpoint
-from ocuseg.cli import main
-from ocuseg.config import RunConfig
+from ocuseg.cli import build_parser, main
+from ocuseg.config import InputError, RunConfig
 from ocuseg.datasetio import read_dataset, read_pgm, write_pgm
 from ocuseg.detect import BBox, crop_resize
 from ocuseg.metrics import confusion_matrix
@@ -926,6 +927,9 @@ BAD_INPUTS = {
         f"unknown config fields: {LEGACY_FIELDS}"),
     "legacy-checkpoint": (infer_with_seg_header(lambda h: with_legacy_fields(h["config"])),
                           f"header.json: invalid config: unknown config fields: {LEGACY_FIELDS}"),
+    "checkpoint-config-null": (infer_with_seg_header(lambda header: header.update(config=None)),
+                               "seg/header.json: invalid config: expected an object of fields, "
+                               "got NoneType"),
     "heuristic-small-frame": (with_detector(infer_on_dataset(small_frame), "heuristic"),
                               "sample s000000: heuristic detector: frame must be at "
                               "least 64x64, got 48x48"),
@@ -955,6 +959,38 @@ def test_bad_input_exit_2_naming_it(predicted, tmp_path, capsys, case):
     assert expected in err and "Traceback" not in err, err
     assert not (tmp_path / "r.json").exists()
     assert not (tmp_path / "g").exists()
+
+
+# for each module, a BAD_INPUTS case whose command ends in an InputError raised there
+EXIT_2_SOURCES = {"datasetio": "manifest-no-id", "checkpoint": "checkpoint-swapped",
+                  "pipeline": "heuristic-small-frame", "cli": "gen-n-0"}
+
+
+@pytest.mark.parametrize("module", list(EXIT_2_SOURCES))
+def test_input_error_exits_2_printing_its_message(predicted, tmp_path, capsys, module):
+    make_argv, _ = BAD_INPUTS[EXIT_2_SOURCES[module]]
+    argv = make_argv(tmp_path, predicted.parent, predicted)
+    args = build_parser().parse_args(argv)
+    with pytest.raises(InputError) as err:
+        args.func(args)
+    # the innermost ocuseg frame, past config's naming and readers, is in ``module``
+    package = Path(ocuseg.__file__).parent
+    frames = [Path(f.filename).name for f in traceback.extract_tb(err.value.__traceback__)
+              if Path(f.filename).parent == package and Path(f.filename).name != "config.py"]
+    assert frames[-1] == f"{module}.py", frames
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not (tmp_path / "g").exists()
+
+
+def test_plain_value_error_is_a_bug_not_exit_2(tmp_path, monkeypatch):
+    def fail(*args):
+        raise ValueError("a bug")
+    monkeypatch.setattr(ocuseg.cli, "generate_dataset", fail)
+    with pytest.raises(ValueError, match="^a bug$") as err:
+        main(["gen", "--out", str(tmp_path / "g"), "--n", "1", "--seed", "1"])
+    assert type(err.value) is ValueError
 
 
 # each file a command reads, with the arguments of a command that reads it;

@@ -5,14 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from ocuseg.checkpoint import (CheckpointError, load_checkpoint, model_tensor,
-                               save_checkpoint)
-from ocuseg.config import MAX_CHANNELS, MAX_SIDE, RunConfig, read_json, read_text
+from ocuseg.checkpoint import load_checkpoint, model_tensor, save_checkpoint
+from ocuseg.config import (MAX_CHANNELS, MAX_SIDE, InputError, RunConfig, naming, read_json,
+                           read_text)
 from ocuseg.rng import Rng
-
-
-class Bad(ValueError):
-    pass
 
 
 class TestReaders:
@@ -28,24 +24,40 @@ class TestReaders:
                                                                  what, message):
         path = tmp_path / "f.json"
         path.write_bytes(raw)
-        with pytest.raises(Bad, match=f"^{re.escape(f'{path}: {message}')}"):
-            read_json(path, Bad, expect, what)
+        with pytest.raises(InputError, match=f"^{re.escape(f'{path}: {message}')}"):
+            read_json(path, expect, what)
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="this Python converts ints of any length")
     def test_read_json_int_past_the_digit_limit(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text("[" + "1" * (sys.get_int_max_str_digits() + 1) + "]")
-        with pytest.raises(Bad, match=f"^{re.escape(str(path))}: not valid JSON: Exceeds"):
-            read_json(path, Bad, list)
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: not valid JSON: Exceeds"):
+            read_json(path, list)
 
     def test_read_text_and_json_return_the_contents(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text('{"\u00e9": [1, 2.5]}\n', encoding="utf-8")
-        assert read_text(path, Bad) == '{"\u00e9": [1, 2.5]}\n'
-        assert read_json(path, Bad, dict) == {"\u00e9": [1, 2.5]}
+        assert read_text(path) == '{"\u00e9": [1, 2.5]}\n'
+        assert read_json(path, dict) == {"\u00e9": [1, 2.5]}
         with pytest.raises(FileNotFoundError):
-            read_text(tmp_path / "missing.json", Bad)
+            read_text(tmp_path / "missing.json")
+
+
+class TestNaming:
+    def test_prefixes_the_message_and_suppresses_the_context(self):
+        with pytest.raises(InputError, match=r"^f\.json: bad value$") as err:
+            with naming("f.json"):
+                raise ValueError("bad value")
+        assert err.value.__cause__ is None and err.value.__suppress_context__
+
+    def test_names_an_input_error_again_and_passes_other_errors(self):
+        with pytest.raises(InputError, match=r"^ckpt: f\.json: cut$"):
+            with naming("ckpt"), naming("f.json"):
+                raise ValueError("cut")
+        with pytest.raises(TypeError, match="a bug"):
+            with naming("f.json"):
+                raise TypeError("a bug")
 
 
 class TestRunConfig:
@@ -91,6 +103,11 @@ class TestRunConfig:
             with pytest.raises(ValueError, match=rf"unknown config fields: \['{field}'\]"):
                 RunConfig.from_dict({"seed": 1, field: value})
 
+    @pytest.mark.parametrize("data,kind", [(None, "NoneType"), ([1, 2], "list"), (7, "int")])
+    def test_from_dict_refuses_a_non_object(self, data, kind):
+        with pytest.raises(ValueError, match=f"^expected an object of fields, got {kind}$"):
+            RunConfig.from_dict(data)
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -128,7 +145,7 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "c", cfg, {"w": np.ones(100)}, "seg")
         blob = (tmp_path / "c" / "weights.bin").read_bytes()
         (tmp_path / "c" / "weights.bin").write_bytes(blob[:40])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(InputError, match="truncated"):
             load_checkpoint(tmp_path / "c")
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -136,7 +153,7 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "c", cfg, {"w": np.ones(10), "b": np.ones(2)}, "seg")
         weights = tmp_path / "c" / "weights.bin"
         weights.write_bytes(weights.read_bytes() + b"\0\0\0\0")
-        with pytest.raises(CheckpointError, match="trailing bytes"):
+        with pytest.raises(InputError, match="trailing bytes"):
             load_checkpoint(tmp_path / "c")
 
     @pytest.mark.parametrize("edit", [lambda h: h["config"].update(d=16),
@@ -148,7 +165,7 @@ class TestCheckpoint:
         header = json.loads(path.read_text())
         edit(header)
         path.write_text(json.dumps(header))
-        with pytest.raises(CheckpointError, match="arch_hash .* does not match its config"):
+        with pytest.raises(InputError, match="arch_hash .* does not match its config"):
             load_checkpoint(tmp_path / "c")
 
     def test_invalid_stored_config_rejected(self, tmp_path):
@@ -157,7 +174,7 @@ class TestCheckpoint:
         header = json.loads(path.read_text())
         header["config"]["seg_epochs"] = 0
         path.write_text(json.dumps(header))
-        with pytest.raises(CheckpointError, match="invalid config: seg_epochs must be >= 1"):
+        with pytest.raises(InputError, match="invalid config: seg_epochs must be >= 1"):
             load_checkpoint(tmp_path / "c")
 
     def test_kind_stored_and_checked(self, tmp_path):
@@ -165,7 +182,7 @@ class TestCheckpoint:
         assert json.loads((tmp_path / "c" / "header.json").read_text())["kind"] == "unc"
         for kind in ("unc", None):
             assert np.array_equal(load_checkpoint(tmp_path / "c", kind)[1]["w"], np.ones(3))
-        with pytest.raises(CheckpointError,
+        with pytest.raises(InputError,
                            match=f"^{re.escape(str(tmp_path / 'c'))}: checkpoint kind is "
                                  "'unc', expected 'seg'$"):
             load_checkpoint(tmp_path / "c", "seg")
@@ -179,14 +196,14 @@ class TestCheckpoint:
         del header["kind"]
         path.write_text(json.dumps(header))
         for kind in ("seg", None):
-            with pytest.raises(CheckpointError,
+            with pytest.raises(InputError,
                                match=r"header.json: header has no 'kind' field \(one of seg, unc\)"):
                 load_checkpoint(tmp_path / "c", kind)
 
     def test_model_tensor_checks_name_and_shape(self):
         values = {"a.kernel": np.ones((2, 3))}
         assert np.array_equal(model_tensor(values, "a.kernel", (2, 3)), np.ones((2, 3)))
-        with pytest.raises(CheckpointError, match="no tensor 'h1.kernel'"):
+        with pytest.raises(InputError, match="no tensor 'h1.kernel'"):
             model_tensor(values, "h1.kernel", (2, 3))
-        with pytest.raises(CheckpointError, match=r"shape \[2, 3\], model expects \[3, 2\]"):
+        with pytest.raises(InputError, match=r"shape \[2, 3\], model expects \[3, 2\]"):
             model_tensor(values, "a.kernel", (3, 2))

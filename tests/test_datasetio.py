@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ocuseg.datasetio import DatasetError, read_dataset, read_pgm, write_dataset, write_pgm
+from ocuseg.config import InputError
+from ocuseg.datasetio import read_dataset, read_pgm, write_dataset, write_pgm
 from ocuseg.synth import generate_dataset
 
 
@@ -37,7 +38,7 @@ def test_missing_image_file_named(tmp_path):
     samples = generate_dataset(3, seed=2)
     write_dataset(samples, tmp_path)
     (tmp_path / "img" / "s000001.pgm").unlink()
-    with pytest.raises(DatasetError, match="manifest.json: sample 's000001': no file .*"
+    with pytest.raises(InputError, match="manifest.json: sample 's000001': no file .*"
                                            "img/s000001.pgm"):
         read_dataset(tmp_path)
 
@@ -45,7 +46,7 @@ def test_missing_image_file_named(tmp_path):
 def test_missing_label_file_named(tmp_path):
     write_dataset(generate_dataset(3, seed=2), tmp_path)
     (tmp_path / "lbl" / "s000002.pgm").unlink()
-    with pytest.raises(DatasetError, match="manifest.json: sample 's000002': no file .*"
+    with pytest.raises(InputError, match="manifest.json: sample 's000002': no file .*"
                                            "lbl/s000002.pgm"):
         read_dataset(tmp_path)
 
@@ -82,14 +83,14 @@ def test_label_value_out_of_range_rejected_on_read(tmp_path):
     bad = samples[0].labels.copy()
     bad[0, 0] = 4
     write_pgm(tmp_path / "lbl" / "s000000.pgm", bad)
-    with pytest.raises(DatasetError, match="s000000.*outside 0..3"):
+    with pytest.raises(InputError, match="s000000.*outside 0..3"):
         read_dataset(tmp_path)
 
 
 def test_label_value_out_of_range_rejected_on_write(tmp_path):
     samples = generate_dataset(1, seed=2)
     samples[0].labels[0, 0] = 7
-    with pytest.raises(DatasetError, match="s000000"):
+    with pytest.raises(InputError, match="s000000"):
         write_dataset(samples, tmp_path)
 
 
@@ -97,7 +98,7 @@ def test_malformed_manifest(tmp_path):
     samples = generate_dataset(1, seed=2)
     write_dataset(samples, tmp_path)
     (tmp_path / "manifest.json").write_text("{not json", encoding="utf-8")
-    with pytest.raises(DatasetError, match="manifest.json: not valid JSON"):
+    with pytest.raises(InputError, match="manifest.json: not valid JSON"):
         read_dataset(tmp_path)
 
 
@@ -107,7 +108,7 @@ def test_manifest_missing_key(tmp_path):
     records = json.loads((tmp_path / "manifest.json").read_text())
     del records[0]["bbox"]
     (tmp_path / "manifest.json").write_text(json.dumps(records))
-    with pytest.raises(DatasetError, match="bbox"):
+    with pytest.raises(InputError, match="bbox"):
         read_dataset(tmp_path)
 
 
@@ -152,6 +153,6 @@ def test_pgm_whitespace_first_pixel_is_data(tmp_path, first):
 def test_bad_pgm_rejected_naming_the_file(tmp_path, raw, problem):
     path = tmp_path / "x.pgm"
     path.write_bytes(raw)
-    with pytest.raises(DatasetError, match=problem) as err:
+    with pytest.raises(InputError, match=problem) as err:
         read_pgm(path)
     assert str(path) in str(err.value)

@@ -174,6 +174,7 @@ def fresh_arrays_infer(images: np.ndarray, config: RunConfig
     return np.concatenate(y_hat), np.concatenate(s_unc)
 
 
+@pytest.mark.fixed_mmap
 def test_infer_samples_matches_fresh_arrays():
     # 37 mixed crops at the default geometry: two full batches and a
     # partial one, so the reused buffers change shape
@@ -201,6 +202,7 @@ def head_step(seg: SegModel, head: UncHead, images: np.ndarray, labels: np.ndarr
     return loss, head.backward(dcov)
 
 
+@pytest.mark.fixed_mmap
 def test_training_steps_ignore_poisoned_buffers():
     # a step of each stage fills every conv's buffer; NaN written over them
     # all must not reach the next steps, which rewrite each buffer in full
@@ -223,6 +225,7 @@ def test_training_steps_ignore_poisoned_buffers():
             assert np.array_equal(grads[k], g), k
 
 
+@pytest.mark.fixed_mmap
 def test_warm_inference_allocates_no_activations(monkeypatch):
     # 48 crops at the default geometry: three full batches, whose layers
     # reuse the buffers of a first call.  One float32 [D, 16, 96, 96]

@@ -134,6 +134,7 @@ def window_test_scenes(h, w):
     return scenes
 
 
+@pytest.mark.fixed_mmap
 @pytest.mark.parametrize("size", ["120x160", "97x131", "64x64", "200x240"])
 def test_window_matches_full_frame_geometry(size):
     """Evaluating the geometry only inside the eye's window leaves every
@@ -331,6 +332,7 @@ MANIFEST_DIGESTS = {
 }
 
 
+@pytest.mark.fixed_mmap
 @pytest.mark.parametrize("key", list(GEN_SETS))
 def test_gen_files_are_pinned(key, tmp_path):
     n, kinds, severities, size = GEN_SETS[key]
