@@ -21,14 +21,27 @@ the eye's half-extent is ``e``; the ellipse ``q <= s**2`` has half-extent
 spanning a 4096-pixel frame, far beyond the rounding of ``q``.  The iris and
 pupil nest inside the eye with smaller axes, so their ``q`` is larger still.
 
-Rendering, occlusion and domain shift compute on intensities ``levels / 255``
-and round back to levels (``levels8``).  Motion blur adds one shifted view of
-the zero-padded levels per tap of a digital line; the sums are integers, so
-they are exact in any order, and no BLAS call is made.
+Rendering and domain shift compute on intensities ``levels / 255`` and round
+back to levels (``levels8``).  Motion blur adds one shifted view of the
+zero-padded levels per tap of a digital line; the sums are integers, so they
+are exact in any order, and no BLAS call is made.
+
+What depends only on the frame size, or only on the 8-bit level, is done
+once rather than per pixel, with the same operations on the same values, so
+every output bit is unchanged.  The value-noise interpolation indices and
+weights are cached per ``(h, w, cell)``, read-only.  A frame's levels take
+one of 256 values: occlusion reads the background's median off their
+histogram (``np.median`` of an even count is the mean of its two middle
+values, which the histogram gives too) and leaves uncovered pixels' levels
+as they are (``levels8(v / 255)`` is ``v`` for every level); domain shift
+evaluates its gamma and contrast on the 256 levels and indexes that table by
+the frame (the elementwise forms give each element the same result whatever
+the array's length, which the tests check).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -93,31 +106,47 @@ def _ellipse_extent(axes: tuple[float, float], rot: float) -> tuple[float, float
     return ey, ex
 
 
-def _smooth_noise(h: int, w: int, rng: Rng, cell: int = 12) -> np.ndarray:
-    """Value noise in [-1, 1]: coarse random grid, bilinearly interpolated."""
-    gh, gw = h // cell + 2, w // cell + 2
-    grid = rng.uniform_array(gh * gw, -1.0, 1.0).reshape(gh, gw)
+@functools.lru_cache(maxsize=4)
+def _noise_geometry(h: int, w: int, cell: int) -> tuple[np.ndarray, ...]:
+    """Read-only interpolation geometry of an ``h`` x ``w`` value-noise field
+    on a ``cell``-pixel grid: the coarse rows ``r0``, ``r0 + 1`` of each
+    frame row with their weights ``1 - fr``, ``fr`` (``[h]``), and the coarse
+    columns ``c0``, ``c0 + 1`` of each frame column with their weights
+    ``1 - fc``, ``fc`` spread over the transposed frame (``[w, h]``), where a
+    multiply by a full array runs faster than one broadcasting a column."""
     rr = np.arange(h) / cell
     cc = np.arange(w) / cell
     r0 = rr.astype(np.int64)
     c0 = cc.astype(np.int64)
-    fr = (rr - r0)[:, None]
-    fc = cc - c0
-    gc = 1 - fc
-    # weight the coarse rows, then gather columns: the same products, summed
-    # in the same order, as gathering the four corners over the whole frame;
-    # each corner column goes through one scratch array (the indices are in
-    # range, so mode="clip" only spares np.take its bounds-check buffer)
-    top = grid[r0] * (1 - fr)
-    bot = grid[r0 + 1] * fr
-    out = np.take(top, c0, axis=1, mode="clip")
+    fr = rr - r0
+    fc = (cc - c0)[:, None]
+    geometry = (r0, r0 + 1, 1 - fr, fr, c0, c0 + 1,
+                np.broadcast_to(1 - fc, (w, h)).copy(), np.broadcast_to(fc, (w, h)).copy())
+    for a in geometry:
+        a.flags.writeable = False
+    return geometry
+
+
+def _smooth_noise(h: int, w: int, rng: Rng, cell: int = 12) -> np.ndarray:
+    """Value noise in [-1, 1]: coarse random grid, bilinearly interpolated."""
+    gh, gw = h // cell + 2, w // cell + 2
+    grid = rng.uniform_array(gh * gw, -1.0, 1.0).reshape(gh, gw)
+    r0, r1, gr, fr, c0, c1, gc, fc = _noise_geometry(h, w, cell)
+    # on the transposed frame [w, h]: weight the coarse rows, then gather
+    # whole rows of the coarse columns, the same products summed in the same
+    # order as gathering the four corners over the whole frame; each corner
+    # goes through one scratch array (the indices are in range, so
+    # mode="clip" only spares np.take its bounds-check buffer)
+    top = np.take(grid.T, r0, axis=1) * gr
+    bot = np.take(grid.T, r1, axis=1) * fr
+    out = np.take(top, c0, axis=0, mode="clip")
     out *= gc
     part = np.empty_like(out)
-    for rows, cols, weight in ((top, c0 + 1, fc), (bot, c0, gc), (bot, c0 + 1, fc)):
-        np.take(rows, cols, axis=1, out=part, mode="clip")
+    for rows, cols, weight in ((top, c1, fc), (bot, c0, gc), (bot, c1, fc)):
+        np.take(rows, cols, axis=0, out=part, mode="clip")
         part *= weight
         out += part
-    return out
+    return np.ascontiguousarray(out.T)
 
 
 def render_eye(params: SceneParams, h_full: int, w_full: int, rng: Rng,
@@ -249,21 +278,43 @@ def _blur(sample: Sample, severity: float, rng: Rng) -> Sample:
     return replace(sample, image=np.floor(sums / length + 0.5).astype(np.uint8))
 
 
+def _background_level(image: np.ndarray, labels: np.ndarray) -> float:
+    """``np.median(image[labels == 0] / 255.0)``, read off the 256-bin
+    histogram of the background levels (0.55 when there is no background):
+    the middle level ``v`` of an odd count gives ``v / 255.0``, and the two
+    middle levels ``a``, ``b`` of an even count give the mean of their
+    intensities, ``(a / 255.0 + b / 255.0) / 2.0``, as ``np.median`` does."""
+    counts = np.cumsum(np.bincount(image[labels == 0], minlength=256))
+    n = int(counts[-1])
+    if n == 0:
+        return 0.55
+    # the level of the k-th smallest value (from 0) is the first whose
+    # cumulative count exceeds k
+    b = int(np.searchsorted(counts, n // 2, side="right"))
+    if n % 2:
+        return b / 255.0
+    a = int(np.searchsorted(counts, n // 2 - 1, side="right"))
+    return (a / 255.0 + b / 255.0) / 2.0
+
+
 def _occlude(sample: Sample, severity: float) -> Sample:
+    """Cover the eye's top with an eyelid of the median background level.
+    Uncovered pixels keep their levels: ``levels8(v / 255.0) == v`` for every
+    8-bit level ``v``."""
     l, t, h, w = sample.gt_bbox
-    img = sample.image / 255.0
+    image = sample.image.copy()
     labels = sample.labels.copy()
-    skin = float(np.median(img[labels == 0])) if np.any(labels == 0) else 0.55
-    cols = np.arange(img.shape[1], dtype=np.float64)
+    skin = _background_level(image, labels)
+    cols = np.arange(image.shape[1], dtype=np.float64)
     rel = (cols - (l + w / 2.0)) / (w / 2.0)
     # eyelid depth: deepest mid-eye, exactly h/2 at the box edges when
     # severity is 1, tapering to nothing outside |rel| = sqrt(3)
     depth = severity * h * np.maximum(0.0, 0.75 - 0.25 * rel ** 2)
-    rows = np.arange(img.shape[0], dtype=np.float64)
+    rows = np.arange(image.shape[0], dtype=np.float64)
     covered = rows[:, None] < (t + depth)[None, :]
-    img[covered] = skin
+    image[covered] = levels8(np.float64(skin))
     labels[covered] = 0
-    return replace(sample, image=levels8(img), labels=labels)
+    return replace(sample, image=image, labels=labels)
 
 
 def gamma_correct(image: np.ndarray, gamma: float) -> np.ndarray:
@@ -273,10 +324,17 @@ def gamma_correct(image: np.ndarray, gamma: float) -> np.ndarray:
     return np.clip(image, 0.0, 1.0) ** gamma
 
 
+def _shift_table(gamma: float, contrast: float) -> np.ndarray:
+    """The gamma and contrast shift of each 8-bit level's intensity, ``[256]``:
+    indexing it by a frame gives, element for element, the same operations
+    on the same values as shifting the frame's intensities."""
+    return 0.5 + contrast * (gamma_correct(np.arange(256) / 255.0, gamma) - 0.5)
+
+
 def _domain_shift(sample: Sample, severity: float, rng: Rng) -> Sample:
     gamma = rng.uniform(max(0.05, 1.0 - 0.6 * severity), 1.0 + 0.6 * severity)
     contrast = rng.uniform(1.0 - 0.35 * severity, 1.0 + 0.35 * severity)
-    img = 0.5 + contrast * (gamma_correct(sample.image / 255.0, gamma) - 0.5)
+    img = np.take(_shift_table(gamma, contrast), sample.image)
     h, wd = img.shape
     rr = ((np.arange(h) - h / 2) / (h / 2))[:, None]
     cc = (np.arange(wd) - wd / 2) / (wd / 2)

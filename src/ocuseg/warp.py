@@ -7,10 +7,13 @@ input's value set.
 
 A resize is separable: each axis maps its output indices to source
 coordinates once, as a 1-D array, and broadcasting a row-index column
-against a column-index row makes the 2-D result.
+against a column-index row makes the 2-D result.  The per-axis indices and
+weights depend only on ``(n_in, n_out)``, so they are cached, read-only.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -20,16 +23,24 @@ def _source_coords(n_in: int, n_out: int) -> np.ndarray:
     return (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=128)
 def _bilinear_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge-clamped neighbor indices ``i0``, ``i1`` and the weight of ``i1``."""
     src = _source_coords(n_in, n_out)
     i0 = np.clip(np.floor(src).astype(np.int64), 0, n_in - 1)
-    return i0, np.minimum(i0 + 1, n_in - 1), np.clip(src, 0, n_in - 1) - i0
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    return _read_only(i0), _read_only(i1), _read_only(np.clip(src, 0, n_in - 1) - i0)
 
 
+@functools.lru_cache(maxsize=128)
 def _nearest_index(n_in: int, n_out: int) -> np.ndarray:
     src = _source_coords(n_in, n_out)
-    return np.clip(np.floor(src + 0.5).astype(np.int64), 0, n_in - 1)
+    return _read_only(np.clip(np.floor(src + 0.5).astype(np.int64), 0, n_in - 1))
 
 
 def resize_bilinear(img: np.ndarray, h_out: int, w_out: int) -> np.ndarray:

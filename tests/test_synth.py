@@ -10,7 +10,8 @@ import pytest
 from ocuseg.cli import main
 from ocuseg.layers import conv2d
 from ocuseg.rng import Rng
-from ocuseg.synth import (Corruption, Sample, SceneParams, _blur, _ellipse_extent, _ellipse_q,
+from ocuseg.synth import (Corruption, Sample, SceneParams, _background_level, _blur,
+                          _ellipse_extent, _ellipse_q, _noise_geometry, _shift_table,
                           _smooth_noise, apply_corruption, gamma_correct, generate_dataset,
                           levels8, motion_blur_kernel, render_eye, sample_scene_params)
 
@@ -299,6 +300,128 @@ def test_smooth_noise_matches_the_full_frame_gather(h, w, cell):
     assert np.array_equal(_smooth_noise(h, w, Rng(9), cell), ref)
 
 
+
+def test_smooth_noise_is_c_contiguous():
+    """The transposed gathers hand back a row-major field, so every frame
+    built on it keeps the layout it had."""
+    for h, w, cell in ((120, 160, 12), (97, 131, 5), (1, 1, 12)):
+        assert _smooth_noise(h, w, Rng(9), cell).flags.c_contiguous
+
+
+def test_noise_geometry_is_cached_read_only():
+    geometry = _noise_geometry(97, 131, 5)
+    assert _noise_geometry(97, 131, 5) is geometry
+    for a in geometry:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+# the per-pixel forms that the histogram median and the level table replaced
+
+def reference_occlude(sample, severity):
+    l, t, h, w = sample.gt_bbox
+    img = sample.image / 255.0
+    labels = sample.labels.copy()
+    skin = float(np.median(img[labels == 0])) if np.any(labels == 0) else 0.55
+    cols = np.arange(img.shape[1], dtype=np.float64)
+    rel = (cols - (l + w / 2.0)) / (w / 2.0)
+    depth = severity * h * np.maximum(0.0, 0.75 - 0.25 * rel ** 2)
+    rows = np.arange(img.shape[0], dtype=np.float64)
+    covered = rows[:, None] < (t + depth)[None, :]
+    img[covered] = skin
+    labels[covered] = 0
+    return levels8(img), labels
+
+
+def reference_shift(image, gamma, contrast):
+    return 0.5 + contrast * (gamma_correct(image / 255.0, gamma) - 0.5)
+
+
+def level_frame(seed, h=97, w=131):
+    return (Rng(seed).u64_array(h * w) % np.uint64(256)).astype(np.uint8).reshape(h, w)
+
+
+@pytest.mark.parametrize("n_background", [1, 2, 3, 4, 101, 12706, 12707])
+def test_background_level_is_the_median(n_background):
+    """Odd and even background counts, the whole frame included."""
+    image = level_frame(n_background)
+    labels = np.ones(image.shape, np.uint8)
+    labels.flat[Rng(5).u64_array(image.size).argsort()[:n_background]] = 0
+    assert _background_level(image, labels) == np.median(image[labels == 0] / 255.0)
+
+
+@pytest.mark.parametrize("n_background", [7, 8])
+@pytest.mark.parametrize("level", [0, 137, 255])
+def test_background_level_of_one_level(level, n_background):
+    image = np.full((97, 131), level, np.uint8)
+    labels = np.full(image.shape, 2, np.uint8)
+    labels[0, :n_background] = 0
+    assert _background_level(image, labels) == np.median(image[labels == 0] / 255.0)
+    assert _background_level(image, labels) == level / 255.0
+
+
+def test_background_level_between_two_middle_levels():
+    """An even count whose two middle levels differ: ``(a + b) / 510`` is not
+    always the mean of the two intensities."""
+    image = np.zeros((8, 8), np.uint8)
+    labels = np.ones(image.shape, np.uint8)
+    labels[0, :6] = 0
+    for a in range(0, 256, 3):
+        for b in range(a, 256, 5):
+            image[0, :6] = (a, b, a, b, a, b)
+            assert _background_level(image, labels) == np.median(image[labels == 0] / 255.0)
+
+
+def test_background_level_without_background():
+    labels = np.full((97, 131), 1, np.uint8)
+    assert _background_level(level_frame(1), labels) == 0.55
+
+
+def test_every_level_survives_levels8():
+    """Why occlusion can keep the levels of the pixels it leaves uncovered."""
+    levels = np.arange(256)
+    assert np.array_equal(levels8(levels / 255.0), levels)
+
+
+@pytest.mark.parametrize("severity", [0.05, 0.5, 0.93, 1.0])
+def test_occlusion_matches_the_per_pixel_form(severity):
+    frames = generate_dataset(8, seed=31)
+    no_background = replace(frames[0], labels=np.ones_like(frames[0].labels))
+    for s in [*frames, no_background]:
+        image, labels = reference_occlude(s, severity)
+        out = apply_corruption(s, Corruption("occlusion", severity), Rng(5))
+        assert np.array_equal(out.image, image) and out.image.dtype == np.uint8
+        assert np.array_equal(out.labels, labels)
+
+
+@pytest.mark.parametrize("gamma", [0.05, 1.0, 1.6])
+@pytest.mark.parametrize("contrast", [0.65, 1.0, 1.35])
+def test_shift_table_matches_the_per_pixel_form(gamma, contrast):
+    """On 97x131 frames (12707 elements, not a multiple of any SIMD width)
+    that between them hold every level at every position modulo 8 and at
+    each of the last three positions."""
+    p = np.arange(97 * 131)
+    table = _shift_table(gamma, contrast)
+    for k in range(0, 256, 3):
+        image = ((p + p // 8 + k) % 256).astype(np.uint8).reshape(97, 131)
+        assert np.array_equal(np.take(table, image), reference_shift(image, gamma, contrast))
+
+
+@pytest.mark.parametrize("severity", [0.05, 0.6, 1.0])
+def test_domain_shift_matches_the_per_pixel_form(severity):
+    for i, s in enumerate(generate_dataset(4, seed=37, h_full=97, w_full=131)):
+        rng, ref_rng = Rng(i), Rng(i)
+        out = apply_corruption(s, Corruption("domain_shift", severity), rng)
+        gamma = ref_rng.uniform(max(0.05, 1.0 - 0.6 * severity), 1.0 + 0.6 * severity)
+        contrast = ref_rng.uniform(1.0 - 0.35 * severity, 1.0 + 0.35 * severity)
+        img = reference_shift(s.image, gamma, contrast)
+        h, w = img.shape
+        rr = ((np.arange(h) - h / 2) / (h / 2))[:, None]
+        cc = (np.arange(w) - w / 2) / (w / 2)
+        img *= 1.0 - 0.35 * severity * (rr ** 2 + cc ** 2) / 2.0
+        img += ref_rng.normal_array(img.size, 0.0, 0.08 * severity).reshape(img.shape)
+        assert np.array_equal(out.image, levels8(img))
+
 # sha256 over (relative path, sha256 of contents) of every img/ and lbl/
 # PGM that ``gen`` writes for each set below.  The digests of the
 # 120x160 and 97x131 sets come from the full-frame meshgrid renderer that
@@ -306,6 +429,9 @@ def test_smooth_noise_matches_the_full_frame_gather(h, w, cell):
 # blur set from the dense 15x15 conv2d blur that the shifted-view sums
 # replaced, and those of the 64x64 and 200x240 sets from the full-frame
 # geometry and array draws that the eye's window and the in-place draws
+# replaced, and those of the high-severity set (the bench's render range)
+# from the per-call noise geometry, full-background median and per-pixel
+# domain shift that the cached geometry, histogram median and level table
 # replaced, so they pin each pair as byte-identical: a change to any pixel
 # or label shows here.
 GEN_SETS = {  # key: (--n, --corruptions, --severities, --size)
@@ -314,6 +440,7 @@ GEN_SETS = {  # key: (--n, --corruptions, --severities, --size)
     "blur-120x160": ("32", "blur", "0,1", "120x160"),
     "64x64": ("8", "none,blur,occlusion,domain_shift", "0.2,1.0", "64x64"),
     "200x240": ("8", "none,blur,occlusion,domain_shift", "0.2,1.0", "200x240"),
+    "high-120x160": ("32", "none,blur,occlusion,domain_shift", "0.9,1.0", "120x160"),
 }
 PGM_DIGESTS = {
     "120x160": "9460fae69a86901483b5ce26befd456a1f7aa4c6fe1eaebf36ca71258a923361",
@@ -321,6 +448,7 @@ PGM_DIGESTS = {
     "blur-120x160": "3b08db0691116fbde98e272cb6b57a7e84adaad34c0ba72e950a6d4ac1e3e428",
     "64x64": "0e114a0181c738909c9c894c41778f11c13ffd76afece8062d53724993d7dafd",
     "200x240": "56cddf8a4a89edb3f740dd0d52bdbe0864e30b4788b50c93bfaab251d923ca52",
+    "high-120x160": "56e176ba2dd59a783fbf793b59b0241e1c17cff6e531836d06253b9076bf9ecb",
 }
 # sha256 of the same set's manifest.json: a change to any record shows here.
 MANIFEST_DIGESTS = {
@@ -329,6 +457,7 @@ MANIFEST_DIGESTS = {
     "blur-120x160": "991a6441bbb68325b3955df0137257c1eb96caa718f4308d6e751b7a822f39c9",
     "64x64": "1af09e750e2ba42247fe8994a6e34b77ccee3c9186b4d97086032ecbf40d4641",
     "200x240": "f0acc92cd90ca4adaa3a947e7791a300840d82c2d4676d8629bb9ee2c74d4660",
+    "high-120x160": "68668eaa83095c3bc2e3d976272f993274891c40c3d1b351acc4c9b68d736392",
 }
 
 

@@ -7,7 +7,7 @@ the results must be equal bit for bit, not merely close.
 import numpy as np
 import pytest
 
-from ocuseg.warp import resize_bilinear, resize_nearest
+from ocuseg.warp import _bilinear_taps, _nearest_index, resize_bilinear, resize_nearest
 
 
 def _grid(h_out, w_out):
@@ -83,3 +83,19 @@ def test_same_size_is_identity():
     img, labels = random_images(np.random.default_rng(3), 41, 67)
     assert np.array_equal(resize_bilinear(img, 41, 67), img)
     assert np.array_equal(resize_nearest(labels, 41, 67), labels)
+
+
+def test_cached_taps_are_read_only_and_reused():
+    """A resize cannot write into the taps that later resizes of the same
+    sizes read, and a resize repeated after others gives the same result."""
+    taps = (*_bilinear_taps(130, 96), _nearest_index(130, 96))
+    assert _bilinear_taps(130, 96)[0] is taps[0] and _nearest_index(130, 96) is taps[3]
+    for a in taps:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    img, labels = random_images(np.random.default_rng(4), 130, 170)
+    first = resize_bilinear(img, 96, 96), resize_nearest(labels, 96, 96)
+    for n in range(1, 300):
+        resize_bilinear(img, n % 97 + 1, n % 89 + 1)
+    assert np.array_equal(resize_bilinear(img, 96, 96), first[0])
+    assert np.array_equal(resize_nearest(labels, 96, 96), first[1])

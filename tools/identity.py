@@ -48,7 +48,8 @@ CONFIGS = {
     "zero-epochs.json": {"seed": 3, "crop_h": 48, "crop_w": 48, "d": 6, "widths": [4, 8],
                          "head_width": 4, "seg_epochs": 0, "unc_epochs": 1},
 }
-MIXED = ["--corruptions", "none,blur,occlusion,domain_shift", "--severities", "0.05,1.0"]
+KINDS = ["--corruptions", "none,blur,occlusion,domain_shift"]
+MIXED = [*KINDS, "--severities", "0.05,1.0"]
 DETECTORS = ("gt-jitter", "heuristic", "full")
 
 
@@ -67,6 +68,9 @@ STEPS = [
     ("gen-mixed", 0, ["gen", "--out", "mixed", "--n", "128", "--seed", "2002", *MIXED]),
     ("gen-97x131", 0, ["gen", "--out", "small", "--n", "24", "--seed", "3003", *MIXED,
                        "--size", "97x131"]),
+    # 15-tap blurs, deep eyelids and strong domain shifts
+    ("gen-high-200x240", 0, ["gen", "--out", "high", "--n", "32", "--seed", "4004", *KINDS,
+                             "--severities", "0.9,1.0", "--size", "200x240"]),
     ("train-seg-under", 0, ["train-seg", "--data", "small", "--config", "under.json",
                             "--out", "seg-under"]),
     ("train-unc-under", 0, ["train-unc", "--data", "small", "--config", "under.json",
