@@ -36,7 +36,7 @@ from .detect import BBox, crop_labels, crop_resize
 # no caller here: bench/attribution.py traces rank_and_filter under this module's name
 from .evaluate import rank_and_filter, report
 from .metrics import confusion_matrix
-from .pipeline import DETECTOR_MODES, build_crops, crop_images, infer_samples
+from .pipeline import DETECTOR_MODES, build_crops, infer_samples
 # no caller here: bench/attribution.py traces evaluate_miou under this module's name
 from .segnet import SegModel, count_flops, evaluate_miou, train_seg
 from .synth import CORRUPTION_KINDS, Sample, generate_dataset
@@ -141,7 +141,8 @@ def cmd_infer(args) -> int:
     if config.arch_hash() != unc_config.arch_hash():
         raise InputError("checkpoint architectures differ: "
                          f"{config.arch_hash()} vs {unc_config.arch_hash()}")
-    images, boxes, ids = crop_images(_read_samples(args.data), config, args.detector)
+    images, labels, boxes, ids = build_crops(_read_samples(args.data), config, args.detector)
+    del labels  # no ground truth is read here; free the crops before the forward
     y_hat, s_unc = infer_samples(images, seg, head)
     bad = [sid for sid, s in zip(ids, s_unc) if not np.isfinite(s)]
     if bad:

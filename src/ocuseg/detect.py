@@ -172,17 +172,12 @@ def crop_labels(labels: np.ndarray, bbox: BBox, h_out: int, w_out: int) -> np.nd
     return resize_nearest(_cut(labels, bbox), h_out, w_out)
 
 
-def crop_image(image: np.ndarray, bbox: BBox, h_out: int, w_out: int) -> np.ndarray:
-    """A uint8 frame cropped to ``bbox`` and resized bilinear to ``h_out`` x
-    ``w_out`` over intensities in [0, 1], snapped to the 1/255 grid
-    (float64); raises ValueError when the box does not fit it."""
-    img = resize_bilinear(_cut(image, bbox) / 255.0, h_out, w_out)
-    return levels8(img) / 255.0
-
-
 def crop_resize(sample: Sample, bbox: BBox, h_out: int, w_out: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The sample's image and labels cropped to ``bbox`` and resized to
-    ``h_out`` x ``w_out``, by ``crop_image`` and ``crop_labels``."""
+    """The sample's frame and labels cropped to ``bbox`` and resized to
+    ``h_out`` x ``w_out``: the image bilinear over intensities in [0, 1],
+    snapped to the 1/255 grid (float64), the labels by ``crop_labels``;
+    raises ValueError when the box does not fit the frame."""
     labels = crop_labels(sample.labels, bbox, h_out, w_out)
-    return crop_image(sample.image, bbox, h_out, w_out), labels
+    img = resize_bilinear(_cut(sample.image, bbox) / 255.0, h_out, w_out)
+    return levels8(img) / 255.0, labels

@@ -9,7 +9,8 @@ in place: the counters' ``arange`` becomes the draws, which become the floats,
 and the finalizer's shifted copies share one scratch array.
 
 Floats in [0, 1) take the top 53 bits: ``(u64 >> 11) * 2**-53``.  Normals
-use the Box-Muller transform on consecutive uniform pairs.
+use the Box-Muller transform on consecutive uniform pairs, whose radius and
+angle overwrite the draws.
 """
 
 from __future__ import annotations
@@ -107,14 +108,22 @@ class Rng:
 
     def normal_array(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         m = (n + 1) // 2
-        u1 = self.uniform_array(m)
-        u2 = self.uniform_array(m)
-        u1 = np.maximum(u1, _INV_2_53)  # avoid log(0)
-        r = np.sqrt(-2.0 * np.log(u1))
+        r = self.uniform_array(m)
+        theta = self.uniform_array(m)
+        np.maximum(r, _INV_2_53, out=r)  # avoid log(0)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
         out = np.empty(2 * m)
-        out[0::2] = r * np.cos(2.0 * np.pi * u2)
-        out[1::2] = r * np.sin(2.0 * np.pi * u2)
-        return mu + sigma * out[:n]
+        # a contiguous scratch, not a strided out=, keeps numpy's vector loops
+        trig = np.cos(theta)
+        out[0::2] = np.multiply(trig, r, out=trig)
+        out[1::2] = np.multiply(np.sin(theta, out=trig), r, out=trig)
+        out = out[:n]
+        out *= sigma
+        out += mu
+        return out
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle of a list of n items: for i from

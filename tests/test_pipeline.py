@@ -8,7 +8,7 @@ from ocuseg import pipeline
 from ocuseg.config import RunConfig
 from ocuseg.detect import crop_resize
 from ocuseg.pipeline import (DETECTOR_MODES, ablation_crop_vs_full, build_crops,
-                             choose_bbox, crop_images, infer_samples)
+                             choose_bbox, infer_samples)
 from ocuseg.rng import Rng
 from ocuseg.segnet import INFER_BATCH, SEG_BATCH, SegModel, StageFeatures, predict_batch, seg_loss
 from ocuseg.synth import generate_dataset
@@ -86,15 +86,6 @@ def test_build_crops_images_are_the_float32_crops(mode):
     assert images.dtype == np.float32
     for s, box, img in zip(samples, boxes, images):
         assert np.array_equal(img, np.float32(crop_resize(s, box, cfg.crop_h, cfg.crop_w)[0]))
-
-
-@pytest.mark.parametrize("mode", DETECTOR_MODES)
-def test_crop_images_is_build_crops_without_labels(mode):
-    cfg, samples, _, _ = small_setup()
-    images, _, boxes, ids = build_crops(samples, cfg, mode)
-    got_images, got_boxes, got_ids = crop_images(samples, cfg, mode)
-    assert got_images.dtype == np.float32 and np.array_equal(got_images, images)
-    assert got_boxes == boxes and got_ids == ids
 
 
 def test_ablation_crop_vs_full_reports_both_arms():

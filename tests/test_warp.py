@@ -44,11 +44,21 @@ def reference_nearest(img, h_out, w_out):
 
 
 def assert_both_match(img, h_out, w_out):
+    """Both resizers of ``img`` and of a strided view holding the same
+    pixels, as a crop box cuts from a frame, equal the references and come
+    back C-ordered."""
+    h, w = img.shape
+    frame = np.zeros((h + 3, 2 * w + 5), dtype=img.dtype)
+    view = frame[2:2 + h, 3:3 + 2 * w:2]
+    view[...] = img
     for resize, reference in ((resize_bilinear, reference_bilinear),
                               (resize_nearest, reference_nearest)):
-        out, ref = resize(img, h_out, w_out), reference(img, h_out, w_out)
-        assert out.shape == (h_out, w_out) and out.dtype == ref.dtype
-        assert np.array_equal(out, ref), (resize.__name__, img.shape, h_out, w_out)
+        ref = reference(img, h_out, w_out)
+        for src in (img, view):
+            out = resize(src, h_out, w_out)
+            assert out.shape == (h_out, w_out) and out.dtype == ref.dtype
+            assert out.flags.c_contiguous, (resize.__name__, src.strides)
+            assert np.array_equal(out, ref), (resize.__name__, src.strides, h_out, w_out)
 
 
 def random_images(gen, h, w):

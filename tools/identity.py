@@ -88,6 +88,9 @@ STEPS = [
     ("eval-original", 0, _eval("pred-original", "mixed", "--pcts", "5,10,25")),
     ("infer-under", 0, _infer("pred-under", "small", "seg-under", "unc-under", "heuristic")),
     ("eval-under", 0, _eval("pred-under", "small", "--pcts", "10,50")),
+    # occluded and blurred 200x240 frames: clamped and fallback heuristic boxes
+    ("infer-high", 0, _infer("pred-high", "high", "seg-clip", "unc-surrogate", "heuristic")),
+    ("eval-high", 0, _eval("pred-high", "high")),
     ("landscape-a", 0, ["landscape", "--v", "1,2", "--range", "0.5,5.0", "--n", "21",
                         "--out", "landscape-a.csv"]),
     ("landscape-b", 0, ["landscape", "--v", "0.3,-1.7", "--range", "0.01,10",
