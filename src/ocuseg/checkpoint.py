@@ -13,14 +13,13 @@ must be finite in float32.  Writes are byte-deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import InputError, RunConfig, naming, read_json
+from .config import InputError, RunConfig, json_text, naming, read_json
 
 FORMAT_VERSION = 1
 KINDS = ("seg", "unc")
@@ -49,8 +48,7 @@ def save_checkpoint(directory: str | Path, config: RunConfig,
         "config_hash": config.content_hash(),
         "tensors": index,
     }
-    (directory / "header.json").write_text(
-        json.dumps(header, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    (directory / "header.json").write_text(json_text(header), encoding="utf-8")
     (directory / "weights.bin").write_bytes(b"".join(blobs))
 
 

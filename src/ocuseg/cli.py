@@ -21,7 +21,6 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -29,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import MAX_SIDE, MIN_SIDE, InputError, RunConfig, naming, read_json, read_text
+from .config import (MAX_SIDE, MIN_SIDE, InputError, RunConfig, json_text, naming, read_json,
+                     read_text)
 from .datasetio import read_dataset, read_pgm, write_dataset, write_pgm
 # no caller here: bench/attribution.py traces crop_resize under this module's name
 from .detect import BBox, crop_labels, crop_resize
@@ -160,8 +160,7 @@ def cmd_infer(args) -> int:
                [[sid, s, *box.as_tuple()] for sid, s, box in zip(ids, s_unc, boxes)])
     meta = {"config_hash": config.content_hash(), "arch_hash": config.arch_hash(),
             "detector": args.detector, "crop": [config.crop_h, config.crop_w]}
-    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n",
-                                   encoding="utf-8")
+    (out / "meta.json").write_text(json_text(meta), encoding="utf-8")
     print(f"wrote {len(ids)} predictions to {out}")
     return 0
 
@@ -237,9 +236,9 @@ def cmd_eval(args) -> int:
     with naming(f"--pcts {args.pcts}"):
         body = report(ids, score_list, confs, pcts)
     out = Path(args.out)
-    out.write_text(json.dumps({"config_hash": meta.get("config_hash", ""),
-                               "detector": meta.get("detector", ""), **body},
-                              sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    out.write_text(json_text({"config_hash": meta.get("config_hash", ""),
+                              "detector": meta.get("detector", ""), **body}),
+                   encoding="utf-8")
     miou, filtered = body["unfiltered"]["miou"], body["tables"]["filtering"]
     header = ["pct", "retained_count", "retained_miou"]
     rows = [[0.0, len(ids), miou]] + [[f[k] for k in header] for f in filtered]

@@ -3,7 +3,8 @@
 The JSON round-trip is exact (all fields are ints or lists of ints),
 and ``content_hash`` gives a stable fingerprint embedded in
 checkpoints and reports so artifacts are traceable to their config.
-Every text file a command reads goes through ``read_text`` / ``read_json``.
+Every text file a command reads goes through ``read_text`` / ``read_json``,
+and every JSON file one writes through ``json_text``.
 A bad input from outside the program raises ``InputError``, directly or
 through ``naming``; it is the one error the command line turns into exit 2.
 """
@@ -54,6 +55,12 @@ def read_json(path: str | Path, expect: type, what: str = ""):
     return data
 
 
+def json_text(value) -> str:
+    """``value`` as the text of a JSON artifact: sorted keys, one-space
+    indent and a final newline."""
+    return json.dumps(value, sort_keys=True, indent=1) + "\n"
+
+
 # bounds on frame and crop sides (a 4096x4096 frame's float64 work arrays take ~134 MB
 # each) and conv channels (h4's kernel at 1024 everywhere is 3072x1024x3x3 float64, ~0.2 GB)
 MIN_SIDE, MAX_SIDE = 64, 4096
@@ -101,7 +108,7 @@ class RunConfig:
                              f"{self.crop_h}x{self.crop_w}")
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=1) + "\n"
+        return json_text(asdict(self))
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":

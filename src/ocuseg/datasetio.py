@@ -14,13 +14,12 @@ write-then-read is the identity, with no rescale or cast.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
 import numpy as np
 
-from .config import InputError, naming, read_json
+from .config import InputError, json_text, naming, read_json
 from .detect import box_fits
 from .metrics import check_labels
 from .synth import Sample
@@ -81,8 +80,7 @@ def write_dataset(samples: list[Sample], directory: str | Path) -> None:
             "domain": s.domain_id,
             "corruption": s.corruption,
         })
-    text = json.dumps(records, indent=1, sort_keys=True)
-    (directory / "manifest.json").write_text(text + "\n", encoding="utf-8")
+    (directory / "manifest.json").write_text(json_text(records), encoding="utf-8")
 
 
 # An id names files under img/, lbl/ and an inference run's pred/, and is a

@@ -50,9 +50,8 @@ no conv output.  A forward's result is valid until the same layer's next
 forward; a caller that needs it longer copies it.  A conv built with
 ``relu=True`` rectifies that buffer in place, and its ``backward`` masks
 the output gradient by it, so no caller keeps an activation for backward.
-Only ``in_place_relu`` writes over its argument; the other pointwise
-functions write only into arrays passed as their ``out`` (or ``work``,
-``slope``).
+That ReLU lives only in ``Conv2d``; the pointwise functions write only into
+arrays passed as their ``out`` (or ``work``, ``slope``).
 
 Spatial size changes otherwise happen through ``pool2x_batch`` /
 ``upsample2x_batch``, which are adjoint up to a factor of 4 (pool averages
@@ -239,17 +238,6 @@ def conv2d_batch_backward(grad_out: np.ndarray, x: np.ndarray | ChannelStack,
     return conv2d_batch(grad_out, flipped), grad_kernel
 
 
-def in_place_relu(x: np.ndarray) -> np.ndarray:
-    """ReLU written over ``x``: for a conv's own output, which nothing reads
-    unrectified (``relu_batch_backward``'s mask ``x > 0`` is the same on the
-    rectified values)."""
-    return np.maximum(x, 0.0, out=x)
-
-
-def relu_batch_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return grad_out * (x > 0.0)
-
-
 def pool2x_batch(x: np.ndarray) -> np.ndarray:
     """2x2 average pooling over the trailing two axes (must be even)."""
     h, w = x.shape[-2:]
@@ -373,7 +361,9 @@ class Conv2d:
         self._out = reuse_buffer(self._out, (self.c_out,) + x.shape[1:], x.dtype)
         out = conv2d_batch(x, self.kernel, self._out)
         out += self.bias.astype(out.dtype)[:, None, None, None]
-        return in_place_relu(out) if self.relu else out
+        if self.relu:
+            np.maximum(out, 0.0, out=out)
+        return out
 
     def backward(self, grad_out: np.ndarray, *, input_channels: int | None = None
                  ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
@@ -382,7 +372,7 @@ class Conv2d:
         if self._x is None:
             raise RuntimeError(f"{self.name}.backward needs a forward with keep_cache=True")
         if self.relu:
-            grad_out = relu_batch_backward(grad_out, self._out)
+            grad_out = grad_out * (self._out > 0.0)
         gi, gk = conv2d_batch_backward(grad_out, self._x, self.kernel, input_channels)
         gb = grad_out.sum(axis=(1, 2, 3), dtype=np.float64)
         return gi, {f"{self.name}.kernel": gk, f"{self.name}.bias": gb}

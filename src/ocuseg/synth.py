@@ -317,18 +317,11 @@ def _occlude(sample: Sample, severity: float) -> Sample:
     return replace(sample, image=image, labels=labels)
 
 
-def gamma_correct(image: np.ndarray, gamma: float) -> np.ndarray:
-    """Pixelwise v ** gamma on [0, 1]."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    return np.clip(image, 0.0, 1.0) ** gamma
-
-
 def _shift_table(gamma: float, contrast: float) -> np.ndarray:
     """The gamma and contrast shift of each 8-bit level's intensity, ``[256]``:
     indexing it by a frame gives, element for element, the same operations
     on the same values as shifting the frame's intensities."""
-    return 0.5 + contrast * (gamma_correct(np.arange(256) / 255.0, gamma) - 0.5)
+    return 0.5 + contrast * ((np.arange(256) / 255.0) ** gamma - 0.5)
 
 
 def _domain_shift(sample: Sample, severity: float, rng: Rng) -> Sample:

@@ -3,7 +3,7 @@ import pytest
 
 from gradcheck import grad_check, pack_params, unpack_params
 
-from ocuseg.optim import MOMENTUM, SgdMomentum, fit
+from ocuseg.optim import MOMENTUM, SgdMomentum, clip_grad_norm, fit
 from ocuseg.rng import Rng
 
 
@@ -41,6 +41,38 @@ class TestGradCheck:
         back = unpack_params(vec, layout)
         assert np.array_equal(back["a"], named["a"])
         assert np.array_equal(back["b"], named["b"])
+
+
+def grads_at_norm(norm: float) -> dict[str, np.ndarray]:
+    """Two gradients whose global L2 norm is ``norm``."""
+    a, b = Rng(6).normal_array(12).reshape(3, 4), Rng(7).normal_array(5)
+    scale = norm / np.sqrt((a * a).sum() + (b * b).sum())
+    return {"a": a * scale, "b": b * scale}
+
+
+class TestClipGradNorm:
+    MAX_NORM = 2000.0
+
+    def test_just_above_the_ceiling_is_clipped_to_it(self):
+        grads = grads_at_norm(1.005 * self.MAX_NORM)
+        pre = clip_grad_norm(grads, self.MAX_NORM)
+        assert pre == pytest.approx(1.005 * self.MAX_NORM, rel=1e-12)
+        post = np.sqrt(sum((g * g).sum() for g in grads.values()))
+        assert post == pytest.approx(self.MAX_NORM, rel=1e-12)
+
+    def test_just_below_the_ceiling_is_unchanged(self):
+        grads = grads_at_norm(0.995 * self.MAX_NORM)
+        want = {k: g.copy() for k, g in grads.items()}
+        pre = clip_grad_norm(grads, self.MAX_NORM)
+        assert pre == pytest.approx(0.995 * self.MAX_NORM, rel=1e-12)
+        for k, g in want.items():
+            assert np.array_equal(grads[k], g), k
+
+    def test_nonfinite_norm_aborts(self):
+        grads = grads_at_norm(1.0)
+        grads["b"][2] = np.inf
+        with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
+            clip_grad_norm(grads, self.MAX_NORM)
 
 
 class TestSgd:

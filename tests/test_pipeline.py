@@ -10,9 +10,11 @@ from ocuseg.detect import crop_resize
 from ocuseg.pipeline import (DETECTOR_MODES, ablation_crop_vs_full, build_crops,
                              choose_bbox, infer_samples)
 from ocuseg.rng import Rng
-from ocuseg.segnet import INFER_BATCH, SEG_BATCH, SegModel, StageFeatures, predict_batch, seg_loss
+from ocuseg.segnet import (INFER_BATCH, SEG_BATCH, SegModel, StageFeatures, predict_batch,
+                           seg_loss, train_seg)
 from ocuseg.synth import generate_dataset
-from ocuseg.uncertainty import UncHead, original_loss_batch, unc_score, variance_targets
+from ocuseg.uncertainty import (UncHead, original_loss_batch, train_unc, unc_score,
+                                variance_targets)
 
 
 def small_setup():
@@ -252,3 +254,49 @@ def test_warm_inference_allocates_no_activations(monkeypatch):
     assert len(predict_peaks) == 3
     assert max(predict_peaks) < 5e6, predict_peaks
     assert max(rest_peaks) < 3.5e6, rest_peaks
+
+
+# The tiny run's train_log rows, (epoch, loss, miou) for train-seg and
+# (epoch, loss, target_abs_err) for train-unc with each loss, then each head's
+# s_unc on the 8 test crops.  Identical at 1 and 2 BLAS threads and with a
+# fixed mmap threshold; the numpy 1.26 CI leg has not run it yet.  A change
+# that moves trained floats re-pins these values and says why in CHANGES.md.
+PINNED_SEG = [0.0, 3246.0063157454133, 0.1071902964432174,
+              1.0, 3206.5462217256427, 0.10887737387491743]
+PINNED_UNC = {
+    "surrogate": [0.0, 0.13674738531472766, 0.07110666410231185,
+                  1.0, 0.1367381477721524, 0.07110581320731794],
+    "original": [0.0, -0.10405129953325853, 0.07110586376708422,
+                 1.0, -0.10738306069532655, 0.07109724877156404],
+}
+PINNED_S_UNC = {
+    "surrogate": [-41577.92202734947, -40987.14143848419, -41068.12234699726,
+                  -41565.62060081959, -41485.60374379158, -41464.39852166176,
+                  -41337.45364201069, -41390.366783738136],
+    "original": [-41554.34497022629, -40973.37815749645, -41054.88463318348,
+                 -41541.60387670994, -41463.32816672325, -41441.571645736694,
+                 -41318.59685301781, -41368.05489063263],
+}
+
+
+@pytest.mark.fixed_mmap
+def test_tiny_run_matches_pinned_values():
+    """Training and scoring end to end against fixed values, so a change to
+    momentum, the lr schedule or the variance floor fails Tier-1.  The bound
+    was fixed before the first run: adding 1e-7 to 64 crop pixels moves the
+    values by about 1e-7 relative, an ``EPS_FLOOR`` of 2e-6 by 7.1e-5."""
+    config = RunConfig(seed=3, crop_h=48, crop_w=48, d=6, widths=[4, 8], head_width=4,
+                       seg_epochs=2, unc_epochs=2)
+    kinds = ["none", "blur", "occlusion", "domain_shift"]
+    train, test = (generate_dataset(n, seed=seed, kinds=kinds, sev_range=(0.05, 1.0),
+                                    h_full=64, w_full=80) for n, seed in ((32, 101), (8, 202)))
+    images, labels, _, _ = build_crops(train, config, "gt-jitter")
+    test_images = build_crops(test, config, "gt-jitter")[0]
+    seg, rows = train_seg(images, labels, config)
+    np.testing.assert_allclose([v for row in rows for v in row], PINNED_SEG, rtol=1e-5, atol=0)
+    for loss in ("surrogate", "original"):
+        head, rows = train_unc(images, labels, seg, loss, config)
+        np.testing.assert_allclose([v for row in rows for v in row], PINNED_UNC[loss],
+                                   rtol=1e-5, atol=0, err_msg=loss)
+        np.testing.assert_allclose(infer_samples(test_images, seg, head)[1],
+                                   PINNED_S_UNC[loss], rtol=1e-5, atol=0, err_msg=loss)

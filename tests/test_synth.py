@@ -12,7 +12,7 @@ from ocuseg.layers import conv2d
 from ocuseg.rng import Rng
 from ocuseg.synth import (Corruption, Sample, SceneParams, _background_level, _blur,
                           _ellipse_extent, _ellipse_q, _noise_geometry, _shift_table,
-                          _smooth_noise, apply_corruption, gamma_correct, generate_dataset,
+                          _smooth_noise, apply_corruption, generate_dataset,
                           levels8, motion_blur_kernel, render_eye, sample_scene_params)
 
 
@@ -245,25 +245,6 @@ class TestCorruptions:
         assert out.image.dtype == np.uint8
 
 
-class TestGammaCorrect:
-    def test_identity(self):
-        img = Rng(1).uniform_array(100).reshape(10, 10)
-        assert np.array_equal(gamma_correct(img, 1.0), img)
-
-    def test_analytic_value(self):
-        assert gamma_correct(np.array([0.25]), 0.5)[0] == pytest.approx(0.5)
-
-    def test_range_closure(self):
-        img = Rng(2).uniform_array(1000)
-        for g in (0.3, 0.7, 1.5, 3.0):
-            out = gamma_correct(img, g)
-            assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_nonpositive_gamma_rejected(self):
-        with pytest.raises(ValueError, match="gamma"):
-            gamma_correct(np.zeros(3), 0.0)
-
-
 class TestGenerateDataset:
     def test_deterministic_and_ids(self):
         a = generate_dataset(6, seed=5, kinds=["none", "blur"], sev_range=(0.5, 1.0))
@@ -334,7 +315,7 @@ def reference_occlude(sample, severity):
 
 
 def reference_shift(image, gamma, contrast):
-    return 0.5 + contrast * (gamma_correct(image / 255.0, gamma) - 0.5)
+    return 0.5 + contrast * ((image / 255.0) ** gamma - 0.5)
 
 
 def level_frame(seed, h=97, w=131):

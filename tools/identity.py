@@ -71,6 +71,10 @@ STEPS = [
     # 15-tap blurs, deep eyelids and strong domain shifts
     ("gen-high-200x240", 0, ["gen", "--out", "high", "--n", "32", "--seed", "4004", *KINDS,
                              "--severities", "0.9,1.0", "--size", "200x240"]),
+    # every kind at severity 0: apply_corruption's identity branch
+    ("gen-zero-severity", 0, ["gen", "--out", "zero", "--n", "12", "--seed", "5005",
+                              "--corruptions", "blur,occlusion,domain_shift",
+                              "--severities", "0,0"]),
     ("train-seg-under", 0, ["train-seg", "--data", "small", "--config", "under.json",
                             "--out", "seg-under"]),
     ("train-unc-under", 0, ["train-unc", "--data", "small", "--config", "under.json",
