@@ -157,7 +157,7 @@ def cmd_infer(args) -> int:
     for sid, labels in zip(ids, y_hat):
         write_pgm(out / "pred" / f"{sid}.pgm", labels)
     _write_csv(out / "scores.csv", ["sample_id", "s_unc", "l", "t", "h", "w"],
-               [[sid, s, *box.as_tuple()] for sid, s, box in zip(ids, s_unc, boxes)])
+               [[sid, s, *box] for sid, s, box in zip(ids, s_unc, boxes)])
     meta = {"config_hash": config.content_hash(), "arch_hash": config.arch_hash(),
             "detector": args.detector, "crop": [config.crop_h, config.crop_w]}
     (out / "meta.json").write_text(json_text(meta), encoding="utf-8")

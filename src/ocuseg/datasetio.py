@@ -22,7 +22,7 @@ import numpy as np
 from .config import InputError, json_text, naming, read_json
 from .detect import box_fits
 from .metrics import check_labels
-from .synth import Sample
+from .synth import BBox, Sample
 
 
 def write_pgm(path: Path, data: np.ndarray) -> None:
@@ -161,7 +161,7 @@ def read_dataset(directory: str | Path) -> list[Sample]:
                              f"{img_path} is {image.shape[0]}x{image.shape[1]}")
         _check_sample_labels(f"{sid}: {lbl_path}", labels)
         samples.append(Sample(
-            image=image, labels=labels, gt_bbox=tuple(rec["bbox"]),
+            image=image, labels=labels, gt_bbox=BBox(*rec["bbox"]),
             severity=float(rec.get("severity", 0.0)),
             domain_id=rec.get("domain", "clean"),
             sample_id=sid,

@@ -2,38 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import MIN_SIDE
 from .rng import Rng
-from .synth import Sample, levels8
+from .synth import BBox, Sample, levels8
 from .warp import resize_bilinear, resize_nearest
 
 # the largest shift and rescale of a jittered box, as a fraction of its size
 BBOX_JITTER = 0.10
 
 
-@dataclass(frozen=True)
-class BBox:
-    l: int
-    t: int
-    h: int
-    w: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.l, self.t, self.h, self.w)
-
-
-def box_fits(box: tuple[int, int, int, int], frame_h: int, frame_w: int) -> bool:
+def box_fits(box: BBox, frame_h: int, frame_w: int) -> bool:
     """Whether ``box`` (l, t, h, w) has a positive size and lies inside a
     ``frame_h`` x ``frame_w`` frame."""
     l, t, h, w = box
     return l >= 0 and t >= 0 and h > 0 and w > 0 and t + h <= frame_h and l + w <= frame_w
 
 
-def iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
+def iou(a: BBox, b: BBox) -> float:
     al, at, ah, aw = a
     bl, bt, bh, bw = b
     ix = max(0, min(al + aw, bl + bw) - max(al, bl))
@@ -143,8 +130,7 @@ def detect_eye_heuristic(image: np.ndarray) -> BBox:
                       side, side, fh, fw)
 
 
-def jitter_gt_bbox(gt: tuple[int, int, int, int], rng: Rng,
-                   frame_h: int, frame_w: int) -> BBox:
+def jitter_gt_bbox(gt: BBox, rng: Rng, frame_h: int, frame_w: int) -> BBox:
     """Perturb a ground-truth (l, t, h, w) box by up to ``BBOX_JITTER`` of its size."""
     l, t, h, w = gt
     scale = 1.0 + rng.uniform(-BBOX_JITTER, BBOX_JITTER)
@@ -160,8 +146,8 @@ def jitter_gt_bbox(gt: tuple[int, int, int, int], rng: Rng,
 def _cut(frame: np.ndarray, bbox: BBox) -> np.ndarray:
     """The view of ``frame`` inside ``bbox``; raises ValueError when the box
     does not fit the frame."""
-    l, t, h, w = bbox.as_tuple()
-    if not box_fits((l, t, h, w), *frame.shape):
+    l, t, h, w = bbox
+    if not box_fits(bbox, *frame.shape):
         raise ValueError(f"bbox {(l, t, h, w)} outside {'x'.join(map(str, frame.shape))} frame")
     return frame[t:t + h, l:l + w]
 

@@ -29,14 +29,15 @@ are exact in any order, and no BLAS call is made.
 What depends only on the frame size, or only on the 8-bit level, is done
 once rather than per pixel, with the same operations on the same values, so
 every output bit is unchanged.  The value-noise interpolation indices and
-weights are cached per ``(h, w, cell)``, read-only.  A frame's levels take
-one of 256 values: occlusion reads the background's median off their
-histogram (``np.median`` of an even count is the mean of its two middle
-values, which the histogram gives too) and leaves uncovered pixels' levels
-as they are (``levels8(v / 255)`` is ``v`` for every level); domain shift
-evaluates its gamma and contrast on the 256 levels and indexes that table by
-the frame (the elementwise forms give each element the same result whatever
-the array's length, which the tests check).
+weights are cached per ``(h, w, cell)``, and domain shift's vignette radii
+per ``(h, w)``, read-only.  A frame's levels take one of 256 values:
+occlusion reads the background's median off their histogram (``np.median``
+of an even count is the mean of its two middle values, which the histogram
+gives too) and leaves uncovered pixels' levels as they are (``levels8(v /
+255)`` is ``v`` for every level); domain shift evaluates its gamma and
+contrast on the 256 levels and indexes that table by the frame (the
+elementwise forms give each element the same result whatever the array's
+length, which the tests check).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,11 +73,23 @@ class Corruption:
     severity: float                          # in [0, 1]
 
 
+class BBox(NamedTuple):
+    """A box in frame pixels: left column, top row, height, width."""
+    l: int
+    t: int
+    h: int
+    w: int
+
+    def as_tuple(self) -> tuple[int, int, int, int]:
+        # no caller in src: bench/attribution.py still calls it
+        return tuple(self)
+
+
 @dataclass
 class Sample:
     image: np.ndarray                        # [H,W] uint8 8-bit levels
     labels: np.ndarray                       # [H,W] uint8 in {0,1,2,3}
-    gt_bbox: tuple[int, int, int, int]       # (l, t, h, w)
+    gt_bbox: BBox
     severity: float
     domain_id: str
     sample_id: str
@@ -218,7 +232,7 @@ def render_eye(params: SceneParams, h_full: int, w_full: int, rng: Rng,
     t = max(0, int(math.floor(cr - 1.1 * ey)))
     r_excl = min(w_full, int(math.ceil(cc_ + 1.1 * ex)) + 1)
     b_excl = min(h_full, int(math.ceil(cr + 1.1 * ey)) + 1)
-    bbox = (l, t, b_excl - t, r_excl - l)
+    bbox = BBox(l, t, b_excl - t, r_excl - l)
 
     return Sample(image=levels8(img), labels=labels, gt_bbox=bbox,
                   severity=0.0, domain_id="clean", sample_id=sample_id)
@@ -324,14 +338,23 @@ def _shift_table(gamma: float, contrast: float) -> np.ndarray:
     return 0.5 + contrast * ((np.arange(256) / 255.0) ** gamma - 0.5)
 
 
+@functools.lru_cache(maxsize=4)
+def _vignette_radius(h: int, w: int) -> np.ndarray:
+    """Read-only squared radius ``rr ** 2 + cc ** 2`` of each pixel of an
+    ``h`` x ``w`` frame, each axis measured from the frame's centre in units
+    of its half-size, ``[h, w]``."""
+    rr = ((np.arange(h) - h / 2) / (h / 2))[:, None]
+    cc = (np.arange(w) - w / 2) / (w / 2)
+    radius = rr ** 2 + cc ** 2
+    radius.flags.writeable = False
+    return radius
+
+
 def _domain_shift(sample: Sample, severity: float, rng: Rng) -> Sample:
     gamma = rng.uniform(max(0.05, 1.0 - 0.6 * severity), 1.0 + 0.6 * severity)
     contrast = rng.uniform(1.0 - 0.35 * severity, 1.0 + 0.35 * severity)
     img = np.take(_shift_table(gamma, contrast), sample.image)
-    h, wd = img.shape
-    rr = ((np.arange(h) - h / 2) / (h / 2))[:, None]
-    cc = (np.arange(wd) - wd / 2) / (wd / 2)
-    img *= 1.0 - 0.35 * severity * (rr ** 2 + cc ** 2) / 2.0
+    img *= 1.0 - 0.35 * severity * _vignette_radius(*img.shape) / 2.0
     img += rng.normal_array(img.size, 0.0, 0.08 * severity).reshape(img.shape)
     return replace(sample, image=levels8(img))
 

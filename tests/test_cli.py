@@ -366,13 +366,13 @@ def hand_built_predictions(root: Path, legacy: bool) -> Path:
     (pred / "pred").mkdir(parents=True)
     rows = ["sample_id,s_unc,accept_at_tau,l,t,h,w" if legacy else "sample_id,s_unc,l,t,h,w"]
     for i, (s, s_unc) in enumerate(zip(read_dataset(root / "data"), PINNED_SCORES)):
-        box = BBox(*s.gt_bbox) if i % 2 == 0 else BBox(0, 0, *s.image.shape)
+        box = s.gt_bbox if i % 2 == 0 else BBox(0, 0, *s.image.shape)
         y_hat = np.roll(crop_resize(s, box, 32, 32)[1], i % 3, axis=1)
         if i % 3 == 0:
             y_hat[4:12, 10:20] = 0
         write_pgm(pred / "pred" / f"{s.sample_id}.pgm", y_hat.astype(np.uint8))
         rows.append(",".join([s.sample_id, repr(s_unc), *(["0"] if legacy else []),
-                              *map(str, box.as_tuple())]))
+                              *map(str, box)]))
     (pred / "scores.csv").write_text("\n".join(rows) + "\n")
     meta = {"config_hash": "0123456789abcdef", "arch_hash": "fedcba9876543210",
             "detector": "gt-jitter", "crop": [32, 32], **({"tau": 0.0} if legacy else {})}

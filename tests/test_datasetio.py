@@ -5,6 +5,7 @@ import pytest
 
 from ocuseg.config import InputError
 from ocuseg.datasetio import read_dataset, read_pgm, write_dataset, write_pgm
+from ocuseg.detect import BBox, crop_resize
 from ocuseg.synth import generate_dataset
 
 
@@ -20,10 +21,37 @@ def test_roundtrip_bit_exact(tmp_path):
         for x, y in ((a.image, b.image), (a.labels, b.labels)):
             assert x.dtype == y.dtype == np.uint8
             assert np.array_equal(x, y)
-        assert tuple(a.gt_bbox) == tuple(b.gt_bbox)
+        assert a.gt_bbox == b.gt_bbox
         assert a.severity == b.severity
         assert a.domain_id == b.domain_id
         assert a.corruption == b.corruption
+
+
+def generated_and_read_back(tmp_path):
+    """Pairs of a generated sample and the same sample read back from disk,
+    with its manifest record."""
+    samples = generate_dataset(4, seed=9, kinds=["none", "occlusion"], sev_range=(0.5, 1.0))
+    write_dataset(samples, tmp_path)
+    records = json.loads((tmp_path / "manifest.json").read_text())
+    return list(zip(samples, read_dataset(tmp_path), records))
+
+
+def test_gt_bbox_is_the_manifest_box(tmp_path):
+    for generated, back, rec in generated_and_read_back(tmp_path):
+        for s in (generated, back):
+            assert type(s.gt_bbox) is BBox
+            assert s.gt_bbox == tuple(rec["bbox"])
+            assert all(type(v) is int for v in s.gt_bbox)
+
+
+def test_crop_through_gt_bbox(tmp_path):
+    """A sample's own box crops it, generated or read back, as the same
+    box built from its fields does."""
+    for generated, back, _ in generated_and_read_back(tmp_path):
+        for s in (generated, back):
+            got = crop_resize(s, s.gt_bbox, 48, 64)
+            want = crop_resize(s, BBox(*s.gt_bbox), 48, 64)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_write_is_byte_deterministic(tmp_path):

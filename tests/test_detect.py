@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocuseg import detect
+from ocuseg import detect, synth
 from ocuseg.detect import (BBox, crop_labels, crop_resize, detect_eye_heuristic, iou,
                            jitter_gt_bbox)
 from ocuseg.rng import Rng
@@ -86,11 +86,20 @@ class TestLargestComponent:
         assert boxes == [detect_eye_heuristic(s.image) for s in samples]
 
 
+def test_one_box_type():
+    """``detect`` crops through the ``BBox`` that ``synth`` defines, a tuple
+    of its four fields; ``as_tuple``, which the bench calls, is that tuple."""
+    assert detect.BBox is synth.BBox
+    box = BBox(7, 3, 50, 90)
+    assert (box.l, box.t, box.h, box.w) == box == (7, 3, 50, 90)
+    assert type(box.as_tuple()) is tuple and box.as_tuple() == (7, 3, 50, 90)
+
+
 class TestDetector:
     def test_clean_samples_iou_at_least_half(self):
         # 500 seeded clean frames; at least 95% must reach IoU 0.5 vs gt
         samples = generate_dataset(500, seed=101)
-        hits = sum(iou(detect_eye_heuristic(s.image).as_tuple(), s.gt_bbox) >= 0.5
+        hits = sum(iou(detect_eye_heuristic(s.image), s.gt_bbox) >= 0.5
                    for s in samples)
         assert hits / len(samples) >= 0.95
 
@@ -174,19 +183,19 @@ class TestJitter:
     def test_iou_bound_at_015(self, monkeypatch):
         # geometric bound: worst case shift+scale at 0.15 keeps IoU over 0.5
         monkeypatch.setattr(detect, "BBOX_JITTER", 0.15)
-        gt = (40, 30, 60, 70)
+        gt = BBox(40, 30, 60, 70)
         rng = Rng(7)
         worst = 1.0
         for _ in range(10000):
             j = jitter_gt_bbox(gt, rng, 120, 160)
-            worst = min(worst, iou(j.as_tuple(), gt))
+            worst = min(worst, iou(j, gt))
         assert worst >= 0.5
 
     def test_always_within_frame(self, monkeypatch):
         monkeypatch.setattr(detect, "BBOX_JITTER", 0.25)
         rng = Rng(9)
         for _ in range(2000):
-            j = jitter_gt_bbox((100, 80, 40, 58), rng, 120, 160)
+            j = jitter_gt_bbox(BBox(100, 80, 40, 58), rng, 120, 160)
             assert j.l >= 0 and j.t >= 0
             assert j.l + j.w <= 160 and j.t + j.h <= 120
 
@@ -200,7 +209,7 @@ class TestCropResize:
 
     def test_labels_stay_in_closed_set(self):
         s = generate_dataset(1, seed=12)[0]
-        _, labels = crop_resize(s, BBox(*s.gt_bbox), 96, 96)
+        _, labels = crop_resize(s, s.gt_bbox, 96, 96)
         assert set(np.unique(labels)) <= {0, 1, 2, 3}
 
     def test_native_crop_preserves_foreground_histogram(self):
@@ -208,8 +217,7 @@ class TestCropResize:
         # native size must keep the class-1..3 counts exactly
         for seed in (31, 32, 33):
             s = generate_dataset(1, seed=seed)[0]
-            l, t, h, w = s.gt_bbox
-            _, labels = crop_resize(s, BBox(l, t, h, w), h, w)
+            _, labels = crop_resize(s, s.gt_bbox, s.gt_bbox.h, s.gt_bbox.w)
             for c in (1, 2, 3):
                 assert (labels == c).sum() == (s.labels == c).sum()
 
@@ -223,7 +231,7 @@ class TestCropResize:
     def test_crop_labels_are_crop_resize_labels(self):
         for s in generate_dataset(4, seed=12, kinds=["none", "occlusion"],
                                   sev_range=(0.5, 1.0)):
-            for box in (BBox(*s.gt_bbox), BBox(0, 0, 120, 160), BBox(7, 3, 50, 90)):
+            for box in (s.gt_bbox, BBox(0, 0, 120, 160), BBox(7, 3, 50, 90)):
                 labels = crop_labels(s.labels, box, 96, 96)
                 assert labels.dtype == np.uint8
                 assert np.array_equal(labels, crop_resize(s, box, 96, 96)[1])

@@ -6,7 +6,7 @@ import pytest
 
 from ocuseg import pipeline
 from ocuseg.config import RunConfig
-from ocuseg.detect import crop_resize
+from ocuseg.detect import BBox, crop_resize
 from ocuseg.pipeline import (DETECTOR_MODES, ablation_crop_vs_full, build_crops,
                              choose_bbox, infer_samples)
 from ocuseg.rng import Rng
@@ -48,7 +48,7 @@ def test_crop_seed_is_per_sample():
 def test_full_mode_uses_whole_frame():
     cfg, samples, _, _ = small_setup()
     box = choose_bbox(samples[0], "full", cfg)
-    assert box.as_tuple() == (0, 0, 120, 160)
+    assert box == BBox(0, 0, 120, 160)
 
 
 def test_infer_purity_and_alignment():
@@ -134,7 +134,7 @@ def test_build_crops_outputs_are_pinned(mode):
     images, labels, boxes, _ = build_crops(samples, RunConfig(seed=7), mode)
     assert {name: hashlib.sha256(data).hexdigest()[:16] for name, data in (
         ("images", images.tobytes()), ("labels", labels.astype(np.uint8).tobytes()),
-        ("boxes", repr([b.as_tuple() for b in boxes]).encode()))} == CROP_DIGESTS[mode]
+        ("boxes", repr([tuple(b) for b in boxes]).encode()))} == CROP_DIGESTS[mode]
 
 
 def seeded_models(config: RunConfig) -> tuple[SegModel, UncHead]:

@@ -12,8 +12,9 @@ from ocuseg.layers import conv2d
 from ocuseg.rng import Rng
 from ocuseg.synth import (Corruption, Sample, SceneParams, _background_level, _blur,
                           _ellipse_extent, _ellipse_q, _noise_geometry, _shift_table,
-                          _smooth_noise, apply_corruption, generate_dataset,
-                          levels8, motion_blur_kernel, render_eye, sample_scene_params)
+                          _smooth_noise, _vignette_radius, apply_corruption,
+                          generate_dataset, levels8, motion_blur_kernel, render_eye,
+                          sample_scene_params)
 
 
 def make_params(**overrides) -> SceneParams:
@@ -295,6 +296,14 @@ def test_noise_geometry_is_cached_read_only():
     for a in geometry:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+
+
+def test_vignette_radius_is_cached_read_only():
+    radius = _vignette_radius(97, 131)
+    assert _vignette_radius(97, 131) is radius
+    assert radius.shape == (97, 131)
+    with pytest.raises(ValueError, match="read-only"):
+        radius[0, 0] = 0
 
 
 # the per-pixel forms that the histogram median and the level table replaced

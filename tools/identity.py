@@ -6,19 +6,21 @@ Run from anywhere inside the repository:
     python3 tools/identity.py --against HEAD      # uncommitted edits vs HEAD
     python3 tools/identity.py --against HEAD~1    # the last commit vs its parent
 
-REV is checked out with ``git worktree add`` into a temporary directory,
-which is removed afterwards.  The same fixed matrix of ``ocuseg`` commands
-(``STEPS``) then runs in REV's tree ("base") and in this working tree
-("head"), each command in its own subprocess, once with 1 and once with 2
-BLAS threads.  Each command runs in its run directory with relative paths,
-and its exit code, stdout and stderr are kept as files next to what it
-wrote, so a changed message is a difference too.  ``diff -rq`` then
-compares base and head at each thread count.
+REV's tracked files are written by ``git archive`` into a temporary
+directory, which is removed afterwards; nothing is registered in ``.git``.
+The same fixed matrix of ``ocuseg`` commands (``STEPS``) then runs in REV's
+tree ("base") and in this working tree ("head"), each command in its own
+subprocess, once with 1 and once with 2 BLAS threads.  Each command runs in
+its run directory with relative paths, and its exit code, stdout and stderr
+are kept as files next to what it wrote, so a changed message is a
+difference too.  ``diff -rq`` then compares base and head at each thread
+count.
 
 Exit 0 when every file is identical and every command exited as ``STEPS``
 expects; otherwise exit 1, listing each differing file relative to the
-output root, whose outputs are kept for inspection.  Exit 2 when REV cannot
-be checked out.  Each side's wall time is printed.
+output root, whose outputs are kept for inspection.  Exit 2 when REV is not
+a revision.  Each side's wall time is printed.  A SIGTERM stops the running
+command and removes the temporary directory, and the exit code is 143.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -161,7 +164,29 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def export(rev: str, dest: Path) -> None:
+    """Write ``rev``'s tracked files into the new directory ``dest``."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def exit_on_sigterm(signum, frame) -> None:
+    # SystemExit unwinds through subprocess.run, which kills its child, and
+    # through main's cleanup
+    sys.exit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
+    try:
+        return compare(argv)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def compare(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, metavar="REV",
                         help="the revision to compare this working tree with")
@@ -174,8 +199,8 @@ def main(argv: list[str] | None = None) -> int:
     workdir = Path(tempfile.mkdtemp(prefix="ocuseg-identity-"))
     out = workdir / "out"
     base = workdir / "tree"
-    git("worktree", "add", "--detach", str(base), rev)
     try:
+        export(rev, base)
         problems = []
         walls: dict[str, list[float]] = {"base": [], "head": []}
         for threads in THREADS:
@@ -188,8 +213,11 @@ def main(argv: list[str] | None = None) -> int:
             if diff.returncode > 1:
                 raise RuntimeError(f"diff failed: {diff.stderr.strip()}")
             problems += diff.stdout.splitlines()
-    finally:
-        git("worktree", "remove", "--force", str(base))
+    except BaseException:
+        # an interrupted or failed run leaves nothing behind
+        shutil.rmtree(workdir)
+        raise
+    shutil.rmtree(base)
     for side, label in (("base", f"base {rev}"), ("head", "head (working tree)")):
         times = ", ".join(f"{w:.1f} s at {t} thread{'s' * (t > 1)}"
                           for t, w in zip(THREADS, walls[side]))

@@ -93,6 +93,27 @@ MUTANTS = [
     Mutant("synth.py", "(np.arange(256) / 255.0) ** gamma",
            "(np.arange(256) / 255.0) ** (1.0 / gamma)",
            "domain shift applies the inverse gamma", "killed"),
+    Mutant("synth.py", "radius.flags.writeable = False", "radius.flags.writeable = True",
+           "the cached vignette radii can be written", "killed"),
+    Mutant("synth.py", "bbox = BBox(l, t, b_excl - t, r_excl - l)",
+           "bbox = (l, t, b_excl - t, r_excl - l)",
+           "render_eye's box is a plain tuple", "killed"),
+    Mutant("synth.py", "return tuple(self)", "return tuple(self)[::-1]",
+           "BBox.as_tuple reverses the fields", "killed"),
+    Mutant("detect.py", "from .synth import BBox, Sample, levels8",
+           "from .synth import Sample, levels8\nfrom typing import NamedTuple\n"
+           "BBox = NamedTuple('BBox', [('l', int), ('t', int), ('h', int), ('w', int)])",
+           "detect defines a second box type", "killed"),
+    Mutant("detect.py", "    l, t, h, w = bbox\n", "    t, l, h, w = bbox\n",
+           "_cut reads the box's left and top swapped", "killed"),
+    Mutant("detect.py", "if not box_fits(bbox, *frame.shape):",
+           "if not box_fits(bbox, *frame.shape[::-1]):",
+           "_cut checks the box against the transposed frame", "killed"),
+    Mutant("datasetio.py", 'gt_bbox=BBox(*rec["bbox"])', 'gt_bbox=tuple(rec["bbox"])',
+           "read_dataset's box is a plain tuple", "killed"),
+    Mutant("cli.py", "[[sid, s, *box] for sid, s, box",
+           "[[sid, s, box.t, box.l, box.h, box.w] for sid, s, box",
+           "infer writes each box's l and t columns swapped", "killed"),
 ]
 
 
